@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from hampow.core import Hypergraph, VertexTuple
+from hampow.core import Hypergraph, VertexTuple, required_edges, uniformity
 from hampow.factor import factor_in_window
-from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths
+from hampow.matcher import SEARCH_BUDGET, ConnectFailure, PhaseFailure, connect_paths
 
 __all__ = [
     "Backbone",
@@ -76,21 +76,6 @@ def backbone_layout(k: int, ell: int) -> BackboneLayout:
     return BackboneLayout(k=k, ell=ell)
 
 
-def _power_pairs(seq: Sequence[int], k: int) -> set[tuple[int, int]]:
-    out = set()
-    for i in range(len(seq)):
-        for j in range(i + 1, min(i + k, len(seq) - 1) + 1):
-            a, b = seq[i], seq[j]
-            out.add((a, b) if a < b else (b, a))
-    return out
-
-
-def _tight_windows(seq: Sequence[int], k: int) -> set[tuple[int, ...]]:
-    return {
-        tuple(sorted(seq[i:i + k + 1])) for i in range(len(seq) - k)
-    }
-
-
 def _backbone_sequences(lay: BackboneLayout) -> list[tuple[int, ...]]:
     k, ell = lay.k, lay.ell
     seqs = [tuple(lay.head(1)) + (lay.x,) + tuple(lay.tail(1))]
@@ -126,22 +111,13 @@ class Backbone:
 
 def _build_backbone(k: int, ell: int, mode: str) -> Backbone:
     lay = backbone_layout(k, ell)
-    seqs = _backbone_sequences(lay)
-    if mode == "power":
-        edges: set = set()
-        for s in seqs:
-            edges |= _power_pairs(s, k)
-        graph = Hypergraph(2, lay.vertex_count, edges)
-    elif mode == "tight":
-        edges = set()
-        for s in seqs:
-            win = _tight_windows(s, k)
-            if edges & win:
-                raise AssertionError("backbone tight paths must be edge-disjoint")
-            edges |= win
-        graph = Hypergraph(k + 1, lay.vertex_count, edges)
-    else:
-        raise ValueError(f"mode must be 'power' or 'tight', got {mode!r}")
+    edges: set[tuple[int, ...]] = set()
+    for seq in _backbone_sequences(lay):
+        path = required_edges(seq, k, mode)
+        if mode == "tight" and edges & path:
+            raise AssertionError("backbone tight paths must be edge-disjoint")
+        edges |= path
+    graph = Hypergraph(uniformity(k, mode), lay.vertex_count, edges)
     return Backbone(k=k, ell=ell, mode=mode, layout=lay, graph=graph)
 
 
@@ -316,14 +292,6 @@ def chain_vertex_count(k: int, ell: int, connector_len: int, t: int) -> int:
     return t * per_link + max(t - 1, 0) * interior
 
 
-def _mode_uniformity(k: int, mode: str) -> int:
-    if mode == "power":
-        return 2
-    if mode == "tight":
-        return k + 1
-    raise ValueError(f"mode must be 'power' or 'tight', got {mode!r}")
-
-
 def build_chain_absorber(
     host: Hypergraph,
     k: int,
@@ -333,9 +301,8 @@ def build_chain_absorber(
     ell: int | None = None,
     connector_len: int | None = None,
     absorb_size: int | None = None,
-    rounds: int | None = None,
     include_remainder: bool = False,
-    search_budget: int | None = 1_500_000,
+    search_budget: int | None = SEARCH_BUDGET,
 ) -> ChainAbsorber:
     """Build a chain absorber inside a random host.
 
@@ -349,10 +316,9 @@ def build_chain_absorber(
     recorded for provenance and kept for randomized variants.
     """
     n = host.n
-    if host.k != _mode_uniformity(k, mode):
-        raise ValueError(
-            f"{mode} mode with k={k} requires a {_mode_uniformity(k, mode)}-uniform host"
-        )
+    w = uniformity(k, mode)
+    if host.k != w:
+        raise ValueError(f"{mode} mode with k={k} requires a {w}-uniform host")
     if ell is None:
         ell = max(5, math.ceil(math.log2(max(n, 2))))
         if ell % 2 == 0:
@@ -400,7 +366,7 @@ def build_chain_absorber(
     try:
         intra = connect_paths(
             host, intra_pairs, w2, k, connector_len, mode,
-            rounds=rounds, include_remainder=include_remainder, budget=search_budget,
+            include_remainder=include_remainder, budget=search_budget,
         )
     except ConnectFailure as e:
         raise PhaseFailure("intra-connect", e.message, **e.details) from e
@@ -419,7 +385,7 @@ def build_chain_absorber(
         try:
             chain = connect_paths(
                 host, chain_pairs, w3, k, connector_len, mode,
-                rounds=rounds, include_remainder=include_remainder, budget=search_budget,
+                include_remainder=include_remainder, budget=search_budget,
             )
         except ConnectFailure as e:
             raise PhaseFailure("chain-connect", e.message, **e.details) from e
@@ -441,7 +407,7 @@ def demo_absorber(
     interior = connector_len - 2 * k
     nb = backbone.graph.n
     n = nb + (ell - 1) * interior
-    host = Hypergraph.complete(_mode_uniformity(k, mode), n)
+    host = Hypergraph.complete(uniformity(k, mode), n)
     embedding = {v: v for v in range(nb)}
     connectors = []
     nxt = nb

@@ -23,6 +23,7 @@ from hampow.core import (
     is_power_path,
     is_tight_path,
     power_path_template,
+    uniformity,
     verify_certificate,
 )
 from hampow.density import RootedTemplate, m1_density, m_density
@@ -38,7 +39,9 @@ from hampow.pipeline import (
     implied_threshold,
     resolve_plan,
 )
-from hampow.randmodels import derive, sample_bipartite, sample_uniform_hypergraph
+from hampow.randmodels import (
+    derive, sample_bipartite, sample_three_rounds, sample_uniform_hypergraph,
+)
 
 MATERIALIZE_LIMIT = 20_000_000
 
@@ -112,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", choices=["gnp", "hgnp"], default=None)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--p", type=float, default=None)
-    v.add_argument("--k", type=int, default=2, help="uniformity for --model hgnp")
     v.add_argument("--attempt", type=int, default=0,
                    help="attempt index whose host to regenerate (--model only)")
     v.add_argument("--cert", required=True)
@@ -230,9 +232,7 @@ def _cmd_verify(args) -> int:
     else:
         if args.n is None or args.p is None:
             return _usage("--model requires --n and --p")
-        k = 2 if args.model == "gnp" else args.k
-        from hampow.randmodels import sample_three_rounds
-
+        k = uniformity(cert.k, cert.mode)
         attempt_seed = derive(args.seed, 17, args.attempt)
         _, _, _, host = sample_three_rounds(k, args.n, args.p, derive(attempt_seed, 1))
     try:

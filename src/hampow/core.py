@@ -23,7 +23,9 @@ __all__ = [
     "is_power_path",
     "is_tight_path",
     "power_path_template",
+    "required_edges",
     "tight_path_template",
+    "uniformity",
     "verify_certificate",
 ]
 
@@ -150,16 +152,6 @@ class Hypergraph:
         i = np.searchsorted(self._codes, code)
         return bool(i < self._codes.size and self._codes[i] == code)
 
-    def has_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized membership for radix codes of valid sorted edges."""
-        if self._complete:
-            return np.ones(len(codes), dtype=bool)
-        idx = np.searchsorted(self._codes, codes)
-        idx = np.minimum(idx, max(self._codes.size - 1, 0))
-        if self._codes.size == 0:
-            return np.zeros(len(codes), dtype=bool)
-        return self._codes[idx] == codes
-
     def edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in canonical (lexicographic) order."""
         if self._complete:
@@ -192,22 +184,15 @@ class Hypergraph:
         starts, dst = self._adj
         return dst[starts[v]:starts[v + 1]]
 
-    def degree(self, v: int) -> int:
-        if self.k == 2:
-            return int(len(self.neighbors(v)))
-        return sum(1 for e in self.edges() if v in e)
-
     def union(self, *others: "Hypergraph") -> "Hypergraph":
         graphs = (self,) + others
         if any(g.k != self.k or g.n != self.n for g in graphs):
             raise ValueError("union requires matching uniformity and vertex count")
         if any(g._complete for g in graphs):
             return Hypergraph.complete(self.k, self.n)
-        codes = np.union1d(self._codes, graphs[1]._codes) if len(graphs) == 2 else self._codes
-        if len(graphs) != 2:
-            codes = self._codes
-            for g in graphs[1:]:
-                codes = np.union1d(codes, g._codes)
+        codes = self._codes
+        for g in others:
+            codes = np.union1d(codes, g._codes)
         return Hypergraph.from_codes(self.k, self.n, codes)
 
     # -- equality / text ----------------------------------------------------
@@ -246,8 +231,13 @@ class Hypergraph:
         if len(head) != 3:
             raise ValueError(f"bad header {lines[0]!r}, expected 'k n m'")
         k, n, m = (int(x) for x in head)
+        if m < 0:
+            raise ValueError(f"edge count must be >= 0, got {m}")
         if len(lines) < 1 + m:
             raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+        extra = next((line for line in lines[1 + m:] if line.strip()), None)
+        if extra is not None:
+            raise ValueError(f"unexpected line {extra!r} after {m} edge lines")
         edges = []
         for line in lines[1:1 + m]:
             vs = [int(x) for x in line.split()]
@@ -257,11 +247,45 @@ class Hypergraph:
         return cls(k, n, edges)
 
 
+# -- the two modes -----------------------------------------------------------
+
+
+def uniformity(k: int, mode: str) -> int:
+    """Host uniformity of a mode: 2 for k-th powers, k+1 for tight cycles."""
+    if mode == "power":
+        return 2
+    if mode == "tight":
+        return k + 1
+    raise ValueError(f"mode must be 'power' or 'tight', got {mode!r}")
+
+
+def required_edges(
+    seq: Iterable[int], k: int, mode: str, cyclic: bool = False
+) -> set[tuple[int, ...]]:
+    """Sorted host edges that a k-power path or tight path along ``seq`` needs.
+
+    Power mode: every pair at distance <= k along the sequence.  Tight mode:
+    every window of k+1 consecutive vertices.  With ``cyclic`` the distances
+    and windows wrap around; a pair that wraps onto one vertex (a cycle on at
+    most k vertices) needs no edge.  Cyclic tight mode needs at least k+1
+    vertices.
+    """
+    s = list(seq)
+    n = len(s)
+    w = uniformity(k, mode)
+    if mode == "tight":
+        ext = s + s[:w - 1] if cyclic else s
+        return {tuple(sorted(ext[i:i + w])) for i in range(len(ext) - w + 1)}
+    out = set()
+    for i in range(n):
+        for j in range(i + 1, i + k + 1 if cyclic else min(i + k + 1, n)):
+            u, v = s[i], s[j % n]
+            if u != v:
+                out.add((u, v) if u < v else (v, u))
+    return out
+
+
 # -- path templates ---------------------------------------------------------
-
-
-def _power_path_pairs(k: int, ell: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(ell) for j in range(i + 1, min(i + k, ell - 1) + 1)]
 
 
 def power_path_template(k: int, ell: int) -> Hypergraph:
@@ -270,7 +294,7 @@ def power_path_template(k: int, ell: int) -> Hypergraph:
         raise ValueError(f"path power must be >= 1, got {k}")
     if ell < 2:
         raise ValueError(f"path length must be >= 2, got {ell}")
-    return Hypergraph(2, ell, _power_path_pairs(k, ell))
+    return Hypergraph(2, ell, required_edges(range(ell), k, "power"))
 
 
 def connecting_path_template(k: int, ell: int) -> Hypergraph:
@@ -293,7 +317,7 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
     last = set(range(ell - k, ell))
     pairs = [
         (i, j)
-        for i, j in _power_path_pairs(k, ell)
+        for i, j in required_edges(range(ell), k, "power")
         if not ({i, j} <= first or {i, j} <= last)
     ]
     return Hypergraph(2, ell, pairs)
@@ -312,7 +336,7 @@ def middle_connecting_path_template(k: int, ell: int) -> Hypergraph:
     if ell <= 2 * k:
         raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
     middle = set(range(k, ell - k))
-    pairs = [(i, j) for i, j in _power_path_pairs(k, ell) if {i, j} & middle]
+    pairs = [e for e in required_edges(range(ell), k, "power") if set(e) & middle]
     return Hypergraph(2, ell, pairs)
 
 
@@ -322,7 +346,7 @@ def tight_path_template(k: int, ell: int) -> Hypergraph:
         raise ValueError(f"path parameter must be >= 1, got {k}")
     if ell <= k:
         raise ValueError(f"tight path needs ell >= {k + 1}, got {ell}")
-    return Hypergraph(k + 1, ell, [tuple(range(i, i + k + 1)) for i in range(ell - k)])
+    return Hypergraph(k + 1, ell, required_edges(range(ell), k, "tight"))
 
 
 # -- embeddings -------------------------------------------------------------
@@ -354,11 +378,7 @@ def is_power_path(host: Hypergraph, seq: Iterable[int], k: int) -> bool:
     s = list(seq)
     if len(set(s)) != len(s):
         return False
-    return all(
-        host.has_edge((s[i], s[j]))
-        for i in range(len(s))
-        for j in range(i + 1, min(i + k, len(s) - 1) + 1)
-    )
+    return all(host.has_edge(e) for e in required_edges(s, k, "power"))
 
 
 def is_tight_path(host: Hypergraph, seq: Iterable[int]) -> bool:
@@ -366,11 +386,8 @@ def is_tight_path(host: Hypergraph, seq: Iterable[int]) -> bool:
     s = list(seq)
     if len(set(s)) != len(s):
         return False
-    w = host.k
-    if len(s) < w:
-        # shorter than one window: trivially a tight path
-        return True
-    return all(host.has_edge(s[i:i + w]) for i in range(len(s) - w + 1))
+    # a sequence shorter than one window needs no edge
+    return all(host.has_edge(e) for e in required_edges(s, host.k - 1, "tight"))
 
 
 @dataclass(frozen=True)
@@ -387,8 +404,7 @@ class CycleCertificate:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("power", "tight"):
-            raise ValueError(f"mode must be 'power' or 'tight', got {self.mode!r}")
+        uniformity(self.k, self.mode)  # rejects an unknown mode
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -420,30 +436,14 @@ def verify_certificate(host: Hypergraph, cert: CycleCertificate) -> bool:
     order = cert.order
     if len(order) != n or set(order) != set(range(n)):
         raise ValueError("certificate ordering is not a permutation of the vertex set")
-    if cert.mode == "power":
-        if host.k != 2:
-            raise ValueError("power-mode certificates require a 2-uniform host")
-        seen = set()
-        for i in range(n):
-            for d in range(1, cert.k + 1):
-                u, v = order[i], order[(i + d) % n]
-                if u == v:
-                    continue  # wrapped onto itself: n <= d, no pair required
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not host.has_edge(key):
-                    return False
-        return True
-    # tight mode
-    if host.k != cert.k + 1:
+    w = uniformity(cert.k, cert.mode)
+    if host.k != w:
         raise ValueError(
-            f"tight-mode certificate with k={cert.k} requires a "
-            f"{cert.k + 1}-uniform host, got {host.k}-uniform"
+            f"{cert.mode}-mode certificate with k={cert.k} requires a "
+            f"{w}-uniform host, got {host.k}-uniform"
         )
-    if n < host.k:
-        raise ValueError(f"host has fewer vertices than one window ({host.k})")
-    w = host.k
-    ext = order + order[:w - 1]
-    return all(host.has_edge(ext[i:i + w]) for i in range(n))
+    if cert.mode == "tight" and n < w:
+        raise ValueError(f"host has fewer vertices than one window ({w})")
+    return all(
+        host.has_edge(e) for e in required_edges(order, cert.k, cert.mode, cyclic=True)
+    )

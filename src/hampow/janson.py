@@ -31,21 +31,16 @@ class JansonParams:
     """Parameters (mu, delta, gamma) of the lower-tail inequality.
 
     ``bound`` is exp(-gamma^2 mu^2 / (2 (mu + delta))) when mu > 0 and the
-    vacuous 1.0 when mu = 0.  The optional fields are free reporting slots
-    for analysis constants.
+    vacuous 1.0 when mu = 0.
     """
 
     mu: float
     delta: float
     gamma: float
-    bound: float = float("nan")
-    beta: float | None = None
-    big_k: float | None = None
-    c: float | None = None
-    c_prime: float | None = None
+    bound: float
 
     @classmethod
-    def compute(cls, mu: float, delta: float, gamma: float, **extra: float) -> "JansonParams":
+    def compute(cls, mu: float, delta: float, gamma: float) -> "JansonParams":
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {gamma}")
         if mu < 0 or delta < 0:
@@ -54,7 +49,7 @@ class JansonParams:
             bound = 1.0
         else:
             bound = math.exp(-(gamma * gamma * mu * mu) / (2.0 * (mu + delta)))
-        return cls(mu=mu, delta=delta, gamma=gamma, bound=bound, **extra)
+        return cls(mu=mu, delta=delta, gamma=gamma, bound=bound)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -193,10 +188,8 @@ def delta_rooted_bound(
 
 
 def lower_tail_bound(params: JansonParams) -> float:
-    """P[X < (1 - gamma) mu] <= exp(-gamma^2 mu^2 / (2 (mu + delta)))."""
-    if not 0.0 < params.gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {params.gamma}")
-    if params.mu == 0.0:
-        return 1.0
-    g, mu, d = params.gamma, params.mu, params.delta
-    return math.exp(-(g * g * mu * mu) / (2.0 * (mu + d)))
+    """P[X < (1 - gamma) mu] <= exp(-gamma^2 mu^2 / (2 (mu + delta))).
+
+    The value is computed once, by :meth:`JansonParams.compute`.
+    """
+    return params.bound

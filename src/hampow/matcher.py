@@ -16,7 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hampow.core import Hypergraph, VertexTuple
+from hampow.core import (
+    Hypergraph,
+    VertexTuple,
+    connecting_path_template,
+    tight_path_template,
+    uniformity,
+)
 from hampow.density import RootedTemplate
 
 __all__ = [
@@ -29,7 +35,11 @@ __all__ = [
     "connect_paths",
     "find_rooted_copy",
     "partition_reservoir",
+    "round_sizes",
 ]
+
+#: Candidate checks one construction phase may spend on copy searches.
+SEARCH_BUDGET = 1_500_000
 
 
 class PhaseFailure(Exception):
@@ -271,33 +281,40 @@ class RootedMatching:
         return out
 
 
+def round_sizes(total: int, rounds: int, include_remainder: bool = False) -> list[int]:
+    """Slice sizes for splitting a reservoir of ``total`` vertices into rounds.
+
+    Round i (1-based) gets max(total // 2^(i+1), total // (2 * rounds))
+    vertices, so early rounds get geometrically shrinking slices clamped from
+    below.  These sizes always leave vertices over; ``include_remainder``
+    appends them as one final slice.  An empty reservoir has no slices.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if total == 0:
+        return []
+    sizes = [max(total // 2 ** (i + 1), total // (2 * rounds)) for i in range(1, rounds + 1)]
+    if include_remainder:
+        sizes.append(total - sum(sizes))
+    return sizes
+
+
 def partition_reservoir(
     reservoir: Iterable[int], rounds: int, include_remainder: bool = False
 ) -> list[tuple[int, ...]]:
-    """Split a reservoir into round-sized slices, in canonical vertex order.
+    """Split a reservoir into slices of :func:`round_sizes`, in canonical vertex order.
 
-    Round i (1-based) gets max(|W| // 2^(i+1), |W| // (2 * rounds)) vertices,
-    so early rounds get geometrically shrinking slices clamped from below.
-    The stated sizes always leave vertices over; ``include_remainder``
-    appends them as one final slice so the whole reservoir is usable (the
-    pipeline needs this on small reservoirs).
+    ``include_remainder`` makes the whole reservoir usable (the pipeline
+    needs this on small reservoirs).
     """
     w = sorted(set(reservoir))
     if not w:
         raise ValueError("reservoir must be nonempty")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    total = len(w)
-    sizes = [max(total // 2 ** (i + 1), total // (2 * rounds)) for i in range(1, rounds + 1)]
-    if sum(sizes) > total:
-        raise ValueError(f"round sizes {sizes} exceed the reservoir ({total})")
     parts = []
     at = 0
-    for s in sizes:
-        parts.append(tuple(w[at:at + s]))
-        at += s
-    if include_remainder and at < total:
-        parts.append(tuple(w[at:]))
+    for size in round_sizes(len(w), rounds, include_remainder):
+        parts.append(tuple(w[at:at + size]))
+        at += size
     return parts
 
 
@@ -419,21 +436,14 @@ def connect_paths(
     mode uses the tight-path template on a (k+1)-uniform host.  Path i runs
     from a_i to b_i with all internal vertices inside the reservoir.
     """
-    from hampow.core import connecting_path_template, tight_path_template
-
-    if mode not in ("power", "tight"):
-        raise ValueError(f"mode must be 'power' or 'tight', got {mode!r}")
+    w = uniformity(k, mode)
     if ell <= 2 * k:
         raise ValueError(f"connector length must exceed 2k = {2 * k}, got {ell}")
+    if host.k != w:
+        raise ValueError(f"{mode} mode with k={k} requires a {w}-uniform host, got {host.k}")
     if mode == "power":
-        if host.k != 2:
-            raise ValueError("power mode requires a 2-uniform host")
         template = connecting_path_template(k, ell)
     else:
-        if host.k != k + 1:
-            raise ValueError(
-                f"tight mode with k={k} requires a {k + 1}-uniform host, got {host.k}"
-            )
         template = tight_path_template(k, ell)
     root = VertexTuple(tuple(range(k)) + tuple(range(ell - k, ell)))
     tuples = tuple(VertexTuple(tuple(a) + tuple(b)) for a, b in pairs)

@@ -8,8 +8,8 @@ absorbable set in round three; absorb whatever the merge consumed and close
 the cycle.  Every certificate is verified before it is returned; phase
 failures trigger whole-run retries with derived seeds.
 
-The headline thresholds are asymptotic, so all sizes here are configuration
-with defaults calibrated for hosts in the n = 500..3000 range.
+The headline thresholds are asymptotic, so the sizes here are configuration
+or constants calibrated for hosts in the n = 500..3000 range.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from hampow.absorber import (
     chain_vertex_count,
     default_connector_len,
 )
-from hampow.core import CycleCertificate, Hypergraph, verify_certificate
-from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths
+from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
+from hampow.matcher import SEARCH_BUDGET, ConnectFailure, PhaseFailure, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
     derive,
@@ -50,44 +50,39 @@ __all__ = [
 
 DEFAULT_SEED = 24115
 
+#: Greedy rounds of the merge connection; its reservoir is the small absorbable set.
+MERGE_ROUNDS = 2
+#: Share of the merge reservoir that the preferred plans may fill with connectors.
+MERGE_UTILIZATION = 0.75
+#: Free constant c of the threshold formula, used for reporting only.
+THRESHOLD_C = 1.0
+
 
 @dataclass(frozen=True)
 class Parameters:
-    """Pipeline configuration.
-
-    The free constants of the analysis (c, c_prime) are plain configuration
-    used for threshold reporting, never derived.  Unset sizes are resolved
-    from n by :func:`resolve_plan`.
-    """
+    """Pipeline configuration.  Unset sizes are resolved from n by :func:`resolve_plan`."""
 
     k: int = 2
     mode: str = "power"
     ell: int | None = None
     connector_len: int | None = None
     merge_len: int | None = None
-    rounds: int | None = None
-    merge_rounds: int = 2
     absorb_size: int | None = None
     t_cover: int | None = None
     retries: int = 5
     seed: int = DEFAULT_SEED
     input_rate: float | None = None
-    merge_utilization: float = 0.75
-    search_budget: int | None = 1_500_000
-    c: float = 1.0
-    c_prime: float = 1.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.mode not in ("power", "tight"):
-            raise ValueError(f"mode must be 'power' or 'tight', got {self.mode!r}")
+        uniformity(self.k, self.mode)  # rejects an unknown mode
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
     @property
     def uniformity(self) -> int:
-        return 2 if self.mode == "power" else self.k + 1
+        return uniformity(self.k, self.mode)
 
 
 @dataclass(frozen=True)
@@ -214,8 +209,7 @@ def cover_with_paths(
     Raises :class:`PhaseFailure` naming the first step without a perfect
     matching.
     """
-    if mode not in ("power", "tight"):
-        raise ValueError(f"mode must be 'power' or 'tight', got {mode!r}")
+    uniformity(k, mode)  # rejects an unknown mode
     pool = sorted(set(uncovered) | set(borrowed))
     if t < 1:
         raise ValueError(f"part count must be >= 1, got {t}")
@@ -285,17 +279,6 @@ class ResolvedPlan:
         )
 
 
-def _slice_capacity(w_size: int, rounds: int, interior: int) -> int:
-    """Connector copies placeable in a partitioned reservoir of this size."""
-    if w_size <= 0:
-        return 0
-    sizes = [
-        max(w_size // 2 ** (i + 1), w_size // (2 * rounds)) for i in range(1, rounds + 1)
-    ]
-    sizes.append(w_size - sum(sizes))
-    return sum(sz // interior for sz in sizes)
-
-
 def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
     """Resolve all sizes for a host on n vertices; deterministic in (n, cfg).
 
@@ -323,7 +306,9 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
         pool = n - total
 
         def merge_capacity(w_size: int) -> int:
-            return _slice_capacity(w_size, cfg.merge_rounds, m_int)
+            """Merge connectors that fit in the slices of a reservoir this size."""
+            sizes = round_sizes(w_size, MERGE_ROUNDS, include_remainder=True)
+            return sum(size // m_int for size in sizes)
 
         def feasible(t_cand: int, soft: bool) -> tuple[int, int] | None:
             ux = (-pool) % t_cand
@@ -334,7 +319,7 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
                 return None
             if merge_capacity(t_abs - ux) < s + 1:
                 return None
-            if soft and (s + 1) * m_int > cfg.merge_utilization * (t_abs - ux):
+            if soft and (s + 1) * m_int > MERGE_UTILIZATION * (t_abs - ux):
                 return None
             return s, ux
 
@@ -347,7 +332,7 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
         # path families make the per-step matchings far more robust
         for soft in (True, False):
             if soft:
-                s_hi = int(cfg.merge_utilization * t_abs) // m_int - 1
+                s_hi = int(MERGE_UTILIZATION * t_abs) // m_int - 1
             else:
                 s_hi = merge_capacity(t_abs) - 1
             for s_target in range(max(s_hi, 0), k, -1):
@@ -389,10 +374,6 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
         )
     t_abs, t_cover, s, ux = solution
     total = chain_vertex_count(k, ell, conn, t_abs)
-    if total > n // 2:
-        raise ValueError(
-            f"absorber with {t_abs} absorbable vertices needs {total} > n/2 vertices"
-        )
     return ResolvedPlan(
         n=n,
         k=k,
@@ -413,11 +394,11 @@ def implied_threshold(n: int, cfg: Parameters) -> tuple[str, float]:
     """The configured threshold formula and its value at this n."""
     log2n = math.log2(max(n, 2))
     if cfg.mode == "power":
-        formula = f"(c * log2(n)^8 / n)^(1/k) with c={cfg.c}, k={cfg.k}"
-        value = (cfg.c * log2n ** 8 / n) ** (1.0 / cfg.k)
+        formula = f"(c * log2(n)^8 / n)^(1/k) with c={THRESHOLD_C}, k={cfg.k}"
+        value = (THRESHOLD_C * log2n ** 8 / n) ** (1.0 / cfg.k)
     else:
-        formula = f"c * log2(n)^8 / n with c={cfg.c}"
-        value = cfg.c * log2n ** 8 / n
+        formula = f"c * log2(n)^8 / n with c={THRESHOLD_C}"
+        value = THRESHOLD_C * log2n ** 8 / n
     return formula, min(value, 1.0)
 
 
@@ -451,9 +432,7 @@ def _attempt(
         ell=plan.ell,
         connector_len=plan.connector_len,
         absorb_size=plan.absorb_size,
-        rounds=cfg.rounds,
         include_remainder=True,
-        search_budget=cfg.search_budget,
     )
     absorbable = sorted(chain.absorbable)
     a_vertices = chain.vertices()
@@ -474,9 +453,9 @@ def _attempt(
             k,
             plan.merge_len,
             mode,
-            rounds=cfg.merge_rounds,
+            rounds=MERGE_ROUNDS,
             include_remainder=True,
-            budget=cfg.search_budget,
+            budget=SEARCH_BUDGET,
         )
     except ConnectFailure as e:
         raise PhaseFailure("merge", e.message, **e.details) from e

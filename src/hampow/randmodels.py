@@ -98,15 +98,12 @@ def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-def sample_uniform_hypergraph(
-    k: int, n: int, p: float, seed: int, method: str = "canonical"
-) -> Hypergraph:
+def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph:
     """Sample the binomial k-uniform hypergraph on n vertices.
 
     Each of the C(n, k) possible edges is present independently with
-    probability p.  The canonical method draws one uniform per candidate edge
-    in lexicographic order and is bit-reproducible; the geometric-skip method
-    agrees in distribution (not bitwise) and is faster for small p.
+    probability p.  One uniform is drawn per candidate edge in lexicographic
+    order, so the sample is bit-reproducible.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
@@ -117,32 +114,14 @@ def sample_uniform_hypergraph(
     total = math.comb(n, k)
     if p == 0.0 or total == 0:
         return Hypergraph(k, n, ())
-    if method == "canonical":
-        picked = []
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            u = uniform_stream(seed, lo, hi)
-            sel = np.flatnonzero(u < p)
-            if sel.size:
-                picked.append(sel.astype(np.int64) + lo)
-        ranks = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    elif method == "skip":
-        log1mp = math.log1p(-p)
-        ranks_list = []
-        pos = -1
-        ctr = 0
-        while True:
-            u = mix(seed, ctr) >> 11
-            ctr += 1
-            # skip ~ Geometric(p): floor(log(u) / log(1-p))
-            uu = (u + 0.5) * (2.0 ** -53)
-            pos += 1 + int(math.log(uu) / log1mp)
-            if pos >= total:
-                break
-            ranks_list.append(pos)
-        ranks = np.array(ranks_list, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    picked = []
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        u = uniform_stream(seed, lo, hi)
+        sel = np.flatnonzero(u < p)
+        if sel.size:
+            picked.append(sel.astype(np.int64) + lo)
+    ranks = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
     rows = unrank_combinations(n, k, ranks)
     return Hypergraph.from_codes(k, n, _encode_rows(rows, n))
 

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own algorithms: densities recount
 edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
-enumerate required pairs directly.
+enumerate required pairs and windows directly.
 """
 
 from __future__ import annotations
@@ -174,3 +174,10 @@ def power_cycle_pairs(order: tuple[int, ...], k: int) -> set[tuple[int, int]]:
             if u != v:
                 pairs.add((min(u, v), max(u, v)))
     return pairs
+
+
+def tight_windows(order: tuple[int, ...], w: int, cyclic: bool = True) -> set[tuple[int, ...]]:
+    """Edge set of the tight cycle (or path) with w-vertex windows along ``order``."""
+    n = len(order)
+    starts = range(n) if cyclic else range(n - w + 1)
+    return {tuple(sorted(order[(i + d) % n] for d in range(w))) for i in starts}

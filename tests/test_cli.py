@@ -145,9 +145,21 @@ class TestRoundTrip:
                               "--out", str(cert_file)], capsys)
         assert code == 0, err
         code, out, _ = run(["verify", "--model", "hgnp", "--n", "700", "--p", "1.0",
-                            "--k", "4", "--seed", "5", "--attempt", "0",
+                            "--seed", "5", "--attempt", "0",
                             "--cert", str(cert_file)], capsys)
         assert code == 0
+
+    def test_model_route_round_trip_tight_k2(self, tmp_path, capsys):
+        # verify takes the host's uniformity (k+1 = 3) from the certificate
+        cert_file = tmp_path / "c.cert"
+        code, out, err = run(["find", "--model", "hgnp", "--mode", "tight", "--k", "2",
+                              "--n", "400", "--p", "1.0", "--seed", "7",
+                              "--out", str(cert_file)], capsys)
+        assert code == 0, err
+        code, out, err = run(["verify", "--model", "hgnp", "--n", "400", "--p", "1.0",
+                              "--seed", "7", "--cert", str(cert_file)], capsys)
+        assert code == 0, err
+        assert "certificate OK" in out
 
     def test_verify_rejects_wrong_certificate(self, tmp_path, capsys):
         g = Hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,13 @@ from hampow.core import (
     is_power_path,
     is_tight_path,
     power_path_template,
+    required_edges,
     tight_path_template,
+    uniformity,
     verify_certificate,
 )
 
-from oracles import power_cycle_pairs
+from oracles import power_cycle_pairs, tight_windows
 
 
 def complete_graph(n):
@@ -84,6 +88,14 @@ class TestHypergraph:
     def test_text_rejects_unsorted_edge_line(self):
         with pytest.raises(ValueError):
             Hypergraph.from_text("2 3 1\n1 0\n")
+
+    @pytest.mark.parametrize("text", ["2 3 1\n0 1\n1 2\n", "2 3 -2\n0 1\n1 2\n"])
+    def test_text_rejects_lines_beyond_the_edge_count(self, text):
+        with pytest.raises(ValueError):
+            Hypergraph.from_text(text)
+
+    def test_text_allows_trailing_blank_lines(self):
+        assert Hypergraph.from_text("2 3 1\n0 1\n\n  \n") == Hypergraph(2, 3, [(0, 1)])
 
 
 class TestTemplates:
@@ -246,3 +258,81 @@ class TestPathValidators:
         assert is_tight_path(host, (0, 1, 2, 3, 4, 5))
         assert not is_tight_path(host, (5, 4, 0, 1, 2, 3))
         assert is_tight_path(host, (0, 1))  # shorter than a window
+
+
+def random_host(data, n, w, required):
+    """A w-uniform host on n vertices: most of ``required`` plus random other edges."""
+    required = sorted(e for e in required if len(set(e)) == w)
+    dropped = data.draw(st.sets(st.sampled_from(required), max_size=2)) if required else set()
+    pool = list(combinations(range(n), w))
+    noise = data.draw(st.sets(st.sampled_from(pool))) if pool else set()
+    edges = (set(required) - dropped) | noise
+    return Hypergraph(w, n, edges), edges
+
+
+class TestUnifiedEdgeRule:
+    """The mode's edge rule against brute-force oracles on non-complete hosts."""
+
+    def test_unknown_mode_rejected(self):
+        assert uniformity(3, "power") == 2 and uniformity(3, "tight") == 4
+        with pytest.raises(ValueError, match="mode must be"):
+            uniformity(2, "loose")
+        with pytest.raises(ValueError, match="mode must be"):
+            required_edges((0, 1, 2), 1, "loose")
+        with pytest.raises(ValueError, match="mode must be"):
+            CycleCertificate(mode="loose", k=1, order=(0, 1, 2))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tight_verify(self, data):
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(k + 1, 8))
+        order = tuple(data.draw(st.permutations(range(n))))
+        required = tight_windows(order, k + 1)
+        assert required_edges(order, k, "tight", cyclic=True) == required
+        host, edges = random_host(data, n, k + 1, required)
+        cert = CycleCertificate(mode="tight", k=k, order=order)
+        assert verify_certificate(host, cert) == (required <= edges)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_power_verify_on_short_cycles(self, data):
+        # n <= 2k: the cyclic wrap repeats pairs; n <= k wraps pairs onto one vertex
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 2 * k))
+        order = tuple(data.draw(st.permutations(range(n))))
+        required = power_cycle_pairs(order, k)
+        assert required_edges(order, k, "power", cyclic=True) == required
+        host, edges = random_host(data, n, 2, required)
+        cert = CycleCertificate(mode="power", k=k, order=order)
+        assert verify_certificate(host, cert) == (required <= edges)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_is_tight_path(self, data):
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(k + 1, 8))
+        # includes sequences shorter than one window, which need no edge
+        seq = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
+        required = tight_windows(seq, k + 1, cyclic=False)
+        assert required_edges(seq, k, "tight") == required
+        host, edges = random_host(data, n, k + 1, required)
+        assert is_tight_path(host, seq) == (required <= edges)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_is_power_path(self, data):
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 8))
+        # repeated vertices are allowed in the draw and never form a path
+        seq = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)))
+        required = {
+            (min(seq[i], seq[j]), max(seq[i], seq[j]))
+            for i, j in combinations(range(len(seq)), 2)
+            if j - i <= k
+        }
+        host, edges = random_host(data, n, 2, required)
+        distinct = len(set(seq)) == len(seq)
+        if distinct:
+            assert required_edges(seq, k, "power") == required
+        assert is_power_path(host, seq, k) == (distinct and required <= edges)

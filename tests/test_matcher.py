@@ -22,6 +22,7 @@ from hampow.matcher import (
     connect_paths,
     find_rooted_copy,
     partition_reservoir,
+    round_sizes,
 )
 from hampow.randmodels import sample_uniform_hypergraph
 
@@ -131,6 +132,8 @@ class TestPartitionReservoir:
     def test_empty_reservoir(self):
         with pytest.raises(ValueError):
             partition_reservoir((), 3)
+        # the plan may leave the merge reservoir empty: no slices, no capacity
+        assert round_sizes(0, 2, include_remainder=True) == []
 
     def test_disjoint_and_canonical(self):
         parts = partition_reservoir(range(37), 4)

@@ -1,0 +1,95 @@
+"""Pinned behaviour: sha256 digests of fixed finds, their plans and CLI output.
+
+Each find case hashes a transcript of what ``hampow find`` reports: the
+implied threshold line, the resolved plan, the succeeding attempt and the
+certificate text (or the failure report).  A refactor must leave every
+digest unchanged; a change that alters the algorithm on purpose updates
+them and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from hampow.cli import main
+from hampow.pipeline import (
+    FailureReport,
+    ModelSpec,
+    Parameters,
+    find_hamilton_detailed,
+    implied_threshold,
+    resolve_plan,
+)
+from hampow.randmodels import sample_uniform_hypergraph
+
+
+def sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def transcript(source, cfg: Parameters) -> tuple[str, object]:
+    formula, value = implied_threshold(source.n, cfg)
+    plan = resolve_plan(source.n, cfg)
+    result, attempt = find_hamilton_detailed(source, cfg)
+    body = f"failure\n{result}" if isinstance(result, FailureReport) else result.to_text()
+    return f"{formula} = {value:.6g}\n{plan.describe()}\nattempt {attempt}\n{body}", result
+
+
+FIND_CASES = {
+    "power-k1-n500": (
+        lambda: ModelSpec(500, 0.99), dict(k=1, mode="power", seed=7),
+        "830f7066b446498e377e8c18af3d1137e4455564c30c9982c81c435390bbb057",
+    ),
+    "tight-k1-n500": (
+        lambda: ModelSpec(500, 0.99), dict(k=1, mode="tight", seed=7),
+        "98774bd991511976ca8ed3fbdf4b0d6c9de67be0214a5a4d58b1a6daef8b8578",
+    ),
+    "power-k2-n1500": (
+        lambda: ModelSpec(1500, 0.9995), dict(k=2, mode="power", seed=7),
+        "a494412684c475f77c5a323332d612eac3e459ace44341219e7e24bd32d30cec",
+    ),
+    "tight-k2-n400-complete": (
+        lambda: ModelSpec(400, 1.0), dict(k=2, mode="tight", seed=7),
+        "24195d28767145b379bca6e7b77393f65d575bb890121a0e99cd60257c3172e6",
+    ),
+    # a fixed host: its edges are split into three rounds by split_edges_three
+    "power-k2-fixed-host": (
+        lambda: sample_uniform_hypergraph(2, 1000, 0.9998, seed=9),
+        dict(k=2, mode="power", seed=7),
+        "161c83a3ff1ff26dc0ca585c36f43e251827898df06c653d87bbaf4f7d7ea55a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIND_CASES))
+def test_certificate_digest(name):
+    make_source, fields, digest = FIND_CASES[name]
+    text, result = transcript(make_source(), Parameters(**fields))
+    assert not isinstance(result, FailureReport)
+    assert sha256(text) == digest
+
+
+def test_failure_report_digest_and_phases():
+    cfg = Parameters(k=2, mode="power", seed=7, retries=2)
+    text, result = transcript(ModelSpec(600, 0.9995), cfg)
+    assert isinstance(result, FailureReport)
+    assert [a.phase for a in result.attempts] == ["merge", "cover", "merge"]
+    assert sha256(text) == "de332b135f05d54f3f75a0c90ce3ca16a921f1d7e65784daec91dafc496a3b41"
+
+
+def test_find_stdout_digest(capsys):
+    code = main(["find", "--model", "hgnp", "--mode", "tight", "--k", "2",
+                 "--n", "400", "--p", "1.0", "--seed", "7"])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == "923cd664a5df6063f9ce655f07f907d82d6f2ec71855f985b4e69672b5d23b83"
+
+
+def test_experiment_csv_digest(tmp_path, capsys):
+    csv = tmp_path / "grid.csv"
+    code = main(["experiment", "--k", "1", "--mode", "power", "--n-list", "300",
+                 "--p-grid", "0.9995,1.0", "--trials", "2", "--seed", "99",
+                 "--retries", "1", "--zero-timings", "--csv", str(csv)])
+    assert code == 0
+    assert sha256(csv.read_bytes()) == "0fa6f6cc7ca5360a9b65c3b0e8ba0cbf32681e94011af89af5e82c660c14a4cd"
