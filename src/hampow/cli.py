@@ -188,7 +188,19 @@ def _resolve_find_source(args, cfg: Parameters):
         return _load_graph(args.graph)
     if args.n is None or args.p is None:
         raise SystemExit(_usage("--model requires --n and --p"))
+    mismatch = _model_mismatch(args.model, cfg.k, cfg.mode)
+    if mismatch:
+        raise SystemExit(_usage(mismatch))
     return ModelSpec(n=args.n, p=args.p)
+
+
+def _model_mismatch(model: str, k: int, mode: str) -> str | None:
+    """Why ``model`` cannot sample the host that mode and k need, if it cannot."""
+    w = uniformity(k, mode)
+    if model == "gnp" and w != 2:
+        return (f"--model gnp samples graphs, but {mode} mode with k={k} needs a "
+                f"{w}-uniform host; use --model hgnp")
+    return None
 
 
 def _usage(msg: str) -> int:
@@ -232,6 +244,9 @@ def _cmd_verify(args) -> int:
     else:
         if args.n is None or args.p is None:
             return _usage("--model requires --n and --p")
+        mismatch = _model_mismatch(args.model, cert.k, cert.mode)
+        if mismatch:
+            return _usage(mismatch)
         k = uniformity(cert.k, cert.mode)
         attempt_seed = derive(args.seed, 17, args.attempt)
         _, _, _, host = sample_three_rounds(k, args.n, args.p, derive(attempt_seed, 1))

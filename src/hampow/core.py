@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -55,13 +54,15 @@ Embedding = Mapping[int, int]
 class Hypergraph:
     """Immutable k-uniform hypergraph on the vertex set ``{0, .., n-1}``.
 
-    Edges are stored as radix-encoded integers in a sorted array, which makes
-    equality, hashing and serialization canonical and keeps membership tests
-    cheap.  Complete hypergraphs are represented implicitly (no edge storage)
-    so that dense hosts of any uniformity stay usable.
+    Edges are radix-encoded integers kept in a sorted array.  A hypergraph
+    stores whichever side of its edge set its producer expects to be smaller:
+    the edges themselves, or (complement form) the non-edges.  The complete
+    hypergraph is the complement form with nothing stored, so dense hosts of
+    any uniformity stay usable.  Every query, equality and the text format
+    depend on the edge set only, never on the stored side.
     """
 
-    __slots__ = ("k", "n", "_codes", "_complete", "_adj")
+    __slots__ = ("k", "n", "_codes", "_complement", "_adj")
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]]):
         self.k = int(k)
@@ -79,26 +80,27 @@ class Hypergraph:
         if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
             raise ValueError("duplicate edges are not allowed")
         self._codes = arr
-        self._complete = False
+        self._complement = False
         self._adj = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def complete(cls, k: int, n: int) -> "Hypergraph":
-        """Complete k-uniform hypergraph, stored implicitly."""
-        g = cls(k, n, ())
-        if n < k:
-            return g
-        g._complete = True
-        g._codes = None
-        return g
+        """Complete k-uniform hypergraph: the complement form of no non-edges."""
+        return cls.from_codes(k, n, np.empty(0, dtype=np.int64), complement=True)
 
     @classmethod
-    def from_codes(cls, k: int, n: int, codes: np.ndarray) -> "Hypergraph":
-        """Internal fast path: ``codes`` must be sorted, unique, valid."""
+    def from_codes(
+        cls, k: int, n: int, codes: np.ndarray, complement: bool = False
+    ) -> "Hypergraph":
+        """Internal fast path: ``codes`` must be sorted, unique, valid.
+
+        They are the edges, or with ``complement`` the non-edges.
+        """
         g = cls(k, n, ())
         g._codes = np.asarray(codes, dtype=np.int64)
+        g._complement = complement
         return g
 
     # -- encoding ----------------------------------------------------------
@@ -132,12 +134,12 @@ class Hypergraph:
 
     @property
     def is_complete(self) -> bool:
-        return self._complete
+        return self._complement and self._codes.size == 0
 
     @property
     def edge_count(self) -> int:
-        if self._complete:
-            return math.comb(self.n, self.k)
+        if self._complement:
+            return math.comb(self.n, self.k) - int(self._codes.size)
         return int(self._codes.size)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
@@ -146,81 +148,95 @@ class Hypergraph:
             return False
         if vs[0] < 0 or vs[-1] >= self.n:
             return False
-        if self._complete:
-            return True
         code = self.encode(vs)
         i = np.searchsorted(self._codes, code)
-        return bool(i < self._codes.size and self._codes[i] == code)
+        stored = bool(i < self._codes.size and self._codes[i] == code)
+        return stored != self._complement
 
     def edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in canonical (lexicographic) order."""
-        if self._complete:
-            yield from combinations(range(self.n), self.k)
-            return
-        for code in self._codes.tolist():
+        for code in self.edge_codes().tolist():
             yield self.decode(code)
 
     def edge_codes(self) -> np.ndarray:
-        if self._complete:
-            raise ValueError("complete hypergraph edges are implicit")
-        return self._codes
+        """Sorted radix codes of the edges (built on each call in complement form)."""
+        if not self._complement:
+            return self._codes
+        every = _combination_codes(self.n, self.k)
+        keep = np.ones(every.size, dtype=bool)
+        keep[np.searchsorted(every, self._codes)] = False
+        return every[keep]
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor array (2-uniform only)."""
         if self.k != 2:
             raise ValueError("neighbors() requires a 2-uniform hypergraph")
-        if self._complete:
-            out = np.arange(self.n, dtype=np.int64)
-            return np.delete(out, v)
         if self._adj is None:
-            u = self._codes // self.n
-            w = self._codes % self.n
-            src = np.concatenate([u, w])
-            dst = np.concatenate([w, u])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
+            # CSR over both orientations of the stored pairs (the neighbours,
+            # or the non-neighbours), sorted as codes of (src, dst)
+            u, w = np.divmod(self._codes, self.n)
+            src, dst = np.divmod(np.sort(np.concatenate([self._codes, w * self.n + u])), self.n)
             starts = np.searchsorted(src, np.arange(self.n + 1))
             self._adj = (starts, dst)
         starts, dst = self._adj
-        return dst[starts[v]:starts[v + 1]]
+        row = dst[starts[v]:starts[v + 1]]
+        if not self._complement:
+            return row
+        keep = np.ones(self.n, dtype=bool)
+        keep[row] = False
+        keep[v] = False
+        return np.flatnonzero(keep)
 
     def union(self, *others: "Hypergraph") -> "Hypergraph":
         graphs = (self,) + others
         if any(g.k != self.k or g.n != self.n for g in graphs):
             raise ValueError("union requires matching uniformity and vertex count")
-        if any(g._complete for g in graphs):
-            return Hypergraph.complete(self.k, self.n)
-        codes = self._codes
-        for g in others:
-            codes = np.union1d(codes, g._codes)
-        return Hypergraph.from_codes(self.k, self.n, codes)
+        dense = [g._codes for g in graphs if g._complement]
+        if not dense:
+            codes = self._codes
+            for g in others:
+                codes = np.union1d(codes, g._codes)
+            return Hypergraph.from_codes(self.k, self.n, codes)
+        # a non-edge of the union is a non-edge of every part
+        codes = dense[0]
+        for c in dense[1:]:
+            codes = np.intersect1d(codes, c, assume_unique=True)
+        for g in graphs:
+            if not g._complement:
+                codes = np.setdiff1d(codes, g._codes, assume_unique=True)
+        return Hypergraph.from_codes(self.k, self.n, codes, complement=True)
 
     # -- equality / text ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        if (self.k, self.n, self._complete) != (other.k, other.n, other._complete):
+        if (self.k, self.n) != (other.k, other.n):
             return False
-        if self._complete:
-            return True
-        return bool(np.array_equal(self._codes, other._codes))
+        if self._complement == other._complement:
+            return bool(np.array_equal(self._codes, other._codes))
+        # the stored sides of equal edge sets in opposite forms partition
+        # the candidate edges
+        return (
+            self._codes.size + other._codes.size == math.comb(self.n, self.k)
+            and np.intersect1d(self._codes, other._codes, assume_unique=True).size == 0
+        )
 
     def __hash__(self) -> int:
-        if self._complete:
-            return hash((self.k, self.n, "complete"))
-        return hash((self.k, self.n, self._codes.tobytes()))
+        # the edge count is the cheap invariant both forms share
+        return hash((self.k, self.n, self.edge_count))
 
     def __repr__(self) -> str:
-        tag = "complete " if self._complete else ""
+        tag = "complete " if self.is_complete else ""
         return f"Hypergraph({tag}k={self.k}, n={self.n}, m={self.edge_count})"
 
     def to_text(self) -> str:
         """Bit-exact text format: ``k n m`` then one sorted edge per line."""
-        lines = [f"{self.k} {self.n} {self.edge_count}"]
-        for e in self.edges():
-            lines.append(" ".join(str(v) for v in e))
-        return "\n".join(lines) + "\n"
+        codes = self.edge_codes()
+        chunks = [f"{self.k} {self.n} {codes.size}\n".encode()]
+        for lo in range(0, codes.size, _TEXT_CHUNK):
+            chunks.append(_edge_lines(codes[lo:lo + _TEXT_CHUNK], self.n, self.k))
+        return b"".join(chunks).decode()
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
@@ -238,6 +254,10 @@ class Hypergraph:
         extra = next((line for line in lines[1 + m:] if line.strip()), None)
         if extra is not None:
             raise ValueError(f"unexpected line {extra!r} after {m} edge lines")
+        g = cls._from_edge_lines(k, n, lines[1:1 + m])
+        if g is not None:
+            return g
+        # the line-by-line parse names the first defect
         edges = []
         for line in lines[1:1 + m]:
             vs = [int(x) for x in line.split()]
@@ -245,6 +265,74 @@ class Hypergraph:
                 raise ValueError(f"edge line {line!r} is not strictly increasing")
             edges.append(vs)
         return cls(k, n, edges)
+
+    @classmethod
+    def _from_edge_lines(cls, k: int, n: int, lines: list[str]) -> "Hypergraph | None":
+        """Vectorised parse of valid edge lines; None on any defect."""
+        if not lines:
+            return None
+        try:
+            g = cls(k, n, ())
+            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, OverflowError):
+            return None
+        if rows.shape != (len(lines), k):
+            return None  # a blank line, or lines of the wrong width
+        if rows.min() < 0 or rows.max() >= n or np.any(rows[:, 1:] <= rows[:, :-1]):
+            return None
+        codes = np.sort(_encode_rows(rows, n))
+        if np.any(codes[1:] == codes[:-1]):
+            return None
+        g._codes = codes
+        return g
+
+
+#: Edges formatted per block in :meth:`Hypergraph.to_text`.
+_TEXT_CHUNK = 1 << 20
+
+
+def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Radix codes of sorted edges given as the rows of an int64 array."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(rows.shape[1]):
+        codes = codes * n + rows[:, j]
+    return codes
+
+
+def _combination_codes(n: int, k: int) -> np.ndarray:
+    """Radix codes of all k-subsets of ``range(n)``, ascending."""
+    codes = np.arange(n, dtype=np.int64)  # the 1-subsets
+    for j in range(2, k + 1):
+        # the (j-1)-subsets whose least element is >= a form a suffix
+        starts = np.searchsorted(codes // n ** (j - 2), np.arange(n + 1))
+        codes = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [a * n ** (j - 1) + codes[starts[a + 1]:] for a in range(n - j + 1)]
+        )
+    return codes
+
+
+def _edge_lines(codes: np.ndarray, n: int, k: int) -> bytes:
+    """The edges with these codes as text lines of k space-separated vertex ids."""
+    rows = np.empty((codes.size, k), dtype=np.int64)
+    rest = codes
+    for j in range(k - 1, -1, -1):
+        rest, rows[:, j] = np.divmod(rest, n)
+    values = rows.ravel()
+    if values.size == 0:
+        return b""
+    digits = len(str(int(values.max())))
+    width = np.ones(values.size, dtype=np.int64)
+    for d in range(1, digits):
+        width += values >= 10 ** d
+    # every value is followed by one separator byte: a space or a newline
+    ends = np.cumsum(width + 1) - 1
+    buf = np.full(int(ends[-1]) + 1, ord(" "), dtype=np.uint8)
+    buf[ends[k - 1::k]] = ord("\n")
+    for d in range(digits):
+        has = width > d
+        buf[ends[has] - 1 - d] = values[has] // 10 ** d % 10 + ord("0")
+    return buf.tobytes()
 
 
 # -- the two modes -----------------------------------------------------------

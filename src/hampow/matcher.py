@@ -3,9 +3,10 @@
 The searcher embeds a template into a host graph with the root tuple pinned
 to prescribed host vertices and all internal vertices drawn from an allowed
 reservoir.  Search is backtracking along a connectivity-aware template order
-with candidates generated from already-placed neighbors, tried in ascending
-host order, so results are deterministic and the first embedding found is
-the lexicographically least assignment along that order.
+with candidates drawn from the allowed reservoir and kept when they fit the
+already-placed neighbors, tried in ascending host order, so results are
+deterministic and the first embedding found is the lexicographically least
+assignment along that order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "round_sizes",
 ]
 
-#: Candidate checks one construction phase may spend on copy searches.
+#: Candidate checks one construction phase may spend on copy searches (see _Budget).
 SEARCH_BUDGET = 1_500_000
 
 
@@ -62,6 +63,14 @@ class SearchBudgetExceeded(Exception):
 
 
 class _Budget:
+    """Candidate checks left to a phase's copy searches.
+
+    One unit is charged per candidate a search step considers.  On a
+    2-uniform host with placed neighbours that is each allowed vertex
+    adjacent to the image of every anchor; otherwise it is each allowed
+    vertex, before any edge is tested.
+    """
+
     __slots__ = ("remaining",)
 
     def __init__(self, checks: int):
@@ -139,8 +148,9 @@ class _CopySearcher:
     ) -> dict[int, int] | None:
         """First embedding with root -> y and internals inside allowed, or None.
 
-        With a budget, every candidate check spends one unit and exhaustion
-        raises :class:`SearchBudgetExceeded`.
+        ``allowed_sorted`` lists ``allowed_set`` in ascending order.  With a
+        budget, every candidate check spends one unit (see :class:`_Budget`)
+        and exhaustion raises :class:`SearchBudgetExceeded`.
         """
         host, template = self.host, self.template
         if len(y) != len(self.root):
@@ -156,8 +166,9 @@ class _CopySearcher:
         if not self.order:
             return dict(images)
         used: set[int] = set()
+        pool = np.asarray(allowed_sorted, dtype=np.int64) if host.k == 2 else None
         iters: list[Iterable[int]] = [
-            self._candidates(0, images, used, allowed_sorted, allowed_set, budget)
+            self._candidates(0, images, used, allowed_sorted, pool, budget)
         ]
         chosen: list[int | None] = [None]
         while iters:
@@ -182,24 +193,32 @@ class _CopySearcher:
             if depth + 1 == len(self.order):
                 return dict(images)
             iters.append(
-                self._candidates(depth + 1, images, used, allowed_sorted, allowed_set, budget)
+                self._candidates(depth + 1, images, used, allowed_sorted, pool, budget)
             )
             chosen.append(None)
         return None
 
-    def _candidates(self, depth, images, used, allowed_sorted, allowed_set, budget=None):
+    def _candidates(self, depth, images, used, allowed_sorted, pool, budget=None):
+        """Allowed, unused vertices that extend the partial embedding, ascending.
+
+        ``pool`` is ``allowed_sorted`` as an int64 array on a 2-uniform host,
+        where a candidate must be adjacent to the image of every anchor.
+        """
         v_t = self.order[depth]
         anchors = self.anchors[depth]
         host = self.host
         if host.k == 2 and anchors:
-            arrays = [host.neighbors(images[next(u for u in e if u != v_t)]) for e in anchors]
-            cand = arrays[0]
-            for arr in arrays[1:]:
-                cand = np.intersect1d(cand, arr, assume_unique=True)
+            cand = pool
+            for e in anchors:
+                nbrs = host.neighbors(images[next(u for u in e if u != v_t)])
+                if nbrs.size == 0:
+                    return
+                # a position past the end clips to the largest neighbour, never a match
+                cand = cand[nbrs.take(nbrs.searchsorted(cand), mode="clip") == cand]
             for w in cand.tolist():
                 if budget is not None:
                     budget.spend()
-                if w in allowed_set and w not in used:
+                if w not in used:
                     yield w
             return
         for w in allowed_sorted:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Any, Iterable
 
 from hampow.absorber import (
     absorb,
@@ -95,9 +95,17 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Attempt:
+    """One failed attempt: its seed, the phase that failed and why.
+
+    ``details`` is the failing phase's diagnosis (a cover failure's step and
+    parts, a connect failure's trajectory, ...).  It is left out of equality
+    and of the printed report.
+    """
+
     seed: int
     phase: str
     message: str
+    details: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -504,7 +512,9 @@ def find_hamilton_detailed(
         try:
             return _attempt(source, cfg, plan, attempt_seed), r
         except PhaseFailure as e:
-            attempts.append(Attempt(seed=attempt_seed, phase=e.phase, message=e.message))
+            attempts.append(
+                Attempt(seed=attempt_seed, phase=e.phase, message=e.message, details=e.details)
+            )
     return FailureReport(attempts=tuple(attempts)), cfg.retries
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hampow.core import Hypergraph
+from hampow.core import Hypergraph, _encode_rows
 
 __all__ = [
     "BipartiteGraph",
@@ -91,13 +91,6 @@ def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1]):
-        codes = codes * n + rows[:, j]
-    return codes
-
-
 def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph:
     """Sample the binomial k-uniform hypergraph on n vertices.
 
@@ -143,8 +136,10 @@ def sample_three_rounds(
 
     Per candidate edge, one uniform variate is mapped through the joint law
     of three independent Bernoulli(q) coins (q = three_round_rate(p)), so the
-    result is distributed exactly as three independent samples but only the
-    union's edges are ever decoded.  Returns (G1, G2, G3, union).
+    result is distributed exactly as three independent samples.  Each result
+    stores the side of its edge set expected to be smaller: a round stores its
+    non-edges when q > 1/2, the union when p > 1/2.  Only candidates that
+    some result stores are ever decoded.  Returns (G1, G2, G3, union).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
@@ -160,15 +155,24 @@ def sample_three_rounds(
             for pattern in range(8)
         ]
     )
-    cum = np.cumsum(probs)
+    # a variate falls in pattern t when it lies between the cumulative
+    # probabilities of patterns < t and <= t
+    bounds = np.cumsum(probs)[:-1]
+    # bit i of a pattern puts the candidate in round i + 1; stores[r, pattern]
+    # says whether result r (the rounds, then the union) stores such a candidate
+    patterns8 = np.arange(8)
+    is_edge = np.array([(patterns8 >> i) & 1 == 1 for i in range(3)] + [patterns8 > 0])
+    dense = np.array([q > 0.5] * 3 + [p > 0.5])
+    stores = is_edge != dense[:, None]
+    needed = stores.any(axis=0)
     total = math.comb(n, k)
     kept_ranks: list[np.ndarray] = []
     kept_patterns: list[np.ndarray] = []
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         u = uniform_stream(seed, lo, hi)
-        pattern = np.searchsorted(cum, u, side="right").astype(np.int8)
-        sel = np.flatnonzero(pattern > 0)
+        pattern = np.searchsorted(bounds, u, side="right").astype(np.int8)
+        sel = np.flatnonzero(needed[pattern])
         if sel.size:
             kept_ranks.append(sel.astype(np.int64) + lo)
             kept_patterns.append(pattern[sel])
@@ -179,11 +183,16 @@ def sample_three_rounds(
     else:
         patterns = np.empty(0, dtype=np.int8)
         codes = np.empty(0, dtype=np.int64)
-    union = Hypergraph.from_codes(k, n, codes)
-    parts = tuple(
-        Hypergraph.from_codes(k, n, codes[(patterns & (1 << i)) > 0]) for i in range(3)
+    # a result that stores every decoded candidate shares the codes array
+    g1, g2, g3, union = (
+        Hypergraph.from_codes(
+            k, n,
+            codes if np.array_equal(stores[r], needed) else codes[stores[r][patterns]],
+            complement=bool(dense[r]),
+        )
+        for r in range(4)
     )
-    return parts[0], parts[1], parts[2], union
+    return g1, g2, g3, union
 
 
 def split_edges_three(

@@ -3,17 +3,23 @@
 These deliberately avoid the library's own algorithms: densities recount
 edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
-enumerate required pairs and windows directly.
+enumerate required pairs and windows directly.  The three-round sampler is
+checked against a candidate-by-candidate edge-form decoding of its stream,
+and the reservoir-walking copy-search candidates against the
+neighbour-intersection generator they replaced.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
+import numpy as np
 import pytest
 
 from hampow.core import Hypergraph
+from hampow.randmodels import three_round_rate, uniform_stream
 
 
 def naive_m1(template: Hypergraph) -> Fraction:
@@ -181,3 +187,55 @@ def tight_windows(order: tuple[int, ...], w: int, cyclic: bool = True) -> set[tu
     n = len(order)
     starts = range(n) if cyclic else range(n - w + 1)
     return {tuple(sorted(order[(i + d) % n] for d in range(w))) for i in starts}
+
+
+def complement_twin(g: Hypergraph) -> Hypergraph:
+    """The same edge set as ``g``, stored as its non-edges."""
+    codes = [g.encode(e) for e in combinations(range(g.n), g.k) if not g.has_edge(e)]
+    return Hypergraph.from_codes(g.k, g.n, np.array(codes, dtype=np.int64), complement=True)
+
+
+def three_rounds_by_enumeration(
+    k: int, n: int, p: float, seed: int
+) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
+    """sample_three_rounds decoded one candidate at a time, all in edge form.
+
+    Candidate i (the i-th k-subset in lexicographic order) takes the i-th
+    variate of the seed's stream; the pattern of its three round coins is
+    the first t whose cumulative probability exceeds the variate (7 when
+    none does).  Bit i of the pattern puts it in round i + 1.
+    """
+    q = three_round_rate(p)
+    probs = [q ** bin(t).count("1") * (1.0 - q) ** (3 - bin(t).count("1")) for t in range(8)]
+    bounds = list(accumulate(probs))[:7]
+    u = uniform_stream(seed, 0, math.comb(n, k)).tolist()
+    rounds: list[list[tuple[int, ...]]] = [[], [], []]
+    union = []
+    for e, x in zip(combinations(range(n), k), u):
+        pattern = sum(1 for b in bounds if b <= x)
+        for i in range(3):
+            if pattern >> i & 1:
+                rounds[i].append(e)
+        if pattern:
+            union.append(e)
+    g1, g2, g3 = (Hypergraph(k, n, r) for r in rounds)
+    return g1, g2, g3, Hypergraph(k, n, union)
+
+
+def intersection_candidates(searcher, depth, images, used, allowed_set):
+    """The 2-uniform copy-search candidates as the neighbour-intersection scan made them.
+
+    Intersects the neighbourhoods of the anchors' placed vertices and keeps
+    the allowed, unused vertices of the intersection, ascending.
+    """
+    v_t = searcher.order[depth]
+    arrays = [
+        searcher.host.neighbors(images[next(u for u in e if u != v_t)])
+        for e in searcher.anchors[depth]
+    ]
+    cand = arrays[0]
+    for arr in arrays[1:]:
+        cand = np.intersect1d(cand, arr, assume_unique=True)
+    for w in cand.tolist():
+        if w in allowed_set and w not in used:
+            yield w

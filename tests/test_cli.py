@@ -35,6 +35,29 @@ class TestUsage:
             main(["find", "--k", "1"])
         assert info.value.code == 1
 
+    def test_find_gnp_model_needs_a_2_uniform_host(self, capsys):
+        # tight mode with k=2 needs a 3-uniform host, which gnp cannot sample
+        with pytest.raises(SystemExit) as info:
+            main(["find", "--model", "gnp", "--mode", "tight", "--k", "2",
+                  "--n", "400", "--p", "1.0", "--seed", "7"])
+        assert info.value.code == 1
+        assert "--model gnp" in capsys.readouterr().err
+
+    def test_verify_gnp_model_needs_a_2_uniform_host(self, tmp_path, capsys):
+        tight = tmp_path / "tight.cert"
+        tight.write_text("tight 2 6\n0 1 2 3 4 5\n")
+        code, _, err = run(["verify", "--model", "gnp", "--n", "6", "--p", "1.0",
+                            "--cert", str(tight)], capsys)
+        assert code == 1
+        assert "--model gnp" in err
+        # hgnp samples the host of every mode, graphs included
+        power = tmp_path / "power.cert"
+        power.write_text("power 1 5\n0 1 2 3 4\n")
+        for cert, n in ((tight, 6), (power, 5)):
+            code, out, _ = run(["verify", "--model", "hgnp", "--n", str(n), "--p", "1.0",
+                                "--cert", str(cert)], capsys)
+            assert code == 0 and "certificate OK" in out
+
 
 class TestGen:
     def test_gen_writes_deterministic_file(self, tmp_path, capsys):

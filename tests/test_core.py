@@ -1,4 +1,5 @@
-from itertools import combinations
+import math
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hampow.core import (
     verify_certificate,
 )
 
-from oracles import power_cycle_pairs, tight_windows
+from oracles import complement_twin, power_cycle_pairs, tight_windows
 
 
 def complete_graph(n):
@@ -94,8 +95,67 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph.from_text(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("2 4 2\n0 1\n\n", "must have 2 distinct vertices"),       # blank edge line
+        ("2 4 2\n0 1\n0 1 2\n", "must have 2 distinct vertices"),  # wrong width
+        ("2 4 1\n0 4\n", "out of range"),
+        ("2 4 2\n0 1\n0 1\n", "duplicate edges"),
+        ("2 4 1\n0 x\n", "invalid literal"),
+        ("2 4 1\n1 1\n", "not strictly increasing"),
+        ("1 4 1\n0\n", "uniformity must be >= 2"),
+    ])
+    def test_text_defects_name_the_problem(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Hypergraph.from_text(text)
+
     def test_text_allows_trailing_blank_lines(self):
         assert Hypergraph.from_text("2 3 1\n0 1\n\n  \n") == Hypergraph(2, 3, [(0, 1)])
+
+
+def edge_sets(k, n):
+    """Strategy: a random edge set of a k-uniform hypergraph on n vertices."""
+    every = list(combinations(range(n), k))
+    return st.lists(st.booleans(), min_size=len(every), max_size=len(every)).map(
+        lambda keep: [e for e, kept in zip(every, keep) if kept]
+    )
+
+
+class TestComplementForm:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_both_forms_answer_alike(self, data):
+        k = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(0, 8))
+        g = Hypergraph(k, n, data.draw(edge_sets(k, n)))
+        c = complement_twin(g)
+        assert c._complement and not g._complement
+        assert c.edge_count == g.edge_count
+        assert list(c.edges()) == list(g.edges())
+        assert c.edge_codes().tolist() == g.edge_codes().tolist()
+        assert c.to_text() == g.to_text()
+        assert c == g and g == c and hash(c) == hash(g)
+        assert c.is_complete == (g.edge_count == math.comb(n, k))
+        probes = list(product(range(-1, n + 1), repeat=k))
+        assert [c.has_edge(e) for e in probes] == [g.has_edge(e) for e in probes]
+        if k == 2:
+            for v in range(n):
+                assert c.neighbors(v).tolist() == g.neighbors(v).tolist()
+        other = Hypergraph(k, n, data.draw(edge_sets(k, n)))
+        assert c != other or g == other
+        expected = sorted(set(g.edges()) | set(other.edges()))
+        for a in (g, c):
+            for b in (other, complement_twin(other)):
+                u = a.union(b)
+                assert list(u.edges()) == expected
+                assert u == Hypergraph(k, n, expected)
+                assert u == b.union(a)
+
+    def test_complete_is_the_empty_complement(self):
+        g = Hypergraph.complete(2, 5)
+        assert g.is_complete and g.edge_count == 10
+        assert g == complement_twin(complete_graph(5)) == complete_graph(5)
+        assert g.neighbors(2).tolist() == [0, 1, 3, 4]
+        assert g.union(Hypergraph(2, 5, [(0, 1)])).is_complete
 
 
 class TestTemplates:

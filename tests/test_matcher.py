@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hampow.core import (
@@ -17,6 +18,7 @@ from hampow.density import RootedTemplate
 from hampow.matcher import (
     ConnectFailure,
     ConnectionRequest,
+    _Budget,
     _CopySearcher,
     connect_family,
     connect_paths,
@@ -26,11 +28,21 @@ from hampow.matcher import (
 )
 from hampow.randmodels import sample_uniform_hypergraph
 
-from oracles import brute_first_rooted_copy, brute_rooted_copy_exists
+from oracles import (
+    brute_first_rooted_copy,
+    brute_rooted_copy_exists,
+    complement_twin,
+    intersection_candidates,
+)
 
 
 def complete_graph(n):
     return Hypergraph(2, n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def bipartite_host(n=60):
+    """Complete bipartite graph between the even and the odd vertices: no triangles."""
+    return Hypergraph(2, n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 2])
 
 
 def edge_rooted_at_endpoint():
@@ -113,6 +125,47 @@ class TestFindRootedCopy:
         ref = brute_first_rooted_copy(host, template, root, searcher.order, y, allowed)
         assert got == ref
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_candidates_match_the_intersection_scan(self, data):
+        n = data.draw(st.integers(8, 14))
+        host = sample_uniform_hypergraph(
+            2, n, data.draw(st.sampled_from([0.3, 0.7, 0.95])), seed=data.draw(st.integers(0, 999))
+        )
+        if data.draw(st.booleans()):
+            host = complement_twin(host)
+        # on a plain path, vertices placed earlier than the previous one may
+        # neighbour it: the searcher must skip them as used
+        template, root = data.draw(st.sampled_from([
+            (power_path_template(1, 6), (0,)),
+            (power_path_template(2, 5), (0,)),
+            (connecting_path_template(2, 7), (0, 1, 5, 6)),
+            (complete_graph(4), ()),
+        ]))
+        searcher = _CopySearcher(host, template, root)
+        depth = data.draw(st.integers(0, len(searcher.order) - 1))
+        assume(searcher.anchors[depth])
+        # root images, the internals placed before this depth, then the rest
+        vertices = data.draw(st.permutations(range(n)))
+        y, rest = vertices[:len(root)], vertices[len(root):]
+        placed = rest[:depth]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+        allowed = sorted(set(placed) | {v for v, kept in zip(rest[depth:], keep) if kept})
+        images = dict(zip(root, y)) | dict(zip(searcher.order, placed))
+        used = set(placed)
+        pool = np.asarray(allowed, dtype=np.int64)
+        got = list(searcher._candidates(depth, images, used, allowed, pool))
+        assert got == list(intersection_candidates(searcher, depth, images, used, set(allowed)))
+
+    def test_budget_charges_allowed_candidates_adjacent_to_every_anchor(self):
+        searcher = _CopySearcher(bipartite_host(), connecting_path_template(2, 7), (0, 1, 5, 6))
+        allowed = list(range(20, 60))
+        budget = _Budget(100)
+        assert searcher.find((0, 2, 4, 6), allowed, set(allowed), budget=budget) is None
+        # path vertex 2 may be any of the 20 odd allowed vertices; vertex 3
+        # then needs a neighbour of an even and an odd vertex, and has none
+        assert budget.remaining == 100 - 20
+
 
 class TestPartitionReservoir:
     def test_spec_sizes(self):
@@ -166,6 +219,20 @@ class TestConnectionRequest:
 
 
 class TestConnectFamily:
+    def test_budget_exhaustion_on_a_host_without_a_copy(self):
+        req = ConnectionRequest(
+            template=connecting_path_template(2, 7), root=VertexTuple((0, 1, 5, 6)),
+            tuples=(VertexTuple((0, 2, 4, 6)), VertexTuple((8, 10, 12, 14))),
+            reservoir=tuple(range(20, 60)),
+        )
+        # the exhaustive search proves that the triangle-free host has no copy
+        with pytest.raises(ConnectFailure) as info:
+            connect_family(bipartite_host(), req)
+        assert not info.value.details.get("budget_exhausted")
+        with pytest.raises(ConnectFailure) as info:
+            connect_family(bipartite_host(), req, budget=10)
+        assert info.value.details["budget_exhausted"]
+
     def test_empty_request(self):
         req = ConnectionRequest(
             template=Hypergraph(2, 2, [(0, 1)]), root=VertexTuple((0,)),

@@ -4,6 +4,7 @@ import pytest
 from hampow.core import CycleCertificate, Hypergraph, verify_certificate
 from hampow.matcher import PhaseFailure
 from hampow.pipeline import (
+    Attempt,
     FailureReport,
     ModelSpec,
     Parameters,
@@ -197,3 +198,26 @@ class TestFindHamilton:
             assert verify_certificate(host, result)  # certificate is for the input
         else:
             pytest.skip("all retries failed on this sample; soundness not violated")
+
+
+class TestFailureDetails:
+    def test_phase_details_reach_the_report(self):
+        cfg = Parameters(k=2, mode="power", seed=7, retries=2)
+        report = find_hamilton(ModelSpec(n=600, p=0.9995), cfg)
+        assert isinstance(report, FailureReport)
+        merge, cover, _ = report.attempts
+        assert merge.phase == "merge"
+        unmatched, trajectory = merge.details["unmatched"], merge.details["trajectory"]
+        assert trajectory and trajectory[-1] == len(unmatched) > 0
+        assert len(trajectory) == len(merge.details["round_sizes"])
+        assert cover.phase == "cover"
+        assert cover.details["parts"] == resolve_plan(600, cfg).t_cover
+        assert 2 <= cover.details["step"] <= cover.details["parts"]
+        assert f"part {cover.details['step']} of {cover.details['parts']}" in cover.message
+
+    def test_details_stay_out_of_equality_and_the_report_text(self):
+        a = Attempt(seed=1, phase="cover", message="m", details={"step": 3})
+        b = Attempt(seed=1, phase="cover", message="m")
+        assert a == b and hash(a) == hash(b)
+        assert str(FailureReport((a,))) == str(FailureReport((b,)))
+        assert "step" not in str(a)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampow.core import Hypergraph
 from hampow.randmodels import (
@@ -16,6 +18,8 @@ from hampow.randmodels import (
     uniform_stream,
     unrank_combinations,
 )
+
+from oracles import three_rounds_by_enumeration
 
 
 class TestMixing:
@@ -125,6 +129,19 @@ class TestThreeRound:
             assert abs(part.edge_count - total * q) <= 4 * sd_q
         sd_p = math.sqrt(total * 0.271 * 0.729)
         assert abs(full.edge_count - total * 0.271) <= 4 * sd_p
+
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9, 0.9995])
+    @given(k=st.integers(2, 3), n=st.integers(3, 14), seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_joint_sampler_matches_enumeration(self, p, k, n, seed):
+        # q = 0.11, 0.26, 0.54, 0.92: the rounds store edges at p = 0.3 and
+        # 0.6 and non-edges above; the union stores non-edges from p = 0.6
+        sampled = sample_three_rounds(k, n, p, seed)
+        q = three_round_rate(p)
+        assert [g._complement for g in sampled] == [q > 0.5] * 3 + [p > 0.5]
+        for got, want in zip(sampled, three_rounds_by_enumeration(k, n, p, seed)):
+            assert got == want
+            assert list(got.edges()) == list(want.edges())
 
     def test_joint_sampler_determinism(self):
         a = sample_three_rounds(3, 40, 0.4, seed=1)
