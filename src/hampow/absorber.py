@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from hampow.core import Hypergraph, VertexTuple, required_edges, uniformity
 from hampow.factor import factor_in_window
-from hampow.matcher import SEARCH_BUDGET, ConnectFailure, PhaseFailure, connect_paths
+from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths
 
 __all__ = [
     "Backbone",
@@ -302,7 +302,6 @@ def build_chain_absorber(
     connector_len: int | None = None,
     absorb_size: int | None = None,
     include_remainder: bool = False,
-    search_budget: int | None = SEARCH_BUDGET,
 ) -> ChainAbsorber:
     """Build a chain absorber inside a random host.
 
@@ -310,10 +309,10 @@ def build_chain_absorber(
     found in the first part (greedy window factor), the intra-link connectors
     in the second, the chain connectors in the third.  The absorbable set has
     ``absorb_size`` vertices, defaulting to n / (16 log^2 n).  Each phase's
-    copy searches share ``search_budget`` candidate checks so hopeless sparse
-    hosts fail fast instead of backtracking exponentially (None removes the
-    bound).  All phases are deterministic given the host; ``seed`` is
-    recorded for provenance and kept for randomized variants.
+    copy searches share one searcher's budget, so hopeless sparse hosts fail
+    fast instead of backtracking exponentially.  All phases are deterministic
+    given the host; ``seed`` is recorded for provenance and kept for
+    randomized variants.
     """
     n = host.n
     w = uniformity(k, mode)
@@ -355,7 +354,7 @@ def build_chain_absorber(
     if t * (ell - 1) * interior > len(w2) or max(t - 1, 0) * interior > len(w3):
         raise ValueError("connector demand exceeds the connection reservoirs")
 
-    copies = factor_in_window(host, backbone.graph, w1, quota=t, budget=search_budget)
+    copies = factor_in_window(host, backbone.graph, w1, quota=t)
 
     intra_pairs = []
     for g in copies:
@@ -365,8 +364,7 @@ def build_chain_absorber(
             intra_pairs.append((a, b))
     try:
         intra = connect_paths(
-            host, intra_pairs, w2, k, connector_len, mode,
-            include_remainder=include_remainder, budget=search_budget,
+            host, intra_pairs, w2, k, connector_len, mode, include_remainder=include_remainder
         )
     except ConnectFailure as e:
         raise PhaseFailure("intra-connect", e.message, **e.details) from e
@@ -384,8 +382,7 @@ def build_chain_absorber(
         ]
         try:
             chain = connect_paths(
-                host, chain_pairs, w3, k, connector_len, mode,
-                include_remainder=include_remainder, budget=search_budget,
+                host, chain_pairs, w3, k, connector_len, mode, include_remainder=include_remainder
             )
         except ConnectFailure as e:
             raise PhaseFailure("chain-connect", e.message, **e.details) from e

@@ -8,6 +8,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -21,6 +22,7 @@ __all__ = [
     "is_embedding",
     "is_power_path",
     "is_tight_path",
+    "middle_connecting_path_template",
     "power_path_template",
     "required_edges",
     "tight_path_template",
@@ -273,7 +275,10 @@ class Hypergraph:
             return None
         try:
             g = cls(k, n, ())
-            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+            with warnings.catch_warnings():
+                # all-blank lines warn "input contained no data"; the fallback names the defect
+                warnings.simplefilter("ignore")
+                rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
         except (ValueError, OverflowError):
             return None
         if rows.shape != (len(lines), k):

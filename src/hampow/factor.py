@@ -6,19 +6,18 @@ import math
 from typing import Iterable
 
 from hampow.core import Hypergraph
-from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _Budget, _CopySearcher
+from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
 
 __all__ = ["almost_factor", "factor_in_window"]
 
 
-def almost_factor(
-    host: Hypergraph, template: Hypergraph, epsilon: float, budget: int | None = None
-) -> list[dict[int, int]]:
+def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> list[dict[int, int]]:
     """Disjoint copies of the template covering all but at most eps*n vertices.
 
     Greedy: while at least eps*n vertices remain uncovered, restrict to the
     lowest-indexed ceil(eps*n) of them and search one copy there; remove its
-    vertices.  Raises :class:`PhaseFailure` if some window holds no copy.
+    vertices.  Raises :class:`PhaseFailure` if some window holds no copy or
+    the searcher runs out of budget.
     """
     if host.k != template.k:
         raise ValueError("uniformity mismatch between host and template")
@@ -31,13 +30,12 @@ def almost_factor(
             f"window of {window} vertices cannot host a {template.n}-vertex copy"
         )
     searcher = _CopySearcher(host, template, root=())
-    budget_obj = _Budget(budget) if budget is not None else None
     unused = sorted(range(n))
     copies: list[dict[int, int]] = []
     while len(unused) >= epsilon * n:
         view = unused[:window]
         try:
-            emb = searcher.find((), view, set(view), budget=budget_obj)
+            emb = searcher.find((), view, set(view))
         except SearchBudgetExceeded:
             raise PhaseFailure(
                 "factor", "search budget exhausted",
@@ -62,13 +60,13 @@ def factor_in_window(
     template: Hypergraph,
     window: Iterable[int],
     quota: int | None = None,
-    budget: int | None = None,
 ) -> list[dict[int, int]]:
     """At least floor(|W| / 4 v(F)) disjoint copies with all vertices in W.
 
     Copies are found by repeated empty-root search inside the unused portion
     of the window; an explicit ``quota`` overrides the default one.  Raises
-    :class:`PhaseFailure` when the quota cannot be met.
+    :class:`PhaseFailure` when the quota cannot be met or the searcher runs
+    out of budget.
     """
     if host.k != template.k:
         raise ValueError("uniformity mismatch between host and template")
@@ -82,12 +80,11 @@ def factor_in_window(
             f"need |W| >= {4 * template.n}"
         )
     searcher = _CopySearcher(host, template, root=())
-    budget_obj = _Budget(budget) if budget is not None else None
     unused = w
     copies: list[dict[int, int]] = []
     while len(copies) < quota:
         try:
-            emb = searcher.find((), unused, set(unused), budget=budget_obj)
+            emb = searcher.find((), unused, set(unused))
         except SearchBudgetExceeded:
             raise PhaseFailure(
                 "factor", "search budget exhausted",

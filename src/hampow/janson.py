@@ -15,6 +15,7 @@ from itertools import combinations
 
 from hampow.core import Hypergraph
 from hampow.density import RootedTemplate, m1_density, m_density
+from hampow.randmodels import _check_edge_probability
 
 __all__ = [
     "JansonParams",
@@ -68,6 +69,7 @@ def _logsumexp(values: list[float]) -> float:
 
 def expected_lex_copies(n: int, template: Hypergraph, p: float) -> float:
     """mu = C(n, v(H)) * p^e(H), evaluated in log space."""
+    _check_edge_probability(p)
     v = template.n
     if v > n:
         raise ValueError(f"template has {v} vertices but the host only {n}")
@@ -85,6 +87,7 @@ def delta_upper_bound(n: int, template: Hypergraph, p: float) -> float:
     copies times p^(2 e(H) - (j-1) m1(H)); the exponent uses the exact
     1-density.  An empty range gives 0.
     """
+    _check_edge_probability(p)
     if template.edge_count == 0:
         raise ValueError("delta bound is undefined for an edgeless template")
     v = template.n
@@ -115,6 +118,7 @@ def exact_mu_delta(
     p^(2 e - |shared edges|) over ordered pairs of distinct copies sharing at
     least one edge.  Refuses hosts with more than ``budget`` copies.
     """
+    _check_edge_probability(p)
     v = template.n
     if v > n:
         raise ValueError(f"template has {v} vertices but the host only {n}")
@@ -145,7 +149,7 @@ def exact_mu_delta(
 
 
 def delta_rooted_bound(
-    rt: RootedTemplate, n: int, s_size: int, t: int, p: float
+    rt: RootedTemplate, s_size: int, t: int, p: float
 ) -> tuple[float, float]:
     """The two-part overlap bound for rooted copy families.
 
@@ -155,6 +159,7 @@ def delta_rooted_bound(
     Returns (delta_1, delta_2); empty ranges give 0, and delta_2 is 0 for an
     empty root (there are no root images to share).
     """
+    _check_edge_probability(p)
     template = rt.template
     if template.edge_count == 0:
         raise ValueError("rooted delta bound is undefined for an edgeless template")

@@ -24,7 +24,6 @@ from hampow.core import (
     tight_path_template,
     uniformity,
 )
-from hampow.density import RootedTemplate
 
 __all__ = [
     "ConnectFailure",
@@ -32,14 +31,14 @@ __all__ = [
     "PathFamily",
     "PhaseFailure",
     "RootedMatching",
+    "SearchBudgetExceeded",
     "connect_family",
     "connect_paths",
-    "find_rooted_copy",
     "partition_reservoir",
     "round_sizes",
 ]
 
-#: Candidate checks one construction phase may spend on copy searches (see _Budget).
+#: Candidate checks one copy searcher may spend over all its searches (see _CopySearcher).
 SEARCH_BUDGET = 1_500_000
 
 
@@ -62,26 +61,6 @@ class SearchBudgetExceeded(Exception):
     """
 
 
-class _Budget:
-    """Candidate checks left to a phase's copy searches.
-
-    One unit is charged per candidate a search step considers.  On a
-    2-uniform host with placed neighbours that is each allowed vertex
-    adjacent to the image of every anchor; otherwise it is each allowed
-    vertex, before any edge is tested.
-    """
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, checks: int):
-        self.remaining = int(checks)
-
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise SearchBudgetExceeded()
-
-
 class ConnectFailure(PhaseFailure):
     """Greedy connection rounds ended with unmatched requests."""
 
@@ -98,13 +77,25 @@ class ConnectFailure(PhaseFailure):
 
 
 class _CopySearcher:
-    """Reusable backtracking search for rooted copies of one template."""
+    """Reusable backtracking search for rooted copies of one template.
+
+    A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
+    ``remaining`` and spends them over all its searches, so a phase that
+    builds one searcher is bounded as a whole.  One unit is charged per
+    candidate a search step considers, before the used check:
+
+    - on a 2-uniform host, one unit per allowed candidate adjacent to every anchor;
+    - on any other host, one unit per allowed vertex scanned.
+
+    Exhaustion raises :class:`SearchBudgetExceeded`.
+    """
 
     def __init__(self, host: Hypergraph, template: Hypergraph, root: Sequence[int]):
         if host.k != template.k:
             raise ValueError(
                 f"uniformity mismatch: host {host.k}-uniform, template {template.k}-uniform"
             )
+        self.remaining = SEARCH_BUDGET
         self.host = host
         self.template = template
         self.root = tuple(root)
@@ -144,13 +135,12 @@ class _CopySearcher:
         y: Sequence[int],
         allowed_sorted: Sequence[int],
         allowed_set: set[int],
-        budget: "_Budget | None" = None,
     ) -> dict[int, int] | None:
         """First embedding with root -> y and internals inside allowed, or None.
 
-        ``allowed_sorted`` lists ``allowed_set`` in ascending order.  With a
-        budget, every candidate check spends one unit (see :class:`_Budget`)
-        and exhaustion raises :class:`SearchBudgetExceeded`.
+        ``allowed_sorted`` lists ``allowed_set`` in ascending order.  None
+        means no copy exists; running out of budget raises
+        :class:`SearchBudgetExceeded`.
         """
         host, template = self.host, self.template
         if len(y) != len(self.root):
@@ -167,9 +157,7 @@ class _CopySearcher:
             return dict(images)
         used: set[int] = set()
         pool = np.asarray(allowed_sorted, dtype=np.int64) if host.k == 2 else None
-        iters: list[Iterable[int]] = [
-            self._candidates(0, images, used, allowed_sorted, pool, budget)
-        ]
+        iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed_sorted, pool)]
         chosen: list[int | None] = [None]
         while iters:
             depth = len(iters) - 1
@@ -192,13 +180,11 @@ class _CopySearcher:
             chosen[-1] = nxt
             if depth + 1 == len(self.order):
                 return dict(images)
-            iters.append(
-                self._candidates(depth + 1, images, used, allowed_sorted, pool, budget)
-            )
+            iters.append(self._candidates(depth + 1, images, used, allowed_sorted, pool))
             chosen.append(None)
         return None
 
-    def _candidates(self, depth, images, used, allowed_sorted, pool, budget=None):
+    def _candidates(self, depth, images, used, allowed_sorted, pool):
         """Allowed, unused vertices that extend the partial embedding, ascending.
 
         ``pool`` is ``allowed_sorted`` as an int64 array on a 2-uniform host,
@@ -216,14 +202,16 @@ class _CopySearcher:
                 # a position past the end clips to the largest neighbour, never a match
                 cand = cand[nbrs.take(nbrs.searchsorted(cand), mode="clip") == cand]
             for w in cand.tolist():
-                if budget is not None:
-                    budget.spend()
+                self.remaining -= 1
+                if self.remaining < 0:
+                    raise SearchBudgetExceeded()
                 if w not in used:
                     yield w
             return
         for w in allowed_sorted:
-            if budget is not None:
-                budget.spend()
+            self.remaining -= 1
+            if self.remaining < 0:
+                raise SearchBudgetExceeded()
             if w in used:
                 continue
             ok = True
@@ -234,22 +222,6 @@ class _CopySearcher:
                     break
             if ok:
                 yield w
-
-
-def find_rooted_copy(
-    host: Hypergraph,
-    rt: RootedTemplate,
-    y: Sequence[int],
-    allowed: Iterable[int],
-) -> dict[int, int] | None:
-    """Embed rt.template into the host with root -> y, internals in allowed.
-
-    Returns the first embedding found by the deterministic backtracking
-    search, or None when no such copy exists (the search is exhaustive).
-    """
-    allowed_sorted = sorted(set(allowed))
-    searcher = _CopySearcher(host, rt.template, rt.root)
-    return searcher.find(tuple(y), allowed_sorted, set(allowed_sorted))
 
 
 @dataclass(frozen=True)
@@ -346,7 +318,6 @@ def connect_family(
     req: ConnectionRequest,
     rounds: int | None = None,
     include_remainder: bool = False,
-    budget: int | None = None,
 ) -> RootedMatching:
     """Greedy round-based construction of a rooted matching.
 
@@ -355,7 +326,8 @@ def connect_family(
     vertices already consumed this round.  Matched indices leave R; matchings
     from different rounds are disjoint because the slices are.  Raises
     :class:`ConnectFailure` naming the surviving indices if R is nonempty
-    after the last round.
+    after the last round, or at once, with ``budget_exhausted``, when the
+    family's searcher runs out of budget.
     """
     if rounds is None:
         rounds = _default_rounds(host.n)
@@ -371,7 +343,6 @@ def connect_family(
     strict = need <= len(req.reservoir) // 4
     parts = partition_reservoir(req.reservoir, rounds, include_remainder=include_remainder)
     searcher = _CopySearcher(host, req.template, req.root)
-    budget_obj = _Budget(budget) if budget is not None else None
     embeddings: list[dict[int, int] | None] = [None] * t
     remaining = list(range(t))
     trajectory: list[int] = []
@@ -386,9 +357,7 @@ def connect_family(
         for i in remaining:
             allowed_sorted = [v for v in part_sorted if v not in used]
             try:
-                emb = searcher.find(
-                    req.tuples[i], allowed_sorted, part_set - used, budget=budget_obj
-                )
+                emb = searcher.find(req.tuples[i], allowed_sorted, part_set - used)
             except SearchBudgetExceeded:
                 raise ConnectFailure(
                     "connect",
@@ -447,7 +416,6 @@ def connect_paths(
     mode: str,
     rounds: int | None = None,
     include_remainder: bool = False,
-    budget: int | None = None,
 ) -> PathFamily:
     """Connect endpoint tuple pairs with disjoint connecting/tight paths.
 
@@ -471,9 +439,7 @@ def connect_paths(
     )
     if not req.tuples:
         return PathFamily(sequences=[], embeddings=[], trajectory=[], end_width=k)
-    matching = connect_family(
-        host, req, rounds=rounds, include_remainder=include_remainder, budget=budget
-    )
+    matching = connect_family(host, req, rounds=rounds, include_remainder=include_remainder)
     sequences = [
         tuple(emb[v] for v in range(ell)) for emb in matching.embeddings
     ]

@@ -26,7 +26,7 @@ from hampow.absorber import (
     default_connector_len,
 )
 from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
-from hampow.matcher import SEARCH_BUDGET, ConnectFailure, PhaseFailure, connect_paths, round_sizes
+from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
     derive,
@@ -40,8 +40,10 @@ __all__ = [
     "FailureReport",
     "ModelSpec",
     "Parameters",
+    "ResolvedPlan",
     "cover_with_paths",
     "find_hamilton",
+    "find_hamilton_detailed",
     "implied_threshold",
     "perfect_matching",
     "resolve_plan",
@@ -463,7 +465,6 @@ def _attempt(
             mode,
             rounds=MERGE_ROUNDS,
             include_remainder=True,
-            budget=SEARCH_BUDGET,
         )
     except ConnectFailure as e:
         raise PhaseFailure("merge", e.message, **e.details) from e

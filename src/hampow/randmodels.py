@@ -22,16 +22,23 @@ __all__ = [
     "derive",
     "mix",
     "sample_bipartite",
+    "sample_three_rounds",
     "sample_uniform_hypergraph",
     "split_edges_three",
     "three_round_rate",
     "uniform_stream",
+    "unrank_combinations",
 ]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+def _check_edge_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
 
 
 def mix(seed: int, index: int) -> int:
@@ -98,8 +105,7 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
     probability p.  One uniform is drawn per candidate edge in lexicographic
     order, so the sample is bit-reproducible.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_edge_probability(p)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if p == 1.0:
@@ -124,8 +130,7 @@ def three_round_rate(p: float) -> float:
 
     A union of three independent q-rate exposures has edge rate exactly p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
+    _check_edge_probability(p)
     return 1.0 - (1.0 - p) ** (1.0 / 3.0)
 
 
@@ -141,8 +146,7 @@ def sample_three_rounds(
     non-edges when q > 1/2, the union when p > 1/2.  Only candidates that
     some result stores are ever decoded.  Returns (G1, G2, G3, union).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_edge_probability(p)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if p == 1.0:
@@ -263,8 +267,7 @@ class BipartiteGraph:
 
 def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     """Binomial bipartite graph with both sides of size s and edge rate p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_edge_probability(p)
     if s < 0:
         raise ValueError(f"side size must be >= 0, got {s}")
     total = s * s

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import hampow.matcher as matcher
 from hampow.cli import main
 from hampow.core import Hypergraph
 
@@ -113,6 +114,14 @@ class TestJanson:
         assert code == 0
         assert "tail bound" in out
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.5"])
+    def test_edge_probability_out_of_range_exits_2(self, capsys, p):
+        code, out, err = run(["janson", "--n", "12", "--p", p,
+                              "--template", "builtin:triangle"], capsys)
+        assert code == 2
+        assert "edge probability must be in [0, 1]" in err
+        assert "mu =" not in out
+
 
 class TestFactorCli:
     def test_complete_host(self, tmp_path, capsys):
@@ -124,6 +133,20 @@ class TestFactorCli:
                             "--epsilon", "0.2"], capsys)
         assert code == 0
         assert "copies found" in out
+
+    def test_search_budget_bounds_the_factor_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 1000)
+        # K_{10,10} has no odd cycle, and the search has to run out of budget to stop
+        g = Hypergraph(2, 20, [(i, j) for i in range(20) for j in range(i + 1, 20) if (i + j) % 2])
+        gf = tmp_path / "g.hg"
+        gf.write_text(g.to_text())
+        tf = tmp_path / "c5.hg"
+        tf.write_text(Hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]).to_text())
+        code, out, err = run(["factor", "--graph", str(gf), "--template", str(tf),
+                              "--epsilon", "0.5"], capsys)
+        assert code == 2
+        assert "search budget exhausted" in err
+        assert "copies found" not in out
 
 
 class TestAbsorberCli:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations, product
 
 import pytest
@@ -107,6 +108,12 @@ class TestHypergraph:
     def test_text_defects_name_the_problem(self, text, message):
         with pytest.raises(ValueError, match=message):
             Hypergraph.from_text(text)
+
+    def test_all_blank_edge_lines_raise_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must have 2 distinct vertices"):
+                Hypergraph.from_text("2 5 2\n\n\n")
 
     def test_text_allows_trailing_blank_lines(self):
         assert Hypergraph.from_text("2 3 1\n0 1\n\n  \n") == Hypergraph(2, 3, [(0, 1)])

@@ -94,15 +94,15 @@ class TestRootedBound:
     def test_zero_cases(self):
         e = Hypergraph(2, 2, [(0, 1)])
         rt = RootedTemplate(e, VertexTuple((0,)))
-        d1, d2 = delta_rooted_bound(rt, 20, 10, 3, 0.0)
+        d1, d2 = delta_rooted_bound(rt, 10, 3, 0.0)
         assert d1 == 0.0 and d2 == 0.0
         # v - r = 1: the internal-overlap sum is an empty range
-        d1, d2 = delta_rooted_bound(rt, 20, 10, 3, 0.5)
+        d1, d2 = delta_rooted_bound(rt, 10, 3, 0.5)
         assert d1 == 0.0 and d2 > 0.0
 
     def test_empty_root_has_no_root_overlap_term(self):
         rt = RootedTemplate(triangle(), VertexTuple(()))
-        d1, d2 = delta_rooted_bound(rt, 20, 12, 4, 0.5)
+        d1, d2 = delta_rooted_bound(rt, 12, 4, 0.5)
         assert d2 == 0.0 and d1 > 0.0
 
     def test_dominates_enumerated_rooted_pairs(self):
@@ -114,8 +114,22 @@ class TestRootedBound:
         # copies: the root image plus one of s pool vertices; all share the
         # root vertex but copies share an *edge* only if identical, so the
         # exact rooted delta is 0 and any nonnegative bound dominates
-        d1, d2 = delta_rooted_bound(rt, 10, s, t, p)
+        d1, d2 = delta_rooted_bound(rt, s, t, p)
         assert d1 >= 0.0 and d2 >= 0.0
+
+
+@pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
+def test_edge_probability_outside_the_unit_interval_is_rejected(p):
+    rt = RootedTemplate(triangle(), VertexTuple((0,)))
+    calls = [
+        lambda: expected_lex_copies(12, triangle(), p),
+        lambda: delta_upper_bound(12, triangle(), p),
+        lambda: exact_mu_delta(12, triangle(), p),
+        lambda: delta_rooted_bound(rt, 10, 3, p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"edge probability must be in \[0, 1\]"):
+            call()
 
 
 class TestLowerTail:

@@ -14,15 +14,16 @@ from hampow.core import (
     is_tight_path,
     power_path_template,
 )
-from hampow.density import RootedTemplate
+import hampow.matcher as matcher
+from hampow.absorber import build_chain_absorber
+from hampow.factor import almost_factor, factor_in_window
 from hampow.matcher import (
     ConnectFailure,
     ConnectionRequest,
-    _Budget,
+    PhaseFailure,
     _CopySearcher,
     connect_family,
     connect_paths,
-    find_rooted_copy,
     partition_reservoir,
     round_sizes,
 )
@@ -45,30 +46,31 @@ def bipartite_host(n=60):
     return Hypergraph(2, n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 2])
 
 
-def edge_rooted_at_endpoint():
-    return RootedTemplate(Hypergraph(2, 2, [(0, 1)]), VertexTuple((0,)))
+def triangle():
+    return Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+
+
+def edge_searcher(host):
+    """A searcher for one edge rooted at its endpoint 0."""
+    return _CopySearcher(host, Hypergraph(2, 2, [(0, 1)]), (0,))
 
 
 class TestFindRootedCopy:
     def test_single_edge(self):
-        host = Hypergraph(2, 3, [(0, 2)])
-        emb = find_rooted_copy(host, edge_rooted_at_endpoint(), (0,), allowed={2})
+        emb = edge_searcher(Hypergraph(2, 3, [(0, 2)])).find((0,), [2], {2})
         assert emb == {0: 0, 1: 2}
 
     def test_no_room(self):
-        host = complete_graph(5)
-        rt = RootedTemplate(power_path_template(2, 4), VertexTuple((0,)))
-        assert find_rooted_copy(host, rt, (0,), allowed=set()) is None
+        searcher = _CopySearcher(complete_graph(5), power_path_template(2, 4), (0,))
+        assert searcher.find((0,), [], set()) is None
 
     def test_arity_mismatch(self):
-        host = complete_graph(4)
         with pytest.raises(ValueError):
-            find_rooted_copy(host, edge_rooted_at_endpoint(), (0, 1), allowed={2})
+            edge_searcher(complete_graph(4)).find((0, 1), [2], {2})
 
     def test_root_image_inside_reservoir_rejected(self):
-        host = complete_graph(4)
         with pytest.raises(ValueError):
-            find_rooted_copy(host, edge_rooted_at_endpoint(), (2,), allowed={2, 3})
+            edge_searcher(complete_graph(4)).find((2,), [2, 3], {2, 3})
 
     def test_connecting_path_in_complete_host(self):
         cp = connecting_path_template(2, 5)
@@ -157,14 +159,25 @@ class TestFindRootedCopy:
         got = list(searcher._candidates(depth, images, used, allowed, pool))
         assert got == list(intersection_candidates(searcher, depth, images, used, set(allowed)))
 
-    def test_budget_charges_allowed_candidates_adjacent_to_every_anchor(self):
+    def test_budget_charges_allowed_candidates_adjacent_to_every_anchor(self, monkeypatch):
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 100)
         searcher = _CopySearcher(bipartite_host(), connecting_path_template(2, 7), (0, 1, 5, 6))
         allowed = list(range(20, 60))
-        budget = _Budget(100)
-        assert searcher.find((0, 2, 4, 6), allowed, set(allowed), budget=budget) is None
+        assert searcher.find((0, 2, 4, 6), allowed, set(allowed)) is None
         # path vertex 2 may be any of the 20 odd allowed vertices; vertex 3
         # then needs a neighbour of an even and an odd vertex, and has none
-        assert budget.remaining == 100 - 20
+        assert searcher.remaining == 100 - 20
+
+    def test_budget_charges_every_scanned_allowed_vertex_on_a_3_uniform_host(self, monkeypatch):
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 100)
+        # two triples through the root pair, but the host holds only {0, 1, 5}
+        template = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+        searcher = _CopySearcher(Hypergraph(3, 7, [(0, 1, 5)]), template, (0, 1))
+        allowed = [2, 3, 4, 5, 6]
+        assert searcher.find((0, 1), allowed, set(allowed)) is None
+        # vertex 2 scans all five and keeps only 5; with 5 placed, vertex 3
+        # scans all five again, the used 5 included
+        assert searcher.remaining == 100 - 5 - 5
 
 
 class TestPartitionReservoir:
@@ -219,7 +232,7 @@ class TestConnectionRequest:
 
 
 class TestConnectFamily:
-    def test_budget_exhaustion_on_a_host_without_a_copy(self):
+    def test_budget_exhaustion_on_a_host_without_a_copy(self, monkeypatch):
         req = ConnectionRequest(
             template=connecting_path_template(2, 7), root=VertexTuple((0, 1, 5, 6)),
             tuples=(VertexTuple((0, 2, 4, 6)), VertexTuple((8, 10, 12, 14))),
@@ -229,8 +242,9 @@ class TestConnectFamily:
         with pytest.raises(ConnectFailure) as info:
             connect_family(bipartite_host(), req)
         assert not info.value.details.get("budget_exhausted")
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 10)
         with pytest.raises(ConnectFailure) as info:
-            connect_family(bipartite_host(), req, budget=10)
+            connect_family(bipartite_host(), req)
         assert info.value.details["budget_exhausted"]
 
     def test_empty_request(self):
@@ -375,3 +389,28 @@ class TestConnectPaths:
                 assert used.isdisjoint(interior)
                 used |= interior
         assert successes >= 15
+
+
+class TestSearchBudget:
+    """Every copy search is bounded: each entry point ends in its budget failure."""
+
+    @pytest.mark.parametrize("phase,call", [
+        ("factor", lambda: factor_in_window(bipartite_host(), triangle(), range(60))),
+        ("factor", lambda: almost_factor(bipartite_host(), triangle(), epsilon=0.5)),
+        ("connect", lambda: connect_paths(
+            bipartite_host(), [((0, 2), (4, 6))], range(20, 60), k=2, ell=7, mode="power"
+        )),
+        # the k=2 backbone holds triangles, so the factor phase fails first
+        ("factor", lambda: build_chain_absorber(
+            bipartite_host(66), 2, "power", seed=0, ell=5, absorb_size=1
+        )),
+    ], ids=["factor_in_window", "almost_factor", "connect_paths", "build_chain_absorber"])
+    def test_every_entry_point_ends_in_its_budget_failure(self, monkeypatch, phase, call):
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 10)
+        with pytest.raises(PhaseFailure) as info:
+            call()
+        failure = info.value
+        assert failure.phase == phase
+        # factor phases name the exhaustion in their message, connect phases in their details
+        assert (failure.message == "search budget exhausted"
+                or failure.details.get("budget_exhausted"))
