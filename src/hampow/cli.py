@@ -40,10 +40,15 @@ from hampow.pipeline import (
     resolve_plan,
 )
 from hampow.randmodels import (
-    derive, sample_bipartite, sample_three_rounds, sample_uniform_hypergraph,
+    derive, expected_stored_codes, sample_bipartite, sample_three_rounds,
+    sample_uniform_hypergraph,
 )
 
 MATERIALIZE_LIMIT = 20_000_000
+
+#: Most bytes the expected stored codes (8 bytes each) of a sampled host's
+#: three rounds and union may take; a larger --model host is refused.
+MODEL_BYTES_LIMIT = 1 << 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +208,17 @@ def _model_mismatch(model: str, k: int, mode: str) -> str | None:
     return None
 
 
+def _model_too_large(k: int, n: int, p: float) -> bool:
+    """Say so on stderr when sampling this host would store too much."""
+    need = 8 * expected_stored_codes(k, n, p)
+    if need <= MODEL_BYTES_LIMIT:
+        return False
+    print(f"refusing to sample the {k}-uniform host with n={n}, p={p}: its three "
+          f"rounds and union would store about {need / 8:.4g} codes ({need:.4g} bytes), "
+          f"over the limit of {MODEL_BYTES_LIMIT} bytes", file=sys.stderr)
+    return True
+
+
 def _usage(msg: str) -> int:
     print(f"hampow: error: {msg}", file=sys.stderr)
     return 1
@@ -211,6 +227,8 @@ def _usage(msg: str) -> int:
 def _cmd_find(args) -> int:
     cfg = _params_from(args, args.seed, input_rate=args.p)
     source = _resolve_find_source(args, cfg)
+    if isinstance(source, ModelSpec) and _model_too_large(cfg.uniformity, source.n, source.p):
+        return 2
     n = source.n
     formula, value = implied_threshold(n, cfg)
     chosen = args.p if args.p is not None else "n/a (fixed graph)"
@@ -248,6 +266,8 @@ def _cmd_verify(args) -> int:
         if mismatch:
             return _usage(mismatch)
         k = uniformity(cert.k, cert.mode)
+        if _model_too_large(k, args.n, args.p):
+            return 2
         attempt_seed = derive(args.seed, 17, args.attempt)
         _, _, _, host = sample_three_rounds(k, args.n, args.p, derive(attempt_seed, 1))
     try:
@@ -358,6 +378,9 @@ def _cmd_experiment(args) -> int:
         retries=args.retries,
         input_rate=None,
     )
+    k = uniformity(args.k, args.mode)
+    if any(_model_too_large(k, n, p) for n in n_list for p in p_grid):
+        return 2
     tasks = []
     row = 0
     for n in n_list:

@@ -157,13 +157,16 @@ def delta_rooted_bound(
     the first sum ranges over shared internal sets of size j >= 2 across all
     t^2 ordered tuple pairs, the second over j >= 1 within a single tuple.
     Returns (delta_1, delta_2); empty ranges give 0, and delta_2 is 0 for an
-    empty root (there are no root images to share).
+    empty root (there are no root images to share).  A family of t = 0
+    tuples has no overlap; t < 0 is rejected.
     """
     _check_edge_probability(p)
+    if t < 0:
+        raise ValueError(f"tuple count must be >= 0, got {t}")
     template = rt.template
     if template.edge_count == 0:
         raise ValueError("rooted delta bound is undefined for an edgeless template")
-    if p == 0.0:
+    if p == 0.0 or t == 0:
         return 0.0, 0.0
     r = len(rt.root)
     v = template.n

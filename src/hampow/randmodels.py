@@ -1,11 +1,15 @@
 """Seeded binomial random (hyper)graph models and the 3-round exposure tools.
 
-All randomness is counter-based: candidate edge i draws the uniform variate
-``finalize(seed + (i+1) * GOLDEN)`` where ``finalize`` is the splitmix64
-output function.  Identical (seed, parameters) therefore produce bit-identical
-samples on every platform and library version, and streams can be generated
-in vectorized chunks.  Derived seeds (per trial, per retry, per phase) come
-from the same mixing function via :func:`derive`.
+All randomness is counter-based: position i of a seed's stream is the
+uniform variate ``finalize(seed + (i+1) * GOLDEN)`` (its top 53 bits), where
+``finalize`` is the splitmix64 output function.  ``sample_uniform_hypergraph``
+and ``sample_bipartite`` give candidate edge i position i of the seed's
+stream; ``sample_three_rounds`` visits only the candidates it keeps, skipping
+between them with geometric gaps from one derived stream and drawing their
+round patterns from another.  Identical (seed, parameters) therefore produce
+identical samples, and streams can be generated in vectorized chunks.
+Derived seeds (per trial, per retry, per phase) come from the same mixing
+function via :func:`derive`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from hampow.core import Hypergraph, _encode_rows
 __all__ = [
     "BipartiteGraph",
     "derive",
+    "expected_stored_codes",
     "mix",
     "sample_bipartite",
     "sample_three_rounds",
@@ -59,42 +64,52 @@ def derive(seed: int, *indices: int) -> int:
 
 def uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
     """Uniform [0,1) variates for stream positions [start, stop)."""
-    idx = np.arange(start, stop, dtype=np.uint64) + np.uint64(1)
-    z = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 _CHUNK = 1 << 22
 
 
-def _binomials(n: int, k: int) -> np.ndarray:
-    """C(n - x, k) for x = 0..n, as int64 (exact for this library's ranges)."""
-    out = np.zeros(n + 1, dtype=np.int64)
-    for x in range(n + 1):
-        out[x] = math.comb(n - x, k)
-    return out
+def _binomials(n: int, s: int) -> np.ndarray:
+    """C(x, s) for x = 0..n, as int64 (exact for this library's ranges)."""
+    return np.array([math.comb(x, s) for x in range(n + 1)], dtype=np.int64)
 
 
 def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
-    """Decode lexicographic combination ranks into sorted k-tuples (rows)."""
+    """Decode ascending lexicographic combination ranks into sorted k-tuples (rows).
+
+    The first element ascends with the rank, so it is read off the ranks at
+    which each first element's block starts.  The rest of a tuple, mirrored
+    by x -> n - 1 - x, is a (k-1)-subset of the n - 1 - a0 elements above
+    its first element a0, whose colex rank follows from the lex rank within
+    the block; colex decoding needs one lookup per level in a fixed table.
+    """
     ranks = np.asarray(ranks, dtype=np.int64)
-    m = ranks.size
-    out = np.empty((m, k), dtype=np.int64)
-    base = np.zeros(m, dtype=np.int64)
-    rem = ranks.copy()
-    for level in range(k):
-        k_rem = k - level
-        counts = _binomials(n, k_rem)  # counts[x] = C(n-x, k_rem), decreasing
-        # first element a >= base with  counts[base] - counts[a] <= rem
-        target = counts[base] - rem
-        a = np.searchsorted(-counts, -target, side="right") - 1
-        a = np.maximum(a, base)
-        rem = rem - (counts[base] - counts[a])
-        out[:, level] = a
-        base = a + 1
+    out = np.empty((ranks.size, k), dtype=np.int64)
+    count = _binomials(n, k)
+    first = np.arange(n - k + 1)
+    # C(n, k) - C(n - a, k) tuples start below a
+    starts = count[n] - count[n - first]
+    a0 = np.repeat(first, np.diff(np.searchsorted(ranks, starts), append=ranks.size))
+    out[:, 0] = a0
+    c = _binomials(n, k - 1)[n - 1 - a0] - 1 - (ranks - starts[a0])
+    for level in range(1, k):
+        count = _binomials(n - 1, k - level)
+        # the largest mirrored element b has C(b, s) <= c < C(b + 1, s); C(b, 1) = b
+        b = c if level == k - 1 else np.searchsorted(count, c, side="right") - 1
+        c = c - count[b]
+        out[:, level] = n - 1 - b
     return out
 
 
@@ -134,17 +149,58 @@ def three_round_rate(p: float) -> float:
     return 1.0 - (1.0 - p) ** (1.0 / 3.0)
 
 
+def _three_round_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint law of a candidate's three round coins, and what each result stores.
+
+    Returns (probs, stores, dense).  probs[t] is the probability of pattern
+    t; bit i of t puts the candidate in round i + 1, any bit in the union.
+    Result r is a round (r < 3) or the union (r = 3); dense[r] says whether
+    it stores its non-edges (a round when q > 1/2, the union when p > 1/2),
+    so that each stores the side expected to be smaller, and stores[r, t]
+    whether it stores a candidate of pattern t.
+    """
+    q = three_round_rate(p)
+    patterns = np.arange(8)
+    in_round = (patterns >> np.arange(3)[:, None]) & 1 == 1
+    ones = in_round.sum(axis=0)
+    probs = q ** ones * (1.0 - q) ** (3 - ones)
+    is_edge = np.vstack([in_round, patterns > 0])
+    dense = np.array([q > 0.5] * 3 + [p > 0.5])
+    return probs, is_edge != dense[:, None], dense
+
+
+def expected_stored_codes(k: int, n: int, p: float) -> float:
+    """Expected number of codes the four results of sample_three_rounds store.
+
+    The sum over the three rounds and the union of P(the result stores a
+    candidate) * C(n, k); each code takes 8 bytes.
+    """
+    probs, stores, _ = _three_round_law(p)
+    return float((stores @ probs).sum()) * math.comb(n, k)
+
+
+#: Most candidates sample_three_rounds draws and decodes at once.
+_BATCH = 1 << 20
+
+
 def sample_three_rounds(
     k: int, n: int, p: float, seed: int
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """Three independent G(n, q) exposures with union rate p, plus the union.
 
-    Per candidate edge, one uniform variate is mapped through the joint law
-    of three independent Bernoulli(q) coins (q = three_round_rate(p)), so the
-    result is distributed exactly as three independent samples.  Each result
-    stores the side of its edge set expected to be smaller: a round stores its
-    non-edges when q > 1/2, the union when p > 1/2.  Only candidates that
-    some result stores are ever decoded.  Returns (G1, G2, G3, union).
+    Each candidate edge has a pattern from the joint law of three independent
+    Bernoulli(q) coins (q = three_round_rate(p)), so the result is
+    distributed exactly as three independent samples.  Each result stores
+    the side of its edge set expected to be smaller (see _three_round_law);
+    a candidate is needed when some result stores it, with probability r.
+    Only needed candidates are visited (Batagelj & Brandes, Phys. Rev. E 71,
+    2005): the gaps between consecutive needed ranks, in lexicographic order,
+    are independent Geometric(r) variates, the j-th drawn by inversion from
+    position j of the stream ``derive(seed, 0)``, and the j-th needed
+    candidate draws its pattern from the law conditioned on being needed with
+    position j of ``derive(seed, 1)``.  Work and memory are proportional to
+    the needed candidates, decoded one batch at a time; C(n, k) only bounds
+    the ranks.  Returns (G1, G2, G3, union).
     """
     _check_edge_probability(p)
     if n < k:
@@ -152,49 +208,53 @@ def sample_three_rounds(
     if p == 1.0:
         g = Hypergraph.complete(k, n)
         return g, g, g, g
-    q = three_round_rate(p)
-    probs = np.array(
-        [
-            q ** bin(pattern).count("1") * (1.0 - q) ** (3 - bin(pattern).count("1"))
-            for pattern in range(8)
-        ]
-    )
-    # a variate falls in pattern t when it lies between the cumulative
-    # probabilities of patterns < t and <= t
-    bounds = np.cumsum(probs)[:-1]
-    # bit i of a pattern puts the candidate in round i + 1; stores[r, pattern]
-    # says whether result r (the rounds, then the union) stores such a candidate
-    patterns8 = np.arange(8)
-    is_edge = np.array([(patterns8 >> i) & 1 == 1 for i in range(3)] + [patterns8 > 0])
-    dense = np.array([q > 0.5] * 3 + [p > 0.5])
-    stores = is_edge != dense[:, None]
+    probs, stores, dense = _three_round_law(p)
     needed = stores.any(axis=0)
+    needed_patterns = np.flatnonzero(needed)
+    cumulative = np.cumsum(probs[needed_patterns])
+    r = min(float(cumulative[-1]), 1.0)
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-r)  # -inf when r = 1: every gap is 0
     total = math.comb(n, k)
-    kept_ranks: list[np.ndarray] = []
-    kept_patterns: list[np.ndarray] = []
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        u = uniform_stream(seed, lo, hi)
-        pattern = np.searchsorted(bounds, u, side="right").astype(np.int8)
-        sel = np.flatnonzero(needed[pattern])
-        if sel.size:
-            kept_ranks.append(sel.astype(np.int64) + lo)
-            kept_patterns.append(pattern[sel])
-    if kept_ranks:
-        ranks = np.concatenate(kept_ranks)
-        patterns = np.concatenate(kept_patterns)
-        codes = _encode_rows(unrank_combinations(n, k, ranks), n)
-    else:
-        patterns = np.empty(0, dtype=np.int8)
-        codes = np.empty(0, dtype=np.int64)
-    # a result that stores every decoded candidate shares the codes array
+    gap_seed, pattern_seed = derive(seed, 0), derive(seed, 1)
+    code_parts = [np.empty(0, dtype=np.int64)]
+    pattern_parts = [np.empty(0, dtype=np.int8)]
+    last = -1  # rank of the last needed candidate
+    kept = 0
+    while True:
+        # enough gaps to pass the last rank, most often in this batch
+        expected = r * (total - 1 - last)
+        size = int(min(expected + 4 * math.sqrt(expected) + 16, _BATCH))
+        gaps = uniform_stream(gap_seed, kept, kept + size)
+        np.log1p(np.negative(gaps, out=gaps), out=gaps)
+        # r = 0 gives inf or nan here, which fmin caps at total: no rank is kept
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps /= log_miss
+        ranks = np.fmin(np.floor(gaps, out=gaps), total, out=gaps).astype(np.int64)
+        ranks += 1
+        np.cumsum(ranks, out=ranks)
+        ranks += last
+        ranks = ranks[: np.searchsorted(ranks, total)]
+        if ranks.size:
+            u = uniform_stream(pattern_seed, kept, kept + ranks.size)
+            pick = np.searchsorted(cumulative[:-1], u * r, side="right")
+            pattern_parts.append(needed_patterns[pick].astype(np.int8))
+            code_parts.append(_encode_rows(unrank_combinations(n, k, ranks), n))
+            last = int(ranks[-1])
+            kept += ranks.size
+        if ranks.size < size:
+            break
+    codes = np.concatenate(code_parts)
+    patterns = np.concatenate(pattern_parts)
+    del code_parts, pattern_parts  # before the rounds' codes are selected
+    # a result that stores every needed candidate shares the codes array
     g1, g2, g3, union = (
         Hypergraph.from_codes(
             k, n,
-            codes if np.array_equal(stores[r], needed) else codes[stores[r][patterns]],
-            complement=bool(dense[r]),
+            codes if np.array_equal(stores[i], needed) else codes[stores[i][patterns]],
+            complement=bool(dense[i]),
         )
-        for r in range(4)
+        for i in range(4)
     )
     return g1, g2, g3, union
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: densities recount
 edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
 enumerate required pairs and windows directly.  The three-round sampler is
-checked against a candidate-by-candidate edge-form decoding of its stream,
+checked against a candidate-by-candidate edge-form replay of its gap and
+pattern streams,
 and the reservoir-walking copy-search candidates against the
 neighbour-intersection generator they replaced.
 """
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from hampow.core import Hypergraph
-from hampow.randmodels import three_round_rate, uniform_stream
+from hampow.randmodels import derive, mix, three_round_rate
 
 
 def naive_m1(template: Hypergraph) -> Fraction:
@@ -198,28 +199,57 @@ def complement_twin(g: Hypergraph) -> Hypergraph:
 def three_rounds_by_enumeration(
     k: int, n: int, p: float, seed: int
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
-    """sample_three_rounds decoded one candidate at a time, all in edge form.
+    """sample_three_rounds replayed one candidate at a time, all in edge form.
 
-    Candidate i (the i-th k-subset in lexicographic order) takes the i-th
-    variate of the seed's stream; the pattern of its three round coins is
-    the first t whose cumulative probability exceeds the variate (7 when
-    none does).  Bit i of the pattern puts it in round i + 1.
+    A round stores its non-edges when q > 1/2, the union when p > 1/2, and
+    its edges otherwise; a pattern (bit i: in round i + 1, any bit: in the
+    union) is needed when some result stores a candidate with it, and r is
+    the probability of the needed patterns.  Walking the k-subsets in
+    lexicographic order, the j-th needed candidate comes
+    1 + floor(log(1 - u) / log(1 - r)) places after the one before (the
+    first one at place 0 + that floor), where u is variate j of
+    ``derive(seed, 0)``: none when r = 0, every one when r = 1.  It takes the
+    first needed pattern whose cumulative probability exceeds r times
+    variate j of ``derive(seed, 1)`` (the last needed pattern when none
+    does).  A candidate that is not needed is in exactly the results that
+    store their non-edges.
     """
     q = three_round_rate(p)
-    probs = [q ** bin(t).count("1") * (1.0 - q) ** (3 - bin(t).count("1")) for t in range(8)]
-    bounds = list(accumulate(probs))[:7]
-    u = uniform_stream(seed, 0, math.comb(n, k)).tolist()
-    rounds: list[list[tuple[int, ...]]] = [[], [], []]
-    union = []
-    for e, x in zip(combinations(range(n), k), u):
-        pattern = sum(1 for b in bounds if b <= x)
-        for i in range(3):
-            if pattern >> i & 1:
-                rounds[i].append(e)
-        if pattern:
-            union.append(e)
-    g1, g2, g3 = (Hypergraph(k, n, r) for r in rounds)
-    return g1, g2, g3, Hypergraph(k, n, union)
+
+    def inside(t: int) -> list[bool]:
+        return [t >> i & 1 == 1 for i in range(3)] + [t > 0]
+
+    def variate(stream: int, j: int) -> float:
+        return (mix(stream, j) >> 11) * 2.0 ** -53
+
+    def gap(j: int) -> float:
+        if r == 0.0:
+            return math.inf
+        if r == 1.0:
+            return 0
+        return math.floor(math.log1p(-variate(derive(seed, 0), j)) / math.log1p(-r))
+
+    dense = [q > 0.5] * 3 + [p > 0.5]
+    needed = [t for t in range(8) if inside(t) != dense]
+    probs = [q ** bin(t).count("1") * (1.0 - q) ** (3 - bin(t).count("1")) for t in needed]
+    cumulative = list(accumulate(probs))
+    r = min(cumulative[-1], 1.0)
+    members: list[list[tuple[int, ...]]] = [[], [], [], []]
+    j = 0
+    next_needed = gap(0)
+    for place, e in enumerate(combinations(range(n), k)):
+        if place == next_needed:
+            x = variate(derive(seed, 1), j) * r
+            where = inside(needed[sum(1 for b in cumulative[:-1] if b <= x)])
+            j += 1
+            next_needed = place + 1 + gap(j)
+        else:
+            where = dense
+        for i in range(4):
+            if where[i]:
+                members[i].append(e)
+    g1, g2, g3, union = (Hypergraph(k, n, m) for m in members)
+    return g1, g2, g3, union
 
 
 def intersection_candidates(searcher, depth, images, used, allowed_set):

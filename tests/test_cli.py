@@ -3,9 +3,12 @@ import sys
 
 import pytest
 
+import hampow.cli as cli
 import hampow.matcher as matcher
+import hampow.pipeline as pipeline
 from hampow.cli import main
 from hampow.core import Hypergraph
+from hampow.randmodels import expected_stored_codes
 
 
 def run(argv, capsys):
@@ -225,6 +228,54 @@ class TestFindFailure:
                             "--seed", "3"], capsys)
         assert code == 2
         assert "no verified cycle" in err
+
+
+class TestModelSizeGuard:
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The (k, n, p) of every host the CLI and the pipeline sample."""
+        calls = []
+        for module in (cli, pipeline):
+            def recorded(k, n, p, seed, sample=module.sample_three_rounds):
+                calls.append((k, n, p))
+                return sample(k, n, p, seed)
+            monkeypatch.setattr(module, "sample_three_rounds", recorded)
+        return calls
+
+    def test_dense_tight_host_is_refused_up_front(self, capsys, sampled):
+        # ~248M stored codes at the real limit; nothing is sampled
+        code, out, err = run(["find", "--model", "hgnp", "--mode", "tight", "--k", "2",
+                              "--n", "1000", "--p", "0.9"], capsys)
+        assert code == 2 and out == "" and sampled == []
+        assert "about 2.48e+08 codes" in err and f"limit of {cli.MODEL_BYTES_LIMIT} bytes" in err
+
+    def test_the_sparse_tight_benchmark_host_fits(self):
+        # tight k=2 at n=1000, p=0.05: ~16.8M stored codes, ~134 MB
+        assert 8 * expected_stored_codes(3, 1000, 0.05) < cli.MODEL_BYTES_LIMIT / 4
+
+    def test_find_verify_and_experiment_refuse_before_sampling(
+        self, tmp_path, capsys, monkeypatch, sampled
+    ):
+        monkeypatch.setattr(cli, "MODEL_BYTES_LIMIT", 100)
+        cert = tmp_path / "c.cert"
+        cert.write_text("power 1 30\n" + " ".join(map(str, range(30))) + "\n")
+        csv = tmp_path / "grid.csv"
+        for argv in (
+            ["find", "--model", "gnp", "--n", "30", "--p", "0.5", "--k", "1"],
+            ["verify", "--model", "gnp", "--n", "30", "--p", "0.5", "--cert", str(cert)],
+            ["experiment", "--k", "1", "--n-list", "30", "--p-grid", "1.0,0.5",
+             "--trials", "1", "--csv", str(csv)],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert "refusing to sample the 2-uniform host with n=30, p=0.5" in err
+            assert "over the limit of 100 bytes" in err
+        assert sampled == [] and not csv.exists()
+        # a complete host stores no codes, so it passes any limit
+        monkeypatch.setattr(cli, "MODEL_BYTES_LIMIT", 0)
+        code, out, _ = run(["verify", "--model", "gnp", "--n", "30", "--p", "1.0",
+                            "--cert", str(cert)], capsys)
+        assert code == 0 and "certificate OK" in out and sampled == [(2, 30, 1.0)]
 
 
 class TestExperiment:

@@ -100,6 +100,14 @@ class TestRootedBound:
         d1, d2 = delta_rooted_bound(rt, 10, 3, 0.5)
         assert d1 == 0.0 and d2 > 0.0
 
+    def test_tuple_count(self):
+        triangle = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+        rt = RootedTemplate(triangle, VertexTuple((0,)))
+        # a family of no tuples has no overlapping pairs
+        assert delta_rooted_bound(rt, 10, 0, 0.5) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="tuple count must be >= 0, got -1"):
+            delta_rooted_bound(rt, 10, -1, 0.5)
+
     def test_empty_root_has_no_root_overlap_term(self):
         rt = RootedTemplate(triangle(), VertexTuple(()))
         d1, d2 = delta_rooted_bound(rt, 12, 4, 0.5)

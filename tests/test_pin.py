@@ -40,15 +40,15 @@ def transcript(source, cfg: Parameters) -> tuple[str, object]:
 FIND_CASES = {
     "power-k1-n500": (
         lambda: ModelSpec(500, 0.99), dict(k=1, mode="power", seed=7),
-        "830f7066b446498e377e8c18af3d1137e4455564c30c9982c81c435390bbb057",
+        "eab962d71df21994425ae1f2ad8558ce1e0ffc3d7278be216f2595a777ab4dd6",
     ),
     "tight-k1-n500": (
         lambda: ModelSpec(500, 0.99), dict(k=1, mode="tight", seed=7),
-        "98774bd991511976ca8ed3fbdf4b0d6c9de67be0214a5a4d58b1a6daef8b8578",
+        "e0d337d2d9f1ed37d0ff30fba04689a2665e66084003a1254f6ef5fe9ed9b525",
     ),
     "power-k2-n1500": (
         lambda: ModelSpec(1500, 0.9995), dict(k=2, mode="power", seed=7),
-        "a494412684c475f77c5a323332d612eac3e459ace44341219e7e24bd32d30cec",
+        "0a44272806f6e6c13449bdc33682150f4d1605a253205ca7dfdaf5f94cf7d319",
     ),
     "tight-k2-n400-complete": (
         lambda: ModelSpec(400, 1.0), dict(k=2, mode="tight", seed=7),
@@ -75,8 +75,8 @@ def test_failure_report_digest_and_phases():
     cfg = Parameters(k=2, mode="power", seed=7, retries=2)
     text, result = transcript(ModelSpec(600, 0.9995), cfg)
     assert isinstance(result, FailureReport)
-    assert [a.phase for a in result.attempts] == ["merge", "cover", "merge"]
-    assert sha256(text) == "de332b135f05d54f3f75a0c90ce3ca16a921f1d7e65784daec91dafc496a3b41"
+    assert [a.phase for a in result.attempts] == ["cover", "cover", "cover"]
+    assert sha256(text) == "a373a7c86477e869198993dd12b7e2d9502df28bb84bb1823e45edca2c33b869"
 
 
 def test_find_stdout_digest(capsys):

@@ -1,14 +1,17 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampow import randmodels
 from hampow.core import Hypergraph
 from hampow.randmodels import (
     BipartiteGraph,
     derive,
+    expected_stored_codes,
     mix,
     sample_bipartite,
     sample_three_rounds,
@@ -43,10 +46,17 @@ class TestMixing:
 class TestUnranking:
     @pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 4), (5, 1)])
     def test_exhaustive(self, n, k):
-        from itertools import combinations
-
         rows = unrank_combinations(n, k, np.arange(math.comb(n, k)))
         assert [tuple(r) for r in rows.tolist()] == list(combinations(range(n), k))
+
+    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(4, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_ascending_subsets_of_ranks(self, data, k, n):
+        everything = list(combinations(range(n), k))
+        ranks = sorted(data.draw(st.sets(st.integers(0, len(everything) - 1))))
+        rows = unrank_combinations(n, k, np.array(ranks, dtype=np.int64))
+        assert rows.shape == (len(ranks), k)
+        assert [tuple(r) for r in rows.tolist()] == [everything[i] for i in ranks]
 
 
 class TestSampler:
@@ -130,18 +140,87 @@ class TestThreeRound:
         sd_p = math.sqrt(total * 0.271 * 0.729)
         assert abs(full.edge_count - total * 0.271) <= 4 * sd_p
 
-    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9, 0.9995])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 0.6, 0.875, 0.9, 0.9995, 1.0])
     @given(k=st.integers(2, 3), n=st.integers(3, 14), seed=st.integers(0, 2 ** 64 - 1))
     @settings(max_examples=25, deadline=None)
     def test_joint_sampler_matches_enumeration(self, p, k, n, seed):
-        # q = 0.11, 0.26, 0.54, 0.92: the rounds store edges at p = 0.3 and
-        # 0.6 and non-edges above; the union stores non-edges from p = 0.6
+        # q = 0.11, 0.26, 0.5, 0.54, 0.92 at p = 0.3, 0.6, 0.875, 0.9, 0.9995:
+        # the rounds store edges up to p = 0.875 and non-edges above; the
+        # union stores non-edges from p = 0.6.  At p = 0.6 and 0.875 every
+        # candidate is needed (r = 1); at p = 0 none is (r = 0).
         sampled = sample_three_rounds(k, n, p, seed)
         q = three_round_rate(p)
         assert [g._complement for g in sampled] == [q > 0.5] * 3 + [p > 0.5]
         for got, want in zip(sampled, three_rounds_by_enumeration(k, n, p, seed)):
             assert got == want
             assert list(got.edges()) == list(want.edges())
+
+    # upper 1e-4 quantiles of the chi-square law with 1..7 degrees of freedom
+    CHI2_CRITICAL = {1: 15.14, 2: 18.42, 3: 21.11, 4: 23.51, 5: 25.74, 6: 27.86, 7: 29.88}
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.875, 0.9995, 1.0])
+    @pytest.mark.parametrize("k,n", [(2, 8), (3, 7)])
+    def test_pattern_frequencies_follow_the_joint_law(self, k, n, p):
+        # the rounds of every candidate over many seeds, against three
+        # independent Bernoulli(q) coins; q = 1/2 at p = 0.875
+        seeds = 2000
+        candidates = list(combinations(range(n), k))
+        probe = Hypergraph(k, n, ())
+        codes = np.array([probe.encode(e) for e in candidates], dtype=np.int64)
+        counts = np.zeros(8, dtype=np.int64)
+        for s in range(seeds):
+            *rounds, union = sample_three_rounds(k, n, p, derive(31, s))
+            pattern = sum(
+                np.isin(codes, g.edge_codes()).astype(np.int64) << i
+                for i, g in enumerate(rounds)
+            )
+            assert np.array_equal(np.isin(codes, union.edge_codes()), pattern > 0)
+            counts += np.bincount(pattern, minlength=8)
+        q = three_round_rate(p)
+        probs = [q ** bin(t).count("1") * (1.0 - q) ** (3 - bin(t).count("1")) for t in range(8)]
+        assert all(counts[t] == 0 for t in range(8) if probs[t] == 0.0)
+        # merge the rarest patterns until every cell expects at least 5
+        # draws; the likeliest pattern (probability >= 1/8) closes the last
+        total = seeds * len(candidates)
+        cells, observed, expected = [], 0, 0.0
+        for t in sorted((t for t in range(8) if probs[t] > 0.0), key=probs.__getitem__):
+            observed += counts[t]
+            expected += total * probs[t]
+            if expected >= 5:
+                cells.append((observed, expected))
+                observed, expected = 0, 0.0
+        assert expected == 0.0 and sum(o for o, _ in cells) == total
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        if len(cells) > 1:
+            assert chi2 < self.CHI2_CRITICAL[len(cells) - 1]
+
+    def test_work_scales_with_the_kept_candidates(self, monkeypatch):
+        # C(3000, 3) is about 4.5e9 candidates; about 4,500 are kept
+        drawn = []
+        stream = randmodels.uniform_stream
+
+        def counted(seed, start, stop):
+            drawn.append(stop - start)
+            return stream(seed, start, stop)
+
+        monkeypatch.setattr(randmodels, "uniform_stream", counted)
+        *rounds, union = sample_three_rounds(3, 3000, 1e-6, seed=5)
+        # below p = 1/2 the union stores its edges: exactly the kept candidates
+        kept = union.edge_count
+        assert 3000 < kept < 6000
+        assert sum(drawn) <= 2 * kept + randmodels._BATCH
+
+    @pytest.mark.parametrize("k,n,p", [(2, 50, 0.3), (3, 20, 0.9), (2, 30, 0.9995), (3, 12, 1.0)])
+    def test_expected_stored_codes(self, k, n, p):
+        # average over seeds of the codes the four results store
+        sizes = [
+            sum(g._codes.size for g in sample_three_rounds(k, n, p, seed=s))
+            for s in range(300)
+        ]
+        want = expected_stored_codes(k, n, p)
+        # each result's size is binomial, so their sum's variance is <= 4 * want
+        sd = 2 * math.sqrt(want)
+        assert abs(np.mean(sizes) - want) <= 4 * sd / math.sqrt(len(sizes))
 
     def test_joint_sampler_determinism(self):
         a = sample_three_rounds(3, 40, 0.4, seed=1)
