@@ -150,14 +150,13 @@ def three_round_rate(p: float) -> float:
 
 
 def _three_round_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The joint law of a candidate's three round coins, and what each result stores.
+    """(probs, stores, dense): the three round coins' joint law and stored sides.
 
-    Returns (probs, stores, dense).  probs[t] is the probability of pattern
-    t; bit i of t puts the candidate in round i + 1, any bit in the union.
-    Result r is a round (r < 3) or the union (r = 3); dense[r] says whether
-    it stores its non-edges (a round when q > 1/2, the union when p > 1/2),
-    so that each stores the side expected to be smaller, and stores[r, t]
-    whether it stores a candidate of pattern t.
+    probs[t] is the probability of pattern t (bit i: in round i + 1; any bit:
+    in the union).  Results 0-2 are the rounds, 3 the union; dense[r] says
+    that result r stores its non-edges, the side expected to be smaller (a
+    round when q > 1/2, the union when p > 1/2), and stores[r, t] that it
+    stores a candidate of pattern t.
     """
     q = three_round_rate(p)
     patterns = np.arange(8)
@@ -188,19 +187,16 @@ def sample_three_rounds(
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """Three independent G(n, q) exposures with union rate p, plus the union.
 
-    Each candidate edge has a pattern from the joint law of three independent
-    Bernoulli(q) coins (q = three_round_rate(p)), so the result is
-    distributed exactly as three independent samples.  Each result stores
-    the side of its edge set expected to be smaller (see _three_round_law);
-    a candidate is needed when some result stores it, with probability r.
-    Only needed candidates are visited (Batagelj & Brandes, Phys. Rev. E 71,
-    2005): the gaps between consecutive needed ranks, in lexicographic order,
-    are independent Geometric(r) variates, the j-th drawn by inversion from
-    position j of the stream ``derive(seed, 0)``, and the j-th needed
-    candidate draws its pattern from the law conditioned on being needed with
-    position j of ``derive(seed, 1)``.  Work and memory are proportional to
-    the needed candidates, decoded one batch at a time; C(n, k) only bounds
-    the ranks.  Returns (G1, G2, G3, union).
+    Each candidate edge gets a pattern from the joint law of three
+    independent Bernoulli(q) coins (q = three_round_rate(p)), and each
+    result stores the side expected to be smaller (_three_round_law).  Only
+    the needed candidates, those some result stores (probability r), are
+    visited (Batagelj & Brandes, Phys. Rev. E 71, 2005): the j-th gap between
+    their lexicographic ranks is Geometric(r), by inversion of variate j of
+    ``derive(seed, 0)``, and the j-th draws its pattern from the law
+    conditioned on being needed with variate j of ``derive(seed, 1)``.  Work
+    and memory follow the needed candidates, decoded one batch at a time.
+    Returns (G1, G2, G3, union).
     """
     _check_edge_probability(p)
     if n < k:
