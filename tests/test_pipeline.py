@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -124,6 +126,21 @@ class TestResolvePlan:
             resolve_plan(1500, Parameters(k=2, mode="power", t_cover=3))
         with pytest.raises(ValueError):
             resolve_plan(1500, Parameters(k=2, mode="power", ell=4))
+
+    def test_plan_grid_digest(self):
+        """Every plan on a grid of (mode, k, n), pinned by one digest."""
+        lines = []
+        for mode in ("power", "tight"):
+            for k in (1, 2, 3):
+                for n in range(100, 5001, 10):
+                    try:
+                        text = resolve_plan(n, Parameters(k=k, mode=mode)).describe()
+                    except ValueError:
+                        text = "infeasible"
+                    lines.append(f"{mode} {k} {n} {text}")
+        assert sum(not line.endswith("infeasible") for line in lines) == 2735
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "2886d0ca6c37318e954efd3b51012a85ac34afb22afb33b5a5e3917f1e412563"
 
     def test_threshold_formula(self):
         formula, value = implied_threshold(1500, Parameters(k=2, mode="power"))
