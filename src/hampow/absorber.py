@@ -11,7 +11,6 @@ the global end tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -293,48 +292,25 @@ def chain_vertex_count(k: int, ell: int, connector_len: int, t: int) -> int:
 
 
 def build_chain_absorber(
-    host: Hypergraph,
-    k: int,
-    mode: str,
-    seed: int,
-    *,
-    ell: int | None = None,
-    connector_len: int | None = None,
-    absorb_size: int | None = None,
-    include_remainder: bool = False,
+    host: Hypergraph, k: int, mode: str, *, ell: int, absorb_size: int
 ) -> ChainAbsorber:
-    """Build a chain absorber inside a random host.
+    """Build a chain absorber with ``absorb_size`` links inside a random host.
 
     The vertex set is equipartitioned by residue mod 3: backbone copies are
     found in the first part (greedy window factor), the intra-link connectors
-    in the second, the chain connectors in the third.  The absorbable set has
-    ``absorb_size`` vertices, defaulting to n / (16 log^2 n).  Each phase's
-    copy searches share one searcher's budget, so hopeless sparse hosts fail
-    fast instead of backtracking exponentially.  All phases are deterministic
-    given the host; ``seed`` is recorded for provenance and kept for
-    randomized variants.
+    in the second, the chain connectors in the third.  Connectors have length
+    :func:`default_connector_len`.  Each phase's copy searches share one
+    searcher's budget, so hopeless sparse hosts fail fast instead of
+    backtracking exponentially.  All phases are deterministic given the host.
     """
     n = host.n
     w = uniformity(k, mode)
     if host.k != w:
         raise ValueError(f"{mode} mode with k={k} requires a {w}-uniform host")
-    if ell is None:
-        ell = max(5, math.ceil(math.log2(max(n, 2))))
-        if ell % 2 == 0:
-            ell += 1
-    if connector_len is None:
-        connector_len = default_connector_len(k, mode)
-    if connector_len <= 2 * k:
-        raise ValueError(f"connector length must exceed {2 * k}, got {connector_len}")
-    if absorb_size is None:
-        log2n = math.log2(max(n, 2))
-        absorb_size = int(n / (16 * log2n * log2n))
     if absorb_size < 1:
-        raise ValueError(
-            f"n={n} is too small for a nonempty absorbable set; "
-            "pass an explicit absorb_size"
-        )
+        raise ValueError(f"absorb_size must be >= 1, got {absorb_size}")
     t = absorb_size
+    connector_len = default_connector_len(k, mode)
     backbone = backbone_template(k, ell, mode)
     w1 = [v for v in range(n) if v % 3 == 0]
     w2 = [v for v in range(n) if v % 3 == 1]
@@ -344,7 +320,7 @@ def build_chain_absorber(
     if total > n // 2:
         raise ValueError(
             f"chain absorber would use {total} > n/2 = {n // 2} vertices; "
-            "reduce absorb_size, ell or connector_len"
+            "reduce absorb_size or ell"
         )
     if t * backbone.graph.n > len(w1):
         raise ValueError(
@@ -363,9 +339,7 @@ def build_chain_absorber(
             b = tuple(g[v] for v in backbone.head(j + 1))
             intra_pairs.append((a, b))
     try:
-        intra = connect_paths(
-            host, intra_pairs, w2, k, connector_len, mode, include_remainder=include_remainder
-        )
+        intra = connect_paths(host, intra_pairs, w2, k, connector_len, mode)
     except ConnectFailure as e:
         raise PhaseFailure("intra-connect", e.message, **e.details) from e
 
@@ -381,9 +355,7 @@ def build_chain_absorber(
             (tuple(links[i].b), tuple(links[i + 1].a)) for i in range(t - 1)
         ]
         try:
-            chain = connect_paths(
-                host, chain_pairs, w3, k, connector_len, mode, include_remainder=include_remainder
-            )
+            chain = connect_paths(host, chain_pairs, w3, k, connector_len, mode)
         except ConnectFailure as e:
             raise PhaseFailure("chain-connect", e.message, **e.details) from e
         chain_seqs = tuple(chain.sequences)
@@ -394,14 +366,10 @@ def build_chain_absorber(
     return result
 
 
-def demo_absorber(
-    k: int, ell: int, mode: str, connector_len: int | None = None
-) -> tuple[Hypergraph, SingleVertexAbsorber]:
+def demo_absorber(k: int, ell: int, mode: str) -> tuple[Hypergraph, SingleVertexAbsorber]:
     """A single-vertex absorber on a complete host, for demos and tests."""
-    if connector_len is None:
-        connector_len = default_connector_len(k, mode)
     backbone = backbone_template(k, ell, mode)
-    interior = connector_len - 2 * k
+    interior = default_connector_len(k, mode) - 2 * k
     nb = backbone.graph.n
     n = nb + (ell - 1) * interior
     host = Hypergraph.complete(uniformity(k, mode), n)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -66,28 +68,7 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--mode", choices=["power", "tight"], default="power")
-    p.add_argument("--ell", type=int, default=None, help="backbone block count (odd >= 5)")
-    p.add_argument("--connector-len", type=int, default=None)
-    p.add_argument("--merge-len", type=int, default=None)
-    p.add_argument("--absorb-size", type=int, default=None,
-                   help="absorbable set size override")
-    p.add_argument("--t-cover", type=int, default=None, help="cover part count override")
     p.add_argument("--retries", type=int, default=5)
-
-
-def _params_from(args: argparse.Namespace, seed: int, input_rate: float | None) -> Parameters:
-    return Parameters(
-        k=args.k,
-        mode=args.mode,
-        ell=args.ell,
-        connector_len=args.connector_len,
-        merge_len=args.merge_len,
-        absorb_size=args.absorb_size,
-        t_cover=args.t_cover,
-        retries=args.retries,
-        seed=seed,
-        input_rate=input_rate,
-    )
 
 
 def _load_graph(path: str) -> Hypergraph:
@@ -169,18 +150,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.model == "bip":
-        b = sample_bipartite(args.n, args.p, args.seed)
-        lines = [f"bip {b.left} {b.right} {b.edge_count}"]
-        lines += [f"{l} {r}" for l, r in sorted(b.edges)]
-        Path(args.out).write_text("\n".join(lines) + "\n")
-        print(f"wrote bipartite {b.left}x{b.right} with {b.edge_count} edges (seed {args.seed})")
-        return 0
     k = 2 if args.model == "gnp" else args.k
-    g = sample_uniform_hypergraph(k, args.n, args.p, args.seed)
+    candidates = args.n * args.n if args.model == "bip" else math.comb(args.n, k)
+    # compared as MATERIALIZE_LIMIT / p, so a huge candidate count cannot overflow
+    if args.p > 0 and candidates > MATERIALIZE_LIMIT / args.p:
+        print(f"refusing to sample an expected {args.p:g} * {candidates} edges "
+              f"(> {MATERIALIZE_LIMIT})", file=sys.stderr)
+        return 2
+    if args.model == "bip":
+        g = sample_bipartite(args.n, args.p, args.seed)
+    else:
+        g = sample_uniform_hypergraph(k, args.n, args.p, args.seed)
     if g.edge_count > MATERIALIZE_LIMIT:
         print(f"refusing to write {g.edge_count} edges (> {MATERIALIZE_LIMIT})", file=sys.stderr)
         return 2
+    if args.model == "bip":
+        lines = [f"bip {g.left} {g.right} {g.edge_count}"]
+        lines += [f"{l} {r}" for l, r in sorted(g.edges)]
+        Path(args.out).write_text("\n".join(lines) + "\n")
+        print(f"wrote bipartite {g.left}x{g.right} with {g.edge_count} edges (seed {args.seed})")
+        return 0
     Path(args.out).write_text(g.to_text())
     print(f"wrote {g!r} (seed {args.seed})")
     return 0
@@ -225,7 +214,9 @@ def _usage(msg: str) -> int:
 
 
 def _cmd_find(args) -> int:
-    cfg = _params_from(args, args.seed, input_rate=args.p)
+    cfg = Parameters(
+        k=args.k, mode=args.mode, retries=args.retries, seed=args.seed, input_rate=args.p
+    )
     source = _resolve_find_source(args, cfg)
     if isinstance(source, ModelSpec) and _model_too_large(cfg.uniformity, source.n, source.p):
         return 2
@@ -365,19 +356,11 @@ def _experiment_row(task) -> tuple:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        return _usage(f"--jobs must be >= 1, got {args.jobs}")
     n_list = [int(x) for x in args.n_list.split(",") if x]
     p_grid = [float(x) for x in args.p_grid.split(",") if x]
-    cfg_fields = dict(
-        k=args.k,
-        mode=args.mode,
-        ell=args.ell,
-        connector_len=args.connector_len,
-        merge_len=args.merge_len,
-        absorb_size=args.absorb_size,
-        t_cover=args.t_cover,
-        retries=args.retries,
-        input_rate=None,
-    )
+    cfg_fields = dict(k=args.k, mode=args.mode, retries=args.retries)
     k = uniformity(args.k, args.mode)
     if any(_model_too_large(k, n, p) for n in n_list for p in p_grid):
         return 2
@@ -388,8 +371,10 @@ def _cmd_experiment(args) -> int:
             for trial in range(args.trials):
                 tasks.append((n, p, trial, derive(args.seed, row), cfg_fields, args.zero_timings))
                 row += 1
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the executor starts all its workers at once, so never ask for more than can run
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_experiment_row, tasks))
     else:
         rows = [_experiment_row(t) for t in tasks]

@@ -23,7 +23,6 @@ __all__ = [
     "delta_upper_bound",
     "exact_mu_delta",
     "expected_lex_copies",
-    "lower_tail_bound",
 ]
 
 
@@ -31,8 +30,8 @@ __all__ = [
 class JansonParams:
     """Parameters (mu, delta, gamma) of the lower-tail inequality.
 
-    ``bound`` is exp(-gamma^2 mu^2 / (2 (mu + delta))) when mu > 0 and the
-    vacuous 1.0 when mu = 0.
+    ``bound`` bounds P[X < (1 - gamma) mu] by exp(-gamma^2 mu^2 / (2 (mu + delta)))
+    when mu > 0; it is the vacuous 1.0 when mu = 0.
     """
 
     mu: float
@@ -193,11 +192,3 @@ def delta_rooted_bound(
         )
     delta2 = math.exp(_logsumexp(d2_terms)) if d2_terms else 0.0
     return delta1, delta2
-
-
-def lower_tail_bound(params: JansonParams) -> float:
-    """P[X < (1 - gamma) mu] <= exp(-gamma^2 mu^2 / (2 (mu + delta))).
-
-    The value is computed once, by :meth:`JansonParams.compute`.
-    """
-    return params.bound

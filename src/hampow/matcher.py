@@ -272,38 +272,30 @@ class RootedMatching:
         return out
 
 
-def round_sizes(total: int, rounds: int, include_remainder: bool = False) -> list[int]:
+def round_sizes(total: int, rounds: int) -> list[int]:
     """Slice sizes for splitting a reservoir of ``total`` vertices into rounds.
 
     Round i (1-based) gets max(total // 2^(i+1), total // (2 * rounds))
     vertices, so early rounds get geometrically shrinking slices clamped from
-    below.  These sizes always leave vertices over; ``include_remainder``
-    appends them as one final slice.  An empty reservoir has no slices.
+    below.  These sizes always leave vertices over; they form one final
+    slice, so the whole reservoir is usable.  An empty reservoir has no slices.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if total == 0:
         return []
     sizes = [max(total // 2 ** (i + 1), total // (2 * rounds)) for i in range(1, rounds + 1)]
-    if include_remainder:
-        sizes.append(total - sum(sizes))
-    return sizes
+    return sizes + [total - sum(sizes)]
 
 
-def partition_reservoir(
-    reservoir: Iterable[int], rounds: int, include_remainder: bool = False
-) -> list[tuple[int, ...]]:
-    """Split a reservoir into slices of :func:`round_sizes`, in canonical vertex order.
-
-    ``include_remainder`` makes the whole reservoir usable (the pipeline
-    needs this on small reservoirs).
-    """
+def partition_reservoir(reservoir: Iterable[int], rounds: int) -> list[tuple[int, ...]]:
+    """Split a reservoir into slices of :func:`round_sizes`, in canonical vertex order."""
     w = sorted(set(reservoir))
     if not w:
         raise ValueError("reservoir must be nonempty")
     parts = []
     at = 0
-    for size in round_sizes(len(w), rounds, include_remainder):
+    for size in round_sizes(len(w), rounds):
         parts.append(tuple(w[at:at + size]))
         at += size
     return parts
@@ -317,7 +309,6 @@ def connect_family(
     host: Hypergraph,
     req: ConnectionRequest,
     rounds: int | None = None,
-    include_remainder: bool = False,
 ) -> RootedMatching:
     """Greedy round-based construction of a rooted matching.
 
@@ -341,7 +332,7 @@ def connect_family(
             f"{len(req.reservoir)}"
         )
     strict = need <= len(req.reservoir) // 4
-    parts = partition_reservoir(req.reservoir, rounds, include_remainder=include_remainder)
+    parts = partition_reservoir(req.reservoir, rounds)
     searcher = _CopySearcher(host, req.template, req.root)
     embeddings: list[dict[int, int] | None] = [None] * t
     remaining = list(range(t))
@@ -415,7 +406,6 @@ def connect_paths(
     ell: int,
     mode: str,
     rounds: int | None = None,
-    include_remainder: bool = False,
 ) -> PathFamily:
     """Connect endpoint tuple pairs with disjoint connecting/tight paths.
 
@@ -439,7 +429,7 @@ def connect_paths(
     )
     if not req.tuples:
         return PathFamily(sequences=[], embeddings=[], trajectory=[], end_width=k)
-    matching = connect_family(host, req, rounds=rounds, include_remainder=include_remainder)
+    matching = connect_family(host, req, rounds=rounds)
     sequences = [
         tuple(emb[v] for v in range(ell)) for emb in matching.embeddings
     ]

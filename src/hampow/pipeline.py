@@ -8,8 +8,9 @@ absorbable set in round three; absorb whatever the merge consumed and close
 the cycle.  Every certificate is verified before it is returned; phase
 failures trigger whole-run retries with derived seeds.
 
-The headline thresholds are asymptotic, so the sizes here are configuration
-or constants calibrated for hosts in the n = 500..3000 range.
+The headline thresholds are asymptotic, so the sizes here are constants
+calibrated for hosts in the n = 500..3000 range, or solved from n by
+:func:`resolve_plan`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ __all__ = [
 
 DEFAULT_SEED = 24115
 
+#: Backbone block count: the shortest odd length the backbone template admits.
+ELL = 5
+
 #: Greedy rounds of the merge connection; its reservoir is the small absorbable set.
 MERGE_ROUNDS = 2
 #: Share of the merge reservoir that the preferred plans may fill with connectors.
@@ -62,15 +66,10 @@ THRESHOLD_C = 1.0
 
 @dataclass(frozen=True)
 class Parameters:
-    """Pipeline configuration.  Unset sizes are resolved from n by :func:`resolve_plan`."""
+    """Pipeline configuration.  All sizes are resolved from n by :func:`resolve_plan`."""
 
     k: int = 2
     mode: str = "power"
-    ell: int | None = None
-    connector_len: int | None = None
-    merge_len: int | None = None
-    absorb_size: int | None = None
-    t_cover: int | None = None
     retries: int = 5
     seed: int = DEFAULT_SEED
     input_rate: float | None = None
@@ -273,18 +272,17 @@ class ResolvedPlan:
     uniformity: int
     ell: int
     connector_len: int
-    merge_len: int
     absorb_size: int
     absorber_vertices: int
-    t_cover: int
+    cover_parts: int
     borrow: int
     s_paths: int
 
     def describe(self) -> str:
         return (
             f"plan: ell={self.ell} connector={self.connector_len} "
-            f"merge={self.merge_len} absorbable={self.absorb_size} "
-            f"absorber_vertices={self.absorber_vertices} parts={self.t_cover} "
+            f"merge={self.connector_len} absorbable={self.absorb_size} "
+            f"absorber_vertices={self.absorber_vertices} parts={self.cover_parts} "
             f"paths={self.s_paths} borrowed={self.borrow}"
         )
 
@@ -292,22 +290,16 @@ class ResolvedPlan:
 def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
     """Resolve all sizes for a host on n vertices; deterministic in (n, cfg).
 
-    Raises ValueError when no feasible plan exists (host too small for the
-    requested configuration).
+    The backbone has :data:`ELL` blocks, and every connector (intra-link,
+    chain and merge) has length :func:`default_connector_len`.  Raises
+    ValueError when no feasible plan exists (host too small for k and mode).
     """
     k, mode = cfg.k, cfg.mode
-    ell = cfg.ell if cfg.ell is not None else 5
-    if ell < 5 or ell % 2 == 0:
-        raise ValueError(f"backbone length must be odd and >= 5, got {ell}")
-    conn = cfg.connector_len if cfg.connector_len is not None else default_connector_len(k, mode)
-    merge_len = cfg.merge_len if cfg.merge_len is not None else conn
-    if conn <= 2 * k or merge_len <= 2 * k:
-        raise ValueError(f"connector lengths must exceed 2k = {2 * k}")
+    ell, conn = ELL, default_connector_len(k, mode)
     v_backbone = 1 + 2 * k * ell
     interior = conn - 2 * k
     w1 = (n + 2) // 3  # residue classes mod 3
     w2 = (n + 1) // 3
-    m_int = merge_len - 2 * k
 
     def solve_cover(t_abs: int) -> tuple[int, int, int] | None:
         total = chain_vertex_count(k, ell, conn, t_abs)
@@ -317,8 +309,7 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
 
         def merge_capacity(w_size: int) -> int:
             """Merge connectors that fit in the slices of a reservoir this size."""
-            sizes = round_sizes(w_size, MERGE_ROUNDS, include_remainder=True)
-            return sum(size // m_int for size in sizes)
+            return sum(size // interior for size in round_sizes(w_size, MERGE_ROUNDS))
 
         def feasible(t_cand: int, soft: bool) -> tuple[int, int] | None:
             ux = (-pool) % t_cand
@@ -329,20 +320,15 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
                 return None
             if merge_capacity(t_abs - ux) < s + 1:
                 return None
-            if soft and (s + 1) * m_int > MERGE_UTILIZATION * (t_abs - ux):
+            if soft and (s + 1) * interior > MERGE_UTILIZATION * (t_abs - ux):
                 return None
             return s, ux
 
-        if cfg.t_cover is not None:
-            if cfg.t_cover < 2 * k:
-                return None
-            got = feasible(cfg.t_cover, soft=False)
-            return None if got is None else (cfg.t_cover, got[0], got[1])
         # prefer as many cover paths as the merge reservoir supports: larger
         # path families make the per-step matchings far more robust
         for soft in (True, False):
             if soft:
-                s_hi = int(MERGE_UTILIZATION * t_abs) // m_int - 1
+                s_hi = int(MERGE_UTILIZATION * t_abs) // interior - 1
             else:
                 s_hi = merge_capacity(t_abs) - 1
             for s_target in range(max(s_hi, 0), k, -1):
@@ -360,30 +346,21 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
         w1 // v_backbone,                                      # factor window
         w2 // ((ell - 1) * interior),                          # intra reservoir
     )
-    if cfg.absorb_size is not None:
-        candidates = [cfg.absorb_size]
-    else:
-        soft_cap = min(
-            hard_cap,
-            int(0.9 * w1) // v_backbone,
-            int(0.6 * w2) // ((ell - 1) * interior),
-        )
-        candidates = list(range(soft_cap, hard_cap + 1)) + list(range(soft_cap - 1, 0, -1))
-    solution = None
-    for t_abs in candidates:
-        if t_abs < 1:
-            continue
+    soft_cap = min(
+        hard_cap,
+        int(0.9 * w1) // v_backbone,
+        int(0.6 * w2) // ((ell - 1) * interior),
+    )
+    for t_abs in [*range(max(soft_cap, 1), hard_cap + 1), *range(soft_cap - 1, 0, -1)]:
         got = solve_cover(t_abs)
         if got is not None:
-            solution = (t_abs, *got)
             break
-    if solution is None:
+    else:
         raise ValueError(
             f"no feasible absorber/cover/merge plan for n={n}, k={k}, {mode} mode "
             f"(ell={ell}, connector={conn}); the host is too small for this configuration"
         )
-    t_abs, t_cover, s, ux = solution
-    total = chain_vertex_count(k, ell, conn, t_abs)
+    parts, s, ux = got
     return ResolvedPlan(
         n=n,
         k=k,
@@ -391,10 +368,9 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
         uniformity=cfg.uniformity,
         ell=ell,
         connector_len=conn,
-        merge_len=merge_len,
         absorb_size=t_abs,
-        absorber_vertices=total,
-        t_cover=t_cover,
+        absorber_vertices=chain_vertex_count(k, ell, conn, t_abs),
+        cover_parts=parts,
         borrow=ux,
         s_paths=s,
     )
@@ -434,21 +410,12 @@ def _attempt(
 ) -> CycleCertificate:
     n, k, mode = plan.n, plan.k, plan.mode
     g1, g2, g3, full = _exposures(source, cfg, attempt_seed)
-    chain = build_chain_absorber(
-        g1,
-        k,
-        mode,
-        attempt_seed,
-        ell=plan.ell,
-        connector_len=plan.connector_len,
-        absorb_size=plan.absorb_size,
-        include_remainder=True,
-    )
+    chain = build_chain_absorber(g1, k, mode, ell=plan.ell, absorb_size=plan.absorb_size)
     absorbable = sorted(chain.absorbable)
     a_vertices = chain.vertices()
     uncovered = [v for v in range(n) if v not in a_vertices]
     borrowed = absorbable[: plan.borrow]
-    cover = cover_with_paths(g2, uncovered, borrowed, plan.t_cover, k, mode)
+    cover = cover_with_paths(g2, uncovered, borrowed, plan.cover_parts, k, mode)
     s = plan.s_paths
     merge_reservoir = [v for v in absorbable if v not in set(borrowed)]
     pairs = [(tuple(chain.b), cover.a(0, k))]
@@ -457,14 +424,7 @@ def _attempt(
     pairs.append((cover.b(s - 1, k), tuple(chain.a)))
     try:
         merge = connect_paths(
-            g3,
-            pairs,
-            merge_reservoir,
-            k,
-            plan.merge_len,
-            mode,
-            rounds=MERGE_ROUNDS,
-            include_remainder=True,
+            g3, pairs, merge_reservoir, k, plan.connector_len, mode, rounds=MERGE_ROUNDS
         )
     except ConnectFailure as e:
         raise PhaseFailure("merge", e.message, **e.details) from e

@@ -110,9 +110,7 @@ class TestChainAbsorber:
         n = max(2 * chain_vertex_count(k, ell, conn, t) + 9, 3 * (1 + 2 * k * ell) * t)
         uniformity = 2 if mode == "power" else k + 1
         host = Hypergraph.complete(uniformity, n)
-        chain = build_chain_absorber(
-            host, k, mode, seed=7, ell=ell, absorb_size=t, include_remainder=True
-        )
+        chain = build_chain_absorber(host, k, mode, ell=ell, absorb_size=t)
         return host, chain
 
     @pytest.mark.parametrize("mode", ["power", "tight"])
@@ -146,13 +144,12 @@ class TestChainAbsorber:
     def test_too_small_host_rejected(self):
         host = Hypergraph.complete(2, 40)
         with pytest.raises(ValueError):
-            build_chain_absorber(host, 2, "power", seed=0, ell=5, absorb_size=4)
+            build_chain_absorber(host, 2, "power", ell=5, absorb_size=4)
 
-    def test_absorb_size_floor_from_formula(self):
-        # default |X| = n / (16 log^2 n) is below 1 for small n: error
+    def test_absorb_size_below_one_rejected(self):
         host = Hypergraph.complete(2, 300)
         with pytest.raises(ValueError, match="absorb_size"):
-            build_chain_absorber(host, 2, "power", seed=0, ell=5)
+            build_chain_absorber(host, 2, "power", ell=5, absorb_size=0)
 
     def test_random_host_monte_carlo(self):
         # build the full chain inside moderately dense random hosts and
@@ -162,10 +159,7 @@ class TestChainAbsorber:
         for s in range(trials):
             host = sample_uniform_hypergraph(2, 2000, 0.5, seed=4242 + s)
             try:
-                chain = build_chain_absorber(
-                    host, 2, "power", seed=s, ell=5, absorb_size=8,
-                    include_remainder=True,
-                )
+                chain = build_chain_absorber(host, 2, "power", ell=5, absorb_size=8)
             except (PhaseFailure, ValueError):
                 continue
             wins += 1

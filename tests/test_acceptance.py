@@ -46,7 +46,6 @@ from hampow.janson import (
     delta_upper_bound,
     exact_mu_delta,
     expected_lex_copies,
-    lower_tail_bound,
 )
 from hampow.matcher import PhaseFailure
 from hampow.pipeline import (
@@ -246,7 +245,7 @@ class TestCriterion5Janson:
         n, p, samples = 12, 0.4, 10_000
         tri = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
         mu, delta = exact_mu_delta(n, tri, p)
-        bound = lower_tail_bound(JansonParams.compute(mu=mu, delta=delta, gamma=0.5))
+        bound = JansonParams.compute(mu=mu, delta=delta, gamma=0.5).bound
         pairs = list(combinations(range(n), 2))
         below = 0
         for s in range(samples):
@@ -294,9 +293,7 @@ class TestCriterion6AbsorberSoundness:
         conn = default_connector_len(k, mode)
         n = max(3 * 21 * t, 2 * chain_vertex_count(k, ell, conn, t) + 10)
         host = Hypergraph.complete(2 if mode == "power" else k + 1, n)
-        chain = build_chain_absorber(
-            host, k, mode, seed=6, ell=ell, absorb_size=t, include_remainder=True
-        )
+        chain = build_chain_absorber(host, k, mode, ell=ell, absorb_size=t)
         xs = list(chain.absorbable)
         checked = 0
         ok = True

@@ -1,12 +1,14 @@
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hampow.cli as cli
 import hampow.matcher as matcher
 import hampow.pipeline as pipeline
-from hampow.cli import main
+from hampow.cli import build_parser, main
 from hampow.core import Hypergraph
 from hampow.randmodels import expected_stored_codes
 
@@ -86,6 +88,33 @@ class TestGen:
                           "--seed", "2", "--out", str(outb)], capsys)
         assert code == 0
         assert outb.read_text().splitlines()[0] == "bip 5 5 25"
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gnp", "--n", "200", "--p", "0.5"],          # 9,950 expected
+        ["--model", "hgnp", "--k", "3", "--n", "40", "--p", "0.2"],  # 1,976 expected
+        ["--model", "bip", "--n", "200", "--p", "0.5"],          # 20,000 expected
+    ], ids=["gnp", "hgnp", "bip"])
+    def test_refuses_before_sampling(self, tmp_path, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("sampled a host over the limit")
+        monkeypatch.setattr(cli, "MATERIALIZE_LIMIT", 10)
+        monkeypatch.setattr(cli, "sample_uniform_hypergraph", never)
+        monkeypatch.setattr(cli, "sample_bipartite", never)
+        out = tmp_path / "g.hg"
+        code, _, err = run(["gen", *argv, "--out", str(out)], capsys)
+        assert code == 2 and "refusing to sample an expected" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,limit", [("gnp", 25), ("bip", 54)])
+    def test_sampled_count_is_checked_too(self, tmp_path, capsys, monkeypatch, model, limit):
+        # at n=10, p=0.5, seed 5 the expected 22.5 (gnp) and 50 (bip) edges
+        # pass the limit, but the 26 and 55 sampled ones do not
+        monkeypatch.setattr(cli, "MATERIALIZE_LIMIT", limit)
+        out = tmp_path / "g.hg"
+        code, _, err = run(["gen", "--model", model, "--n", "10", "--p", "0.5",
+                            "--seed", "5", "--out", str(out)], capsys)
+        assert code == 2 and f"refusing to write {limit + 1} edges" in err
+        assert not out.exists()
 
 
 class TestDensity:
@@ -305,6 +334,44 @@ class TestExperiment:
         assert run(base + ["--csv", str(csv2), "--jobs", "3"], capsys)[0] == 0
         assert csv1.read_bytes() == csv2.read_bytes()
 
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "g.csv"
+        code, _, err = run(["experiment", "--n-list", "300", "--p-grid", "1.0",
+                            "--trials", "1", "--csv", str(csv), "--jobs", "0"], capsys)
+        assert code == 1 and "--jobs" in err and not csv.exists()
+
+    @pytest.mark.parametrize("jobs,trials,cpus,workers", [
+        (10_000, 2, 8, 2),   # no more workers than tasks
+        (6, 12, 4, 4),       # no more workers than cores
+        (3, 12, None, None),  # unknown core count: one, so no pool
+        (1, 12, 8, None),
+    ])
+    def test_pool_size_is_bounded(self, tmp_path, capsys, monkeypatch, jobs, trials, cpus, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_experiment_row", lambda t: (*t[:4], 1, "", 0))
+        csv = tmp_path / "g.csv"
+        code, _, _ = run(["experiment", "--n-list", "300", "--p-grid", "1.0",
+                          "--trials", str(trials), "--csv", str(csv), "--jobs", str(jobs)],
+                         capsys)
+        assert code == 0 and len(csv.read_text().splitlines()) == trials + 1
+        assert started == ([] if workers is None else [workers])
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -313,3 +380,25 @@ class TestEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 1
+
+
+def readme_commands():
+    """Every ``hampow ...`` command in README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        joined = block.split("```")[0].replace("\\\n", " ")
+        for line in joined.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["hampow"]:
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 14
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)

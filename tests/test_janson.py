@@ -10,7 +10,6 @@ from hampow.janson import (
     delta_upper_bound,
     exact_mu_delta,
     expected_lex_copies,
-    lower_tail_bound,
 )
 
 
@@ -144,10 +143,9 @@ class TestLowerTail:
     def test_formula_value(self):
         params = JansonParams.compute(mu=1.25, delta=1.875, gamma=0.5)
         assert params.bound == pytest.approx(math.exp(-0.0625))
-        assert lower_tail_bound(params) == pytest.approx(math.exp(-0.0625))
 
     def test_vacuous_at_zero_mean(self):
-        assert lower_tail_bound(JansonParams.compute(mu=0.0, delta=3.0, gamma=0.5)) == 1.0
+        assert JansonParams.compute(mu=0.0, delta=3.0, gamma=0.5).bound == 1.0
 
     def test_zero_delta(self):
         params = JansonParams.compute(mu=8.0, delta=0.0, gamma=0.5)
@@ -159,8 +157,8 @@ class TestLowerTail:
 
     def test_monotonicity(self):
         # decreasing in mu at fixed delta/mu ratio; increasing in delta
-        b1 = lower_tail_bound(JansonParams.compute(mu=2.0, delta=2.0, gamma=0.5))
-        b2 = lower_tail_bound(JansonParams.compute(mu=4.0, delta=4.0, gamma=0.5))
+        b1 = JansonParams.compute(mu=2.0, delta=2.0, gamma=0.5).bound
+        b2 = JansonParams.compute(mu=4.0, delta=4.0, gamma=0.5).bound
         assert b2 < b1
-        b3 = lower_tail_bound(JansonParams.compute(mu=2.0, delta=5.0, gamma=0.5))
+        b3 = JansonParams.compute(mu=2.0, delta=5.0, gamma=0.5).bound
         assert b3 > b1

@@ -183,14 +183,16 @@ class TestFindRootedCopy:
 class TestPartitionReservoir:
     def test_spec_sizes(self):
         parts = partition_reservoir(range(1024), 10)
-        assert [len(p) for p in parts] == [256, 128, 64, 51, 51, 51, 51, 51, 51, 51]
+        sizes = [len(p) for p in parts]
+        assert sizes[:10] == [256, 128, 64, 51, 51, 51, 51, 51, 51, 51]
+        assert sizes[10:] == [219]  # the remainder slice
 
     def test_single_round(self):
         parts = partition_reservoir(range(100), 1)
-        assert [len(p) for p in parts] == [50]
+        assert [len(p) for p in parts] == [50, 50]
 
     def test_remainder_slice_completes_the_reservoir(self):
-        parts = partition_reservoir(range(100), 2, include_remainder=True)
+        parts = partition_reservoir(range(100), 2)
         assert sum(len(p) for p in parts) == 100
         flat = [v for p in parts for v in p]
         assert flat == sorted(flat)
@@ -199,7 +201,7 @@ class TestPartitionReservoir:
         with pytest.raises(ValueError):
             partition_reservoir((), 3)
         # the plan may leave the merge reservoir empty: no slices, no capacity
-        assert round_sizes(0, 2, include_remainder=True) == []
+        assert round_sizes(0, 2) == []
 
     def test_disjoint_and_canonical(self):
         parts = partition_reservoir(range(37), 4)
@@ -402,7 +404,7 @@ class TestSearchBudget:
         )),
         # the k=2 backbone holds triangles, so the factor phase fails first
         ("factor", lambda: build_chain_absorber(
-            bipartite_host(66), 2, "power", seed=0, ell=5, absorb_size=1
+            bipartite_host(66), 2, "power", ell=5, absorb_size=1
         )),
     ], ids=["factor_in_window", "almost_factor", "connect_paths", "build_chain_absorber"])
     def test_every_entry_point_ends_in_its_budget_failure(self, monkeypatch, phase, call):

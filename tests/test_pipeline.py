@@ -121,12 +121,6 @@ class TestResolvePlan:
         with pytest.raises(ValueError):
             resolve_plan(120, Parameters(k=2, mode="power"))
 
-    def test_explicit_overrides_validated(self):
-        with pytest.raises(ValueError):
-            resolve_plan(1500, Parameters(k=2, mode="power", t_cover=3))
-        with pytest.raises(ValueError):
-            resolve_plan(1500, Parameters(k=2, mode="power", ell=4))
-
     def test_plan_grid_digest(self):
         """Every plan on a grid of (mode, k, n), pinned by one digest."""
         lines = []
@@ -229,7 +223,7 @@ class TestFailureDetails:
         assert trajectory and trajectory[-1] == len(unmatched) > 0
         assert len(trajectory) == len(merge.details["round_sizes"])
         assert cover.phase == "cover"
-        assert cover.details["parts"] == resolve_plan(600, cfg).t_cover
+        assert cover.details["parts"] == resolve_plan(600, cfg).cover_parts
         assert 2 <= cover.details["step"] <= cover.details["parts"]
         assert f"part {cover.details['step']} of {cover.details['parts']}" in cover.message
 
