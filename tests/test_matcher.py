@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hampow.core import (
     is_power_path,
     is_tight_path,
     power_path_template,
+    tight_path_template,
 )
 import hampow.matcher as matcher
 from hampow.absorber import build_chain_absorber
@@ -21,13 +23,14 @@ from hampow.matcher import (
     ConnectFailure,
     ConnectionRequest,
     PhaseFailure,
+    SearchBudgetExceeded,
     _CopySearcher,
     connect_family,
     connect_paths,
     partition_reservoir,
     round_sizes,
 )
-from hampow.randmodels import sample_uniform_hypergraph
+from hampow.randmodels import derive, sample_uniform_hypergraph
 
 from oracles import (
     brute_first_rooted_copy,
@@ -178,6 +181,56 @@ class TestFindRootedCopy:
         # vertex 2 scans all five and keeps only 5; with 5 placed, vertex 3
         # scans all five again, the used 5 included
         assert searcher.remaining == 100 - 5 - 5
+
+
+class TestCopySearchDigest:
+    """Seeded copy searches, pinned by one digest of what they return and spend.
+
+    Each case reuses one searcher for eight calls with seeded root images and
+    growing reservoirs, on the host in edge form and in complement form.  A
+    line records the embedding (or None, or the budget running out) and the
+    budget spent so far, so any change of candidate order, backtracking or
+    charging changes the digest.
+    """
+
+    CASES = [
+        # (uniformity, n, p, host seed, template, root)
+        (2, 40, 0.4, 1, power_path_template(2, 8), (0,)),
+        (2, 40, 0.35, 2, connecting_path_template(2, 9), (0, 1, 7, 8)),
+        (2, 40, 0.15, 3, connecting_path_template(1, 6), (0, 5)),
+        (3, 24, 0.3, 4, tight_path_template(2, 8), (0, 1, 6, 7)),
+        (3, 24, 0.5, 5, tight_path_template(2, 6), (0, 1, 4, 5)),
+    ]
+
+    def trace(self) -> list[str]:
+        lines = []
+        for c, (w, n, p, seed, template, root) in enumerate(self.CASES):
+            edge_form = sample_uniform_hypergraph(w, n, p, seed=seed)
+            for form, host in (("edges", edge_form), ("complement", complement_twin(edge_form))):
+                searcher = _CopySearcher(host, template, root)
+                for call in range(8):
+                    order = sorted(range(n), key=lambda v: derive(seed, call, v))
+                    y = order[:len(root)]
+                    allowed = sorted(order[len(root):len(root) + 6 + 3 * call])
+                    try:
+                        emb = searcher.find(y, allowed, set(allowed))
+                        out = None if emb is None else sorted(emb.items())
+                    except SearchBudgetExceeded:
+                        out = "exceeded"
+                    spent = matcher.SEARCH_BUDGET - searcher.remaining
+                    lines.append(f"{c} {form} {call} {out} {spent}")
+                    if out == "exceeded":
+                        break
+        return lines
+
+    def test_trace_digest(self, monkeypatch):
+        lines = self.trace()
+        for budget in (100, 40):
+            monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
+            lines += [f"budget {budget}"] + self.trace()
+        assert sum(" exceeded " in line for line in lines) == 18
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "f7231a60ea6ad2d3411b038796bdbda05796f7fe173da84b7be403944e719b40"
 
 
 class TestPartitionReservoir:

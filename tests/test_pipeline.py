@@ -136,6 +136,28 @@ class TestResolvePlan:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "2886d0ca6c37318e954efd3b51012a85ac34afb22afb33b5a5e3917f1e412563"
 
+    #: Plans of branches the grid above misses.  At tight k=3 the absorber
+    #: grows past the soft cap and still meets the 0.75 merge share; at tight
+    #: k=2 no absorber from the soft cap up fits, so it shrinks below it.
+    OFF_GRID_PLANS = {
+        (3, 752): "absorbable=8 absorber_vertices=287 parts=93 paths=5",
+        (3, 772): "absorbable=8 absorber_vertices=287 parts=97 paths=5",
+        (3, 792): "absorbable=8 absorber_vertices=287 parts=101 paths=5",
+        (3, 812): "absorbable=8 absorber_vertices=287 parts=105 paths=5",
+        (2, 352): "absorbable=4 absorber_vertices=103 parts=83 paths=3",
+        (2, 355): "absorbable=4 absorber_vertices=103 parts=84 paths=3",
+        (2, 358): "absorbable=4 absorber_vertices=103 parts=85 paths=3",
+        (2, 364): "absorbable=4 absorber_vertices=103 parts=87 paths=3",
+        (2, 367): "absorbable=4 absorber_vertices=103 parts=88 paths=3",
+    }
+
+    @pytest.mark.parametrize("k,n", sorted(OFF_GRID_PLANS))
+    def test_plan_branches_off_the_grid(self, k, n):
+        conn = 2 * k + 1
+        assert resolve_plan(n, Parameters(k=k, mode="tight")).describe() == (
+            f"plan: ell=5 connector={conn} merge={conn} {self.OFF_GRID_PLANS[k, n]} borrowed=0"
+        )
+
     def test_threshold_formula(self):
         formula, value = implied_threshold(1500, Parameters(k=2, mode="power"))
         assert "1/k" in formula or "log2" in formula
