@@ -22,6 +22,7 @@ from hampow.core import (
     CycleCertificate,
     Hypergraph,
     VertexTuple,
+    check_encodable,
     is_power_path,
     is_tight_path,
     power_path_template,
@@ -199,6 +200,7 @@ def _model_mismatch(model: str, k: int, mode: str) -> str | None:
 
 def _model_too_large(k: int, n: int, p: float) -> bool:
     """Say so on stderr when sampling this host would store too much."""
+    check_encodable(k, n)  # raises first, so the estimate cannot overflow
     need = 8 * expected_stored_codes(k, n, p)
     if need <= MODEL_BYTES_LIMIT:
         return False

@@ -18,6 +18,7 @@ __all__ = [
     "CycleCertificate",
     "Hypergraph",
     "VertexTuple",
+    "check_encodable",
     "connecting_path_template",
     "is_embedding",
     "is_power_path",
@@ -73,8 +74,7 @@ class Hypergraph:
             raise ValueError(f"uniformity must be >= 2, got {k}")
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        if self.n > 0 and self.n ** self.k >= 2 ** 62:
-            raise ValueError(f"n={n}, k={k} exceeds the edge-encoding range")
+        check_encodable(self.k, self.n)
         codes = []
         for edge in edges:
             codes.append(self._encode_checked(edge))
@@ -188,25 +188,6 @@ class Hypergraph:
         keep[row] = False
         keep[v] = False
         return np.flatnonzero(keep)
-
-    def union(self, *others: "Hypergraph") -> "Hypergraph":
-        graphs = (self,) + others
-        if any(g.k != self.k or g.n != self.n for g in graphs):
-            raise ValueError("union requires matching uniformity and vertex count")
-        dense = [g._codes for g in graphs if g._complement]
-        if not dense:
-            codes = self._codes
-            for g in others:
-                codes = np.union1d(codes, g._codes)
-            return Hypergraph.from_codes(self.k, self.n, codes)
-        # a non-edge of the union is a non-edge of every part
-        codes = dense[0]
-        for c in dense[1:]:
-            codes = np.intersect1d(codes, c, assume_unique=True)
-        for g in graphs:
-            if not g._complement:
-                codes = np.setdiff1d(codes, g._codes, assume_unique=True)
-        return Hypergraph.from_codes(self.k, self.n, codes, complement=True)
 
     # -- equality / text ----------------------------------------------------
 
@@ -340,6 +321,13 @@ def _edge_lines(codes: np.ndarray, n: int, k: int) -> bytes:
     return buf.tobytes()
 
 
+def check_encodable(k: int, n: int) -> None:
+    """Refuse a k-uniform vertex count whose edges have no int64 radix code."""
+    # k >= 62 is out of range for every n > 1, without computing a huge n ** k
+    if n > 1 and (k >= 62 or n ** k >= 2 ** 62):
+        raise ValueError(f"n={n}, k={k} exceeds the edge-encoding range")
+
+
 # -- the two modes -----------------------------------------------------------
 
 
@@ -370,8 +358,9 @@ def required_edges(
         ext = s + s[:w - 1] if cyclic else s
         return {tuple(sorted(ext[i:i + w])) for i in range(len(ext) - w + 1)}
     out = set()
+    reach = min(k, n - 1)  # a longer offset only repeats a pair
     for i in range(n):
-        for j in range(i + 1, i + k + 1 if cyclic else min(i + k + 1, n)):
+        for j in range(i + 1, i + reach + 1 if cyclic else min(i + reach + 1, n)):
             u, v = s[i], s[j % n]
             if u != v:
                 out.add((u, v) if u < v else (v, u))

@@ -157,31 +157,23 @@ class _CopySearcher:
             return dict(images)
         used: set[int] = set()
         pool = np.asarray(allowed_sorted, dtype=np.int64) if host.k == 2 else None
+        # one candidate stream per placed depth; a depth that takes its next
+        # candidate first gives back the vertex it held
         iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed_sorted, pool)]
-        chosen: list[int | None] = [None]
         while iters:
             depth = len(iters) - 1
             v_t = self.order[depth]
+            if v_t in images:
+                used.discard(images.pop(v_t))
             nxt = next(iters[depth], None)
             if nxt is None:
                 iters.pop()
-                chosen.pop()
-                if chosen:
-                    prev = chosen[-1]
-                    if prev is not None:
-                        used.discard(prev)
-                        del images[self.order[len(iters) - 1]]
-                        chosen[-1] = None
                 continue
-            if chosen[-1] is not None:
-                used.discard(chosen[-1])
             images[v_t] = nxt
             used.add(nxt)
-            chosen[-1] = nxt
             if depth + 1 == len(self.order):
                 return dict(images)
             iters.append(self._candidates(depth + 1, images, used, allowed_sorted, pool))
-            chosen.append(None)
         return None
 
     def _candidates(self, depth, images, used, allowed_sorted, pool):

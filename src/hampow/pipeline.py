@@ -269,7 +269,6 @@ class ResolvedPlan:
     n: int
     k: int
     mode: str
-    uniformity: int
     ell: int
     connector_len: int
     absorb_size: int
@@ -301,44 +300,24 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
     w1 = (n + 2) // 3  # residue classes mod 3
     w2 = (n + 1) // 3
 
+    def merge_capacity(w_size: int) -> int:
+        """Merge connectors that fit in the slices of a reservoir this size."""
+        return sum(size // interior for size in round_sizes(w_size, MERGE_ROUNDS))
+
     def solve_cover(t_abs: int) -> tuple[int, int, int] | None:
-        total = chain_vertex_count(k, ell, conn, t_abs)
-        if total > n // 2:
-            return None
-        pool = n - total
-
-        def merge_capacity(w_size: int) -> int:
-            """Merge connectors that fit in the slices of a reservoir this size."""
-            return sum(size // interior for size in round_sizes(w_size, MERGE_ROUNDS))
-
-        def feasible(t_cand: int, soft: bool) -> tuple[int, int] | None:
-            ux = (-pool) % t_cand
-            if ux > t_abs:
-                return None
-            s = (pool + ux) // t_cand
-            if s < k + 1:
-                return None
-            if merge_capacity(t_abs - ux) < s + 1:
-                return None
-            if soft and (s + 1) * interior > MERGE_UTILIZATION * (t_abs - ux):
-                return None
-            return s, ux
-
-        # prefer as many cover paths as the merge reservoir supports: larger
-        # path families make the per-step matchings far more robust
+        pool = n - chain_vertex_count(k, ell, conn, t_abs)
+        # s = ceil(pool / t) never grows with t, so the first feasible part
+        # count has the most cover paths: larger path families make the
+        # per-step matchings far more robust.  t < pool / k keeps s > k.
         for soft in (True, False):
-            if soft:
-                s_hi = int(MERGE_UTILIZATION * t_abs) // interior - 1
-            else:
-                s_hi = merge_capacity(t_abs) - 1
-            for s_target in range(max(s_hi, 0), k, -1):
-                t_lo = max(2 * k, -(-pool // (s_target + 1)))
-                t_hi = -(-pool // max(s_target - 1, 1)) if s_target > 1 else pool
-                t_hi = min(max(t_hi, t_lo), pool)
-                for t_cand in range(t_lo, t_hi + 1):
-                    got = feasible(t_cand, soft=soft)
-                    if got is not None and got[0] == s_target:
-                        return t_cand, got[0], got[1]
+            for t in range(2 * k, -(-pool // k)):
+                ux = (-pool) % t
+                s = (pool + ux) // t
+                if ux > t_abs or merge_capacity(t_abs - ux) < s + 1:
+                    continue
+                if soft and (s + 1) * interior > MERGE_UTILIZATION * (t_abs - ux):
+                    continue
+                return t, s, ux
         return None
 
     hard_cap = min(
@@ -365,7 +344,6 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
         n=n,
         k=k,
         mode=mode,
-        uniformity=cfg.uniformity,
         ell=ell,
         connector_len=conn,
         absorb_size=t_abs,

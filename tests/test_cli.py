@@ -249,6 +249,18 @@ class TestRoundTrip:
         assert code == 2
         assert "REJECTED" in out
 
+    def test_verify_a_huge_k_in_time(self, tmp_path):
+        # every pair of K5 is an edge, so any power of any cycle on it is there
+        gf = tmp_path / "k5.hg"
+        gf.write_text(Hypergraph.complete(2, 5).to_text())
+        cf = tmp_path / "c.cert"
+        cf.write_text("power 1000000000 5\n0 1 2 3 4\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hampow.cli", "verify", "--graph", str(gf), "--cert", str(cf)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0 and "certificate OK" in proc.stdout
+
 
 class TestFindFailure:
     def test_sparse_model_exits_2(self, capsys):
@@ -305,6 +317,28 @@ class TestModelSizeGuard:
         code, out, _ = run(["verify", "--model", "gnp", "--n", "30", "--p", "1.0",
                             "--cert", str(cert)], capsys)
         assert code == 0 and "certificate OK" in out and sampled == [(2, 30, 1.0)]
+
+    @pytest.mark.parametrize("p", ["0.5", "0"])
+    def test_a_host_past_the_edge_encoding_is_refused(self, tmp_path, capsys, sampled, p):
+        # C(n, k) of a huge n is too large for the float estimate, and n ** k
+        # of a huge k too slow to compute: both are refused before either
+        n, k = str(10 ** 120), str(10 ** 9)
+        cert, huge_k_cert = tmp_path / "c.cert", tmp_path / "k.cert"
+        cert.write_text("tight 2 5\n0 1 2 3 4\n")
+        huge_k_cert.write_text(f"tight {k} 5\n0 1 2 3 4\n")
+        csv = tmp_path / "grid.csv"
+        for argv in (
+            ["find", "--model", "hgnp", "--mode", "tight", "--k", "2", "--n", n, "--p", p],
+            ["verify", "--model", "hgnp", "--n", n, "--p", p, "--cert", str(cert)],
+            ["experiment", "--mode", "tight", "--k", "2", "--n-list", n, "--p-grid", p,
+             "--trials", "1", "--csv", str(csv)],
+            ["find", "--model", "hgnp", "--mode", "tight", "--k", k, "--n", "5", "--p", p],
+            ["verify", "--model", "hgnp", "--n", "5", "--p", p, "--cert", str(huge_k_cert)],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert "exceeds the edge-encoding range" in err and "Traceback" not in err
+        assert sampled == [] and not csv.exists()
 
 
 class TestExperiment:

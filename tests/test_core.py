@@ -75,12 +75,6 @@ class TestHypergraph:
         assert g.has_edge((5, 50, 99))
         assert not g.has_edge((5, 5, 99))
 
-    def test_union(self):
-        a = Hypergraph(2, 4, [(0, 1)])
-        b = Hypergraph(2, 4, [(1, 2)])
-        c = Hypergraph(2, 4, [(0, 1), (2, 3)])
-        assert a.union(b, c) == Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
-
     def test_text_round_trip_and_golden_bytes(self):
         g = Hypergraph(2, 4, [(2, 3), (0, 1), (0, 2)])
         text = g.to_text()
@@ -149,20 +143,12 @@ class TestComplementForm:
                 assert c.neighbors(v).tolist() == g.neighbors(v).tolist()
         other = Hypergraph(k, n, data.draw(edge_sets(k, n)))
         assert c != other or g == other
-        expected = sorted(set(g.edges()) | set(other.edges()))
-        for a in (g, c):
-            for b in (other, complement_twin(other)):
-                u = a.union(b)
-                assert list(u.edges()) == expected
-                assert u == Hypergraph(k, n, expected)
-                assert u == b.union(a)
 
     def test_complete_is_the_empty_complement(self):
         g = Hypergraph.complete(2, 5)
         assert g.is_complete and g.edge_count == 10
         assert g == complement_twin(complete_graph(5)) == complete_graph(5)
         assert g.neighbors(2).tolist() == [0, 1, 3, 4]
-        assert g.union(Hypergraph(2, 5, [(0, 1)])).is_complete
 
 
 class TestTemplates:
@@ -373,6 +359,14 @@ class TestUnifiedEdgeRule:
         host, edges = random_host(data, n, 2, required)
         cert = CycleCertificate(mode="power", k=k, order=order)
         assert verify_certificate(host, cert) == (required <= edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_power_offsets_past_the_cycle_only_repeat_pairs(self, n):
+        order = tuple(reversed(range(n)))
+        for k in (max(n - 1, 1), n, 3 * n + 1):
+            assert required_edges(order, k, "power", cyclic=True) == power_cycle_pairs(order, k)
+        # offsets are capped at n - 1, so a huge k costs no more than k = n - 1
+        assert required_edges(order, 10 ** 9, "power", cyclic=True) == set(combinations(range(n), 2))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
