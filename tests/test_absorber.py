@@ -1,7 +1,11 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from hampow.absorber import (
     SingleVertexAbsorber,
+    _build_backbone,
     absorb,
     absorb_single,
     backbone_layout,
@@ -171,3 +175,40 @@ class TestChainAbsorber:
                 assert is_power_path(host, path, 2)
                 assert set(path) == chain.vertices() - subset
         assert wins >= int(trials * 0.8)
+
+
+class TestGadgetDigest:
+    """The gadget, both traversals and every chain absorb, pinned by one digest.
+
+    Hashes the backbone edges for k in 1..4, odd ell in 3..9 and both modes;
+    both ``absorb_single`` traversals (and the vertex set) of every demo
+    absorber with ell >= 5; and every absorb subset of a 4-link chain on a
+    complete host.  A refactor of the absorbing structure must leave it
+    unchanged.
+    """
+
+    CHAIN_CASES = [(1, "power"), (2, "power"), (2, "tight"), (3, "tight")]
+
+    def lines(self):
+        for mode in ("power", "tight"):
+            for k in range(1, 5):
+                for ell in range(3, 10, 2):
+                    g = _build_backbone(k, ell, mode).graph
+                    yield f"backbone {mode} {k} {ell} {g.k} {g.n} {sorted(g.edges())}"
+                    if ell < 5:
+                        continue
+                    _, ab = demo_absorber(k, ell, mode)
+                    yield f"with x {absorb_single(ab, True)}"
+                    yield f"without x {absorb_single(ab, False)}"
+                    yield f"vertices {sorted(ab.vertices())}"
+        for k, mode in self.CHAIN_CASES:
+            _, chain = TestChainAbsorber().build_complete_chain(k, mode, t=4)
+            yield f"chain {mode} {k} {sorted(chain.vertices())}"
+            xs = chain.absorbable
+            for size in range(len(xs) + 1):
+                for subset in combinations(xs, size):
+                    yield f"absorb {subset} {absorb(chain, subset)}"
+
+    def test_digest(self):
+        digest = hashlib.sha256("\n".join(self.lines()).encode()).hexdigest()
+        assert digest == "2ea50b4116f38aa7c16a34adf1f617af7661b148f8f0ff293ecd746bd184d357"
