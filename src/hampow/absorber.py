@@ -11,7 +11,7 @@ the global end tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from hampow.core import Hypergraph, VertexTuple, required_edges, uniformity
@@ -20,31 +20,65 @@ from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths
 
 __all__ = [
     "Backbone",
-    "BackboneLayout",
     "ChainAbsorber",
     "SingleVertexAbsorber",
     "absorb",
     "absorb_single",
-    "backbone_layout",
     "backbone_template",
     "build_chain_absorber",
     "chain_vertex_count",
     "default_connector_len",
     "demo_absorber",
+    "splice",
 ]
 
 
-@dataclass(frozen=True)
-class BackboneLayout:
-    """Vertex naming scheme of the backbone on 1 + 2*k*ell vertices.
+def splice(
+    pieces: Sequence[Sequence[int]], connectors: Sequence[Sequence[int]], k: int
+) -> tuple[int, ...]:
+    """Join consecutive pieces by the interiors of the connectors between them.
 
-    Vertex 0 is the special (absorbable) vertex; block i (1-based) occupies
+    Connector i joins piece i to piece i+1.  Its first and last k vertices
+    are the end tuples it joins, which the pieces already hold, so only its
+    interior is inserted.
+    """
+    order = list(pieces[0])
+    for seq, piece in zip(connectors, pieces[1:], strict=True):
+        order += seq[k:len(seq) - k]
+        order += piece
+    return tuple(order)
+
+
+@dataclass(frozen=True)
+class Backbone:
+    """The backbone gadget on 1 + 2*k*ell vertices, defined by two spanning paths.
+
+    Vertex 0 is the special (absorbable) vertex x; block i (1-based) occupies
     ids 1 + (i-1)*2k .. i*2k, its first k vertices forming the head tuple
-    and its last k the tail tuple.
+    and its last k the tail tuple.  Each path is a list of pieces, cut where
+    a connector from tail(i) to head(i+1) (walked backwards around x) joins
+    them; the gadget's edges are exactly those the pieces need.
     """
 
     k: int
     ell: int
+    mode: str
+    graph: Hypergraph = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.ell < 3 or self.ell % 2 == 0:
+            raise ValueError(f"backbone needs odd ell >= 3, got {self.ell}")
+        edges: set[tuple[int, ...]] = set()
+        for include_x in (True, False):
+            for piece in self.pieces(include_x):
+                path = required_edges(piece, self.k, self.mode)
+                if self.mode == "tight" and edges & path:
+                    raise AssertionError("backbone tight paths must be edge-disjoint")
+                edges |= path
+        graph = Hypergraph(uniformity(self.k, self.mode), self.vertex_count, edges)
+        object.__setattr__(self, "graph", graph)
 
     @property
     def x(self) -> int:
@@ -66,65 +100,29 @@ class BackboneLayout:
     def tail(self, i: int) -> VertexTuple:
         return VertexTuple(self.block(i)[self.k:])
 
+    def pieces(self, include_x: bool) -> list[tuple[int, ...]]:
+        """The ell pieces of the spanning path from head(1) to tail(ell).
 
-def backbone_layout(k: int, ell: int) -> BackboneLayout:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError(f"backbone needs odd ell >= 3, got {ell}")
-    return BackboneLayout(k=k, ell=ell)
-
-
-def _backbone_sequences(lay: BackboneLayout) -> list[tuple[int, ...]]:
-    k, ell = lay.k, lay.ell
-    seqs = [tuple(lay.head(1)) + (lay.x,) + tuple(lay.tail(1))]
-    for i in range(2, ell + 1):
-        seqs.append(tuple(lay.block(i)))
-    seqs.append(tuple(lay.head(2)) + tuple(reversed(lay.head(1))))
-    for i in range(1, ell - 1):
-        seqs.append(tuple(lay.head(i + 2)) + tuple(lay.tail(i)))
-    seqs.append(tuple(reversed(lay.tail(ell))) + tuple(lay.tail(ell - 1)))
-    return seqs
-
-
-@dataclass(frozen=True)
-class Backbone:
-    """A backbone template: the gadget graph plus its tuple bookkeeping."""
-
-    k: int
-    ell: int
-    mode: str
-    layout: BackboneLayout
-    graph: Hypergraph
-
-    @property
-    def x(self) -> int:
-        return self.layout.x
-
-    def head(self, i: int) -> VertexTuple:
-        return self.layout.head(i)
-
-    def tail(self, i: int) -> VertexTuple:
-        return self.layout.tail(i)
-
-
-def _build_backbone(k: int, ell: int, mode: str) -> Backbone:
-    lay = backbone_layout(k, ell)
-    edges: set[tuple[int, ...]] = set()
-    for seq in _backbone_sequences(lay):
-        path = required_edges(seq, k, mode)
-        if mode == "tight" and edges & path:
-            raise AssertionError("backbone tight paths must be edge-disjoint")
-        edges |= path
-    graph = Hypergraph(uniformity(k, mode), lay.vertex_count, edges)
-    return Backbone(k=k, ell=ell, mode=mode, layout=lay, graph=graph)
+        Through x: block 1 with x between its tuples, then blocks 2..ell.
+        Around x: each piece ends on a reversed tail and the next starts on
+        a reversed head, so the connectors are walked backwards.
+        """
+        ell = self.ell
+        if include_x:
+            first = tuple(self.head(1)) + (self.x,) + tuple(self.tail(1))
+            return [first] + [self.block(i) for i in range(2, ell + 1)]
+        out = [tuple(self.head(1)) + tuple(reversed(self.head(2)))]
+        for i in range(1, ell - 1):
+            out.append(tuple(reversed(self.tail(i))) + tuple(reversed(self.head(i + 2))))
+        out.append(tuple(reversed(self.tail(ell - 1))) + tuple(self.tail(ell)))
+        return out
 
 
 def backbone_template(k: int, ell: int, mode: str) -> Backbone:
     """The backbone gadget; 2-uniform in power mode, (k+1)-uniform in tight mode."""
     if ell < 5 or ell % 2 == 0:
         raise ValueError(f"backbone template needs odd ell >= 5, got {ell}")
-    return _build_backbone(k, ell, mode)
+    return Backbone(k, ell, mode)
 
 
 def default_connector_len(k: int, mode: str) -> int:
@@ -153,71 +151,45 @@ class SingleVertexAbsorber:
     connectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        lay = self.backbone.layout
-        if len(self.connectors) != lay.ell - 1:
-            raise ValueError(f"expected {lay.ell - 1} connectors, got {len(self.connectors)}")
-        k = lay.k
+        bb = self.backbone
+        if len(self.connectors) != bb.ell - 1:
+            raise ValueError(f"expected {bb.ell - 1} connectors, got {len(self.connectors)}")
+        k = bb.k
         g = self.embedding
         for i, seq in enumerate(self.connectors, start=1):
-            if tuple(seq[:k]) != tuple(g[v] for v in lay.tail(i)):
+            if tuple(seq[:k]) != tuple(g[v] for v in bb.tail(i)):
                 raise ValueError(f"connector {i} does not start at the tail of block {i}")
-            if tuple(seq[-k:]) != tuple(g[v] for v in lay.head(i + 1)):
+            if tuple(seq[-k:]) != tuple(g[v] for v in bb.head(i + 1)):
                 raise ValueError(f"connector {i} does not end at the head of block {i + 1}")
 
     @property
     def a(self) -> VertexTuple:
-        lay = self.backbone.layout
-        return VertexTuple(self.embedding[v] for v in lay.head(1))
+        return VertexTuple(self.embedding[v] for v in self.backbone.head(1))
 
     @property
     def b(self) -> VertexTuple:
-        lay = self.backbone.layout
-        return VertexTuple(self.embedding[v] for v in lay.tail(lay.ell))
+        bb = self.backbone
+        return VertexTuple(self.embedding[v] for v in bb.tail(bb.ell))
 
     @property
     def x(self) -> int:
         return self.embedding[self.backbone.x]
 
     def vertices(self) -> set[int]:
-        out = set(self.embedding.values())
-        k = self.backbone.k
-        for seq in self.connectors:
-            out |= set(seq[k:-k])
-        return out
-
-
-def _connector_interior(seq: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple(seq[k:len(seq) - k])
+        return set(absorb_single(self, True))
 
 
 def absorb_single(ab: SingleVertexAbsorber, include_x: bool) -> tuple[int, ...]:
     """Spanning path of the single-vertex absorber, with or without x.
 
-    Both traversals run from the a-tuple to the b-tuple.  Including x walks
-    block 1 through x and then each connector forward; excluding x enters
-    each next block head first and walks the connectors backwards, covering
-    every vertex except x.
+    Both traversals run from the a-tuple to the b-tuple: the embedded
+    backbone pieces joined by the connectors, walked forwards through x and
+    backwards around it.
     """
-    lay = ab.backbone.layout
     g = ab.embedding
-    k, ell = lay.k, lay.ell
-
-    def img(vs: Iterable[int]) -> list[int]:
-        return [g[v] for v in vs]
-
-    if include_x:
-        order = img(lay.head(1)) + [g[lay.x]] + img(lay.tail(1))
-        for i in range(1, ell):
-            order += list(_connector_interior(ab.connectors[i - 1], k))
-            order += img(lay.block(i + 1))
-        return tuple(order)
-    order = img(lay.head(1))
-    for i in range(1, ell):
-        order += img(reversed(lay.head(i + 1)))
-        order += list(reversed(_connector_interior(ab.connectors[i - 1], k)))
-        order += img(reversed(lay.tail(i)))
-    order += img(lay.tail(ell))
-    return tuple(order)
+    pieces = [[g[v] for v in piece] for piece in ab.backbone.pieces(include_x)]
+    connectors = ab.connectors if include_x else [seq[::-1] for seq in ab.connectors]
+    return splice(pieces, connectors, ab.backbone.k)
 
 
 @dataclass(frozen=True)
@@ -255,13 +227,7 @@ class ChainAbsorber:
         return self.absorbers[-1].b
 
     def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for ab in self.absorbers:
-            out |= ab.vertices()
-        k = self.absorbers[0].backbone.k
-        for seq in self.chain_connectors:
-            out |= set(seq[k:-k])
-        return out
+        return set(absorb(self, ()))
 
 
 def absorb(chain: ChainAbsorber, exclude: Iterable[int]) -> tuple[int, ...]:
@@ -275,13 +241,8 @@ def absorb(chain: ChainAbsorber, exclude: Iterable[int]) -> tuple[int, ...]:
     extra = skip - set(chain.absorbable)
     if extra:
         raise ValueError(f"can only absorb designated vertices, got foreign {sorted(extra)}")
-    k = chain.absorbers[0].backbone.k
-    order: list[int] = []
-    for i, ab in enumerate(chain.absorbers):
-        order += list(absorb_single(ab, include_x=ab.x not in skip))
-        if i + 1 < len(chain.absorbers):
-            order += list(_connector_interior(chain.chain_connectors[i], k))
-    return tuple(order)
+    links = [absorb_single(ab, include_x=ab.x not in skip) for ab in chain.absorbers]
+    return splice(links, chain.chain_connectors, chain.absorbers[0].backbone.k)
 
 
 def chain_vertex_count(k: int, ell: int, connector_len: int, t: int) -> int:

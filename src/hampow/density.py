@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from hampow.core import Hypergraph, VertexTuple
 
@@ -24,9 +23,6 @@ __all__ = [
     "MAX_EXACT_VERTICES",
     "Rational",
     "RootedTemplate",
-    "backbone_degeneracy_ordering",
-    "degeneracy",
-    "is_degenerate_ordering",
     "m1_density",
     "m_density",
 ]
@@ -123,8 +119,7 @@ def m1_density(template: Hypergraph, max_vertices: int = MAX_EXACT_VERTICES) -> 
         raise ValueError("1-density is undefined for an edgeless hypergraph")
     if template.n > max_vertices:
         raise DensityBudgetError(
-            f"exact 1-density refused for {template.n} > {max_vertices} vertices; "
-            "use degeneracy() for an analytic upper bound"
+            f"exact 1-density refused for {template.n} > {max_vertices} vertices"
         )
     edge_sets = [frozenset(e) for e in template.edges()]
     best = _max_subset_ratio(edge_sets, list(range(template.n)), rooted=False)
@@ -162,83 +157,3 @@ def m_density(rt: RootedTemplate, max_vertices: int = MAX_EXACT_VERTICES) -> Fra
         best = cand if best is None or cand > best else best
     assert best is not None  # template has an edge, and no edge sits inside X
     return best
-
-
-# -- degeneracy machinery -----------------------------------------------------
-
-
-def is_degenerate_ordering(template: Hypergraph, ordering: Iterable[int], k: int) -> bool:
-    """Check a k-degeneracy witness.
-
-    True iff for every vertex v, the number of edges containing v and lying
-    entirely within v's prefix of the ordering is at most k.  Equivalently,
-    every edge is "closed" by its last vertex, and no vertex closes more
-    than k edges.
-    """
-    order = list(ordering)
-    if sorted(order) != list(range(template.n)):
-        raise ValueError("ordering is not a permutation of the vertex set")
-    position = {v: i for i, v in enumerate(order)}
-    closed = [0] * template.n
-    for e in template.edges():
-        closer = max(e, key=position.__getitem__)
-        closed[closer] += 1
-        if closed[closer] > k:
-            return False
-    return True
-
-
-def degeneracy(template: Hypergraph) -> tuple[int, VertexTuple]:
-    """Exact degeneracy by min-incidence peeling, with a witnessing ordering.
-
-    Returns (d, ordering) where the ordering passes
-    ``is_degenerate_ordering(template, ordering, d)``.  Every subgraph F'
-    then satisfies e(F') <= d * (v(F') - 1), so m1(template) <= d.
-    """
-    n = template.n
-    edges = [set(e) for e in template.edges()]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            incident[v].append(idx)
-    alive_edge = [True] * len(edges)
-    counts = [len(incident[v]) for v in range(n)]
-    removed = [False] * n
-    removal: list[int] = []
-    d = 0
-    for _ in range(n):
-        v = min((u for u in range(n) if not removed[u]), key=lambda u: (counts[u], u))
-        d = max(d, counts[v])
-        removed[v] = True
-        removal.append(v)
-        for idx in incident[v]:
-            if alive_edge[idx]:
-                alive_edge[idx] = False
-                for u in edges[idx]:
-                    if not removed[u]:
-                        counts[u] -= 1
-    return d, VertexTuple(reversed(removal))
-
-
-def backbone_degeneracy_ordering(k: int, ell: int) -> VertexTuple:
-    """The explicit backbone vertex ordering used in the degeneracy argument.
-
-    Starts at the special vertex and the reversed first head tuple, walks the
-    even-indexed blocks upward, the odd-indexed blocks downward, and finishes
-    with the first tail tuple.
-    """
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError(f"backbone ordering needs odd ell >= 3, got {ell}")
-    from hampow.absorber import backbone_layout
-
-    lay = backbone_layout(k, ell)
-    order: list[int] = [lay.x]
-    order += list(reversed(lay.head(1)))
-    for i in range(2, ell, 2):
-        order += list(reversed(lay.head(i)))
-        order += list(lay.tail(i))
-    for i in range(ell, 2, -2):
-        order += list(lay.tail(i))
-        order += list(reversed(lay.head(i)))
-    order += list(lay.tail(1))
-    return VertexTuple(order)

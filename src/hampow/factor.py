@@ -11,6 +11,14 @@ from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
 __all__ = ["almost_factor", "factor_in_window"]
 
 
+def _check_template(host: Hypergraph, template: Hypergraph) -> None:
+    if host.k != template.k:
+        raise ValueError("uniformity mismatch between host and template")
+    # a vertex-less copy takes nothing, so the greedy loops would never end
+    if template.n == 0:
+        raise ValueError("template has no vertices")
+
+
 def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> list[dict[int, int]]:
     """Disjoint copies of the template covering all but at most eps*n vertices.
 
@@ -19,8 +27,7 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
     vertices.  Raises :class:`PhaseFailure` if some window holds no copy or
     the searcher runs out of budget.
     """
-    if host.k != template.k:
-        raise ValueError("uniformity mismatch between host and template")
+    _check_template(host, template)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     n = host.n
@@ -68,8 +75,7 @@ def factor_in_window(
     :class:`PhaseFailure` when the quota cannot be met or the searcher runs
     out of budget.
     """
-    if host.k != template.k:
-        raise ValueError("uniformity mismatch between host and template")
+    _check_template(host, template)
     w = sorted(set(window))
     default_quota = len(w) // (4 * template.n)
     if quota is None:

@@ -25,6 +25,7 @@ from hampow.absorber import (
     build_chain_absorber,
     chain_vertex_count,
     default_connector_len,
+    splice,
 )
 from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
 from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths, round_sizes
@@ -163,14 +164,31 @@ def perfect_matching(B: BipartiteGraph) -> dict[int, int] | None:
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
+    def dfs(root: int) -> bool:
+        # Depth-first augmenting search with an explicit stack, so long
+        # alternating paths cannot overflow the recursion limit.  Each frame
+        # keeps its place in adj[u]; ``via`` holds the edge each frame took.
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                w = match_r[v]
+                if w is None:
+                    via.append(v)
+                    for (x, _), y in zip(stack, via):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     size = 0
@@ -409,21 +427,15 @@ def _attempt(
     used_from_x = merge.internal_vertices()
     exclude = set(borrowed) | used_from_x
     absorb_path = absorb(chain, exclude)
-    # b .. Z1 .. Q1 .. Z2 .. ... .. Qs .. Z_{s+1} .. a, interiors only
-    interior: list[int] = []
-    for i in range(s + 1):
-        seq = merge.sequences[i]
-        interior += list(seq[k:len(seq) - k])
-        if i < s:
-            interior += list(cover.paths[i])
-    cycle = list(absorb_path) + interior
+    # a .. b, Z1, Q1, Z2, ..., Qs, Z_{s+1}: the last merge connector closes at a
+    cycle = splice([absorb_path, *cover.paths, ()], merge.sequences, k)
     if len(cycle) != n or set(cycle) != set(range(n)):
         raise PhaseFailure(
             "assembly",
             f"vertex accounting failed: cycle has {len(cycle)} entries, "
             f"{len(set(cycle))} distinct, host has {n}",
         )
-    cert = CycleCertificate(mode=mode, k=k, order=tuple(cycle))
+    cert = CycleCertificate(mode=mode, k=k, order=cycle)
     if not verify_certificate(full, cert):
         raise PhaseFailure("verify", "assembled certificate failed verification")
     return cert

@@ -7,7 +7,9 @@ enumerate required pairs and windows directly.  The three-round sampler is
 checked against a candidate-by-candidate edge-form replay of its gap and
 pattern streams,
 and the reservoir-walking copy-search candidates against the
-neighbour-intersection generator they replaced.
+neighbour-intersection generator they replaced.  The degeneracy helpers
+(peeling, ordering check and the backbone's explicit ordering) back the
+criterion-3 analysis of the backbone gadget.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
+from typing import Iterable
 
 import numpy as np
 import pytest
 
-from hampow.core import Hypergraph
+from hampow.absorber import Backbone
+from hampow.core import Hypergraph, VertexTuple
 from hampow.randmodels import derive, mix, three_round_rate
 
 
@@ -269,3 +273,79 @@ def intersection_candidates(searcher, depth, images, used, allowed_set):
     for w in cand.tolist():
         if w in allowed_set and w not in used:
             yield w
+
+
+# -- degeneracy machinery -----------------------------------------------------
+
+
+def is_degenerate_ordering(template: Hypergraph, ordering: Iterable[int], k: int) -> bool:
+    """Check a k-degeneracy witness.
+
+    True iff for every vertex v, the number of edges containing v and lying
+    entirely within v's prefix of the ordering is at most k.  Equivalently,
+    every edge is "closed" by its last vertex, and no vertex closes more
+    than k edges.
+    """
+    order = list(ordering)
+    if sorted(order) != list(range(template.n)):
+        raise ValueError("ordering is not a permutation of the vertex set")
+    position = {v: i for i, v in enumerate(order)}
+    closed = [0] * template.n
+    for e in template.edges():
+        closer = max(e, key=position.__getitem__)
+        closed[closer] += 1
+        if closed[closer] > k:
+            return False
+    return True
+
+
+def degeneracy(template: Hypergraph) -> tuple[int, VertexTuple]:
+    """Exact degeneracy by min-incidence peeling, with a witnessing ordering.
+
+    Returns (d, ordering) where the ordering passes
+    ``is_degenerate_ordering(template, ordering, d)``.  Every subgraph F'
+    then satisfies e(F') <= d * (v(F') - 1), so m1(template) <= d.
+    """
+    n = template.n
+    edges = [set(e) for e in template.edges()]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for idx, e in enumerate(edges):
+        for v in e:
+            incident[v].append(idx)
+    alive_edge = [True] * len(edges)
+    counts = [len(incident[v]) for v in range(n)]
+    removed = [False] * n
+    removal: list[int] = []
+    d = 0
+    for _ in range(n):
+        v = min((u for u in range(n) if not removed[u]), key=lambda u: (counts[u], u))
+        d = max(d, counts[v])
+        removed[v] = True
+        removal.append(v)
+        for idx in incident[v]:
+            if alive_edge[idx]:
+                alive_edge[idx] = False
+                for u in edges[idx]:
+                    if not removed[u]:
+                        counts[u] -= 1
+    return d, VertexTuple(reversed(removal))
+
+
+def backbone_degeneracy_ordering(k: int, ell: int) -> VertexTuple:
+    """The explicit backbone vertex ordering used in the degeneracy argument.
+
+    Starts at the special vertex and the reversed first head tuple, walks the
+    even-indexed blocks upward, the odd-indexed blocks downward, and finishes
+    with the first tail tuple.
+    """
+    b = Backbone(k, ell, "power")
+    order: list[int] = [b.x]
+    order += list(reversed(b.head(1)))
+    for i in range(2, ell, 2):
+        order += list(reversed(b.head(i)))
+        order += list(b.tail(i))
+    for i in range(ell, 2, -2):
+        order += list(b.tail(i))
+        order += list(reversed(b.head(i)))
+    order += list(b.tail(1))
+    return VertexTuple(order)

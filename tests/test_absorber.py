@@ -4,11 +4,10 @@ from itertools import combinations
 import pytest
 
 from hampow.absorber import (
+    Backbone,
     SingleVertexAbsorber,
-    _build_backbone,
     absorb,
     absorb_single,
-    backbone_layout,
     backbone_template,
     build_chain_absorber,
     chain_vertex_count,
@@ -30,7 +29,7 @@ class TestBackboneTemplate:
     def test_vertex_count(self):
         b = backbone_template(2, 5, "power")
         assert b.graph.n == 21
-        assert b.layout.vertex_count == 21
+        assert b.vertex_count == 21
 
     def test_frozen_edge_counts(self):
         # golden values from the construction: 2 k^2 ell + k edges (power),
@@ -51,7 +50,7 @@ class TestBackboneTemplate:
             backbone_template(2, 5, "cycle")
 
     def test_tuple_layout(self):
-        lay = backbone_layout(2, 5)
+        lay = backbone_template(2, 5, "power")
         assert lay.x == 0
         assert tuple(lay.head(1)) == (1, 2)
         assert tuple(lay.tail(1)) == (3, 4)
@@ -193,7 +192,7 @@ class TestGadgetDigest:
         for mode in ("power", "tight"):
             for k in range(1, 5):
                 for ell in range(3, 10, 2):
-                    g = _build_backbone(k, ell, mode).graph
+                    g = Backbone(k, ell, mode).graph
                     yield f"backbone {mode} {k} {ell} {g.k} {g.n} {sorted(g.edges())}"
                     if ell < 5:
                         continue

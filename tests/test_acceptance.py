@@ -34,13 +34,7 @@ from hampow.core import (
     tight_path_template,
     verify_certificate,
 )
-from hampow.density import (
-    RootedTemplate,
-    backbone_degeneracy_ordering,
-    is_degenerate_ordering,
-    m1_density,
-    m_density,
-)
+from hampow.density import RootedTemplate, m1_density, m_density
 from hampow.janson import (
     JansonParams,
     delta_upper_bound,
@@ -57,7 +51,13 @@ from hampow.pipeline import (
 )
 from hampow.randmodels import derive, sample_bipartite, uniform_stream
 
-from oracles import mincut_m1, naive_m1, naive_m_rooted
+from oracles import (
+    backbone_degeneracy_ordering,
+    is_degenerate_ordering,
+    mincut_m1,
+    naive_m1,
+    naive_m_rooted,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

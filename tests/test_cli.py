@@ -180,6 +180,19 @@ class TestFactorCli:
         assert "search budget exhausted" in err
         assert "copies found" not in out
 
+    def test_template_without_vertices_exits_2(self, tmp_path):
+        gf = tmp_path / "k4.hg"
+        gf.write_text(Hypergraph.complete(2, 4).to_text())
+        tf = tmp_path / "empty.hg"
+        tf.write_text("2 0 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hampow.cli", "factor", "--graph", str(gf),
+             "--template", str(tf), "--epsilon", "0.5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "template has no vertices" in proc.stderr
+
 
 class TestAbsorberCli:
     def test_demo_and_validate(self, capsys):

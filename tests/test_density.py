@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hampow.absorber import _build_backbone
+from hampow.absorber import Backbone
 from hampow.core import (
     Hypergraph,
     VertexTuple,
@@ -13,17 +13,16 @@ from hampow.core import (
     power_path_template,
     tight_path_template,
 )
-from hampow.density import (
-    DensityBudgetError,
-    RootedTemplate,
+from hampow.density import DensityBudgetError, RootedTemplate, m1_density, m_density
+
+from oracles import (
     backbone_degeneracy_ordering,
     degeneracy,
     is_degenerate_ordering,
-    m1_density,
-    m_density,
+    mincut_m1,
+    naive_m1,
+    naive_m_rooted,
 )
-
-from oracles import mincut_m1, naive_m1, naive_m_rooted
 
 
 def complete_graph(n):
@@ -191,7 +190,7 @@ class TestBackboneOrdering:
     def test_shape(self):
         order = backbone_degeneracy_ordering(2, 5)
         assert len(order) == 21
-        lay = _build_backbone(2, 5, "power").layout
+        lay = Backbone(2, 5, "power")
         assert order[0] == lay.x
         assert order[1:3] == tuple(reversed(lay.head(1)))
         assert order[-2:] == tuple(lay.tail(1))
@@ -207,15 +206,14 @@ class TestBackboneOrdering:
         # the ordering closes k+2 edges at the first vertex of the first
         # tail tuple (the two head-cross edges arrive on top of the interior
         # ones), so it cannot witness k-degeneracy; frozen as regression
-        b = _build_backbone(2, 5, "power")
+        b = Backbone(2, 5, "power")
         order = backbone_degeneracy_ordering(2, 5)
         pos = {v: i for i, v in enumerate(order)}
         closed = {}
         for e in b.graph.edges():
             closer = max(e, key=pos.__getitem__)
             closed[closer] = closed.get(closer, 0) + 1
-        lay = b.layout
-        w13, w14 = lay.tail(1)
+        w13, w14 = b.tail(1)
         violations = {v: c for v, c in closed.items() if c > 2}
         assert violations == {w13: 4, w14: 3}
         assert not is_degenerate_ordering(b.graph, order, 2)
@@ -242,7 +240,7 @@ class TestBackboneDensityRegression:
         ],
     )
     def test_exact_m1(self, k, ell, mode, expected):
-        b = _build_backbone(k, ell, mode)
+        b = Backbone(k, ell, mode)
         assert m1_density(b.graph) == expected
         assert expected == Fraction(
             b.graph.edge_count, b.graph.n - 1
@@ -250,9 +248,9 @@ class TestBackboneDensityRegression:
 
     @pytest.mark.parametrize("k,ell", [(2, 3), (2, 5), (3, 3), (3, 5), (2, 7), (3, 7)])
     def test_edge_count_exceeds_degenerate_budget(self, k, ell):
-        b = _build_backbone(k, ell, "power")
+        b = Backbone(k, ell, "power")
         assert b.graph.edge_count == k * (b.graph.n - 1) + k
-        bh = _build_backbone(k, ell, "tight")
+        bh = Backbone(k, ell, "tight")
         assert bh.graph.edge_count == bh.graph.n
 
 
@@ -288,7 +286,7 @@ class TestMinCutOracle:
             ),
         ]
         + [
-            _build_backbone(k, ell, mode).graph
+            Backbone(k, ell, mode).graph
             for k, ell in [(1, 3), (1, 5), (2, 3), (3, 3), (2, 5)]
             for mode in ("power", "tight")
         ],

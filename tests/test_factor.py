@@ -63,6 +63,11 @@ class TestAlmostFactor:
         with pytest.raises(ValueError):
             almost_factor(Hypergraph.complete(3, 10), triangle(), epsilon=0.5)
 
+    def test_template_without_vertices(self):
+        # a vertex-less copy covers nothing, so the greedy loop could not end
+        with pytest.raises(ValueError, match="no vertices"):
+            almost_factor(complete_graph(4), Hypergraph(2, 0, ()), epsilon=0.5)
+
     def test_monte_carlo_triangle_threshold(self):
         # G(500, 0.3) is far above the triangle factor threshold scale
         wins = 0
@@ -93,6 +98,10 @@ class TestFactorInWindow:
         backbone = backbone_template(2, 5, "power").graph
         with pytest.raises(ValueError):
             factor_in_window(complete_graph(60), backbone, range(50))
+
+    def test_template_without_vertices(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            factor_in_window(complete_graph(8), Hypergraph(2, 0, ()), range(8))
 
     def test_quota_override(self):
         host = complete_graph(40)

@@ -40,6 +40,15 @@ class TestPerfectMatching:
         with pytest.raises(ValueError):
             perfect_matching(BipartiteGraph(2, 3, frozenset()))
 
+    def test_long_augmenting_path(self):
+        # the only perfect matching pairs left i with right i+1 and the last
+        # left with right 0; Hopcroft-Karp's first phase matches i to i, so
+        # the augmenting path from the last left runs through all s lefts
+        s = 3000
+        edges = {(i, i) for i in range(s - 1)} | {(i, i + 1) for i in range(s - 1)}
+        m = perfect_matching(BipartiteGraph(s, s, frozenset(edges | {(s - 1, 0)})))
+        assert m == {**{i: i + 1 for i in range(s - 1)}, s - 1: 0}
+
     def test_determinism(self):
         b = sample_bipartite(40, 0.2, seed=5)
         assert perfect_matching(b) == perfect_matching(b)
