@@ -446,6 +446,83 @@ class TestConnectPaths:
         assert successes >= 15
 
 
+class TestConnectionDigest:
+    """Seeded connections, pinned by one digest of what they return or how they fail.
+
+    Each case makes three calls with seeded endpoint tuples and growing
+    reservoirs, on the host in edge form and in complement form, at the
+    default budget and two low ones.  A line records the paths (or the
+    embeddings) and the trajectory, or the failure's phase, message and
+    details, so any change of search order, round slicing, budget charges
+    or failure reports changes the digest.
+    """
+
+    PATH_CASES = [
+        # (k, mode, uniformity, n, p, host seed, ell, pairs, reservoir size)
+        (1, "power", 2, 60, 0.25, 11, 4, 6, 30),
+        (2, "power", 2, 80, 0.45, 12, 6, 4, 40),
+        (2, "power", 2, 80, 0.35, 14, 7, 4, 44),
+        (2, "tight", 3, 30, 0.5, 13, 6, 3, 16),
+    ]
+    # two root vertices joined through three internal ones: not a path
+    FAN = Hypergraph(2, 5, [(0, 2), (1, 2), (2, 3), (0, 3), (3, 4), (1, 4), (2, 4)])
+
+    @staticmethod
+    def forms(w, n, p, seed):
+        edge_form = sample_uniform_hypergraph(w, n, p, seed=seed)
+        return (("edges", edge_form), ("complement", complement_twin(edge_form)))
+
+    @staticmethod
+    def outcome(call) -> tuple[str, str]:
+        try:
+            return "ok", call()
+        except ConnectFailure as e:
+            tag = "budget" if e.details.get("budget_exhausted") else "unmatched"
+            return tag, f"{e.phase} {e.message} {sorted(e.details.items())}"
+
+    def trace(self) -> list[str]:
+        lines = []
+        for c, (k, mode, w, n, p, seed, ell, npairs, res) in enumerate(self.PATH_CASES):
+            for form, host in self.forms(w, n, p, seed):
+                for call in range(3):
+                    order = sorted(range(n), key=lambda v: derive(seed, call, v))
+                    ends = [tuple(order[k * i:k * i + k]) for i in range(2 * npairs)]
+                    pairs = list(zip(ends[::2], ends[1::2]))
+                    reservoir = order[2 * k * npairs:2 * k * npairs + res + 8 * call]
+
+                    def run():
+                        fam = connect_paths(host, pairs, reservoir, k, ell, mode)
+                        return f"{fam.sequences} {fam.trajectory}"
+                    tag, out = self.outcome(run)
+                    lines.append(f"{c} {form} {call} {tag} {out}")
+        n, seed = 60, 15
+        for form, host in self.forms(2, n, 0.4, seed):
+            for call in range(3):
+                order = sorted(range(n), key=lambda v: derive(seed, call, v))
+                tuples = [tuple(order[2 * i:2 * i + 2]) for i in range(4)]
+                reservoir = order[8:8 + 24 + 8 * call]
+
+                def run():
+                    req = ConnectionRequest(
+                        template=self.FAN, root=(0, 1), tuples=tuples, reservoir=reservoir
+                    )
+                    got = connect_family(host, req)
+                    return f"{[sorted(e.items()) for e in got.embeddings]} {got.trajectory}"
+                tag, out = self.outcome(run)
+                lines.append(f"fan {form} {call} {tag} {out}")
+        return lines
+
+    def test_digest(self, monkeypatch):
+        lines = self.trace()
+        for budget in (60, 30):
+            monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
+            lines += [f"budget {budget}"] + self.trace()
+        tags = [line.split()[3] for line in lines if not line.startswith("budget")]
+        assert (tags.count("ok"), tags.count("unmatched"), tags.count("budget")) == (24, 46, 20)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "acf942401187916b4ab1bb6c6b1cc2c52bbfc66cc9c9eceeea2e7314fe0b6e63"
+
+
 class TestSearchBudget:
     """Every copy search is bounded: each entry point ends in its budget failure."""
 
