@@ -249,6 +249,8 @@ def _cmd_find(args) -> int:
 def _cmd_verify(args) -> int:
     if (args.graph is None) == (args.model is None):
         return _usage("exactly one of --graph or --model is required")
+    if args.attempt < 0:
+        return _usage(f"--attempt must be >= 0, got {args.attempt}")
     cert = CycleCertificate.from_text(Path(args.cert).read_text())
     if args.graph is not None:
         host = _load_graph(args.graph)
@@ -326,6 +328,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_absorber(args) -> int:
+    if args.validate < 0:
+        return _usage(f"--validate must be >= 0, got {args.validate}")
     host, ab = absorber_mod.demo_absorber(args.k, args.ell, args.mode)
     with_x = absorber_mod.absorb_single(ab, include_x=True)
     without_x = absorber_mod.absorb_single(ab, include_x=False)
@@ -360,6 +364,8 @@ def _experiment_row(task) -> tuple:
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         return _usage(f"--jobs must be >= 1, got {args.jobs}")
+    if args.trials < 0:
+        return _usage(f"--trials must be >= 0, got {args.trials}")
     n_list = [int(x) for x in args.n_list.split(",") if x]
     p_grid = [float(x) for x in args.p_grid.split(",") if x]
     cfg_fields = dict(k=args.k, mode=args.mode, retries=args.retries)

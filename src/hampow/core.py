@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,10 +20,8 @@ __all__ = [
     "VertexTuple",
     "check_encodable",
     "connecting_path_template",
-    "is_embedding",
     "is_power_path",
     "is_tight_path",
-    "middle_connecting_path_template",
     "power_path_template",
     "required_edges",
     "tight_path_template",
@@ -48,10 +46,6 @@ class VertexTuple(tuple):
 
     def reversed(self) -> "VertexTuple":
         return VertexTuple(reversed(self))
-
-
-#: Injective map from template vertices to host vertices.
-Embedding = Mapping[int, int]
 
 
 class Hypergraph:
@@ -388,8 +382,7 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
 
     For ell < 3k this keeps edges running directly between the two end
     blocks (they are required when such a path is spliced between two
-    structures); :func:`middle_connecting_path_template` is the stricter
-    variant without them.  The two coincide for ell >= 3k.
+    structures).
     """
     if k < 1:
         raise ValueError(f"path power must be >= 1, got {k}")
@@ -405,23 +398,6 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
     return Hypergraph(2, ell, pairs)
 
 
-def middle_connecting_path_template(k: int, ell: int) -> Hypergraph:
-    """Connecting path keeping only edges that meet the interior.
-
-    Every edge must have an endpoint outside both end blocks, so the end
-    tuple is always independent; this is the right object for rooted density
-    computations.  Coincides with :func:`connecting_path_template` for
-    ell >= 3k.
-    """
-    if k < 1:
-        raise ValueError(f"path power must be >= 1, got {k}")
-    if ell <= 2 * k:
-        raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
-    middle = set(range(k, ell - k))
-    pairs = [e for e in required_edges(range(ell), k, "power") if set(e) & middle]
-    return Hypergraph(2, ell, pairs)
-
-
 def tight_path_template(k: int, ell: int) -> Hypergraph:
     """(k+1)-uniform path: consecutive windows {i, .., i+k}, ell-k edges."""
     if k < 1:
@@ -429,25 +405,6 @@ def tight_path_template(k: int, ell: int) -> Hypergraph:
     if ell <= k:
         raise ValueError(f"tight path needs ell >= {k + 1}, got {ell}")
     return Hypergraph(k + 1, ell, required_edges(range(ell), k, "tight"))
-
-
-# -- embeddings -------------------------------------------------------------
-
-
-def is_embedding(template: Hypergraph, host: Hypergraph, f: Embedding) -> bool:
-    """True iff ``f`` is injective on V(template) and maps edges to edges."""
-    if template.k != host.k:
-        raise ValueError(
-            f"uniformity mismatch: template is {template.k}-uniform, host {host.k}-uniform"
-        )
-    if len(f) != template.n:
-        return False
-    images = set(f.values())
-    if len(images) != template.n:
-        return False
-    if any(v < 0 or v >= host.n for v in images):
-        return False
-    return all(host.has_edge([f[v] for v in e]) for e in template.edges())
 
 
 # -- path and cycle validation ----------------------------------------------

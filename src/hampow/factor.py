@@ -42,7 +42,7 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
     while len(unused) >= epsilon * n:
         view = unused[:window]
         try:
-            emb = searcher.find((), view, set(view))
+            emb = searcher.find((), view)
         except SearchBudgetExceeded:
             raise PhaseFailure(
                 "factor", "search budget exhausted",
@@ -90,7 +90,7 @@ def factor_in_window(
     copies: list[dict[int, int]] = []
     while len(copies) < quota:
         try:
-            emb = searcher.find((), unused, set(unused))
+            emb = searcher.find((), unused)
         except SearchBudgetExceeded:
             raise PhaseFailure(
                 "factor", "search budget exhausted",

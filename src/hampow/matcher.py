@@ -12,7 +12,8 @@ assignment along that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,10 +28,8 @@ from hampow.core import (
 
 __all__ = [
     "ConnectFailure",
-    "ConnectionRequest",
     "PathFamily",
     "PhaseFailure",
-    "RootedMatching",
     "SearchBudgetExceeded",
     "connect_family",
     "connect_paths",
@@ -130,16 +129,11 @@ class _CopySearcher:
             last = max(internal, key=pos.__getitem__)
             self.anchors[pos[last]].append(e)
 
-    def find(
-        self,
-        y: Sequence[int],
-        allowed_sorted: Sequence[int],
-        allowed_set: set[int],
-    ) -> dict[int, int] | None:
+    def find(self, y: Sequence[int], allowed: Sequence[int]) -> dict[int, int] | None:
         """First embedding with root -> y and internals inside allowed, or None.
 
-        ``allowed_sorted`` lists ``allowed_set`` in ascending order.  None
-        means no copy exists; running out of budget raises
+        ``allowed`` lists the reservoir in ascending order.  None means no
+        copy exists; running out of budget raises
         :class:`SearchBudgetExceeded`.
         """
         host, template = self.host, self.template
@@ -147,8 +141,10 @@ class _CopySearcher:
             raise ValueError(f"root tuple has {len(self.root)} vertices, image has {len(y)}")
         if len(set(y)) != len(y):
             raise ValueError("root image vertices must be distinct")
-        if any(v in allowed_set for v in y):
-            raise ValueError("root image must be disjoint from the allowed reservoir")
+        for v in y:
+            i = bisect_left(allowed, v)
+            if i < len(allowed) and allowed[i] == v:
+                raise ValueError("root image must be disjoint from the allowed reservoir")
         images: dict[int, int] = dict(zip(self.root, y))
         for e in self.root_edges:
             if not host.has_edge([images[v] for v in e]):
@@ -156,10 +152,10 @@ class _CopySearcher:
         if not self.order:
             return dict(images)
         used: set[int] = set()
-        pool = np.asarray(allowed_sorted, dtype=np.int64) if host.k == 2 else None
+        pool = np.asarray(allowed, dtype=np.int64) if host.k == 2 else None
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
-        iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed_sorted, pool)]
+        iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed, pool)]
         while iters:
             depth = len(iters) - 1
             v_t = self.order[depth]
@@ -173,13 +169,13 @@ class _CopySearcher:
             used.add(nxt)
             if depth + 1 == len(self.order):
                 return dict(images)
-            iters.append(self._candidates(depth + 1, images, used, allowed_sorted, pool))
+            iters.append(self._candidates(depth + 1, images, used, allowed, pool))
         return None
 
-    def _candidates(self, depth, images, used, allowed_sorted, pool):
+    def _candidates(self, depth, images, used, allowed, pool):
         """Allowed, unused vertices that extend the partial embedding, ascending.
 
-        ``pool`` is ``allowed_sorted`` as an int64 array on a 2-uniform host,
+        ``pool`` is ``allowed`` as an int64 array on a 2-uniform host,
         where a candidate must be adjacent to the image of every anchor.
         """
         v_t = self.order[depth]
@@ -200,7 +196,7 @@ class _CopySearcher:
                 if w not in used:
                     yield w
             return
-        for w in allowed_sorted:
+        for w in allowed:
             self.remaining -= 1
             if self.remaining < 0:
                 raise SearchBudgetExceeded()
@@ -214,54 +210,6 @@ class _CopySearcher:
                     break
             if ok:
                 yield w
-
-
-@dataclass(frozen=True)
-class ConnectionRequest:
-    """A family of disjoint root-image tuples to connect inside a reservoir."""
-
-    template: Hypergraph
-    root: VertexTuple
-    tuples: tuple[VertexTuple, ...]
-    reservoir: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", VertexTuple(self.root))
-        object.__setattr__(self, "tuples", tuple(VertexTuple(t) for t in self.tuples))
-        object.__setattr__(self, "reservoir", tuple(sorted(set(self.reservoir))))
-        r = len(self.root)
-        w = set(self.reservoir)
-        seen: set[int] = set()
-        for t in self.tuples:
-            if len(t) != r:
-                raise ValueError(f"tuple {t} does not match the root arity {r}")
-            ts = set(t)
-            if ts & seen:
-                raise ValueError("request tuples must be pairwise disjoint")
-            if ts & w:
-                raise ValueError("request tuples must avoid the reservoir")
-            seen |= ts
-
-    @property
-    def internals_per_copy(self) -> int:
-        return self.template.n - len(self.root)
-
-
-@dataclass
-class RootedMatching:
-    """Vertex-disjoint rooted copies, one per request index."""
-
-    embeddings: list[dict[int, int]]
-    trajectory: list[int] = field(default_factory=list)
-    round_sizes: list[int] = field(default_factory=list)
-    strict_precondition: bool = True
-
-    def internal_vertices(self, root: Sequence[int]) -> set[int]:
-        rs = set(root)
-        out: set[int] = set()
-        for emb in self.embeddings:
-            out |= {host for tv, host in emb.items() if tv not in rs}
-        return out
 
 
 def round_sizes(total: int, rounds: int) -> list[int]:
@@ -299,78 +247,85 @@ def _default_rounds(n: int) -> int:
 
 def connect_family(
     host: Hypergraph,
-    req: ConnectionRequest,
+    template: Hypergraph,
+    root: Sequence[int],
+    tuples: Sequence[Sequence[int]],
+    reservoir: Iterable[int],
     rounds: int | None = None,
-) -> RootedMatching:
-    """Greedy round-based construction of a rooted matching.
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Greedy round-based construction of disjoint rooted copies.
 
-    Keeps a set R of unmatched request indices; round j sweeps R in ascending
-    order, searching each tuple inside the round's reservoir slice minus the
-    vertices already consumed this round.  Matched indices leave R; matchings
-    from different rounds are disjoint because the slices are.  Raises
-    :class:`ConnectFailure` naming the surviving indices if R is nonempty
-    after the last round, or at once, with ``budget_exhausted``, when the
-    family's searcher runs out of budget.
+    Copy i maps ``root`` onto ``tuples[i]`` and its internal vertices into
+    the reservoir; the tuples must be pairwise disjoint and avoid the
+    reservoir.  Keeps a set R of unmatched tuple indices; round j sweeps R
+    in ascending order, searching each tuple inside the round's reservoir
+    slice minus the vertices already consumed this round.  Matched indices
+    leave R; copies from different rounds are disjoint because the slices
+    are.  Returns the copies in tuple order and the size of R after each
+    round.  Raises :class:`ConnectFailure` naming the surviving indices if R
+    is nonempty after the last round, or at once, with
+    ``budget_exhausted``, when the family's searcher runs out of budget.
     """
+    root = VertexTuple(root)
+    tuples = [VertexTuple(t) for t in tuples]
+    w = set(reservoir)
+    reservoir = sorted(w)
+    seen: set[int] = set()
+    for y in tuples:
+        if len(y) != len(root):
+            raise ValueError(f"tuple {y} does not match the root arity {len(root)}")
+        ys = set(y)
+        if ys & seen:
+            raise ValueError("request tuples must be pairwise disjoint")
+        if ys & w:
+            raise ValueError("request tuples must avoid the reservoir")
+        seen |= ys
     if rounds is None:
         rounds = _default_rounds(host.n)
-    t = len(req.tuples)
+    t = len(tuples)
     if t == 0:
-        return RootedMatching(embeddings=[])
-    need = t * req.internals_per_copy
-    if need > len(req.reservoir):
+        return [], []
+    need = t * (template.n - len(root))
+    if need > len(reservoir):
         raise ValueError(
             f"request needs {need} internal vertices but the reservoir has "
-            f"{len(req.reservoir)}"
+            f"{len(reservoir)}"
         )
-    strict = need <= len(req.reservoir) // 4
-    parts = partition_reservoir(req.reservoir, rounds)
-    searcher = _CopySearcher(host, req.template, req.root)
+    parts = partition_reservoir(reservoir, rounds)
+    details = {
+        "round_sizes": [len(p) for p in parts],
+        "strict_precondition": need <= len(reservoir) // 4,
+    }
+    searcher = _CopySearcher(host, template, root)
     embeddings: list[dict[int, int] | None] = [None] * t
     remaining = list(range(t))
     trajectory: list[int] = []
-    root_set = set(req.root)
     for part in parts:
         if not remaining:
             break
-        part_sorted = list(part)
-        part_set = set(part)
         used: set[int] = set()
         still: list[int] = []
         for i in remaining:
-            allowed_sorted = [v for v in part_sorted if v not in used]
             try:
-                emb = searcher.find(req.tuples[i], allowed_sorted, part_set - used)
+                emb = searcher.find(tuples[i], [v for v in part if v not in used])
             except SearchBudgetExceeded:
                 raise ConnectFailure(
                     "connect",
                     unmatched=[j for j in range(t) if embeddings[j] is None],
                     trajectory=trajectory,
-                    round_sizes=[len(p) for p in parts],
                     budget_exhausted=True,
-                    strict_precondition=strict,
+                    **details,
                 ) from None
             if emb is None:
                 still.append(i)
             else:
                 embeddings[i] = emb
-                used |= {h for tv, h in emb.items() if tv not in root_set}
+                used |= {h for tv, h in emb.items() if tv not in root}
         remaining = still
         trajectory.append(len(remaining))
     if remaining:
-        raise ConnectFailure(
-            "connect",
-            unmatched=remaining,
-            trajectory=trajectory,
-            round_sizes=[len(p) for p in parts],
-            strict_precondition=strict,
-        )
-    return RootedMatching(
-        embeddings=[e for e in embeddings if e is not None],
-        trajectory=trajectory,
-        round_sizes=[len(p) for p in parts],
-        strict_precondition=strict,
-    )
+        raise ConnectFailure("connect", unmatched=remaining, trajectory=trajectory, **details)
+    return embeddings, trajectory
 
 
 @dataclass
@@ -378,9 +333,8 @@ class PathFamily:
     """Vertex-disjoint connecting paths, one per endpoint pair."""
 
     sequences: list[tuple[int, ...]]
-    embeddings: list[dict[int, int]]
     trajectory: list[int]
-    end_width: int = 0
+    end_width: int
 
     def internal_vertices(self) -> set[int]:
         out: set[int] = set()
@@ -414,20 +368,8 @@ def connect_paths(
         template = connecting_path_template(k, ell)
     else:
         template = tight_path_template(k, ell)
-    root = VertexTuple(tuple(range(k)) + tuple(range(ell - k, ell)))
-    tuples = tuple(VertexTuple(tuple(a) + tuple(b)) for a, b in pairs)
-    req = ConnectionRequest(
-        template=template, root=root, tuples=tuples, reservoir=tuple(reservoir)
-    )
-    if not req.tuples:
-        return PathFamily(sequences=[], embeddings=[], trajectory=[], end_width=k)
-    matching = connect_family(host, req, rounds=rounds)
-    sequences = [
-        tuple(emb[v] for v in range(ell)) for emb in matching.embeddings
-    ]
-    return PathFamily(
-        sequences=sequences,
-        embeddings=matching.embeddings,
-        trajectory=matching.trajectory,
-        end_width=k,
-    )
+    root = tuple(range(k)) + tuple(range(ell - k, ell))
+    tuples = [tuple(a) + tuple(b) for a, b in pairs]
+    embeddings, trajectory = connect_family(host, template, root, tuples, reservoir, rounds)
+    sequences = [tuple(emb[v] for v in range(ell)) for emb in embeddings]
+    return PathFamily(sequences=sequences, trajectory=trajectory, end_width=k)

@@ -5,11 +5,13 @@ edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
 enumerate required pairs and windows directly.  The three-round sampler is
 checked against a candidate-by-candidate edge-form replay of its gap and
-pattern streams,
-and the reservoir-walking copy-search candidates against the
-neighbour-intersection generator they replaced.  The degeneracy helpers
-(peeling, ordering check and the backbone's explicit ordering) back the
-criterion-3 analysis of the backbone gadget.
+pattern streams, and the reservoir-walking copy-search candidates against
+the neighbour-intersection generator they replaced.  ``is_embedding`` checks
+a copy edge by edge, and ``middle_connecting_path_template`` is the
+connecting path without the edges between its end blocks, for rooted
+densities.  The degeneracy helpers (peeling, ordering check and the
+backbone's explicit ordering) back the criterion-3 analysis of the backbone
+gadget.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 import pytest
 
 from hampow.absorber import Backbone
-from hampow.core import Hypergraph, VertexTuple
+from hampow.core import Hypergraph, VertexTuple, required_edges
 from hampow.randmodels import derive, mix, three_round_rate
 
 
@@ -115,6 +117,39 @@ def naive_m_rooted(template: Hypergraph, root: tuple[int, ...]) -> Fraction:
                         best = cand
     assert best is not None
     return best
+
+
+def is_embedding(template: Hypergraph, host: Hypergraph, f: Mapping[int, int]) -> bool:
+    """True iff ``f`` is injective on V(template) and maps edges to edges."""
+    if template.k != host.k:
+        raise ValueError(
+            f"uniformity mismatch: template is {template.k}-uniform, host {host.k}-uniform"
+        )
+    if len(f) != template.n:
+        return False
+    images = set(f.values())
+    if len(images) != template.n:
+        return False
+    if any(v < 0 or v >= host.n for v in images):
+        return False
+    return all(host.has_edge([f[v] for v in e]) for e in template.edges())
+
+
+def middle_connecting_path_template(k: int, ell: int) -> Hypergraph:
+    """Connecting path keeping only edges that meet the interior.
+
+    Every edge must have an endpoint outside both end blocks, so the end
+    tuple is always independent; this is the right object for rooted density
+    computations.  Coincides with ``core.connecting_path_template`` for
+    ell >= 3k.
+    """
+    if k < 1:
+        raise ValueError(f"path power must be >= 1, got {k}")
+    if ell <= 2 * k:
+        raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
+    middle = set(range(k, ell - k))
+    pairs = [e for e in required_edges(range(ell), k, "power") if set(e) & middle]
+    return Hypergraph(2, ell, pairs)
 
 
 def brute_rooted_copy_exists(

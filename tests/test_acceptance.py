@@ -29,7 +29,6 @@ from hampow.core import (
     connecting_path_template,
     is_power_path,
     is_tight_path,
-    middle_connecting_path_template,
     power_path_template,
     tight_path_template,
     verify_certificate,
@@ -54,6 +53,7 @@ from hampow.randmodels import derive, sample_bipartite, uniform_stream
 from oracles import (
     backbone_degeneracy_ordering,
     is_degenerate_ordering,
+    middle_connecting_path_template,
     mincut_m1,
     naive_m1,
     naive_m_rooted,

@@ -202,6 +202,10 @@ class TestAbsorberCli:
         assert "traversal including x" in out
         assert "OK" in out
 
+    def test_negative_validate_is_a_usage_error(self, capsys):
+        code, out, err = run(["absorber", "--validate", "-3"], capsys)
+        assert code == 1 and "--validate" in err and "validated" not in out
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -251,6 +255,13 @@ class TestRoundTrip:
                               "--seed", "7", "--cert", str(cert_file)], capsys)
         assert code == 0, err
         assert "certificate OK" in out
+
+    def test_negative_attempt_is_a_usage_error(self, tmp_path, capsys):
+        cf = tmp_path / "c.cert"
+        cf.write_text("power 1 3\n0 1 2\n")
+        code, out, err = run(["verify", "--model", "gnp", "--n", "3", "--p", "1.0",
+                              "--attempt", "-1", "--cert", str(cf)], capsys)
+        assert code == 1 and "--attempt" in err and "certificate" not in out
 
     def test_verify_rejects_wrong_certificate(self, tmp_path, capsys):
         g = Hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -386,6 +397,12 @@ class TestExperiment:
         code, _, err = run(["experiment", "--n-list", "300", "--p-grid", "1.0",
                             "--trials", "1", "--csv", str(csv), "--jobs", "0"], capsys)
         assert code == 1 and "--jobs" in err and not csv.exists()
+
+    def test_negative_trials_is_a_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "g.csv"
+        code, _, err = run(["experiment", "--n-list", "300", "--p-grid", "1.0",
+                            "--trials", "-2", "--csv", str(csv)], capsys)
+        assert code == 1 and "--trials" in err and not csv.exists()
 
     @pytest.mark.parametrize("jobs,trials,cpus,workers", [
         (10_000, 2, 8, 2),   # no more workers than tasks

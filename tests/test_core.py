@@ -11,7 +11,6 @@ from hampow.core import (
     Hypergraph,
     VertexTuple,
     connecting_path_template,
-    is_embedding,
     is_power_path,
     is_tight_path,
     power_path_template,
@@ -21,7 +20,7 @@ from hampow.core import (
     verify_certificate,
 )
 
-from oracles import complement_twin, power_cycle_pairs, tight_windows
+from oracles import complement_twin, is_embedding, power_cycle_pairs, tight_windows
 
 
 def complete_graph(n):

@@ -9,7 +9,6 @@ from hampow.core import (
     Hypergraph,
     VertexTuple,
     connecting_path_template,
-    middle_connecting_path_template,
     power_path_template,
     tight_path_template,
 )
@@ -19,6 +18,7 @@ from oracles import (
     backbone_degeneracy_ordering,
     degeneracy,
     is_degenerate_ordering,
+    middle_connecting_path_template,
     mincut_m1,
     naive_m1,
     naive_m_rooted,

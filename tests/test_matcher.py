@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from hampow.core import (
     Hypergraph,
-    VertexTuple,
     connecting_path_template,
-    is_embedding,
     is_power_path,
     is_tight_path,
     power_path_template,
@@ -21,7 +19,6 @@ from hampow.absorber import build_chain_absorber
 from hampow.factor import almost_factor, factor_in_window
 from hampow.matcher import (
     ConnectFailure,
-    ConnectionRequest,
     PhaseFailure,
     SearchBudgetExceeded,
     _CopySearcher,
@@ -37,6 +34,7 @@ from oracles import (
     brute_rooted_copy_exists,
     complement_twin,
     intersection_candidates,
+    is_embedding,
 )
 
 
@@ -60,25 +58,25 @@ def edge_searcher(host):
 
 class TestFindRootedCopy:
     def test_single_edge(self):
-        emb = edge_searcher(Hypergraph(2, 3, [(0, 2)])).find((0,), [2], {2})
+        emb = edge_searcher(Hypergraph(2, 3, [(0, 2)])).find((0,), [2])
         assert emb == {0: 0, 1: 2}
 
     def test_no_room(self):
         searcher = _CopySearcher(complete_graph(5), power_path_template(2, 4), (0,))
-        assert searcher.find((0,), [], set()) is None
+        assert searcher.find((0,), []) is None
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            edge_searcher(complete_graph(4)).find((0, 1), [2], {2})
+            edge_searcher(complete_graph(4)).find((0, 1), [2])
 
     def test_root_image_inside_reservoir_rejected(self):
         with pytest.raises(ValueError):
-            edge_searcher(complete_graph(4)).find((2,), [2, 3], {2, 3})
+            edge_searcher(complete_graph(4)).find((2,), [2, 3])
 
     def test_connecting_path_in_complete_host(self):
         cp = connecting_path_template(2, 5)
         searcher = _CopySearcher(complete_graph(9), cp, (0, 1, 3, 4))
-        emb = searcher.find((0, 1, 2, 3), [4, 5, 6, 7, 8], {4, 5, 6, 7, 8})
+        emb = searcher.find((0, 1, 2, 3), [4, 5, 6, 7, 8])
         assert emb is not None
         assert emb[2] == 4  # lowest available internal
         assert is_embedding(cp, complete_graph(9), emb)
@@ -89,7 +87,7 @@ class TestFindRootedCopy:
         cp = connecting_path_template(2, 5)
         host = Hypergraph(2, 5, [e for e in complete_graph(5).edges() if e != (1, 3)])
         searcher = _CopySearcher(host, cp, (0, 1, 3, 4))
-        assert searcher.find((0, 1, 3, 4), [2], {2}) is None
+        assert searcher.find((0, 1, 3, 4), [2]) is None
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -107,7 +105,7 @@ class TestFindRootedCopy:
         y = (data.draw(st.integers(0, n - 1)),)
         allowed = set(range(n)) - set(y)
         searcher = _CopySearcher(host, template, root)
-        got = searcher.find(y, sorted(allowed), allowed)
+        got = searcher.find(y, sorted(allowed))
         exists = brute_rooted_copy_exists(host, template, root, y, allowed)
         assert (got is not None) == exists
         if got is not None:
@@ -126,7 +124,7 @@ class TestFindRootedCopy:
         y = (0,)
         allowed = set(range(1, n))
         searcher = _CopySearcher(host, template, root)
-        got = searcher.find(y, sorted(allowed), allowed)
+        got = searcher.find(y, sorted(allowed))
         ref = brute_first_rooted_copy(host, template, root, searcher.order, y, allowed)
         assert got == ref
 
@@ -166,7 +164,7 @@ class TestFindRootedCopy:
         monkeypatch.setattr(matcher, "SEARCH_BUDGET", 100)
         searcher = _CopySearcher(bipartite_host(), connecting_path_template(2, 7), (0, 1, 5, 6))
         allowed = list(range(20, 60))
-        assert searcher.find((0, 2, 4, 6), allowed, set(allowed)) is None
+        assert searcher.find((0, 2, 4, 6), allowed) is None
         # path vertex 2 may be any of the 20 odd allowed vertices; vertex 3
         # then needs a neighbour of an even and an odd vertex, and has none
         assert searcher.remaining == 100 - 20
@@ -177,7 +175,7 @@ class TestFindRootedCopy:
         template = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
         searcher = _CopySearcher(Hypergraph(3, 7, [(0, 1, 5)]), template, (0, 1))
         allowed = [2, 3, 4, 5, 6]
-        assert searcher.find((0, 1), allowed, set(allowed)) is None
+        assert searcher.find((0, 1), allowed) is None
         # vertex 2 scans all five and keeps only 5; with 5 placed, vertex 3
         # scans all five again, the used 5 included
         assert searcher.remaining == 100 - 5 - 5
@@ -213,7 +211,7 @@ class TestCopySearchDigest:
                     y = order[:len(root)]
                     allowed = sorted(order[len(root):len(root) + 6 + 3 * call])
                     try:
-                        emb = searcher.find(y, allowed, set(allowed))
+                        emb = searcher.find(y, allowed)
                         out = None if emb is None else sorted(emb.items())
                     except SearchBudgetExceeded:
                         out = "exceeded"
@@ -268,104 +266,73 @@ class TestPartitionReservoir:
 class TestConnectionRequest:
     def test_validates_disjointness(self):
         t = Hypergraph(2, 2, [(0, 1)])
+        host = complete_graph(9)
         with pytest.raises(ValueError):
-            ConnectionRequest(
-                template=t, root=VertexTuple((0,)),
-                tuples=(VertexTuple((1,)), VertexTuple((1,))),
-                reservoir=(5, 6),
-            )
+            connect_family(host, t, (0,), [(1,), (1,)], (5, 6))
         with pytest.raises(ValueError):
-            ConnectionRequest(
-                template=t, root=VertexTuple((0,)),
-                tuples=(VertexTuple((5,)),), reservoir=(5, 6),
-            )
+            connect_family(host, t, (0,), [(5,)], (5, 6))
         with pytest.raises(ValueError):
-            ConnectionRequest(
-                template=t, root=VertexTuple((0,)),
-                tuples=(VertexTuple((1, 2)),), reservoir=(5, 6),
-            )
+            connect_family(host, t, (0,), [(1, 2)], (5, 6))
 
 
 class TestConnectFamily:
     def test_budget_exhaustion_on_a_host_without_a_copy(self, monkeypatch):
-        req = ConnectionRequest(
-            template=connecting_path_template(2, 7), root=VertexTuple((0, 1, 5, 6)),
-            tuples=(VertexTuple((0, 2, 4, 6)), VertexTuple((8, 10, 12, 14))),
-            reservoir=tuple(range(20, 60)),
+        args = (
+            connecting_path_template(2, 7), (0, 1, 5, 6),
+            [(0, 2, 4, 6), (8, 10, 12, 14)], range(20, 60),
         )
         # the exhaustive search proves that the triangle-free host has no copy
         with pytest.raises(ConnectFailure) as info:
-            connect_family(bipartite_host(), req)
+            connect_family(bipartite_host(), *args)
         assert not info.value.details.get("budget_exhausted")
         monkeypatch.setattr(matcher, "SEARCH_BUDGET", 10)
         with pytest.raises(ConnectFailure) as info:
-            connect_family(bipartite_host(), req)
+            connect_family(bipartite_host(), *args)
         assert info.value.details["budget_exhausted"]
 
     def test_empty_request(self):
-        req = ConnectionRequest(
-            template=Hypergraph(2, 2, [(0, 1)]), root=VertexTuple((0,)),
-            tuples=(), reservoir=(5, 6, 7, 8),
-        )
-        got = connect_family(complete_graph(9), req)
-        assert got.embeddings == []
+        got = connect_family(complete_graph(9), Hypergraph(2, 2, [(0, 1)]), (0,), [], (5, 6, 7, 8))
+        assert got == ([], [])
 
     def test_complete_host_full_matching(self):
         # reservoir honors the 4x slack hypothesis: 5 * 3 internals, |W| = 65
         host = complete_graph(75)
         reservoir = tuple(range(10, 75))
-        req = ConnectionRequest(
-            template=power_path_template(2, 4), root=VertexTuple((0,)),
-            tuples=tuple(VertexTuple((i,)) for i in range(5)),
-            reservoir=reservoir,
-        )
-        got = connect_family(host, req)
-        assert len(got.embeddings) == 5
-        assert got.strict_precondition
-        internal = got.internal_vertices((0,))
+        template = power_path_template(2, 4)
+        embeddings, _ = connect_family(host, template, (0,), [(i,) for i in range(5)], reservoir)
+        assert len(embeddings) == 5
+        internal = {h for emb in embeddings for tv, h in emb.items() if tv != 0}
         assert internal <= set(reservoir)
         assert len(internal) == 5 * 3
         seen: set[int] = set()
-        for i, emb in enumerate(got.embeddings):
+        for i, emb in enumerate(embeddings):
             assert emb[0] == i  # root image
-            assert is_embedding(req.template, host, emb)
+            assert is_embedding(template, host, emb)
             vs = set(emb.values()) - {i}
             assert seen.isdisjoint(vs)
             seen |= vs
 
     def test_residuals_monotone_and_failure_report(self):
         host = Hypergraph(2, 12, [(0, 1)])  # nearly edgeless: nothing matchable
-        req = ConnectionRequest(
-            template=power_path_template(2, 4), root=VertexTuple((0,)),
-            tuples=(VertexTuple((2,)), VertexTuple((3,))),
-            reservoir=tuple(range(4, 12)),
-        )
         with pytest.raises(ConnectFailure) as info:
-            connect_family(host, req, rounds=3)
+            connect_family(host, power_path_template(2, 4), (0,), [(2,), (3,)], range(4, 12),
+                           rounds=3)
         assert info.value.unmatched == [0, 1]
         traj = info.value.trajectory
         assert traj == sorted(traj, reverse=True)
 
     def test_reservoir_too_small(self):
-        req = ConnectionRequest(
-            template=power_path_template(2, 4), root=VertexTuple((0,)),
-            tuples=tuple(VertexTuple((i,)) for i in range(5)),
-            reservoir=(10, 11),
-        )
         with pytest.raises(ValueError):
-            connect_family(complete_graph(12), req)
+            connect_family(complete_graph(12), power_path_template(2, 4), (0,),
+                           [(i,) for i in range(5)], (10, 11))
 
     def test_determinism(self):
         host = sample_uniform_hypergraph(2, 60, 0.4, seed=3)
-        req = ConnectionRequest(
-            template=power_path_template(1, 3), root=VertexTuple((0, 2)),
-            tuples=(VertexTuple((0, 1)), VertexTuple((2, 3))),
-            reservoir=tuple(range(10, 60)),
-        )
+        args = (power_path_template(1, 3), (0, 2), [(0, 1), (2, 3)], range(10, 60))
         try:
-            a = connect_family(host, req)
-            b = connect_family(host, req)
-            assert a.embeddings == b.embeddings
+            a = connect_family(host, *args)
+            b = connect_family(host, *args)
+            assert a == b
         except ConnectFailure:
             pass  # determinism of the failure is equally fine
 
@@ -375,19 +342,17 @@ class TestConnectFamily:
         wins = 0
         trials = 60
         reservoir = tuple(range(300, 600))
-        tuples = tuple(VertexTuple((i,)) for i in range(40))
+        tuples = [(i,) for i in range(40)]
         for s in range(trials):
             host = sample_uniform_hypergraph(2, 600, 0.2, seed=900 + s)
-            req = ConnectionRequest(
-                template=Hypergraph(2, 2, [(0, 1)]), root=VertexTuple((0,)),
-                tuples=tuples, reservoir=reservoir,
-            )
             try:
-                got = connect_family(host, req)
+                embeddings, _ = connect_family(
+                    host, Hypergraph(2, 2, [(0, 1)]), (0,), tuples, reservoir
+                )
             except ConnectFailure:
                 continue
             wins += 1
-            internal = got.internal_vertices((0,))
+            internal = {emb[1] for emb in embeddings}
             assert internal <= set(reservoir) and len(internal) == 40
         assert wins >= int(trials * 0.95)
 
@@ -434,11 +399,11 @@ class TestConnectPaths:
             successes += 1
             used = set()
             template = connecting_path_template(2, 6)
-            for (a, b), seq, emb in zip(pairs, got.sequences, got.embeddings):
+            for (a, b), seq in zip(pairs, got.sequences):
                 assert seq[:2] == a and seq[-2:] == b
                 # a connecting path is an embedding of the CP template; the
                 # end blocks' internal pairs are deliberately not required
-                assert is_embedding(template, host, emb)
+                assert is_embedding(template, host, dict(enumerate(seq)))
                 interior = set(seq[2:-2])
                 assert interior <= set(reservoir)
                 assert used.isdisjoint(interior)
@@ -503,11 +468,10 @@ class TestConnectionDigest:
                 reservoir = order[8:8 + 24 + 8 * call]
 
                 def run():
-                    req = ConnectionRequest(
-                        template=self.FAN, root=(0, 1), tuples=tuples, reservoir=reservoir
+                    embeddings, trajectory = connect_family(
+                        host, self.FAN, (0, 1), tuples, reservoir
                     )
-                    got = connect_family(host, req)
-                    return f"{[sorted(e.items()) for e in got.embeddings]} {got.trajectory}"
+                    return f"{[sorted(e.items()) for e in embeddings]} {trajectory}"
                 tag, out = self.outcome(run)
                 lines.append(f"fan {form} {call} {tag} {out}")
         return lines
