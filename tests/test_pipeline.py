@@ -3,7 +3,7 @@ import hashlib
 import networkx as nx
 import pytest
 
-from hampow.core import CycleCertificate, Hypergraph, verify_certificate
+from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
 from hampow.matcher import PhaseFailure
 from hampow.pipeline import (
     Attempt,
@@ -17,7 +17,9 @@ from hampow.pipeline import (
     perfect_matching,
     resolve_plan,
 )
-from hampow.randmodels import BipartiteGraph, sample_bipartite
+from hampow.randmodels import BipartiteGraph, derive, sample_bipartite, sample_uniform_hypergraph
+
+from oracles import complement_twin
 
 
 def complete_graph(n):
@@ -117,6 +119,49 @@ class TestCoverWithPaths:
             pytest.skip("unlucky sample for this smoke test")
         for p in fam.paths:
             assert is_power_path(host, p, 2)
+
+
+class TestCoverDigest:
+    """Seeded covers of sampled hosts, pinned by one digest of their outcomes.
+
+    Each case covers a seeded pool, split into uncovered and borrowed
+    vertices, in the host in edge form and in complement form, at densities
+    where some steps find no perfect matching.  A line records the paths, or
+    the failure's phase, message and details, so any change of the matching
+    graph or of the matching changes the digest.
+    """
+
+    CASES = [
+        # (mode, k, n, parts, densities)
+        ("power", 1, 40, 4, (0.3, 0.5)),
+        ("power", 2, 40, 5, (0.5, 0.7)),
+        ("power", 3, 36, 6, (0.7, 0.85)),
+        ("tight", 2, 24, 4, (0.3, 0.5)),
+        ("tight", 3, 20, 4, (0.3, 0.5)),
+    ]
+
+    def lines(self) -> list[str]:
+        lines = []
+        for mode, k, n, t, densities in self.CASES:
+            for p in densities:
+                for seed in range(4):
+                    edge_form = sample_uniform_hypergraph(uniformity(k, mode), n, p, seed=seed)
+                    order = sorted(range(n), key=lambda v: derive(seed, 3, v))
+                    pool = order[:t * (n // t - 1)]
+                    uncovered, borrowed = pool[:len(pool) * 2 // 3], pool[len(pool) * 2 // 3:]
+                    for form, host in (("edges", edge_form), ("complement", complement_twin(edge_form))):
+                        try:
+                            out = cover_with_paths(host, uncovered, borrowed, t, k, mode).paths
+                        except PhaseFailure as e:
+                            out = (e.phase, e.message, sorted(e.details.items()))
+                        lines.append(f"{mode} {k} {p} {seed} {form} {out}")
+        return lines
+
+    def test_digest(self):
+        lines = self.lines()
+        assert sum("'cover'" in line for line in lines) == 44
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "077304ebff02f34034fa6ed26368c95e217ae4d29b3df1761a8633da49dd848b"
 
 
 class TestResolvePlan:
