@@ -138,16 +138,35 @@ class Hypergraph:
             return math.comb(self.n, self.k) - int(self._codes.size)
         return int(self._codes.size)
 
-    def has_edge(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(int(v) for v in vertices)
-        if len(vs) != self.k or len(set(vs)) != self.k:
-            return False
-        if vs[0] < 0 or vs[-1] >= self.n:
-            return False
-        code = self.encode(vs)
-        i = np.searchsorted(self._codes, code)
-        stored = bool(i < self._codes.size and self._codes[i] == code)
-        return stored != self._complement
+    def has_edge(self, vertices: np.ndarray | Iterable[int]) -> np.ndarray | bool:
+        """Edge membership of vertex sets, in any vertex order.
+
+        An (m, w) int array asks about each of its rows and gives an m-long
+        bool array; any other vertex sequence is one set and gives a bool.
+        A set of the wrong size, with a repeated vertex or with a vertex
+        outside ``range(n)`` is no edge.  An empty batch is a ``(0, w)``
+        array: a 1-D empty array reads as one (empty) vertex set.
+        """
+        batch = isinstance(vertices, np.ndarray) and vertices.ndim == 2
+        if batch:
+            rows = vertices.astype(np.int64)
+        else:
+            vs = [int(v) for v in vertices]
+            try:
+                rows = np.array([vs], dtype=np.int64)
+            except OverflowError:
+                return False  # a vertex no int64 holds is out of range
+        if rows.shape[1] != self.k:
+            return np.zeros(rows.shape[0], dtype=bool) if batch else False
+        rows.sort(axis=1)
+        ok = (rows[:, 0] >= 0) & (rows[:, -1] < self.n) & np.all(rows[:, 1:] > rows[:, :-1], axis=1)
+        # a row that is no edge encodes as zeros, so no stray value overflows
+        codes = _encode_rows(np.where(ok[:, None], rows, 0), self.n)
+        i = np.searchsorted(self._codes, codes)
+        stored = i < self._codes.size
+        stored[stored] = self._codes[i[stored]] == codes[stored]
+        hit = ok & (stored != self._complement)
+        return hit if batch else bool(hit[0])
 
     def edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in canonical (lexicographic) order."""
@@ -417,7 +436,7 @@ def is_power_path(host: Hypergraph, seq: Iterable[int], k: int) -> bool:
     s = list(seq)
     if len(set(s)) != len(s):
         return False
-    return all(host.has_edge(e) for e in required_edges(s, k, "power"))
+    return _has_all(host, required_edges(s, k, "power"))
 
 
 def is_tight_path(host: Hypergraph, seq: Iterable[int]) -> bool:
@@ -426,7 +445,13 @@ def is_tight_path(host: Hypergraph, seq: Iterable[int]) -> bool:
     if len(set(s)) != len(s):
         return False
     # a sequence shorter than one window needs no edge
-    return all(host.has_edge(e) for e in required_edges(s, host.k - 1, "tight"))
+    return _has_all(host, required_edges(s, host.k - 1, "tight"))
+
+
+def _has_all(host: Hypergraph, edges: set[tuple[int, ...]]) -> bool:
+    """True iff every one of these host-uniformity vertex sets is a host edge."""
+    rows = np.array(list(edges), dtype=np.int64).reshape(-1, host.k)
+    return bool(host.has_edge(rows).all())
 
 
 @dataclass(frozen=True)
@@ -483,6 +508,4 @@ def verify_certificate(host: Hypergraph, cert: CycleCertificate) -> bool:
         )
     if cert.mode == "tight" and n < w:
         raise ValueError(f"host has fewer vertices than one window ({w})")
-    return all(
-        host.has_edge(e) for e in required_edges(order, cert.k, cert.mode, cyclic=True)
-    )
+    return _has_all(host, required_edges(order, cert.k, cert.mode, cyclic=True))

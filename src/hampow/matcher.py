@@ -146,13 +146,14 @@ class _CopySearcher:
             if i < len(allowed) and allowed[i] == v:
                 raise ValueError("root image must be disjoint from the allowed reservoir")
         images: dict[int, int] = dict(zip(self.root, y))
-        for e in self.root_edges:
-            if not host.has_edge([images[v] for v in e]):
-                return None
+        if self.root_edges and not host.has_edge(
+            np.array([[images[v] for v in e] for e in self.root_edges], dtype=np.int64)
+        ).all():
+            return None
         if not self.order:
             return dict(images)
         used: set[int] = set()
-        pool = np.asarray(allowed, dtype=np.int64) if host.k == 2 else None
+        pool = np.asarray(allowed, dtype=np.int64)
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
         iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed, pool)]
@@ -175,8 +176,10 @@ class _CopySearcher:
     def _candidates(self, depth, images, used, allowed, pool):
         """Allowed, unused vertices that extend the partial embedding, ascending.
 
-        ``pool`` is ``allowed`` as an int64 array on a 2-uniform host,
-        where a candidate must be adjacent to the image of every anchor.
+        ``pool`` is ``allowed`` as an int64 array.  On a 2-uniform host a
+        candidate must be adjacent to the image of every anchor; on any other
+        host the stream tests every allowed vertex against all anchors in one
+        ``has_edge`` batch when it opens, then scans them.
         """
         v_t = self.order[depth]
         anchors = self.anchors[depth]
@@ -196,19 +199,17 @@ class _CopySearcher:
                 if w not in used:
                     yield w
             return
-        for w in allowed:
+        # rows[a, i]: anchor a with allowed vertex i in the place of v_t
+        rows = np.empty((len(anchors), pool.size, host.k), dtype=np.int64)
+        for a, e in enumerate(anchors):
+            rows[a, :, :-1] = [images[u] for u in e if u != v_t]
+            rows[a, :, -1] = pool
+        fits = host.has_edge(rows.reshape(-1, host.k)).reshape(len(anchors), pool.size).all(axis=0)
+        for w, ok in zip(allowed, fits.tolist()):
             self.remaining -= 1
             if self.remaining < 0:
                 raise SearchBudgetExceeded()
-            if w in used:
-                continue
-            ok = True
-            for e in anchors:
-                image = [images[u] if u != v_t else w for u in e]
-                if not host.has_edge(image):
-                    ok = False
-                    break
-            if ok:
+            if ok and w not in used:
                 yield w
 
 

@@ -20,6 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+import numpy as np
+
 from hampow.absorber import (
     absorb,
     build_chain_absorber,
@@ -246,21 +248,23 @@ def cover_with_paths(
     if s == 0:
         raise ValueError("empty parts")
     parts = tuple(tuple(pool[j * s:(j + 1) * s]) for j in range(t))
-    paths: list[list[int]] = [[v] for v in parts[0]]
+    paths = np.empty((s, t), dtype=np.int64)  # path i is row i, part j column j
+    paths[:, 0] = parts[0]
     for j in range(1, t):
-        edges = set()
-        for i in range(s):
-            tail = paths[i]
-            for u_idx, u in enumerate(parts[j]):
-                if mode == "power":
-                    ok = all(
-                        host.has_edge((tail[j2], u)) for j2 in range(max(0, j - k), j)
-                    )
-                else:
-                    ok = j < k or host.has_edge(tail[j - k:j] + [u])
-                if ok:
-                    edges.add((i, u_idx))
-        matching = perfect_matching(BipartiteGraph(s, s, frozenset(edges)))
+        part = np.array(parts[j], dtype=np.int64)
+        # the path columns each new edge runs through: power mode pairs the
+        # new vertex with each of the last k, tight mode windows all k
+        if mode == "power":
+            windows = [[j2] for j2 in range(max(0, j - k), j)]
+        else:
+            windows = [list(range(j - k, j))] if j >= k else []
+        # fits[i, u]: part vertex u extends path i
+        fits = np.ones((s, s), dtype=bool)
+        for cols in windows:
+            rows = np.column_stack([np.repeat(paths[:, cols], s, axis=0), np.tile(part, s)])
+            fits &= host.has_edge(rows).reshape(s, s)
+        edges = frozenset(map(tuple, np.argwhere(fits).tolist()))
+        matching = perfect_matching(BipartiteGraph(s, s, edges))
         if matching is None:
             raise PhaseFailure(
                 "cover",
@@ -269,9 +273,8 @@ def cover_with_paths(
                 parts=t,
                 paths=s,
             )
-        for i in range(s):
-            paths[i].append(parts[j][matching[i]])
-    family = CoverFamily(parts=parts, paths=tuple(tuple(p) for p in paths))
+        paths[:, j] = part[[matching[i] for i in range(s)]]
+    family = CoverFamily(parts=parts, paths=tuple(map(tuple, paths.tolist())))
     for p in family.paths:
         assert len(p) == t
     for j, part in enumerate(parts):

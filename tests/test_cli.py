@@ -1,3 +1,4 @@
+import os
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,16 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(args):
+    """Run ``python -m hampow.cli`` in a child process that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hampow.cli", *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
+    )
 
 
 def write_triangle(path):
@@ -185,11 +196,7 @@ class TestFactorCli:
         gf.write_text(Hypergraph.complete(2, 4).to_text())
         tf = tmp_path / "empty.hg"
         tf.write_text("2 0 0\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hampow.cli", "factor", "--graph", str(gf),
-             "--template", str(tf), "--epsilon", "0.5"],
-            capture_output=True, text=True, timeout=30,
-        )
+        proc = run_module(["factor", "--graph", str(gf), "--template", str(tf), "--epsilon", "0.5"])
         assert proc.returncode == 2
         assert "template has no vertices" in proc.stderr
 
@@ -279,10 +286,7 @@ class TestRoundTrip:
         gf.write_text(Hypergraph.complete(2, 5).to_text())
         cf = tmp_path / "c.cert"
         cf.write_text("power 1000000000 5\n0 1 2 3 4\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hampow.cli", "verify", "--graph", str(gf), "--cert", str(cf)],
-            capture_output=True, text=True, timeout=30,
-        )
+        proc = run_module(["verify", "--graph", str(gf), "--cert", str(cf)])
         assert proc.returncode == 0 and "certificate OK" in proc.stdout
 
 
@@ -439,11 +443,9 @@ class TestExperiment:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hampow.cli", "density", "--input", "/nonexistent"],
-            capture_output=True,
-        )
+        proc = run_module(["density", "--input", "/nonexistent"])
         assert proc.returncode == 1
+        assert "/nonexistent" in proc.stderr
 
 
 def readme_commands():

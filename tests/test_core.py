@@ -2,6 +2,7 @@ import math
 import warnings
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,39 @@ class TestComplementForm:
         assert g.is_complete and g.edge_count == 10
         assert g == complement_twin(complete_graph(5)) == complete_graph(5)
         assert g.neighbors(2).tolist() == [0, 1, 3, 4]
+
+
+class TestBatchedMembership:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_answer_like_the_edge_set(self, data):
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(k, 8))
+        g = Hypergraph(k, n, data.draw(edge_sets(k, n)))
+        edge_set = set(g.edges())
+        # rows that are edges or non-edges in any vertex order, and rows that
+        # repeat a vertex or hold one outside range(n)
+        row = st.one_of(
+            st.sampled_from(sorted(combinations(range(n), k))).flatmap(st.permutations),
+            st.lists(st.integers(-2, n + 1), min_size=k, max_size=k),
+        )
+        rows = data.draw(st.lists(row, max_size=30))
+        batch = np.array(rows, dtype=np.int64).reshape(-1, k)
+        expected = [tuple(sorted(r)) in edge_set for r in rows]
+        for host in (g, complement_twin(g)):
+            got = host.has_edge(batch)
+            assert got.dtype == bool and got.tolist() == expected
+            for i, r in enumerate(rows):
+                assert host.has_edge(batch[i:i + 1]).tolist() == [host.has_edge(r)]
+                assert host.has_edge(batch[i]) is host.has_edge(r) is expected[i]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_empty_and_wrong_width_batches(self, k):
+        for host in (Hypergraph(k, 6, [tuple(range(k))]), Hypergraph.complete(k, 6)):
+            empty = host.has_edge(np.empty((0, k), dtype=np.int64))
+            assert empty.dtype == bool and empty.shape == (0,)
+            assert host.has_edge(np.arange(2 * (k + 1)).reshape(2, k + 1)).tolist() == [False] * 2
+            assert host.has_edge(np.empty(0, dtype=np.int64)) is False
 
 
 class TestTemplates:
