@@ -93,3 +93,34 @@ def test_experiment_csv_digest(tmp_path, capsys):
                  "--retries", "1", "--zero-timings", "--csv", str(csv)])
     assert code == 0
     assert sha256(csv.read_bytes()) == "0fa6f6cc7ca5360a9b65c3b0e8ba0cbf32681e94011af89af5e82c660c14a4cd"
+
+
+GEN_CASES = {
+    "gnp": (["--model", "gnp", "--n", "60", "--p", "0.3", "--seed", "3"],
+            "dd7ad08ec213de31b820da1da70d2bf01cff665ce9439b043f84d3f9ce858b9c"),
+    "hgnp": (["--model", "hgnp", "--k", "3", "--n", "20", "--p", "0.2", "--seed", "4"],
+             "6c5e9c92374c7f3d1aea334eb5bc74203f47e67bfbaf2026326f79bfc777ab23"),
+    "bip": (["--model", "bip", "--n", "12", "--p", "0.4", "--seed", "5"],
+            "77d0fd46372665535863077afcefb195353dcee8799ea78fa46f0cbf2aa1e1b2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_CASES))
+def test_gen_file_digest(name, tmp_path, capsys):
+    argv, digest = GEN_CASES[name]
+    out = tmp_path / "g.txt"
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
+
+
+def test_verify_regenerates_the_attempt_host(tmp_path, capsys):
+    # at p < 1 each attempt samples its own host: this find succeeds on
+    # attempt 1, and its cycle misses an edge of attempt 0's host
+    model = ["--model", "gnp", "--n", "600", "--p", "0.9995", "--seed", "1"]
+    cert = tmp_path / "c.cert"
+    assert main(["find", *model, "--k", "2", "--out", str(cert)]) == 0
+    assert "succeeded on attempt 1" in capsys.readouterr().out
+    assert main(["verify", *model, "--attempt", "1", "--cert", str(cert)]) == 0
+    assert "certificate OK" in capsys.readouterr().out
+    assert main(["verify", *model, "--attempt", "0", "--cert", str(cert)]) == 2
+    assert "certificate REJECTED" in capsys.readouterr().out
