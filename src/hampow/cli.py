@@ -37,14 +37,14 @@ from hampow.pipeline import (
     FailureReport,
     ModelSpec,
     Parameters,
+    attempt_rounds,
     find_hamilton,
     find_hamilton_detailed,
     implied_threshold,
     resolve_plan,
 )
 from hampow.randmodels import (
-    derive, expected_stored_codes, sample_bipartite, sample_three_rounds,
-    sample_uniform_hypergraph,
+    derive, expected_stored_codes, sample_bipartite, sample_uniform_hypergraph,
 )
 
 MATERIALIZE_LIMIT = 20_000_000
@@ -176,26 +176,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _resolve_find_source(args, cfg: Parameters):
+def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec | str:
+    """The host --graph or --model names for mode and k, or why it cannot be used."""
     if (args.graph is None) == (args.model is None):
-        raise SystemExit(_usage("exactly one of --graph or --model is required"))
+        return "exactly one of --graph or --model is required"
     if args.graph is not None:
         return _load_graph(args.graph)
     if args.n is None or args.p is None:
-        raise SystemExit(_usage("--model requires --n and --p"))
-    mismatch = _model_mismatch(args.model, cfg.k, cfg.mode)
-    if mismatch:
-        raise SystemExit(_usage(mismatch))
-    return ModelSpec(n=args.n, p=args.p)
-
-
-def _model_mismatch(model: str, k: int, mode: str) -> str | None:
-    """Why ``model`` cannot sample the host that mode and k need, if it cannot."""
+        return "--model requires --n and --p"
     w = uniformity(k, mode)
-    if model == "gnp" and w != 2:
+    if args.model == "gnp" and w != 2:
         return (f"--model gnp samples graphs, but {mode} mode with k={k} needs a "
                 f"{w}-uniform host; use --model hgnp")
-    return None
+    return ModelSpec(n=args.n, p=args.p)
 
 
 def _model_too_large(k: int, n: int, p: float) -> bool:
@@ -219,7 +212,9 @@ def _cmd_find(args) -> int:
     cfg = Parameters(
         k=args.k, mode=args.mode, retries=args.retries, seed=args.seed, input_rate=args.p
     )
-    source = _resolve_find_source(args, cfg)
+    source = _host_source(args, cfg.k, cfg.mode)
+    if isinstance(source, str):
+        raise SystemExit(_usage(source))
     if isinstance(source, ModelSpec) and _model_too_large(cfg.uniformity, source.n, source.p):
         return 2
     n = source.n
@@ -247,24 +242,17 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if (args.graph is None) == (args.model is None):
-        return _usage("exactly one of --graph or --model is required")
     if args.attempt < 0:
         return _usage(f"--attempt must be >= 0, got {args.attempt}")
     cert = CycleCertificate.from_text(Path(args.cert).read_text())
-    if args.graph is not None:
-        host = _load_graph(args.graph)
-    else:
-        if args.n is None or args.p is None:
-            return _usage("--model requires --n and --p")
-        mismatch = _model_mismatch(args.model, cert.k, cert.mode)
-        if mismatch:
-            return _usage(mismatch)
-        k = uniformity(cert.k, cert.mode)
-        if _model_too_large(k, args.n, args.p):
+    host = _host_source(args, cert.k, cert.mode)
+    if isinstance(host, str):
+        return _usage(host)
+    if isinstance(host, ModelSpec):
+        cfg = Parameters(k=cert.k, mode=cert.mode, seed=args.seed)
+        if _model_too_large(cfg.uniformity, host.n, host.p):
             return 2
-        attempt_seed = derive(args.seed, 17, args.attempt)
-        _, _, _, host = sample_three_rounds(k, args.n, args.p, derive(attempt_seed, 1))
+        host = attempt_rounds(host, cfg, args.attempt)[3]
     try:
         ok = verify_certificate(host, cert)
     except ValueError as err:

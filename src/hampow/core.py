@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "CycleCertificate",
     "Hypergraph",
+    "MAX_VERTICES",
     "VertexTuple",
     "check_encodable",
     "connecting_path_template",
@@ -31,10 +32,7 @@ __all__ = [
 
 
 class VertexTuple(tuple):
-    """Ordered tuple of distinct vertices.
-
-    Reversal is an involution: ``t.reversed().reversed() == t``.
-    """
+    """Ordered tuple of distinct vertices."""
 
     __slots__ = ()
 
@@ -43,9 +41,6 @@ class VertexTuple(tuple):
         if len(set(t)) != len(t):
             raise ValueError(f"vertices must be distinct, got {tuple(t)}")
         return t
-
-    def reversed(self) -> "VertexTuple":
-        return VertexTuple(reversed(self))
 
 
 class Hypergraph:
@@ -69,13 +64,15 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         check_encodable(self.k, self.n)
-        codes = []
+        rows = []
         for edge in edges:
-            codes.append(self._encode_checked(edge))
-        arr = np.array(sorted(codes), dtype=np.int64)
-        if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
-            raise ValueError("duplicate edges are not allowed")
-        self._codes = arr
+            vs = sorted(int(v) for v in edge)
+            if len(vs) != self.k or len(set(vs)) != self.k:
+                raise ValueError(f"edge {tuple(edge)} must have {self.k} distinct vertices")
+            if vs[0] < 0 or vs[-1] >= self.n:
+                raise ValueError(f"edge {tuple(vs)} out of range [0, {self.n})")
+            rows.append(vs)
+        self._codes = _sorted_codes(np.array(rows, dtype=np.int64).reshape(-1, self.k), self.n)
         self._complement = False
         self._adj = None
 
@@ -98,33 +95,6 @@ class Hypergraph:
         g._codes = np.asarray(codes, dtype=np.int64)
         g._complement = complement
         return g
-
-    # -- encoding ----------------------------------------------------------
-
-    def _encode_checked(self, edge: Iterable[int]) -> int:
-        vs = sorted(int(v) for v in edge)
-        if len(vs) != self.k or len(set(vs)) != self.k:
-            raise ValueError(f"edge {tuple(edge)} must have {self.k} distinct vertices")
-        if vs[0] < 0 or vs[-1] >= self.n:
-            raise ValueError(f"edge {tuple(vs)} out of range [0, {self.n})")
-        code = 0
-        for v in vs:
-            code = code * self.n + v
-        return code
-
-    def encode(self, sorted_edge: Iterable[int]) -> int:
-        """Radix code of an already sorted, validated edge."""
-        code = 0
-        for v in sorted_edge:
-            code = code * self.n + v
-        return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            code, v = divmod(code, self.n)
-            out.append(int(v))
-        return tuple(reversed(out))
 
     # -- basic queries -----------------------------------------------------
 
@@ -170,8 +140,7 @@ class Hypergraph:
 
     def edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in canonical (lexicographic) order."""
-        for code in self.edge_codes().tolist():
-            yield self.decode(code)
+        return map(tuple, _decode_codes(self.edge_codes(), self.n, self.k).tolist())
 
     def edge_codes(self) -> np.ndarray:
         """Sorted radix codes of the edges (built on each call in complement form)."""
@@ -243,6 +212,8 @@ class Hypergraph:
         if len(head) != 3:
             raise ValueError(f"bad header {lines[0]!r}, expected 'k n m'")
         k, n, m = (int(x) for x in head)
+        if n > MAX_VERTICES:
+            raise ValueError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
         if m < 0:
             raise ValueError(f"edge count must be >= 0, got {m}")
         if len(lines) < 1 + m:
@@ -264,7 +235,7 @@ class Hypergraph:
 
     @classmethod
     def _from_edge_lines(cls, k: int, n: int, lines: list[str]) -> "Hypergraph | None":
-        """Vectorised parse of valid edge lines; None on any defect."""
+        """Vectorised parse of edge lines: None on a defect, but a repeated edge raises."""
         if not lines:
             return None
         try:
@@ -279,10 +250,7 @@ class Hypergraph:
             return None  # a blank line, or lines of the wrong width
         if rows.min() < 0 or rows.max() >= n or np.any(rows[:, 1:] <= rows[:, :-1]):
             return None
-        codes = np.sort(_encode_rows(rows, n))
-        if np.any(codes[1:] == codes[:-1]):
-            return None
-        g._codes = codes
+        g._codes = _sorted_codes(rows, n)
         return g
 
 
@@ -295,6 +263,23 @@ def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
     codes = np.zeros(rows.shape[0], dtype=np.int64)
     for j in range(rows.shape[1]):
         codes = codes * n + rows[:, j]
+    return codes
+
+
+def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The sorted edges with these radix codes, as the rows of an (m, k) array."""
+    rows = np.empty((codes.size, k), dtype=np.int64)
+    rest = codes
+    for j in range(k - 1, -1, -1):
+        rest, rows[:, j] = np.divmod(rest, n)
+    return rows
+
+
+def _sorted_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Ascending radix codes of sorted edges given as rows; no edge may repeat."""
+    codes = np.sort(_encode_rows(rows, n))
+    if np.any(codes[1:] == codes[:-1]):
+        raise ValueError("duplicate edges are not allowed")
     return codes
 
 
@@ -313,11 +298,7 @@ def _combination_codes(n: int, k: int) -> np.ndarray:
 
 def _edge_lines(codes: np.ndarray, n: int, k: int) -> bytes:
     """The edges with these codes as text lines of k space-separated vertex ids."""
-    rows = np.empty((codes.size, k), dtype=np.int64)
-    rest = codes
-    for j in range(k - 1, -1, -1):
-        rest, rows[:, j] = np.divmod(rest, n)
-    values = rows.ravel()
+    values = _decode_codes(codes, n, k).ravel()
     if values.size == 0:
         return b""
     digits = len(str(int(values.max())))
@@ -332,6 +313,11 @@ def _edge_lines(codes: np.ndarray, n: int, k: int) -> bytes:
         has = width > d
         buf[ends[has] - 1 - d] = values[has] // 10 ** d % 10 + ord("0")
     return buf.tobytes()
+
+
+#: Most vertices a host may have: the pipeline's lists, sets and cover matrices
+#: grow with n, and a find at this limit fits in 2 GB (README, "Sampling a host").
+MAX_VERTICES = 100_000
 
 
 def check_encodable(k: int, n: int) -> None:

@@ -21,14 +21,10 @@ from hampow.core import Hypergraph, VertexTuple
 __all__ = [
     "DensityBudgetError",
     "MAX_EXACT_VERTICES",
-    "Rational",
     "RootedTemplate",
     "m1_density",
     "m_density",
 ]
-
-#: Exact rational density values; comparisons never go through floats.
-Rational = Fraction
 
 #: Hard ceiling for exact subset enumeration (2^24 subsets).
 MAX_EXACT_VERTICES = 24

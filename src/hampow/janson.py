@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from hampow.core import Hypergraph
+import numpy as np
+
+from hampow.core import Hypergraph, _encode_rows, check_encodable
 from hampow.density import RootedTemplate, m1_density, m_density
 from hampow.randmodels import _check_edge_probability
 
@@ -124,14 +126,13 @@ def exact_mu_delta(
     n_copies = math.comb(n, v)
     if n_copies > budget:
         raise ValueError(f"enumeration budget exceeded: C({n},{v}) = {n_copies} > {budget}")
-    tmpl_edges = [tuple(e) for e in template.edges()]
+    check_encodable(template.k, n)
+    tmpl_edges = np.array(list(template.edges()), dtype=np.int64).reshape(-1, template.k)
     e_count = len(tmpl_edges)
-    host = Hypergraph(template.k, n, ())  # encoder for host edge codes
-    copy_edge_sets: list[list[int]] = []
+    copies = np.array(list(combinations(range(n), v)), dtype=np.int64).reshape(n_copies, v)
+    rows = np.sort(copies[:, tmpl_edges], axis=2).reshape(-1, template.k)
     by_edge: dict[int, list[int]] = {}
-    for idx, verts in enumerate(combinations(range(n), v)):
-        codes = [host.encode(sorted(verts[u] for u in e)) for e in tmpl_edges]
-        copy_edge_sets.append(codes)
+    for idx, codes in enumerate(_encode_rows(rows, n).reshape(n_copies, e_count).tolist()):
         for c in set(codes):
             by_edge.setdefault(c, []).append(idx)
     mu = n_copies * p ** e_count

@@ -29,7 +29,9 @@ from hampow.absorber import (
     default_connector_len,
     splice,
 )
-from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
+from hampow.core import (
+    MAX_VERTICES, CycleCertificate, Hypergraph, required_edges, uniformity, verify_certificate,
+)
 from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
@@ -45,6 +47,7 @@ __all__ = [
     "ModelSpec",
     "Parameters",
     "ResolvedPlan",
+    "attempt_rounds",
     "cover_with_paths",
     "find_hamilton",
     "find_hamilton_detailed",
@@ -252,12 +255,12 @@ def cover_with_paths(
     paths[:, 0] = parts[0]
     for j in range(1, t):
         part = np.array(parts[j], dtype=np.int64)
-        # the path columns each new edge runs through: power mode pairs the
-        # new vertex with each of the last k, tight mode windows all k
-        if mode == "power":
-            windows = [[j2] for j2 in range(max(0, j - k), j)]
-        else:
-            windows = [list(range(j - k, j))] if j >= k else []
+        # the path columns each new edge runs through: the edges a path
+        # through the last k parts and this one needs, less this part
+        windows = [
+            sorted(set(e) - {j})
+            for e in required_edges(range(max(0, j - k), j + 1), k, mode) if j in e
+        ]
         # fits[i, u]: part vertex u extends path i
         fits = np.ones((s, s), dtype=bool)
         for cols in windows:
@@ -312,8 +315,10 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
 
     The backbone has :data:`ELL` blocks, and every connector (intra-link,
     chain and merge) has length :func:`default_connector_len`.  Raises
-    ValueError when no feasible plan exists (host too small for k and mode).
+    ValueError past MAX_VERTICES or when no feasible plan exists (host too small for k and mode).
     """
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
     k, mode = cfg.k, cfg.mode
     ell, conn = ELL, default_connector_len(k, mode)
     v_backbone = 1 + 2 * k * ell
@@ -390,9 +395,20 @@ def implied_threshold(n: int, cfg: Parameters) -> tuple[str, float]:
 # -- the full pipeline --------------------------------------------------------
 
 
-def _exposures(
-    source: Hypergraph | ModelSpec, cfg: Parameters, attempt_seed: int
+def _attempt_seed(cfg: Parameters, r: int) -> int:
+    """Attempt r's seed, from which its rounds are drawn and which its failure reports."""
+    return derive(cfg.seed, 17, r)
+
+
+def attempt_rounds(
+    source: Hypergraph | ModelSpec, cfg: Parameters, r: int
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
+    """Attempt r's three exposure rounds and their union, the host it verifies against.
+
+    A model's rounds are sampled with ``derive(attempt seed, 1)``; a fixed
+    host is the union, its edges split with ``derive(attempt seed, 4)``.
+    """
+    attempt_seed = _attempt_seed(cfg, r)
     if isinstance(source, ModelSpec):
         return sample_three_rounds(
             cfg.uniformity, source.n, source.p, derive(attempt_seed, 1)
@@ -402,13 +418,10 @@ def _exposures(
 
 
 def _attempt(
-    source: Hypergraph | ModelSpec,
-    cfg: Parameters,
-    plan: ResolvedPlan,
-    attempt_seed: int,
+    source: Hypergraph | ModelSpec, cfg: Parameters, plan: ResolvedPlan, r: int
 ) -> CycleCertificate:
     n, k, mode = plan.n, plan.k, plan.mode
-    g1, g2, g3, full = _exposures(source, cfg, attempt_seed)
+    g1, g2, g3, full = attempt_rounds(source, cfg, r)
     chain = build_chain_absorber(g1, k, mode, ell=plan.ell, absorb_size=plan.absorb_size)
     absorbable = sorted(chain.absorbable)
     a_vertices = chain.vertices()
@@ -462,13 +475,11 @@ def find_hamilton_detailed(
     plan = resolve_plan(n, cfg)
     attempts: list[Attempt] = []
     for r in range(cfg.retries + 1):
-        attempt_seed = derive(cfg.seed, 17, r)
         try:
-            return _attempt(source, cfg, plan, attempt_seed), r
+            return _attempt(source, cfg, plan, r), r
         except PhaseFailure as e:
-            attempts.append(
-                Attempt(seed=attempt_seed, phase=e.phase, message=e.message, details=e.details)
-            )
+            seed = _attempt_seed(cfg, r)
+            attempts.append(Attempt(seed=seed, phase=e.phase, message=e.message, details=e.details))
     return FailureReport(attempts=tuple(attempts)), cfg.retries
 
 

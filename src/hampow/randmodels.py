@@ -81,6 +81,15 @@ def uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
 _CHUNK = 1 << 22
 
 
+def _kept_positions(seed: int, total: int, p: float) -> np.ndarray:
+    """Ascending stream positions i < total whose variate is below p."""
+    kept = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, total if p > 0.0 else 0, _CHUNK):
+        u = uniform_stream(seed, lo, min(lo + _CHUNK, total))
+        kept.append(np.flatnonzero(u < p) + lo)
+    return np.concatenate(kept)
+
+
 def _binomials(n: int, s: int) -> np.ndarray:
     """C(x, s) for x = 0..n, as int64 (exact for this library's ranges)."""
     return np.array([math.comb(x, s) for x in range(n + 1)], dtype=np.int64)
@@ -128,15 +137,7 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
     total = math.comb(n, k)
     if p == 0.0 or total == 0:
         return Hypergraph(k, n, ())
-    picked = []
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        u = uniform_stream(seed, lo, hi)
-        sel = np.flatnonzero(u < p)
-        if sel.size:
-            picked.append(sel.astype(np.int64) + lo)
-    ranks = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    rows = unrank_combinations(n, k, ranks)
+    rows = unrank_combinations(n, k, _kept_positions(seed, total, p))
     return Hypergraph.from_codes(k, n, _encode_rows(rows, n))
 
 
@@ -326,20 +327,5 @@ def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     _check_edge_probability(p)
     if s < 0:
         raise ValueError(f"side size must be >= 0, got {s}")
-    total = s * s
-    picked: list[np.ndarray] = []
-    if p > 0.0:
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            u = uniform_stream(seed, lo, hi)
-            sel = np.flatnonzero(u < p) if p < 1.0 else np.arange(hi - lo)
-            if sel.size:
-                picked.append(sel.astype(np.int64) + lo)
-    if picked:
-        ranks = np.concatenate(picked)
-        edges = frozenset(
-            (int(r) // s, int(r) % s) for r in ranks
-        )
-    else:
-        edges = frozenset()
-    return BipartiteGraph(s, s, edges)
+    ranks = _kept_positions(seed, s * s, p).tolist()
+    return BipartiteGraph(s, s, frozenset((r // s, r % s) for r in ranks))

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from hampow.absorber import Backbone
-from hampow.core import Hypergraph, VertexTuple, required_edges
+from hampow.core import Hypergraph, VertexTuple, _encode_rows, required_edges
 from hampow.randmodels import derive, mix, three_round_rate
 
 
@@ -231,8 +231,9 @@ def tight_windows(order: tuple[int, ...], w: int, cyclic: bool = True) -> set[tu
 
 def complement_twin(g: Hypergraph) -> Hypergraph:
     """The same edge set as ``g``, stored as its non-edges."""
-    codes = [g.encode(e) for e in combinations(range(g.n), g.k) if not g.has_edge(e)]
-    return Hypergraph.from_codes(g.k, g.n, np.array(codes, dtype=np.int64), complement=True)
+    rows = [e for e in combinations(range(g.n), g.k) if not g.has_edge(e)]
+    codes = _encode_rows(np.array(rows, dtype=np.int64).reshape(-1, g.k), g.n)
+    return Hypergraph.from_codes(g.k, g.n, codes, complement=True)
 
 
 def three_rounds_by_enumeration(

@@ -10,7 +10,7 @@ import hampow.cli as cli
 import hampow.matcher as matcher
 import hampow.pipeline as pipeline
 from hampow.cli import build_parser, main
-from hampow.core import Hypergraph
+from hampow.core import MAX_VERTICES, Hypergraph
 from hampow.randmodels import expected_stored_codes
 
 
@@ -302,13 +302,12 @@ class TestFindFailure:
 class TestModelSizeGuard:
     @pytest.fixture
     def sampled(self, monkeypatch):
-        """The (k, n, p) of every host the CLI and the pipeline sample."""
+        """The (k, n, p) of every host the pipeline samples, for find and verify alike."""
         calls = []
-        for module in (cli, pipeline):
-            def recorded(k, n, p, seed, sample=module.sample_three_rounds):
-                calls.append((k, n, p))
-                return sample(k, n, p, seed)
-            monkeypatch.setattr(module, "sample_three_rounds", recorded)
+        def recorded(k, n, p, seed, sample=pipeline.sample_three_rounds):
+            calls.append((k, n, p))
+            return sample(k, n, p, seed)
+        monkeypatch.setattr(pipeline, "sample_three_rounds", recorded)
         return calls
 
     def test_dense_tight_host_is_refused_up_front(self, capsys, sampled):
@@ -367,6 +366,25 @@ class TestModelSizeGuard:
             assert code == 2 and out == ""
             assert "exceeds the edge-encoding range" in err and "Traceback" not in err
         assert sampled == [] and not csv.exists()
+
+    def test_a_vertex_count_past_the_limit_is_refused(self, tmp_path, capsys, monkeypatch, sampled):
+        built = []
+        monkeypatch.setattr(pipeline, "build_chain_absorber", lambda *a, **kw: built.append(a))
+        n = str(MAX_VERTICES + 1)
+        # an edge line that does not parse: the header alone refuses the file
+        graph = tmp_path / "huge.hg"
+        graph.write_text(f"2 {n} 1\n0 x\n")
+        csv = tmp_path / "grid.csv"
+        for argv in (
+            ["find", "--graph", str(graph), "--k", "1"],
+            ["find", "--model", "gnp", "--n", n, "--p", "0", "--k", "1"],
+            ["experiment", "--k", "1", "--n-list", n, "--p-grid", "0", "--trials", "1",
+             "--csv", str(csv)],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and "Traceback" not in err
+            assert f"n={n} exceeds the limit of {MAX_VERTICES} vertices" in err
+        assert sampled == [] and built == [] and not csv.exists()
 
 
 class TestExperiment:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,47 @@ def test_all_lists_exactly_the_public_definitions(name):
     )
     unlisted = [n for n in defined if n not in module.__all__]
     assert not unlisted, f"{name} defines public {unlisted} outside __all__"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hampow"
+
+#: Exported names allowed no caller in src: ROADMAP item 6 gives this bound a
+#: caller in the plan or deletes it.
+NO_CALLER_YET = {("hampow.janson", "delta_rooted_bound")}
+
+
+def src_references() -> set[tuple[str, str, str | None]]:
+    """(module, name, enclosing top-level definition) of each name src reads.
+
+    A name counts where it is loaded or read as an attribute; definitions,
+    imports and ``__all__`` entries do not count.  The package's
+    ``__init__`` only re-exports, so it is skipped.
+    """
+    refs = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add((f"hampow.{path.stem}", node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((f"hampow.{path.stem}", node.attr, owner))
+    return refs
+
+
+def test_every_exported_name_has_a_caller_in_src():
+    refs = src_references()
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for exported in module.__all__:
+            # the package re-exports names that its modules define
+            home = getattr(module, exported).__module__ if name == "hampow" else name
+            if not any(
+                n == exported and not (m == home and owner == exported) for m, n, owner in refs
+            ):
+                unused.append((name, exported))
+    assert sorted(set(unused) - NO_CALLER_YET) == []
+    assert NO_CALLER_YET <= set(unused), "an allowed name has a caller now: drop it from the list"

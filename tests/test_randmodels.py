@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hampow import randmodels
-from hampow.core import Hypergraph
+from hampow.core import Hypergraph, _encode_rows
 from hampow.randmodels import (
     BipartiteGraph,
     derive,
@@ -165,8 +165,7 @@ class TestThreeRound:
         # independent Bernoulli(q) coins; q = 1/2 at p = 0.875
         seeds = 2000
         candidates = list(combinations(range(n), k))
-        probe = Hypergraph(k, n, ())
-        codes = np.array([probe.encode(e) for e in candidates], dtype=np.int64)
+        codes = _encode_rows(np.array(candidates, dtype=np.int64), n)
         counts = np.zeros(8, dtype=np.int64)
         for s in range(seeds):
             *rounds, union = sample_three_rounds(k, n, p, derive(31, s))
