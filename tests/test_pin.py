@@ -20,7 +20,7 @@ from hampow.pipeline import (
     implied_threshold,
     resolve_plan,
 )
-from hampow.randmodels import sample_uniform_hypergraph
+from hampow.randmodels import sample_three_rounds, sample_uniform_hypergraph
 
 
 def sha256(data: str | bytes) -> str:
@@ -124,3 +124,24 @@ def test_verify_regenerates_the_attempt_host(tmp_path, capsys):
     assert "certificate OK" in capsys.readouterr().out
     assert main(["verify", *model, "--attempt", "0", "--cert", str(cert)]) == 2
     assert "certificate REJECTED" in capsys.readouterr().out
+
+
+# (k, n, p, seed): p on both sides of 1/2 and of q = 1/2 (p = 0.875), so the
+# rounds and the union are each stored as edges in some cases and as non-edges
+# in others; at p = 0.6 every candidate is needed and n = 1500 takes two
+# of the three-round sampler's batches
+SAMPLE_CASES = [
+    (k, n, p, seed)
+    for seed, (k, n, p) in enumerate(
+        [(k, n, p) for k, n in ((2, 60), (3, 24), (4, 16)) for p in (0.0, 0.3, 0.7, 0.95, 1.0)]
+        + [(2, 1500, 0.6)]
+    )
+]
+
+
+def test_sampled_host_text_digest():
+    texts = []
+    for k, n, p, seed in SAMPLE_CASES:
+        texts += [g.to_text() for g in sample_three_rounds(k, n, p, seed)]
+        texts.append(sample_uniform_hypergraph(k, n, p, seed).to_text())
+    assert sha256("".join(texts)) == "d9bf92778b5419c65d868f1c0fb1b4c0499fc4120e58a173976c4db1769a5774"
