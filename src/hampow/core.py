@@ -46,7 +46,8 @@ class VertexTuple(tuple):
 class Hypergraph:
     """Immutable k-uniform hypergraph on the vertex set ``{0, .., n-1}``.
 
-    Edges are radix-encoded integers kept in a sorted array.  A hypergraph
+    An edge's code is the lexicographic rank of its sorted vertex tuple among
+    all k-subsets; the codes are kept in a sorted array.  A hypergraph
     stores whichever side of its edge set its producer expects to be smaller:
     the edges themselves, or (complement form) the non-edges.  The complete
     hypergraph is the complement form with nothing stored, so dense hosts of
@@ -130,7 +131,7 @@ class Hypergraph:
             return np.zeros(rows.shape[0], dtype=bool) if batch else False
         rows.sort(axis=1)
         ok = (rows[:, 0] >= 0) & (rows[:, -1] < self.n) & np.all(rows[:, 1:] > rows[:, :-1], axis=1)
-        # a row that is no edge encodes as zeros, so no stray value overflows
+        # a row that is no edge is encoded as zeros, so no stray vertex overflows
         codes = _encode_rows(np.where(ok[:, None], rows, 0), self.n)
         i = np.searchsorted(self._codes, codes)
         stored = i < self._codes.size
@@ -143,13 +144,12 @@ class Hypergraph:
         return map(tuple, _decode_codes(self.edge_codes(), self.n, self.k).tolist())
 
     def edge_codes(self) -> np.ndarray:
-        """Sorted radix codes of the edges (built on each call in complement form)."""
+        """Sorted codes of the edges (built on each call in complement form)."""
         if not self._complement:
             return self._codes
-        every = _combination_codes(self.n, self.k)
-        keep = np.ones(every.size, dtype=bool)
-        keep[np.searchsorted(every, self._codes)] = False
-        return every[keep]
+        keep = np.ones(math.comb(self.n, self.k), dtype=bool)
+        keep[self._codes] = False
+        return np.flatnonzero(keep)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor array (2-uniform only)."""
@@ -157,9 +157,9 @@ class Hypergraph:
             raise ValueError("neighbors() requires a 2-uniform hypergraph")
         if self._adj is None:
             # CSR over both orientations of the stored pairs (the neighbours,
-            # or the non-neighbours), sorted as codes of (src, dst)
-            u, w = np.divmod(self._codes, self.n)
-            src, dst = np.divmod(np.sort(np.concatenate([self._codes, w * self.n + u])), self.n)
+            # or the non-neighbours), sorted as src * n + dst
+            u, w = _decode_codes(self._codes, self.n, 2).T
+            src, dst = np.divmod(np.sort(np.concatenate([u * self.n + w, w * self.n + u])), self.n)
             starts = np.searchsorted(src, np.arange(self.n + 1))
             self._adj = (starts, dst)
         starts, dst = self._adj
@@ -258,41 +258,60 @@ class Hypergraph:
 _TEXT_CHUNK = 1 << 20
 
 
+def _comb(x: np.ndarray, s: int) -> np.ndarray:
+    """C(x, s), s >= 1, for each entry of an int64 array x >= 0; exact while x ** s < 2 ** 62."""
+    f = x.copy()
+    for i in range(1, s):
+        f *= x - i  # a falling factorial: no step exceeds x ** s
+    return f // math.factorial(s) if s > 1 else f
+
+
 def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Radix codes of sorted edges given as the rows of an int64 array."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1]):
-        codes = codes * n + rows[:, j]
+    """Lexicographic ranks of sorted edges given as the rows of an int64 array.
+
+    Mirrored by a -> n - 1 - a, lex order turns into reversed colex order.
+    """
+    k = rows.shape[1]
+    codes = np.full(rows.shape[0], math.comb(n, k) - 1, dtype=np.int64)
+    for j in range(k):
+        codes -= _comb(n - 1 - rows[:, j], k - j)
     return codes
 
 
 def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The sorted edges with these radix codes, as the rows of an (m, k) array."""
+    """The sorted edges with these ranks, in any order, as the rows of an (m, k) array.
+
+    Level j of the mirrored edge's colex rank ``rest`` is the largest b with
+    C(b, k - j) <= rest: a float root, by AM-GM above it only by rounding,
+    then exact steps.
+    """
+    total = math.comb(n, k)
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >= total):
+        raise ValueError(f"edge code outside [0, C({n}, {k}))")
     rows = np.empty((codes.size, k), dtype=np.int64)
-    rest = codes
-    for j in range(k - 1, -1, -1):
-        rest, rows[:, j] = np.divmod(rest, n)
+    rest = total - 1 - codes
+    for j in range(k - 1):
+        s = k - j
+        b = np.floor((rest * float(math.factorial(s))) ** (1 / s) + (s - 1) / 2).astype(np.int64)
+        while True:
+            low = _comb(b, s)
+            # C(b + 1, s) = C(b, s) + C(b, s - 1)
+            step = (low + _comb(b, s - 1) <= rest).view(np.int8) - (low > rest).view(np.int8)
+            if not step.any():
+                break
+            b += step
+        rest -= low
+        rows[:, j] = n - 1 - b
+    rows[:, k - 1] = n - 1 - rest
     return rows
 
 
 def _sorted_codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Ascending radix codes of sorted edges given as rows; no edge may repeat."""
+    """Ascending codes of sorted edges given as rows; no edge may repeat."""
     codes = np.sort(_encode_rows(rows, n))
     if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate edges are not allowed")
-    return codes
-
-
-def _combination_codes(n: int, k: int) -> np.ndarray:
-    """Radix codes of all k-subsets of ``range(n)``, ascending."""
-    codes = np.arange(n, dtype=np.int64)  # the 1-subsets
-    for j in range(2, k + 1):
-        # the (j-1)-subsets whose least element is >= a form a suffix
-        starts = np.searchsorted(codes // n ** (j - 2), np.arange(n + 1))
-        codes = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [a * n ** (j - 1) + codes[starts[a + 1]:] for a in range(n - j + 1)]
-        )
     return codes
 
 
@@ -321,10 +340,10 @@ MAX_VERTICES = 100_000
 
 
 def check_encodable(k: int, n: int) -> None:
-    """Refuse a k-uniform vertex count whose edges have no int64 radix code."""
+    """Refuse n, k whose edge rank codes take falling factorials past int64 (n ** k)."""
     # k >= 62 is out of range for every n > 1, without computing a huge n ** k
     if n > 1 and (k >= 62 or n ** k >= 2 ** 62):
-        raise ValueError(f"n={n}, k={k} exceeds the edge-encoding range")
+        raise ValueError(f"n={n}, k={k} exceeds the edge-encoding range of int64 rank codes")
 
 
 # -- the two modes -----------------------------------------------------------

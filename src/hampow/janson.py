@@ -10,6 +10,7 @@ small instances and is the ground truth in tests.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -136,16 +137,16 @@ def exact_mu_delta(
         for c in set(codes):
             by_edge.setdefault(c, []).append(idx)
     mu = n_copies * p ** e_count
-    shared: dict[tuple[int, int], int] = {}
+    shared: Counter[tuple[int, int]] = Counter()
     for ids in by_edge.values():
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
-                key = (ids[a], ids[b])
-                shared[key] = shared.get(key, 0) + 1
-    delta = 0.0
-    for overlap in shared.values():
-        delta += 2.0 * p ** (2 * e_count - overlap)  # ordered pairs
-    return mu, delta
+                shared[ids[a], ids[b]] += 1
+    # ordered pairs per overlap, summed in ascending overlap, so that the
+    # float sum's order does not follow the edge codes' values
+    pairs = Counter(shared.values())
+    delta = sum(2 * pairs[j] * p ** (2 * e_count - j) for j in sorted(pairs))
+    return mu, float(delta)
 
 
 def delta_rooted_bound(

@@ -81,12 +81,14 @@ class _CopySearcher:
     A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
     ``remaining`` and spends them over all its searches, so a phase that
     builds one searcher is bounded as a whole.  One unit is charged per
-    candidate a search step considers, before the used check:
-
-    - on a 2-uniform host, one unit per allowed candidate adjacent to every anchor;
-    - on any other host, one unit per allowed vertex scanned.
-
-    Exhaustion raises :class:`SearchBudgetExceeded`.
+    candidate a stream scans, used or not: on a 2-uniform host the allowed
+    vertices adjacent to every anchor's image, on any other host every
+    allowed vertex.  While a stream is open, ``used`` holds exactly the
+    images of the shallower depths (deeper depths give theirs back before
+    it resumes), so a candidate's used check may come at any point of the
+    stream and the vertices before the next fitting one are charged in one
+    sum.  Exhaustion leaves ``remaining`` at -1 and raises
+    :class:`SearchBudgetExceeded`.
     """
 
     def __init__(self, host: Hypergraph, template: Hypergraph, root: Sequence[int]):
@@ -205,12 +207,22 @@ class _CopySearcher:
             rows[a, :, :-1] = [images[u] for u in e if u != v_t]
             rows[a, :, -1] = pool
         fits = host.has_edge(rows.reshape(-1, host.k)).reshape(len(anchors), pool.size).all(axis=0)
-        for w, ok in zip(allowed, fits.tolist()):
-            self.remaining -= 1
-            if self.remaining < 0:
-                raise SearchBudgetExceeded()
-            if ok and w not in used:
-                yield w
+        # the vertices up to each fitting one are charged in the next() call
+        # that scans them, as one sum
+        scanned = 0
+        for i in np.flatnonzero(fits).tolist():
+            self._charge(i + 1 - scanned)
+            scanned = i + 1
+            if allowed[i] not in used:
+                yield allowed[i]
+        self._charge(pool.size - scanned)
+
+    def _charge(self, units: int) -> None:
+        """Spend ``units`` candidate checks; past the budget, leave -1 and raise."""
+        self.remaining -= units
+        if self.remaining < 0:
+            self.remaining = -1
+            raise SearchBudgetExceeded()
 
 
 def round_sizes(total: int, rounds: int) -> list[int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hampow.core import Hypergraph, _encode_rows
+from hampow.core import Hypergraph
 
 __all__ = [
     "BipartiteGraph",
@@ -32,7 +32,6 @@ __all__ = [
     "split_edges_three",
     "three_round_rate",
     "uniform_stream",
-    "unrank_combinations",
 ]
 
 _MASK = (1 << 64) - 1
@@ -90,38 +89,6 @@ def _kept_positions(seed: int, total: int, p: float) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _binomials(n: int, s: int) -> np.ndarray:
-    """C(x, s) for x = 0..n, as int64 (exact for this library's ranges)."""
-    return np.array([math.comb(x, s) for x in range(n + 1)], dtype=np.int64)
-
-
-def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
-    """Decode ascending lexicographic combination ranks into sorted k-tuples (rows).
-
-    The first element ascends with the rank, so it is read off the ranks at
-    which each first element's block starts.  The rest of a tuple, mirrored
-    by x -> n - 1 - x, is a (k-1)-subset of the n - 1 - a0 elements above
-    its first element a0, whose colex rank follows from the lex rank within
-    the block; colex decoding needs one lookup per level in a fixed table.
-    """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    out = np.empty((ranks.size, k), dtype=np.int64)
-    count = _binomials(n, k)
-    first = np.arange(n - k + 1)
-    # C(n, k) - C(n - a, k) tuples start below a
-    starts = count[n] - count[n - first]
-    a0 = np.repeat(first, np.diff(np.searchsorted(ranks, starts), append=ranks.size))
-    out[:, 0] = a0
-    c = _binomials(n, k - 1)[n - 1 - a0] - 1 - (ranks - starts[a0])
-    for level in range(1, k):
-        count = _binomials(n - 1, k - level)
-        # the largest mirrored element b has C(b, s) <= c < C(b + 1, s); C(b, 1) = b
-        b = c if level == k - 1 else np.searchsorted(count, c, side="right") - 1
-        c = c - count[b]
-        out[:, level] = n - 1 - b
-    return out
-
-
 def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph:
     """Sample the binomial k-uniform hypergraph on n vertices.
 
@@ -134,11 +101,8 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if p == 1.0:
         return Hypergraph.complete(k, n)
-    total = math.comb(n, k)
-    if p == 0.0 or total == 0:
-        return Hypergraph(k, n, ())
-    rows = unrank_combinations(n, k, _kept_positions(seed, total, p))
-    return Hypergraph.from_codes(k, n, _encode_rows(rows, n))
+    # a candidate's stream position is its lexicographic rank: its code
+    return Hypergraph.from_codes(k, n, _kept_positions(seed, math.comb(n, k), p))
 
 
 def three_round_rate(p: float) -> float:
@@ -179,7 +143,7 @@ def expected_stored_codes(k: int, n: int, p: float) -> float:
     return float((stores @ probs).sum()) * math.comb(n, k)
 
 
-#: Most candidates sample_three_rounds draws and decodes at once.
+#: Most candidates sample_three_rounds draws at once.
 _BATCH = 1 << 20
 
 
@@ -195,8 +159,9 @@ def sample_three_rounds(
     visited (Batagelj & Brandes, Phys. Rev. E 71, 2005): the j-th gap between
     their lexicographic ranks is Geometric(r), by inversion of variate j of
     ``derive(seed, 0)``, and the j-th draws its pattern from the law
-    conditioned on being needed with variate j of ``derive(seed, 1)``.  Work
-    and memory follow the needed candidates, decoded one batch at a time.
+    conditioned on being needed with variate j of ``derive(seed, 1)``.  The
+    ranks are the stored codes, so work and memory follow the needed
+    candidates, drawn one batch at a time.
     Returns (G1, G2, G3, union).
     """
     _check_edge_probability(p)
@@ -236,7 +201,7 @@ def sample_three_rounds(
             u = uniform_stream(pattern_seed, kept, kept + ranks.size)
             pick = np.searchsorted(cumulative[:-1], u * r, side="right")
             pattern_parts.append(needed_patterns[pick].astype(np.int8))
-            code_parts.append(_encode_rows(unrank_combinations(n, k, ranks), n))
+            code_parts.append(ranks)  # a candidate's rank is its code
             last = int(ranks[-1])
             kept += ranks.size
         if ranks.size < size:

@@ -5,11 +5,12 @@ edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
 enumerate required pairs and windows directly.  The three-round sampler is
 checked against a candidate-by-candidate edge-form replay of its gap and
-pattern streams, and the reservoir-walking copy-search candidates against
-the neighbour-intersection generator they replaced.  ``is_embedding`` checks
-a copy edge by edge, and ``middle_connecting_path_template`` is the
-connecting path without the edges between its end blocks, for rooted
-densities.  The degeneracy helpers (peeling, ordering check and the
+pattern streams, the reservoir-walking copy-search candidates against the
+neighbour-intersection generator they replaced, and the k >= 3 candidate
+stream's charges against a scan that charges one vertex at a time.
+``is_embedding`` checks a copy edge by edge, and
+``middle_connecting_path_template`` is the connecting path without the
+edges between its end blocks, for rooted densities.  The degeneracy helpers (peeling, ordering check and the
 backbone's explicit ordering) back the criterion-3 analysis of the backbone
 gadget.
 """
@@ -26,6 +27,7 @@ import pytest
 
 from hampow.absorber import Backbone
 from hampow.core import Hypergraph, VertexTuple, _encode_rows, required_edges
+from hampow.matcher import SearchBudgetExceeded
 from hampow.randmodels import derive, mix, three_round_rate
 
 
@@ -308,6 +310,28 @@ def intersection_candidates(searcher, depth, images, used, allowed_set):
         cand = np.intersect1d(cand, arr, assume_unique=True)
     for w in cand.tolist():
         if w in allowed_set and w not in used:
+            yield w
+
+
+def charged_scan(searcher, depth, images, used, allowed):
+    """The copy-search candidate stream of a k >= 3 host, charged vertex by vertex.
+
+    Scans the allowed vertices in order, asking the host about each anchor
+    with one scalar ``has_edge`` call.  Every scanned vertex costs one unit
+    of ``searcher.remaining`` before its fit and used checks, and the stream
+    raises ``SearchBudgetExceeded`` at the vertex that takes the count
+    below 0.
+    """
+    v_t = searcher.order[depth]
+    for w in allowed:
+        searcher.remaining -= 1
+        if searcher.remaining < 0:
+            raise SearchBudgetExceeded()
+        fits = all(
+            searcher.host.has_edge([images[u] for u in e if u != v_t] + [w])
+            for e in searcher.anchors[depth]
+        )
+        if fits and w not in used:
             yield w
 
 

@@ -12,6 +12,9 @@ from hampow.core import (
     CycleCertificate,
     Hypergraph,
     VertexTuple,
+    _decode_codes,
+    _encode_rows,
+    check_encodable,
     connecting_path_template,
     is_power_path,
     is_tight_path,
@@ -107,6 +110,92 @@ class TestHypergraph:
 
     def test_text_allows_trailing_blank_lines(self):
         assert Hypergraph.from_text("2 3 1\n0 1\n\n  \n") == Hypergraph(2, 3, [(0, 1)])
+
+
+class TestEdgeCodes:
+    """An edge's code is the lexicographic rank of its sorted vertex tuple."""
+
+    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(4, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_codes_are_lexicographic_ranks(self, data, k, n):
+        every = np.array(list(combinations(range(n), k)), dtype=np.int64)
+        assert np.array_equal(_encode_rows(every, n), np.arange(len(every)))
+        # any order, repeats allowed
+        codes = data.draw(st.lists(st.integers(0, len(every) - 1)))
+        rows = _decode_codes(np.array(codes, dtype=np.int64), n, k)
+        assert rows.shape == (len(codes), k)
+        assert np.array_equal(rows, every[codes])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_largest_encodable_host_round_trips(self, k):
+        n = round(2 ** (62 / k))
+        n -= n ** k >= 2 ** 62
+        check_encodable(k, n)
+        with pytest.raises(ValueError, match="edge-encoding range"):
+            check_encodable(k, n + 1)
+        top = math.comb(n, k) - 1
+        rng = np.random.default_rng(k)
+        codes = np.concatenate([[top, top - 1, 1, 0], rng.integers(0, top, 1000)]).astype(np.int64)
+        rows = _decode_codes(codes, n, k)
+        assert rows[0].tolist() == list(range(n - k, n))
+        assert rows[3].tolist() == list(range(k))
+        assert np.all(rows[:, 1:] > rows[:, :-1]) and rows.min() >= 0 and rows.max() < n
+        assert np.array_equal(_encode_rows(rows, n), codes)
+
+    def test_codes_outside_the_rank_range_are_refused(self):
+        with pytest.raises(ValueError, match="outside"):
+            _decode_codes(np.array([0, math.comb(6, 3)]), 6, 3)
+
+
+class TestTextFuzz:
+    """Defective edge lines raise ValueError with a message, never another error."""
+
+    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(5, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_edge_lines(self, data, k, n):
+        edges = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True).map(sorted),
+            min_size=1, max_size=12, unique_by=tuple,
+        ))
+        lines = [list(e) for e in edges]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, k - 1))
+        kind = data.draw(st.sampled_from(
+            ["truncated", "reordered", "negative", "too large", "non-increasing", "duplicate"]
+        ))
+        m = len(lines)
+        if kind == "truncated":
+            m += data.draw(st.integers(1, 3))
+        elif kind == "reordered":
+            lines = data.draw(st.permutations(lines))
+        elif kind == "negative":
+            lines[i][j] = -data.draw(st.integers(1, 2 ** 70))
+        elif kind == "too large":
+            lines[i][j] = n + data.draw(st.integers(0, 2 ** 70))
+        elif kind == "non-increasing":
+            lines[i][j], lines[i][-1 - j] = lines[i][-1 - j], lines[i][j]
+            if j == k - 1 - j:
+                lines[i][j] = lines[i][j - 1]
+        else:
+            lines.append(list(lines[i]))
+            m += 1
+        text = f"{k} {n} {m}\n" + "".join(" ".join(map(str, e)) + "\n" for e in lines)
+        if kind == "reordered":
+            assert Hypergraph.from_text(text) == Hypergraph(k, n, edges)
+            return
+        with pytest.raises(ValueError) as err:
+            Hypergraph.from_text(text)
+        assert str(err.value)
+
+    @given(text=st.text(alphabet="0123456789 -\n", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        try:
+            g = Hypergraph.from_text("3 9 2\n" + text)
+        except ValueError as err:
+            assert str(err)
+        else:
+            assert Hypergraph.from_text(g.to_text()) == g
 
 
 def edge_sets(k, n):

@@ -60,6 +60,22 @@ class TestExactDelta:
             exact_mu_delta(200, triangle(), 0.5, budget=1000)
 
 
+    @pytest.mark.parametrize("template,n,p", [
+        (Hypergraph(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4)]), 9, 0.3),
+        (Hypergraph(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4)]), 10, 0.7),
+        (Hypergraph(3, 6, [(0, 1, 2), (1, 2, 3), (0, 4, 5), (2, 3, 5)]), 10, 0.3),
+        (Hypergraph(3, 6, [(0, 1, 2), (1, 2, 3), (0, 4, 5), (2, 3, 5)]), 11, 0.55),
+    ])
+    def test_mirrored_template_gives_bit_identical_values(self, template, n, p):
+        # mirroring the host, v -> n - 1 - v, maps the lexicographic copies of
+        # a template onto those of its mirror image, overlaps included: the
+        # two differ only in their edge codes
+        mirrored = Hypergraph(template.k, template.n,
+                              [[template.n - 1 - v for v in e] for e in template.edges()])
+        assert mirrored != template
+        assert exact_mu_delta(n, mirrored, p) == exact_mu_delta(n, template, p)
+
+
 class TestDeltaUpperBound:
     def test_empty_range_is_zero(self):
         e = Hypergraph(2, 2, [(0, 1)])

@@ -32,6 +32,7 @@ from hampow.randmodels import derive, sample_uniform_hypergraph
 from oracles import (
     brute_first_rooted_copy,
     brute_rooted_copy_exists,
+    charged_scan,
     complement_twin,
     intersection_candidates,
     is_embedding,
@@ -159,6 +160,47 @@ class TestFindRootedCopy:
         pool = np.asarray(allowed, dtype=np.int64)
         got = list(searcher._candidates(depth, images, used, allowed, pool))
         assert got == list(intersection_candidates(searcher, depth, images, used, set(allowed)))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_charges_match_the_vertex_by_vertex_scan(self, data):
+        w = data.draw(st.sampled_from([3, 4]))
+        n = data.draw(st.integers(w + 5, 14))
+        host = sample_uniform_hypergraph(
+            w, n, data.draw(st.sampled_from([0.3, 0.7, 0.95])), seed=data.draw(st.integers(0, 999))
+        )
+        template, root = data.draw(st.sampled_from(
+            [(tight_path_template(w - 1, w + 3), tuple(range(w - 1))),
+             (tight_path_template(w - 1, w + 2), ())]
+        ))
+        searcher = _CopySearcher(host, template, root)
+        depth = data.draw(st.integers(0, len(searcher.order) - 1))
+        # root images, the internals placed before this depth, then the rest
+        vertices = data.draw(st.permutations(range(n)))
+        y, rest = vertices[:len(root)], vertices[len(root):]
+        placed = rest[:depth]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+        allowed = sorted(set(placed) | {v for v, kept in zip(rest[depth:], keep) if kept})
+        images = dict(zip(root, y)) | dict(zip(searcher.order, placed))
+        used = set(placed)
+        budget = data.draw(st.integers(1, 200))  # what earlier searches left
+
+        def steps(stream, owner):
+            # each next(): the vertex or the stream's end or exhaustion, then remaining
+            out = []
+            owner.remaining = budget
+            while True:
+                try:
+                    out.append((next(stream), owner.remaining))
+                except StopIteration:
+                    return out + [("end", owner.remaining)]
+                except SearchBudgetExceeded:
+                    return out + [("exceeded", owner.remaining)]
+
+        pool = np.asarray(allowed, dtype=np.int64)
+        got = steps(searcher._candidates(depth, images, used, allowed, pool), searcher)
+        oracle = _CopySearcher(host, template, root)
+        assert got == steps(charged_scan(oracle, depth, images, used, allowed), oracle)
 
     def test_budget_charges_allowed_candidates_adjacent_to_every_anchor(self, monkeypatch):
         monkeypatch.setattr(matcher, "SEARCH_BUDGET", 100)

@@ -19,7 +19,6 @@ from hampow.randmodels import (
     split_edges_three,
     three_round_rate,
     uniform_stream,
-    unrank_combinations,
 )
 
 from oracles import three_rounds_by_enumeration
@@ -41,22 +40,6 @@ class TestMixing:
         expect = [(mix(99, i) >> 11) * 2.0 ** -53 for i in range(10, 20)]
         assert np.allclose(u, expect, rtol=0, atol=0)
         assert np.all((u >= 0) & (u < 1))
-
-
-class TestUnranking:
-    @pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 4), (5, 1)])
-    def test_exhaustive(self, n, k):
-        rows = unrank_combinations(n, k, np.arange(math.comb(n, k)))
-        assert [tuple(r) for r in rows.tolist()] == list(combinations(range(n), k))
-
-    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(4, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_ascending_subsets_of_ranks(self, data, k, n):
-        everything = list(combinations(range(n), k))
-        ranks = sorted(data.draw(st.sets(st.integers(0, len(everything) - 1))))
-        rows = unrank_combinations(n, k, np.array(ranks, dtype=np.int64))
-        assert rows.shape == (len(ranks), k)
-        assert [tuple(r) for r in rows.tolist()] == [everything[i] for i in ranks]
 
 
 class TestSampler:
