@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hampow import randmodels
-from hampow.core import Hypergraph, _encode_rows
+from hampow.core import Hypergraph, _decode_codes, _encode_rows
 from hampow.randmodels import (
     BipartiteGraph,
     derive,
@@ -40,6 +40,24 @@ class TestMixing:
         expect = [(mix(99, i) >> 11) * 2.0 ** -53 for i in range(10, 20)]
         assert np.allclose(u, expect, rtol=0, atol=0)
         assert np.all((u >= 0) & (u < 1))
+
+
+class TestUnranking:
+    """The samplers' lexicographic ranks are edge codes: the decoder turns them into tuples."""
+
+    @pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 4), (5, 1)])
+    def test_exhaustive(self, n, k):
+        rows = _decode_codes(np.arange(math.comb(n, k)), n, k)
+        assert [tuple(r) for r in rows.tolist()] == list(combinations(range(n), k))
+
+    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(4, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_ascending_subsets_of_ranks(self, data, k, n):
+        everything = list(combinations(range(n), k))
+        ranks = sorted(data.draw(st.sets(st.integers(0, len(everything) - 1))))
+        rows = _decode_codes(np.array(ranks, dtype=np.int64), n, k)
+        assert rows.shape == (len(ranks), k)
+        assert [tuple(r) for r in rows.tolist()] == [everything[i] for i in ranks]
 
 
 class TestSampler:
