@@ -486,7 +486,10 @@ class CycleCertificate:
         lines = text.splitlines()
         if len(lines) < 2:
             raise ValueError("certificate text needs a header and an ordering line")
-        mode, k, n = lines[0].split()
+        head = lines[0].split()
+        if len(head) != 3:
+            raise ValueError(f"bad header {lines[0]!r}, expected 'mode k n'")
+        mode, k, n = head
         order = tuple(int(x) for x in lines[1].split())
         if len(order) != int(n):
             raise ValueError(f"expected {n} vertices, found {len(order)}")

@@ -40,6 +40,9 @@ __all__ = [
 #: Candidate checks one copy searcher may spend over all its searches (see _CopySearcher).
 SEARCH_BUDGET = 1_500_000
 
+#: Bytes of link masks one copy search may hold before it empties its memo.
+_LINK_MEMO_BYTES = 1 << 24
+
 
 class PhaseFailure(Exception):
     """A construction phase did not complete; carries a diagnosis payload."""
@@ -78,16 +81,26 @@ class ConnectFailure(PhaseFailure):
 class _CopySearcher:
     """Reusable backtracking search for rooted copies of one template.
 
+    A candidate fits when it forms an edge with every anchor: on any host,
+    the fit mask is the AND of the anchors' link masks (:meth:`_link`), each
+    a bool over the pool of the vertices w for which the anchor's placed
+    images plus w form an edge.  Link masks are memoised for the lifetime of
+    one pool, that is one :meth:`find` call, and dropped when it returns.
+    The memo holds one pool-length bool per distinct anchor set, and less
+    than :data:`_LINK_MEMO_BYTES` plus one mask: a miss that finds it full
+    empties it first.  The bound matters on 2-uniform hosts, where a failing
+    search can meet every pool vertex as an anchor without spending a unit.
+
     A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
     ``remaining`` and spends them over all its searches, so a phase that
     builds one searcher is bounded as a whole.  One unit is charged per
     candidate a stream scans, used or not: on a 2-uniform host the allowed
-    vertices adjacent to every anchor's image, on any other host every
-    allowed vertex.  While a stream is open, ``used`` holds exactly the
-    images of the shallower depths (deeper depths give theirs back before
-    it resumes), so a candidate's used check may come at any point of the
-    stream and the vertices before the next fitting one are charged in one
-    sum.  Exhaustion leaves ``remaining`` at -1 and raises
+    vertices that fit, on any other host every allowed vertex.  While a
+    stream is open, ``used`` holds exactly the images of the shallower
+    depths (deeper depths give theirs back before it resumes), so a
+    candidate's used check may come at any point of the stream and the
+    vertices before the next fitting one are charged in one sum.
+    Exhaustion leaves ``remaining`` at -1 and raises
     :class:`SearchBudgetExceeded`.
     """
 
@@ -97,6 +110,8 @@ class _CopySearcher:
                 f"uniformity mismatch: host {host.k}-uniform, template {template.k}-uniform"
             )
         self.remaining = SEARCH_BUDGET
+        self._pool: np.ndarray | None = None
+        self._links: dict[tuple[int, ...], np.ndarray] = {}
         self.host = host
         self.template = template
         self.root = tuple(root)
@@ -155,67 +170,78 @@ class _CopySearcher:
         if not self.order:
             return dict(images)
         used: set[int] = set()
-        pool = np.asarray(allowed, dtype=np.int64)
+        pool = np.array(allowed, dtype=np.int64)  # a new pool: the link memo starts empty
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
         iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed, pool)]
-        while iters:
-            depth = len(iters) - 1
-            v_t = self.order[depth]
-            if v_t in images:
-                used.discard(images.pop(v_t))
-            nxt = next(iters[depth], None)
-            if nxt is None:
-                iters.pop()
-                continue
-            images[v_t] = nxt
-            used.add(nxt)
-            if depth + 1 == len(self.order):
-                return dict(images)
-            iters.append(self._candidates(depth + 1, images, used, allowed, pool))
-        return None
+        try:
+            while iters:
+                depth = len(iters) - 1
+                v_t = self.order[depth]
+                if v_t in images:
+                    used.discard(images.pop(v_t))
+                nxt = next(iters[depth], None)
+                if nxt is None:
+                    iters.pop()
+                    continue
+                images[v_t] = nxt
+                used.add(nxt)
+                if depth + 1 == len(self.order):
+                    return dict(images)
+                iters.append(self._candidates(depth + 1, images, used, allowed, pool))
+            return None
+        finally:
+            self._pool, self._links = None, {}
 
     def _candidates(self, depth, images, used, allowed, pool):
         """Allowed, unused vertices that extend the partial embedding, ascending.
 
-        ``pool`` is ``allowed`` as an int64 array.  On a 2-uniform host a
-        candidate must be adjacent to the image of every anchor; on any other
-        host the stream tests every allowed vertex against all anchors in one
-        ``has_edge`` batch when it opens, then scans them.
+        ``pool`` is ``allowed`` as an int64 array; a candidate must lie in the
+        link of every anchor.
         """
         v_t = self.order[depth]
-        anchors = self.anchors[depth]
-        host = self.host
-        if host.k == 2 and anchors:
-            cand = pool
-            for e in anchors:
-                nbrs = host.neighbors(images[next(u for u in e if u != v_t)])
-                if nbrs.size == 0:
-                    return
-                # a position past the end clips to the largest neighbour, never a match
-                cand = cand[nbrs.take(nbrs.searchsorted(cand), mode="clip") == cand]
-            for w in cand.tolist():
-                self.remaining -= 1
-                if self.remaining < 0:
-                    raise SearchBudgetExceeded()
-                if w not in used:
-                    yield w
-            return
-        # rows[a, i]: anchor a with allowed vertex i in the place of v_t
-        rows = np.empty((len(anchors), pool.size, host.k), dtype=np.int64)
-        for a, e in enumerate(anchors):
-            rows[a, :, :-1] = [images[u] for u in e if u != v_t]
-            rows[a, :, -1] = pool
-        fits = host.has_edge(rows.reshape(-1, host.k)).reshape(len(anchors), pool.size).all(axis=0)
-        # the vertices up to each fitting one are charged in the next() call
-        # that scans them, as one sum
+        fits = np.ones(pool.size, dtype=bool)
+        for e in self.anchors[depth]:
+            fits &= self._link(tuple(sorted(images[u] for u in e if u != v_t)), pool)
+        # a 2-uniform host charges each fitting candidate; any other host the
+        # vertices up to each fitting one, in the next() call that scans them
+        per_candidate = self.host.k == 2
         scanned = 0
         for i in np.flatnonzero(fits).tolist():
-            self._charge(i + 1 - scanned)
+            self._charge(1 if per_candidate else i + 1 - scanned)
             scanned = i + 1
             if allowed[i] not in used:
                 yield allowed[i]
-        self._charge(pool.size - scanned)
+        if not per_candidate:
+            self._charge(pool.size - scanned)
+
+    def _link(self, others: tuple[int, ...], pool: np.ndarray) -> np.ndarray:
+        """Bool mask over ``pool``: the w for which ``others`` plus w is an edge.
+
+        ``others`` is an anchor's sorted placed images.  The mask is memoised
+        until a call brings a different pool array or the memo is full.
+        """
+        if pool is not self._pool:
+            self._pool, self._links = pool, {}
+        mask = self._links.get(others)
+        if mask is None:
+            if len(self._links) * pool.size >= _LINK_MEMO_BYTES:
+                self._links.clear()
+            host = self.host
+            if host.k == 2:
+                nbrs = host.neighbors(others[0])
+                if nbrs.size == 0:
+                    mask = np.zeros(pool.size, dtype=bool)
+                else:
+                    # a position past the end clips to the largest neighbour, never a match
+                    mask = nbrs.take(nbrs.searchsorted(pool), mode="clip") == pool
+            else:
+                rows = np.empty((pool.size, host.k), dtype=np.int64)
+                rows[:, :-1] = others
+                rows[:, -1] = pool
+                mask = host.has_edge(rows)
+            self._links[others] = mask
+        return mask
 
     def _charge(self, units: int) -> None:
         """Spend ``units`` candidate checks; past the budget, leave -1 and raise."""

@@ -266,8 +266,7 @@ def cover_with_paths(
         for cols in windows:
             rows = np.column_stack([np.repeat(paths[:, cols], s, axis=0), np.tile(part, s)])
             fits &= host.has_edge(rows).reshape(s, s)
-        edges = frozenset(map(tuple, np.argwhere(fits).tolist()))
-        matching = perfect_matching(BipartiteGraph(s, s, edges))
+        matching = perfect_matching(BipartiteGraph.from_mask(fits))
         if matching is None:
             raise PhaseFailure(
                 "cover",

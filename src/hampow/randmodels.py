@@ -15,7 +15,8 @@ function via :func:`derive`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -209,14 +210,24 @@ def sample_three_rounds(
     codes = np.concatenate(code_parts)
     patterns = np.concatenate(pattern_parts)
     del code_parts, pattern_parts  # before the rounds' codes are selected
-    # a result that stores every needed candidate shares the codes array
+    bits = np.empty_like(patterns)  # one result's 0/1 selection at a time, read as bool
+
+    def stored(i: int) -> np.ndarray:
+        # a result that stores every needed candidate shares the codes array
+        if np.array_equal(stores[i], needed):
+            return codes
+        # bit i of a pattern: an edge of round i + 1; any bit: of the union
+        if i == 3:
+            np.not_equal(patterns, 0, out=bits.view(bool))
+        else:
+            np.right_shift(patterns, i, out=bits)
+            np.bitwise_and(bits, 1, out=bits)
+        if dense[i]:
+            np.bitwise_xor(bits, 1, out=bits)
+        return codes[bits.view(bool)]
+
     g1, g2, g3, union = (
-        Hypergraph.from_codes(
-            k, n,
-            codes if np.array_equal(stores[i], needed) else codes[stores[i][patterns]],
-            complement=bool(dense[i]),
-        )
-        for i in range(4)
+        Hypergraph.from_codes(k, n, stored(i), complement=bool(dense[i])) for i in range(4)
     )
     return g1, g2, g3, union
 
@@ -263,28 +274,46 @@ def split_edges_three(
     return parts  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph on left x right index sets {0..left-1} x {0..right-1}."""
+    """Bipartite graph on left x right index sets {0..left-1} x {0..right-1}.
 
-    left: int
-    right: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    ``rows[l]`` lists left vertex l's right neighbours, ascending and in
+    range; :meth:`from_edges` builds them from an edge set and checks it.
+    """
 
-    def __post_init__(self) -> None:
-        for l, r in self.edges:
-            if not (0 <= l < self.left and 0 <= r < self.right):
+    def __init__(self, left: int, right: int, rows: list[list[int]]):
+        if len(rows) != left:
+            raise ValueError(f"expected {left} rows, got {len(rows)}")
+        self.left = left
+        self.right = right
+        self._adj = rows
+
+    @classmethod
+    def from_edges(cls, left: int, right: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
+        """The graph with the given (left, right) edges."""
+        rows: list[list[int]] = [[] for _ in range(left)]
+        for l, r in sorted(set(edges)):
+            if not (0 <= l < left and 0 <= r < right):
                 raise ValueError(f"edge ({l}, {r}) out of range")
+            rows[l].append(r)
+        return cls(left, right, rows)
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> BipartiteGraph:
+        """The graph whose edges are the True entries of a left x right bool mask."""
+        return cls(*mask.shape, [np.flatnonzero(row).tolist() for row in mask])
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((l, r) for l, row in enumerate(self._adj) for r in row)
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.left)]
-        for l, r in sorted(self.edges):
-            adj[l].append(r)
-        return adj
+        """Each left vertex's right neighbours, ascending; shared, so read only."""
+        return self._adj
 
 
 def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
@@ -292,5 +321,7 @@ def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     _check_edge_probability(p)
     if s < 0:
         raise ValueError(f"side size must be >= 0, got {s}")
-    ranks = _kept_positions(seed, s * s, p).tolist()
-    return BipartiteGraph(s, s, frozenset((r // s, r % s) for r in ranks))
+    rows: list[list[int]] = [[] for _ in range(s)]
+    for r in _kept_positions(seed, s * s, p).tolist():  # ranks ascend, so rows do too
+        rows[r // s].append(r % s)
+    return BipartiteGraph(s, s, rows)

@@ -1,10 +1,14 @@
+import io
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hampow.cli as cli
 import hampow.matcher as matcher
@@ -457,6 +461,66 @@ class TestExperiment:
                          capsys)
         assert code == 0 and len(csv.read_text().splitlines()) == trials + 1
         assert started == ([] if workers is None else [workers])
+
+
+@st.composite
+def corrupted_certificates(draw) -> bytes:
+    """A valid certificate on six vertices, then maybe one kind of damage, as file bytes."""
+    mode, k = draw(st.sampled_from([("power", "1"), ("power", "2"), ("tight", "2")]))
+    head, order = [mode, k, "6"], [str(v) for v in draw(st.permutations(range(6)))]
+    kind = draw(st.sampled_from([
+        "valid", "truncated", "reordered", "non-numeric", "negative", "repeated vertex",
+        "huge k", "past the end", "non-UTF-8",
+    ]))
+    if kind == "non-numeric":
+        fields = draw(st.sampled_from([head, order]))
+        i = draw(st.integers(1 if fields is head else 0, len(fields) - 1))
+        fields[i] = draw(st.sampled_from(["x", "1.5", "1e3", "", "0x2", "٣"]))
+    elif kind == "negative":
+        fields = draw(st.sampled_from([head, order]))
+        i = draw(st.integers(1 if fields is head else 0, len(fields) - 1))
+        fields[i] = f"-{draw(st.integers(0, 10))}"
+    elif kind == "repeated vertex":
+        i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+        order[i] = order[j]
+    elif kind == "huge k":
+        head[1] = str(draw(st.integers(10 ** 6, 10 ** 40)))
+    elif kind == "past the end":
+        order[draw(st.integers(0, 5))] = str(draw(st.integers(6, 10 ** 30)))
+    lines = [" ".join(head), " ".join(order)]
+    if kind == "reordered":
+        tokens = draw(st.permutations(" ".join(lines).split()))
+        cut = draw(st.integers(0, len(tokens)))
+        lines = [" ".join(tokens[:cut]), " ".join(tokens[cut:])]
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "truncated":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif kind == "non-UTF-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def small_hosts(tmp_path_factory):
+    """A directory with the complete graph and the complete 3-uniform host on six vertices."""
+    d = tmp_path_factory.mktemp("hosts")
+    (d / "power.hg").write_text(Hypergraph.complete(2, 6).to_text())
+    (d / "tight.hg").write_text(Hypergraph.complete(3, 6).to_text())
+    return d
+
+
+class TestVerifyFuzz:
+    @given(cert=corrupted_certificates(), host=st.sampled_from(["power.hg", "tight.hg"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_certificate_gets_an_exit_code_and_a_message(self, small_hosts, cert, host):
+        cf = small_hosts / "fuzz.cert"
+        cf.write_bytes(cert)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--graph", str(small_hosts / host), "--cert", str(cf)])
+        assert code in (0, 1, 2)
+        assert (out.getvalue() + err.getvalue()).strip()
 
 
 class TestEntryPoint:

@@ -417,6 +417,11 @@ class TestVerifyCertificate:
         assert cert.to_text() == "tight 2 4\n2 0 1 3\n"
         assert CycleCertificate.from_text(cert.to_text()) == cert
 
+    @pytest.mark.parametrize("header", ["tight 2", "tight 2 4 4", ""])
+    def test_header_without_three_fields_is_named(self, header):
+        with pytest.raises(ValueError, match="'mode k n'"):
+            CycleCertificate.from_text(f"{header}\n2 0 1 3\n")
+
 
 class TestPathValidators:
     def test_power_path(self):

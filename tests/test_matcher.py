@@ -223,6 +223,119 @@ class TestFindRootedCopy:
         assert searcher.remaining == 100 - 5 - 5
 
 
+class TestLinkMemo:
+    """The link masks a searcher memoises never change what a find returns or spends."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_a_reused_searcher_finds_and_spends_as_a_fresh_one(self, data):
+        w = data.draw(st.sampled_from([2, 3, 4]))
+        n = data.draw(st.integers(w + 6, 16))
+        host = sample_uniform_hypergraph(
+            w, n, data.draw(st.sampled_from([0.3, 0.6, 0.9])), seed=data.draw(st.integers(0, 999))
+        )
+        if data.draw(st.booleans()):
+            host = complement_twin(host)
+        if w == 2:
+            choices = [(power_path_template(2, 6), (0,)), (connecting_path_template(2, 7), (0, 1, 5, 6))]
+        else:
+            choices = [(tight_path_template(w - 1, w + 3), tuple(range(w - 1))),
+                       (tight_path_template(w - 1, w + 4), tuple(range(w - 1)) + tuple(range(5, w + 4)))]
+        template, root = data.draw(st.sampled_from(choices))
+        # one searcher over successive reservoirs, as factor_in_window and connect_family use it
+        searcher = _CopySearcher(host, template, root)
+        searcher.remaining = data.draw(st.integers(1, 400))
+        for _ in range(data.draw(st.integers(2, 5))):
+            vertices = data.draw(st.permutations(range(n)))
+            y = vertices[:len(root)]
+            allowed = sorted(data.draw(st.sets(st.sampled_from(vertices[len(root):]))))
+            fresh = _CopySearcher(host, template, root)
+            fresh.remaining = searcher.remaining
+            outcomes = []
+            for s in (searcher, fresh):
+                try:
+                    outcomes.append((s.find(y, allowed), s.remaining))
+                except SearchBudgetExceeded:
+                    outcomes.append(("exceeded", s.remaining))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0][0] == "exceeded":
+                break
+
+    def test_each_anchor_set_is_asked_once_per_find(self, monkeypatch):
+        host = sample_uniform_hypergraph(3, 30, 0.35, seed=6)
+        template, root = tight_path_template(2, 9), (0, 1, 7, 8)
+        searcher = _CopySearcher(host, template, root)
+        asked: list[tuple[int, ...]] = []
+        has_edge = Hypergraph.has_edge
+
+        def recording(self, rows):
+            asked.append(tuple(rows[0, :-1].tolist()))
+            return has_edge(self, rows)
+
+        opened: list[int] = []
+        candidates = searcher._candidates
+
+        def counting(depth, *rest):
+            opened.append(len(searcher.anchors[depth]))
+            return candidates(depth, *rest)
+
+        monkeypatch.setattr(Hypergraph, "has_edge", recording)
+        monkeypatch.setattr(searcher, "_candidates", counting)
+        per_find = []
+        for call in range(6):
+            order = sorted(range(30), key=lambda v: derive(6, call, v))
+            asked.clear()
+            searcher.find(order[:4], sorted(order[4:]))
+            assert asked and len(asked) == len(set(asked))
+            per_find.append(len(asked))
+        # without the memo, every stream would ask once per anchor
+        assert sum(per_find) < sum(opened)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_memo_emptied_when_full_finds_and_spends_as_an_unbounded_one(self, data):
+        w = data.draw(st.sampled_from([2, 3]))
+        n = data.draw(st.integers(w + 6, 16))
+        host = sample_uniform_hypergraph(w, n, 0.5, seed=data.draw(st.integers(0, 999)))
+        template = power_path_template(2, 6) if w == 2 else tight_path_template(2, 6)
+        vertices = data.draw(st.permutations(range(n)))
+        allowed = sorted(vertices[: data.draw(st.integers(1, n))])
+        outcomes = []
+        for limit in (matcher._LINK_MEMO_BYTES, data.draw(st.integers(0, 3 * n))):
+            searcher = _CopySearcher(host, template, ())
+            searcher.remaining = 300
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matcher, "_LINK_MEMO_BYTES", limit)
+                try:
+                    outcomes.append((searcher.find((), allowed), searcher.remaining))
+                except SearchBudgetExceeded:
+                    outcomes.append(("exceeded", searcher.remaining))
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_failing_2_uniform_search_holds_a_bounded_memo(self, monkeypatch):
+        # a perfect matching has no path of three vertices, so every pool vertex
+        # is placed first and anchors a link of its own, and no stream spends a unit
+        p = 4000
+        host = Hypergraph(2, p, [(v, v + 1) for v in range(0, p, 2)])
+        searcher = _CopySearcher(host, power_path_template(2, 6), ())
+        limit = 50 * p
+        monkeypatch.setattr(matcher, "_LINK_MEMO_BYTES", limit)
+        anchors, held = set(), []
+        link = searcher._link
+
+        def tracked(others, pool):
+            mask = link(others, pool)
+            anchors.add(others)
+            held.append(sum(m.nbytes for m in searcher._links.values()))
+            return mask
+
+        monkeypatch.setattr(searcher, "_link", tracked)
+        assert searcher.find((), list(range(p))) is None
+        assert len(anchors) == p  # kept, these links would hold p * p bytes
+        assert limit <= max(held) < limit + p
+        assert searcher._links == {} and searcher._pool is None
+
+
 class TestCopySearchDigest:
     """Seeded copy searches, pinned by one digest of what they return and spend.
 

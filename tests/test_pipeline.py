@@ -28,19 +28,19 @@ def complete_graph(n):
 
 class TestPerfectMatching:
     def test_complete_3x3(self):
-        b = BipartiteGraph(3, 3, frozenset((i, j) for i in range(3) for j in range(3)))
+        b = BipartiteGraph.from_edges(3, 3, frozenset((i, j) for i in range(3) for j in range(3)))
         m = perfect_matching(b)
         assert m is not None and sorted(m.values()) == [0, 1, 2]
 
     def test_empty_graph_has_none(self):
-        assert perfect_matching(BipartiteGraph(3, 3, frozenset())) is None
+        assert perfect_matching(BipartiteGraph.from_edges(3, 3, frozenset())) is None
 
     def test_zero_sides(self):
-        assert perfect_matching(BipartiteGraph(0, 0, frozenset())) == {}
+        assert perfect_matching(BipartiteGraph.from_edges(0, 0, frozenset())) == {}
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
-            perfect_matching(BipartiteGraph(2, 3, frozenset()))
+            perfect_matching(BipartiteGraph.from_edges(2, 3, frozenset()))
 
     def test_long_augmenting_path(self):
         # the only perfect matching pairs left i with right i+1 and the last
@@ -48,7 +48,7 @@ class TestPerfectMatching:
         # the augmenting path from the last left runs through all s lefts
         s = 3000
         edges = {(i, i) for i in range(s - 1)} | {(i, i + 1) for i in range(s - 1)}
-        m = perfect_matching(BipartiteGraph(s, s, frozenset(edges | {(s - 1, 0)})))
+        m = perfect_matching(BipartiteGraph.from_edges(s, s, frozenset(edges | {(s - 1, 0)})))
         assert m == {**{i: i + 1 for i in range(s - 1)}, s - 1: 0}
 
     def test_determinism(self):

@@ -240,8 +240,8 @@ class TestBipartite:
 
     def test_validates_edges(self):
         with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, frozenset({(0, 5)}))
+            BipartiteGraph.from_edges(2, 2, frozenset({(0, 5)}))
 
     def test_adjacency_sorted(self):
-        b = BipartiteGraph(3, 3, frozenset({(0, 2), (0, 1), (2, 0)}))
+        b = BipartiteGraph.from_edges(3, 3, frozenset({(0, 2), (0, 1), (2, 0)}))
         assert b.adjacency() == [[1, 2], [], [0]]
