@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from hampow.core import Hypergraph, VertexTuple, required_edges, uniformity
+from hampow.core import Hypergraph, VertexTuple, check_uniformity, required_edges, uniformity
 from hampow.factor import factor_in_window
-from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths
+from hampow.matcher import connect_paths
 
 __all__ = [
     "Backbone",
@@ -26,6 +26,7 @@ __all__ = [
     "absorb_single",
     "backbone_template",
     "build_chain_absorber",
+    "chain_capacity",
     "chain_vertex_count",
     "default_connector_len",
     "demo_absorber",
@@ -252,6 +253,24 @@ def chain_vertex_count(k: int, ell: int, connector_len: int, t: int) -> int:
     return t * per_link + max(t - 1, 0) * interior
 
 
+def chain_capacity(n: int, k: int, mode: str, ell: int) -> int:
+    """Most links a chain absorber with ell-block backbones has on an n-vertex host.
+
+    The chain takes at most n/2 vertices, the backbone copies fit in residue
+    class 0 mod 3 (the factor window) and the intra-link connectors'
+    interiors in class 1.  The chain connectors, fewer and no longer than
+    the intra-link ones, then fit in class 2.
+    """
+    interior = default_connector_len(k, mode) - 2 * k
+    v_backbone = 1 + 2 * k * ell
+    return min(
+        # chain_vertex_count(t) = t * (v_backbone + ell * interior) - interior
+        (n // 2 + interior) // (v_backbone + ell * interior),
+        (n + 2) // 3 // v_backbone,
+        (n + 1) // 3 // ((ell - 1) * interior),
+    )
+
+
 def build_chain_absorber(
     host: Hypergraph, k: int, mode: str, *, ell: int, absorb_size: int
 ) -> ChainAbsorber:
@@ -265,31 +284,21 @@ def build_chain_absorber(
     backtracking exponentially.  All phases are deterministic given the host.
     """
     n = host.n
-    w = uniformity(k, mode)
-    if host.k != w:
-        raise ValueError(f"{mode} mode with k={k} requires a {w}-uniform host")
+    check_uniformity(host, k, mode)
     if absorb_size < 1:
         raise ValueError(f"absorb_size must be >= 1, got {absorb_size}")
     t = absorb_size
-    connector_len = default_connector_len(k, mode)
     backbone = backbone_template(k, ell, mode)
+    capacity = chain_capacity(n, k, mode, ell)
+    if t > capacity:
+        raise ValueError(
+            f"a chain absorber of {t} links with ell={ell} does not fit in {n} vertices; "
+            f"at most {capacity} do"
+        )
+    connector_len = default_connector_len(k, mode)
     w1 = [v for v in range(n) if v % 3 == 0]
     w2 = [v for v in range(n) if v % 3 == 1]
     w3 = [v for v in range(n) if v % 3 == 2]
-    interior = connector_len - 2 * k
-    total = chain_vertex_count(k, ell, connector_len, t)
-    if total > n // 2:
-        raise ValueError(
-            f"chain absorber would use {total} > n/2 = {n // 2} vertices; "
-            "reduce absorb_size or ell"
-        )
-    if t * backbone.graph.n > len(w1):
-        raise ValueError(
-            f"{t} backbone copies need {t * backbone.graph.n} vertices "
-            f"but the factor window has {len(w1)}"
-        )
-    if t * (ell - 1) * interior > len(w2) or max(t - 1, 0) * interior > len(w3):
-        raise ValueError("connector demand exceeds the connection reservoirs")
 
     copies = factor_in_window(host, backbone.graph, w1, quota=t)
 
@@ -299,10 +308,7 @@ def build_chain_absorber(
             a = tuple(g[v] for v in backbone.tail(j))
             b = tuple(g[v] for v in backbone.head(j + 1))
             intra_pairs.append((a, b))
-    try:
-        intra = connect_paths(host, intra_pairs, w2, k, connector_len, mode)
-    except ConnectFailure as e:
-        raise PhaseFailure("intra-connect", e.message, **e.details) from e
+    intra = connect_paths(host, intra_pairs, w2, k, connector_len, mode, phase="intra-connect")
 
     links = []
     for i, g in enumerate(copies):
@@ -315,15 +321,12 @@ def build_chain_absorber(
         chain_pairs = [
             (tuple(links[i].b), tuple(links[i + 1].a)) for i in range(t - 1)
         ]
-        try:
-            chain = connect_paths(host, chain_pairs, w3, k, connector_len, mode)
-        except ConnectFailure as e:
-            raise PhaseFailure("chain-connect", e.message, **e.details) from e
+        chain = connect_paths(host, chain_pairs, w3, k, connector_len, mode, phase="chain-connect")
         chain_seqs = tuple(chain.sequences)
     else:
         chain_seqs = ()
     result = ChainAbsorber(absorbers=tuple(links), chain_connectors=chain_seqs)
-    assert len(result.vertices()) == total
+    assert len(result.vertices()) == chain_vertex_count(k, ell, connector_len, t)
     return result
 
 

@@ -49,6 +49,11 @@ from hampow.randmodels import (
 
 MATERIALIZE_LIMIT = 20_000_000
 
+#: Most edges a path template or backbone that the CLI builds may have: they
+#: are built as Python sets of vertex tuples, about 300 bytes an edge at the
+#: peak, so this many fit in 2 GB (a 5M-edge path peaks at 1.5 GB).
+TEMPLATE_EDGE_LIMIT = 4_000_000
+
 #: Most bytes the expected stored codes (8 bytes each) of a sampled host's
 #: three rounds and union may take; a larger --model host is refused.
 MODEL_BYTES_LIMIT = 1 << 30
@@ -181,13 +186,15 @@ def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec | str:
     if (args.graph is None) == (args.model is None):
         return "exactly one of --graph or --model is required"
     if args.graph is not None:
+        if args.n is not None or args.p is not None:
+            return "--n and --p describe a --model host; --graph reads its host from the file"
         return _load_graph(args.graph)
     if args.n is None or args.p is None:
         return "--model requires --n and --p"
     w = uniformity(k, mode)
     if args.model == "gnp" and w != 2:
-        return (f"--model gnp samples graphs, but {mode} mode with k={k} needs a "
-                f"{w}-uniform host; use --model hgnp")
+        return (f"--model gnp samples graphs, but {mode} mode with k={k} runs on "
+                f"{w}-uniform hosts; use --model hgnp")
     return ModelSpec(n=args.n, p=args.p)
 
 
@@ -209,9 +216,7 @@ def _usage(msg: str) -> int:
 
 
 def _cmd_find(args) -> int:
-    cfg = Parameters(
-        k=args.k, mode=args.mode, retries=args.retries, seed=args.seed, input_rate=args.p
-    )
+    cfg = Parameters(k=args.k, mode=args.mode, retries=args.retries, seed=args.seed)
     source = _host_source(args, cfg.k, cfg.mode)
     if isinstance(source, str):
         raise SystemExit(_usage(source))
@@ -273,20 +278,34 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _janson_template(spec: str) -> Hypergraph:
+def _check_template_edges(what: str, edges: int) -> None:
+    """Exit 2, before building it, on a template with more than TEMPLATE_EDGE_LIMIT edges."""
+    if edges > TEMPLATE_EDGE_LIMIT:
+        print(f"refusing to build {what}: {edges} edges exceed the limit of "
+              f"{TEMPLATE_EDGE_LIMIT}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _janson_template(spec: str, n: int) -> Hypergraph:
     if spec == "builtin:triangle":
         return Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
     if spec.startswith("builtin:path-"):
         try:
             _, k, ell = spec.rsplit("-", 2)
-            return power_path_template(int(k), int(ell))
+            k, ell = int(k), int(ell)
+            if ell > n:
+                print(f"refusing {spec}: its {ell} vertices exceed --n {n}", file=sys.stderr)
+                raise SystemExit(2)
+            r = max(min(k, ell - 1), 0)  # the longest offset that joins two path vertices
+            _check_template_edges(spec, r * ell - r * (r + 1) // 2)
+            return power_path_template(k, ell)
         except ValueError as err:
             raise SystemExit(_usage(f"bad builtin template {spec!r}: {err}"))
     return _load_graph(spec)
 
 
 def _cmd_janson(args) -> int:
-    template = _janson_template(args.template)
+    template = _janson_template(args.template, args.n)
     if args.exact:
         mu, delta = janson_mod.exact_mu_delta(args.n, template, args.p)
         label = "exact"
@@ -318,6 +337,11 @@ def _cmd_factor(args) -> int:
 def _cmd_absorber(args) -> int:
     if args.validate < 0:
         return _usage(f"--validate must be >= 0, got {args.validate}")
+    # the backbone has k edges per vertex in power mode (its 1-density is
+    # k + 1/(2 ell)), one per vertex in tight mode
+    per_vertex = args.k if args.mode == "power" else 1
+    _check_template_edges(f"the k={args.k}, ell={args.ell} backbone",
+                          per_vertex * (1 + 2 * args.k * args.ell))
     host, ab = absorber_mod.demo_absorber(args.k, args.ell, args.mode)
     with_x = absorber_mod.absorb_single(ab, include_x=True)
     without_x = absorber_mod.absorb_single(ab, include_x=False)

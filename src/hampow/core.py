@@ -20,6 +20,7 @@ __all__ = [
     "MAX_VERTICES",
     "VertexTuple",
     "check_encodable",
+    "check_uniformity",
     "connecting_path_template",
     "is_power_path",
     "is_tight_path",
@@ -358,6 +359,13 @@ def uniformity(k: int, mode: str) -> int:
     raise ValueError(f"mode must be 'power' or 'tight', got {mode!r}")
 
 
+def check_uniformity(host: Hypergraph, k: int, mode: str) -> None:
+    """Refuse a host whose uniformity is not the one ``mode`` with this k needs."""
+    w = uniformity(k, mode)
+    if host.k != w:
+        raise ValueError(f"{mode} mode with k={k} needs a {w}-uniform host, got {host.k}-uniform")
+
+
 def required_edges(
     seq: Iterable[int], k: int, mode: str, cyclic: bool = False
 ) -> set[tuple[int, ...]]:
@@ -436,8 +444,7 @@ def tight_path_template(k: int, ell: int) -> Hypergraph:
 
 def is_power_path(host: Hypergraph, seq: Iterable[int], k: int) -> bool:
     """True iff every pair of ``seq`` at distance <= k is a host edge."""
-    if host.k != 2:
-        raise ValueError("power paths live in 2-uniform hosts")
+    check_uniformity(host, k, "power")
     s = list(seq)
     if len(set(s)) != len(s):
         return False
@@ -503,17 +510,21 @@ def verify_certificate(host: Hypergraph, cert: CycleCertificate) -> bool:
     host edge.  Tight mode: every window of host-uniformity many consecutive
     vertices (indices mod n) must be an edge.  Structural defects (wrong
     permutation, mode/uniformity mismatch) raise ``ValueError``.
+
+    The pairs are asked one cyclic offset d <= min(k, n // 2) at a time (a
+    longer offset repeats the pairs of n - d), the windows in one batch, so
+    memory stays linear in n whatever k is.
     """
     n = host.n
-    order = cert.order
-    if len(order) != n or set(order) != set(range(n)):
+    if len(cert.order) != n or set(cert.order) != set(range(n)):
         raise ValueError("certificate ordering is not a permutation of the vertex set")
-    w = uniformity(cert.k, cert.mode)
-    if host.k != w:
-        raise ValueError(
-            f"{cert.mode}-mode certificate with k={cert.k} requires a "
-            f"{w}-uniform host, got {host.k}-uniform"
-        )
-    if cert.mode == "tight" and n < w:
-        raise ValueError(f"host has fewer vertices than one window ({w})")
-    return _has_all(host, required_edges(order, cert.k, cert.mode, cyclic=True))
+    check_uniformity(host, cert.k, cert.mode)
+    order = np.array(cert.order, dtype=np.int64)
+    if cert.mode == "tight":
+        if n < host.k:
+            raise ValueError(f"host has fewer vertices than one window ({host.k})")
+        return bool(host.has_edge(order[(np.arange(n)[:, None] + np.arange(host.k)) % n]).all())
+    return all(
+        host.has_edge(np.column_stack((order, np.roll(order, -d)))).all()
+        for d in range(1, min(cert.k, n // 2) + 1)
+    )

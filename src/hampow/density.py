@@ -109,13 +109,13 @@ def _max_subset_ratio(
     return best
 
 
-def m1_density(template: Hypergraph, max_vertices: int = MAX_EXACT_VERTICES) -> Fraction:
+def m1_density(template: Hypergraph) -> Fraction:
     """Exact 1-density: max of e(H)/(v(H)-1) over subgraphs with e(H) >= 1."""
     if template.edge_count == 0:
         raise ValueError("1-density is undefined for an edgeless hypergraph")
-    if template.n > max_vertices:
+    if template.n > MAX_EXACT_VERTICES:
         raise DensityBudgetError(
-            f"exact 1-density refused for {template.n} > {max_vertices} vertices"
+            f"exact 1-density refused for {template.n} > {MAX_EXACT_VERTICES} vertices"
         )
     edge_sets = [frozenset(e) for e in template.edges()]
     best = _max_subset_ratio(edge_sets, list(range(template.n)), rooted=False)
@@ -123,7 +123,7 @@ def m1_density(template: Hypergraph, max_vertices: int = MAX_EXACT_VERTICES) -> 
     return Fraction(*best)
 
 
-def m_density(rt: RootedTemplate, max_vertices: int = MAX_EXACT_VERTICES) -> Fraction:
+def m_density(rt: RootedTemplate) -> Fraction:
     """Exact rooted density of (F, X).
 
     Maximizes e(F')/(v(F') - max(1, |V(F') cap X|)) over subgraphs F' with
@@ -134,12 +134,12 @@ def m_density(rt: RootedTemplate, max_vertices: int = MAX_EXACT_VERTICES) -> Fra
     template, root = rt.template, set(rt.root)
     if template.edge_count == 0:
         raise ValueError("rooted density is undefined for an edgeless hypergraph")
-    if template.n > max_vertices:
+    if template.n > MAX_EXACT_VERTICES:
         raise DensityBudgetError(
-            f"exact rooted density refused for {template.n} > {max_vertices} vertices"
+            f"exact rooted density refused for {template.n} > {MAX_EXACT_VERTICES} vertices"
         )
     if not root:
-        return m1_density(template, max_vertices=max_vertices)
+        return m1_density(template)
     pool = [v for v in range(template.n) if v not in root]
     avoiding = [frozenset(e) for e in template.edges() if not (set(e) & root)]
     all_edges = [frozenset(e) for e in template.edges()]

@@ -11,10 +11,9 @@ from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
 __all__ = ["almost_factor", "factor_in_window"]
 
 
-def _check_template(host: Hypergraph, template: Hypergraph) -> None:
-    if host.k != template.k:
-        raise ValueError("uniformity mismatch between host and template")
-    # a vertex-less copy takes nothing, so the greedy loops would never end
+def _check_template(template: Hypergraph) -> None:
+    # a vertex-less copy takes nothing, so the greedy loops would never end;
+    # the copy searcher refuses a template whose uniformity is not the host's
     if template.n == 0:
         raise ValueError("template has no vertices")
 
@@ -27,7 +26,7 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
     vertices.  Raises :class:`PhaseFailure` if some window holds no copy or
     the searcher runs out of budget.
     """
-    _check_template(host, template)
+    _check_template(template)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     n = host.n
@@ -75,7 +74,7 @@ def factor_in_window(
     :class:`PhaseFailure` when the quota cannot be met or the searcher runs
     out of budget.
     """
-    _check_template(host, template)
+    _check_template(template)
     w = sorted(set(window))
     default_quota = len(w) // (4 * template.n)
     if quota is None:

@@ -17,12 +17,11 @@ from itertools import combinations
 import numpy as np
 
 from hampow.core import Hypergraph, _encode_rows, check_encodable
-from hampow.density import RootedTemplate, m1_density, m_density
+from hampow.density import m1_density
 from hampow.randmodels import _check_edge_probability
 
 __all__ = [
     "JansonParams",
-    "delta_rooted_bound",
     "delta_upper_bound",
     "exact_mu_delta",
     "expected_lex_copies",
@@ -147,50 +146,3 @@ def exact_mu_delta(
     pairs = Counter(shared.values())
     delta = sum(2 * pairs[j] * p ** (2 * e_count - j) for j in sorted(pairs))
     return mu, float(delta)
-
-
-def delta_rooted_bound(
-    rt: RootedTemplate, s_size: int, t: int, p: float
-) -> tuple[float, float]:
-    """The two-part overlap bound for rooted copy families.
-
-    Splits the overlap sum by whether the shared part meets the root images:
-    the first sum ranges over shared internal sets of size j >= 2 across all
-    t^2 ordered tuple pairs, the second over j >= 1 within a single tuple.
-    Returns (delta_1, delta_2); empty ranges give 0, and delta_2 is 0 for an
-    empty root (there are no root images to share).  A family of t = 0
-    tuples has no overlap; t < 0 is rejected.
-    """
-    _check_edge_probability(p)
-    if t < 0:
-        raise ValueError(f"tuple count must be >= 0, got {t}")
-    template = rt.template
-    if template.edge_count == 0:
-        raise ValueError("rooted delta bound is undefined for an edgeless template")
-    if p == 0.0 or t == 0:
-        return 0.0, 0.0
-    r = len(rt.root)
-    v = template.n
-    e = template.edge_count
-    m = float(m_density(rt))
-    logp = math.log(p)
-    d1_terms = []
-    for j in range(2, v - r + 1):
-        d1_terms.append(
-            _log_comb(s_size, j)
-            + 2.0 * (math.log(t) + _log_comb(s_size - j, v - r - j))
-            + (2.0 * e - (j - 1) * m) * logp
-        )
-    delta1 = math.exp(_logsumexp(d1_terms)) if d1_terms else 0.0
-    if r == 0:
-        return delta1, 0.0
-    d2_terms = []
-    for j in range(1, v - r + 1):
-        d2_terms.append(
-            math.log(t)
-            + _log_comb(s_size, j)
-            + 2.0 * _log_comb(s_size - j, v - r - j)
-            + (2.0 * e - j * m) * logp
-        )
-    delta2 = math.exp(_logsumexp(d2_terms)) if d2_terms else 0.0
-    return delta1, delta2

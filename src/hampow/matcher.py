@@ -21,9 +21,9 @@ import numpy as np
 from hampow.core import (
     Hypergraph,
     VertexTuple,
+    check_uniformity,
     connecting_path_template,
     tight_path_template,
-    uniformity,
 )
 
 __all__ = [
@@ -291,6 +291,7 @@ def connect_family(
     tuples: Sequence[Sequence[int]],
     reservoir: Iterable[int],
     rounds: int | None = None,
+    phase: str = "connect",
 ) -> tuple[list[dict[int, int]], list[int]]:
     """Greedy round-based construction of disjoint rooted copies.
 
@@ -301,9 +302,9 @@ def connect_family(
     slice minus the vertices already consumed this round.  Matched indices
     leave R; copies from different rounds are disjoint because the slices
     are.  Returns the copies in tuple order and the size of R after each
-    round.  Raises :class:`ConnectFailure` naming the surviving indices if R
-    is nonempty after the last round, or at once, with
-    ``budget_exhausted``, when the family's searcher runs out of budget.
+    round.  Raises :class:`ConnectFailure`, under ``phase``, naming the
+    surviving indices if R is nonempty after the last round, or at once,
+    with ``budget_exhausted``, when the family's searcher runs out of budget.
     """
     root = VertexTuple(root)
     tuples = [VertexTuple(t) for t in tuples]
@@ -349,7 +350,7 @@ def connect_family(
                 emb = searcher.find(tuples[i], [v for v in part if v not in used])
             except SearchBudgetExceeded:
                 raise ConnectFailure(
-                    "connect",
+                    phase,
                     unmatched=[j for j in range(t) if embeddings[j] is None],
                     trajectory=trajectory,
                     budget_exhausted=True,
@@ -363,7 +364,7 @@ def connect_family(
         remaining = still
         trajectory.append(len(remaining))
     if remaining:
-        raise ConnectFailure("connect", unmatched=remaining, trajectory=trajectory, **details)
+        raise ConnectFailure(phase, unmatched=remaining, trajectory=trajectory, **details)
     return embeddings, trajectory
 
 
@@ -391,24 +392,24 @@ def connect_paths(
     ell: int,
     mode: str,
     rounds: int | None = None,
+    phase: str = "connect",
 ) -> PathFamily:
     """Connect endpoint tuple pairs with disjoint connecting/tight paths.
 
     Power mode uses the connecting-path template on a 2-uniform host; tight
     mode uses the tight-path template on a (k+1)-uniform host.  Path i runs
-    from a_i to b_i with all internal vertices inside the reservoir.
+    from a_i to b_i with all internal vertices inside the reservoir.  A
+    failure is a :class:`ConnectFailure` under ``phase``.
     """
-    w = uniformity(k, mode)
+    check_uniformity(host, k, mode)
     if ell <= 2 * k:
         raise ValueError(f"connector length must exceed 2k = {2 * k}, got {ell}")
-    if host.k != w:
-        raise ValueError(f"{mode} mode with k={k} requires a {w}-uniform host, got {host.k}")
     if mode == "power":
         template = connecting_path_template(k, ell)
     else:
         template = tight_path_template(k, ell)
     root = tuple(range(k)) + tuple(range(ell - k, ell))
     tuples = [tuple(a) + tuple(b) for a, b in pairs]
-    embeddings, trajectory = connect_family(host, template, root, tuples, reservoir, rounds)
+    embeddings, trajectory = connect_family(host, template, root, tuples, reservoir, rounds, phase)
     sequences = [tuple(emb[v] for v in range(ell)) for emb in embeddings]
     return PathFamily(sequences=sequences, trajectory=trajectory, end_width=k)

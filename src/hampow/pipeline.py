@@ -25,16 +25,24 @@ import numpy as np
 from hampow.absorber import (
     absorb,
     build_chain_absorber,
+    chain_capacity,
     chain_vertex_count,
     default_connector_len,
     splice,
 )
 from hampow.core import (
-    MAX_VERTICES, CycleCertificate, Hypergraph, required_edges, uniformity, verify_certificate,
+    MAX_VERTICES,
+    CycleCertificate,
+    Hypergraph,
+    check_uniformity,
+    required_edges,
+    uniformity,
+    verify_certificate,
 )
-from hampow.matcher import ConnectFailure, PhaseFailure, connect_paths, round_sizes
+from hampow.matcher import PhaseFailure, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
+    _check_edge_probability,
     derive,
     sample_three_rounds,
     split_edges_three,
@@ -78,7 +86,6 @@ class Parameters:
     mode: str = "power"
     retries: int = 5
     seed: int = DEFAULT_SEED
-    input_rate: float | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -241,7 +248,7 @@ def cover_with_paths(
     Raises :class:`PhaseFailure` naming the first step without a perfect
     matching.
     """
-    uniformity(k, mode)  # rejects an unknown mode
+    check_uniformity(host, k, mode)
     pool = sorted(set(uncovered) | set(borrowed))
     if t < 1:
         raise ValueError(f"part count must be >= 1, got {t}")
@@ -345,11 +352,7 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
                 return t, s, ux
         return None
 
-    hard_cap = min(
-        (n // 2 + interior) // (v_backbone + ell * interior),  # chain <= n/2
-        w1 // v_backbone,                                      # factor window
-        w2 // ((ell - 1) * interior),                          # intra reservoir
-    )
+    hard_cap = chain_capacity(n, k, mode, ell)
     soft_cap = min(
         hard_cap,
         int(0.9 * w1) // v_backbone,
@@ -412,7 +415,7 @@ def attempt_rounds(
         return sample_three_rounds(
             cfg.uniformity, source.n, source.p, derive(attempt_seed, 1)
         )
-    g1, g2, g3 = split_edges_three(source, derive(attempt_seed, 4), p=cfg.input_rate)
+    g1, g2, g3 = split_edges_three(source, derive(attempt_seed, 4))
     return g1, g2, g3, source
 
 
@@ -433,12 +436,9 @@ def _attempt(
     for i in range(s - 1):
         pairs.append((cover.b(i, k), cover.a(i + 1, k)))
     pairs.append((cover.b(s - 1, k), tuple(chain.a)))
-    try:
-        merge = connect_paths(
-            g3, pairs, merge_reservoir, k, plan.connector_len, mode, rounds=MERGE_ROUNDS
-        )
-    except ConnectFailure as e:
-        raise PhaseFailure("merge", e.message, **e.details) from e
+    merge = connect_paths(
+        g3, pairs, merge_reservoir, k, plan.connector_len, mode, rounds=MERGE_ROUNDS, phase="merge"
+    )
     used_from_x = merge.internal_vertices()
     exclude = set(borrowed) | used_from_x
     absorb_path = absorb(chain, exclude)
@@ -461,17 +461,10 @@ def find_hamilton_detailed(
 ) -> tuple[CycleCertificate | FailureReport, int]:
     """Like :func:`find_hamilton`, also reporting the succeeding attempt index."""
     if isinstance(source, ModelSpec):
-        n = source.n
-        if not 0.0 <= source.p <= 1.0:
-            raise ValueError(f"model rate must be in [0, 1], got {source.p}")
+        _check_edge_probability(source.p)
     else:
-        n = source.n
-        if source.k != cfg.uniformity:
-            raise ValueError(
-                f"{cfg.mode} mode with k={cfg.k} needs a {cfg.uniformity}-uniform "
-                f"host, got {source.k}-uniform"
-            )
-    plan = resolve_plan(n, cfg)
+        check_uniformity(source, cfg.k, cfg.mode)
+    plan = resolve_plan(source.n, cfg)
     attempts: list[Attempt] = []
     for r in range(cfg.retries + 1):
         try:

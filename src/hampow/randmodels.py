@@ -232,27 +232,20 @@ def sample_three_rounds(
     return g1, g2, g3, union
 
 
-def split_edges_three(
-    G: Hypergraph, seed: int, p: float | None = None
-) -> tuple[Hypergraph, Hypergraph, Hypergraph]:
+def split_edges_three(G: Hypergraph, seed: int) -> tuple[Hypergraph, Hypergraph, Hypergraph]:
     """Randomly split the edges of G into three overlapping parts.
 
     Each edge of G receives an independent draw of three Bernoulli(q)
-    indicators conditioned on at least one success (q solves 1-(1-q)^3 = p),
-    so that when G ~ G(n, p) each part is distributed as G(n, q), the parts
-    are independent, and their union is exactly G.  When the generation rate
-    p is unknown it is estimated as m / C(n, k).
+    indicators conditioned on at least one success (q solves 1-(1-q)^3 = p,
+    the edge rate p estimated as m / C(n, k)), so that when G ~ G(n, p) each
+    part is distributed as G(n, q), the parts are independent, and their
+    union is exactly G.
     """
-    if G.is_complete:
-        return G, G, G
     m = G.edge_count
     if m == 0:
         empty = Hypergraph(G.k, G.n, ())
         return empty, empty, empty
-    if p is None:
-        p = m / math.comb(G.n, G.k)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"split rate must be in (0, 1], got {p}")
+    p = m / math.comb(G.n, G.k)
     if p == 1.0:
         return G, G, G
     q = three_round_rate(p)

@@ -10,11 +10,12 @@ from hampow.absorber import (
     absorb_single,
     backbone_template,
     build_chain_absorber,
+    chain_capacity,
     chain_vertex_count,
     default_connector_len,
     demo_absorber,
 )
-from hampow.core import Hypergraph, is_power_path, is_tight_path
+from hampow.core import Hypergraph, is_power_path, is_tight_path, uniformity
 from hampow.matcher import PhaseFailure
 from hampow.randmodels import derive, sample_uniform_hypergraph
 
@@ -148,6 +149,40 @@ class TestChainAbsorber:
         host = Hypergraph.complete(2, 40)
         with pytest.raises(ValueError):
             build_chain_absorber(host, 2, "power", ell=5, absorb_size=4)
+
+    @staticmethod
+    def fits(n, k, mode, ell, t):
+        """The chain's four size checks, one by one: the chain in n/2 vertices,
+        the backbones in class 0 mod 3, the intra-link and chain connectors'
+        interiors in classes 1 and 2."""
+        interior = default_connector_len(k, mode) - 2 * k
+        classes = [len(range(c, n, 3)) for c in range(3)]
+        return (
+            chain_vertex_count(k, ell, interior + 2 * k, t) <= n // 2
+            and t * (1 + 2 * k * ell) <= classes[0]
+            and t * (ell - 1) * interior <= classes[1]
+            and (t - 1) * interior <= classes[2]
+        )
+
+    @pytest.mark.parametrize("mode", ["power", "tight"])
+    @pytest.mark.parametrize("ell", [5, 7, 9])
+    def test_capacity_is_the_largest_size_every_check_accepts(self, mode, ell):
+        for k in range(1, 9):
+            for n in range(0, 4000, 7):
+                cap = chain_capacity(n, k, mode, ell)
+                assert cap == 0 or self.fits(n, k, mode, ell, cap)
+                assert not self.fits(n, k, mode, ell, cap + 1)
+
+    @pytest.mark.parametrize("mode", ["power", "tight"])
+    @pytest.mark.parametrize("k,n", [(1, 260), (2, 700)])
+    def test_one_link_past_the_capacity_is_refused(self, mode, k, n):
+        host = Hypergraph.complete(uniformity(k, mode), n)
+        cap = chain_capacity(n, k, mode, 5)
+        assert cap >= 1
+        chain = build_chain_absorber(host, k, mode, ell=5, absorb_size=cap)
+        assert len(chain.absorbable) == cap
+        with pytest.raises(ValueError, match=f"at most {cap} do"):
+            build_chain_absorber(host, k, mode, ell=5, absorb_size=cap + 1)
 
     def test_absorb_size_below_one_rejected(self):
         host = Hypergraph.complete(2, 300)

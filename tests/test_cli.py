@@ -1,5 +1,6 @@
 import io
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hampow.absorber as absorber
 import hampow.cli as cli
 import hampow.matcher as matcher
 import hampow.pipeline as pipeline
@@ -24,13 +26,21 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def run_module(args):
-    """Run ``python -m hampow.cli`` in a child process that imports this checkout's src."""
+def run_module(args, address_space=None):
+    """Run ``python -m hampow.cli`` in a child process that imports this checkout's src.
+
+    ``address_space`` caps the child's virtual memory in bytes, as ``ulimit -v`` does.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "hampow.cli", *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
+        preexec_fn=cap if address_space else None,
     )
 
 
@@ -78,6 +88,22 @@ class TestUsage:
             code, out, _ = run(["verify", "--model", "hgnp", "--n", str(n), "--p", "1.0",
                                 "--cert", str(cert)], capsys)
             assert code == 0 and "certificate OK" in out
+
+    @pytest.mark.parametrize("command", ["find", "verify"])
+    @pytest.mark.parametrize("flag", [["--n", "6"], ["--p", "0.5"]])
+    def test_a_graph_file_takes_no_model_size_or_rate(self, tmp_path, capsys, command, flag):
+        gf = tmp_path / "k6.hg"
+        gf.write_text(Hypergraph.complete(2, 6).to_text())
+        cf = tmp_path / "c.cert"
+        cf.write_text("power 1 6\n0 1 2 3 4 5\n")
+        argv = [command, "--graph", str(gf), *flag]
+        argv += ["--cert", str(cf)] if command == "verify" else ["--k", "1"]
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 1
+        assert "--graph reads its host from the file" in capsys.readouterr().err
 
 
 class TestGen:
@@ -169,6 +195,26 @@ class TestJanson:
         assert "edge probability must be in [0, 1]" in err
         assert "mu =" not in out
 
+    # refused before it is built: a 30M-vertex path does not fit in 2 GB
+    @pytest.mark.parametrize("n,reason", [
+        ("12", "30000000 vertices exceed --n 12"),
+        ("40000000", f"59999997 edges exceed the limit of {cli.TEMPLATE_EDGE_LIMIT}"),
+    ])
+    def test_a_builtin_path_too_big_to_build_is_refused(self, n, reason):
+        proc = run_module(["janson", "--n", n, "--p", "0.4", "--template",
+                           "builtin:path-2-30000000"], address_space=2 << 30)
+        assert proc.returncode == 2 and reason in proc.stderr
+
+    def test_the_path_edge_count_is_exact(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", 2 * 4 - 3)  # the square of a 4-path
+        code, out, _ = run(["janson", "--n", "10", "--p", "0.5",
+                            "--template", "builtin:path-2-4"], capsys)
+        assert code == 0 and "tail bound" in out
+        monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", 4)
+        with pytest.raises(SystemExit) as info:
+            main(["janson", "--n", "10", "--p", "0.5", "--template", "builtin:path-2-4"])
+        assert info.value.code == 2
+
 
 class TestFactorCli:
     def test_complete_host(self, tmp_path, capsys):
@@ -212,6 +258,23 @@ class TestAbsorberCli:
         assert code == 0
         assert "traversal including x" in out
         assert "OK" in out
+
+    def test_a_backbone_too_big_to_build_is_refused(self):
+        proc = run_module(["absorber", "--k", "1000", "--demo"], address_space=2 << 30)
+        assert proc.returncode == 2
+        assert f"10001000 edges exceed the limit of {cli.TEMPLATE_EDGE_LIMIT}" in proc.stderr
+
+    @pytest.mark.parametrize("mode", ["power", "tight"])
+    @pytest.mark.parametrize("k,ell", [(1, 5), (2, 7), (3, 5)])
+    def test_the_backbone_edge_count_is_exact(self, capsys, monkeypatch, mode, k, ell):
+        edges = absorber.backbone_template(k, ell, mode).graph.edge_count
+        argv = ["absorber", "--k", str(k), "--ell", str(ell), "--mode", mode, "--demo"]
+        monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges)
+        assert run(argv, capsys)[0] == 0
+        monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges - 1)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
     def test_negative_validate_is_a_usage_error(self, capsys):
         code, out, err = run(["absorber", "--validate", "-3"], capsys)
@@ -292,6 +355,16 @@ class TestRoundTrip:
         cf.write_text("power 1000000000 5\n0 1 2 3 4\n")
         proc = run_module(["verify", "--graph", str(gf), "--cert", str(cf)])
         assert proc.returncode == 0 and "certificate OK" in proc.stdout
+
+    def test_verify_a_huge_k_on_a_large_host_in_2_gb(self, tmp_path):
+        # min(k, n // 2) offsets, asked one n-row batch at a time: the first
+        # finds no edge, so no set of n * min(k, n - 1) pairs is ever built
+        gf = tmp_path / "empty.hg"
+        gf.write_text("2 20000 0\n")
+        cf = tmp_path / "c.cert"
+        cf.write_text("power 1000000 20000\n" + " ".join(map(str, range(20000))) + "\n")
+        proc = run_module(["verify", "--graph", str(gf), "--cert", str(cf)], address_space=2 << 30)
+        assert proc.returncode == 2 and "certificate REJECTED" in proc.stdout
 
 
 class TestFindFailure:

@@ -483,6 +483,31 @@ class TestUnifiedEdgeRule:
         cert = CycleCertificate(mode="power", k=k, order=order)
         assert verify_certificate(host, cert) == (required <= edges)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_verify_agrees_with_required_edges(self, data):
+        # verify asks offset by offset (power) or one batch of windows (tight);
+        # required_edges is the rule, in both storage forms and for k up to n
+        mode = data.draw(st.sampled_from(["power", "tight"]))
+        n = data.draw(st.integers(1 if mode == "power" else 2, 8))
+        k = data.draw(st.integers(1, n if mode == "power" else n - 1))
+        order = tuple(data.draw(st.permutations(range(n))))
+        required = required_edges(order, k, mode, cyclic=True)
+        host, edges = random_host(data, n, uniformity(k, mode), required)
+        if data.draw(st.booleans()):
+            host = complement_twin(host)
+        cert = CycleCertificate(mode=mode, k=k, order=order)
+        assert verify_certificate(host, cert) == (required <= edges)
+
+    def test_uniformity_has_one_message(self):
+        square = CycleCertificate(mode="power", k=2, order=(0, 1, 2, 3))
+        tight = Hypergraph.complete(3, 4)
+        message = "power mode with k=2 needs a 2-uniform host, got 3-uniform"
+        with pytest.raises(ValueError, match=message):
+            verify_certificate(tight, square)
+        with pytest.raises(ValueError, match=message):
+            is_power_path(tight, (0, 1, 2), 2)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_power_offsets_past_the_cycle_only_repeat_pairs(self, n):
         order = tuple(reversed(range(n)))

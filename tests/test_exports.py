@@ -35,11 +35,6 @@ def test_all_lists_exactly_the_public_definitions(name):
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hampow"
 
-#: Exported names allowed no caller in src: ROADMAP item 6 gives this bound a
-#: caller in the plan or deletes it.
-NO_CALLER_YET = {("hampow.janson", "delta_rooted_bound")}
-
-
 def src_references() -> set[tuple[str, str, str | None]]:
     """(module, name, enclosing top-level definition) of each name src reads.
 
@@ -73,5 +68,4 @@ def test_every_exported_name_has_a_caller_in_src():
                 n == exported and not (m == home and owner == exported) for m, n, owner in refs
             ):
                 unused.append((name, exported))
-    assert sorted(set(unused) - NO_CALLER_YET) == []
-    assert NO_CALLER_YET <= set(unused), "an allowed name has a caller now: drop it from the list"
+    assert unused == []

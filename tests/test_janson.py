@@ -2,11 +2,9 @@ import math
 
 import pytest
 
-from hampow.core import Hypergraph, VertexTuple, power_path_template, tight_path_template
-from hampow.density import RootedTemplate
+from hampow.core import Hypergraph, power_path_template, tight_path_template
 from hampow.janson import (
     JansonParams,
-    delta_rooted_bound,
     delta_upper_bound,
     exact_mu_delta,
     expected_lex_copies,
@@ -105,50 +103,12 @@ class TestDeltaUpperBound:
             delta_upper_bound(5, Hypergraph(2, 3, ()), 0.5)
 
 
-class TestRootedBound:
-    def test_zero_cases(self):
-        e = Hypergraph(2, 2, [(0, 1)])
-        rt = RootedTemplate(e, VertexTuple((0,)))
-        d1, d2 = delta_rooted_bound(rt, 10, 3, 0.0)
-        assert d1 == 0.0 and d2 == 0.0
-        # v - r = 1: the internal-overlap sum is an empty range
-        d1, d2 = delta_rooted_bound(rt, 10, 3, 0.5)
-        assert d1 == 0.0 and d2 > 0.0
-
-    def test_tuple_count(self):
-        triangle = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
-        rt = RootedTemplate(triangle, VertexTuple((0,)))
-        # a family of no tuples has no overlapping pairs
-        assert delta_rooted_bound(rt, 10, 0, 0.5) == (0.0, 0.0)
-        with pytest.raises(ValueError, match="tuple count must be >= 0, got -1"):
-            delta_rooted_bound(rt, 10, -1, 0.5)
-
-    def test_empty_root_has_no_root_overlap_term(self):
-        rt = RootedTemplate(triangle(), VertexTuple(()))
-        d1, d2 = delta_rooted_bound(rt, 12, 4, 0.5)
-        assert d2 == 0.0 and d1 > 0.0
-
-    def test_dominates_enumerated_rooted_pairs(self):
-        # host pool S' of 5 vertices, one root tuple: enumerate valid rooted
-        # copies of an edge rooted at one endpoint and their shared-edge pairs
-        e = Hypergraph(2, 2, [(0, 1)])
-        rt = RootedTemplate(e, VertexTuple((0,)))
-        s, t, p = 5, 1, 0.4
-        # copies: the root image plus one of s pool vertices; all share the
-        # root vertex but copies share an *edge* only if identical, so the
-        # exact rooted delta is 0 and any nonnegative bound dominates
-        d1, d2 = delta_rooted_bound(rt, s, t, p)
-        assert d1 >= 0.0 and d2 >= 0.0
-
-
 @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
 def test_edge_probability_outside_the_unit_interval_is_rejected(p):
-    rt = RootedTemplate(triangle(), VertexTuple((0,)))
     calls = [
         lambda: expected_lex_copies(12, triangle(), p),
         lambda: delta_upper_bound(12, triangle(), p),
         lambda: exact_mu_delta(12, triangle(), p),
-        lambda: delta_rooted_bound(rt, 10, 3, p),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"edge probability must be in \[0, 1\]"):

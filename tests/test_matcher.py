@@ -476,6 +476,15 @@ class TestConnectFamily:
         traj = info.value.trajectory
         assert traj == sorted(traj, reverse=True)
 
+    @pytest.mark.parametrize("phase", ["intra-connect", "merge"])
+    def test_a_failure_is_raised_under_the_callers_phase(self, phase):
+        host = Hypergraph(2, 12, [(0, 1)])  # nearly edgeless: nothing matchable
+        with pytest.raises(ConnectFailure) as info:
+            connect_paths(host, [((0, 1), (2, 3))], range(4, 12), k=2, ell=6, mode="power",
+                          phase=phase)
+        assert info.value.phase == phase
+        assert str(info.value) == f"{phase}: 1 request(s) unmatched after 5 round(s)"
+
     def test_reservoir_too_small(self):
         with pytest.raises(ValueError):
             connect_family(complete_graph(12), power_path_template(2, 4), (0,),

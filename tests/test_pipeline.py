@@ -1,8 +1,10 @@
 import hashlib
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
+from hampow.absorber import chain_capacity
 from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
 from hampow.matcher import PhaseFailure
 from hampow.pipeline import (
@@ -24,6 +26,12 @@ from oracles import complement_twin
 
 def complete_graph(n):
     return Hypergraph(2, n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def without_class(n, c):
+    """The complete graph on n vertices less every edge at a vertex of class c mod 3."""
+    edges = [e for e in combinations(range(n), 2) if c not in (e[0] % 3, e[1] % 3)]
+    return Hypergraph(2, n, edges)
 
 
 class TestPerfectMatching:
@@ -100,6 +108,11 @@ class TestCoverWithPaths:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             cover_with_paths(complete_graph(7), range(7), (), t=2, k=1, mode="power")
+
+    def test_a_host_of_the_wrong_uniformity_is_refused(self):
+        # a complete 3-uniform host has no pairs to match in power mode
+        with pytest.raises(ValueError, match="power mode with k=1 needs a 2-uniform host, got 3"):
+            cover_with_paths(Hypergraph.complete(3, 8), range(8), (), t=4, k=1, mode="power")
 
     def test_failure_names_the_step(self):
         host = Hypergraph(2, 8, [(0, 4)])  # almost no edges
@@ -190,6 +203,16 @@ class TestResolvePlan:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "2886d0ca6c37318e954efd3b51012a85ac34afb22afb33b5a5e3917f1e412563"
 
+    def test_absorbable_set_never_exceeds_the_chain_capacity(self):
+        for mode in ("power", "tight"):
+            for k in (1, 2, 3):
+                for n in range(100, 5001, 10):
+                    try:
+                        plan = resolve_plan(n, Parameters(k=k, mode=mode))
+                    except ValueError:
+                        continue
+                    assert 1 <= plan.absorb_size <= chain_capacity(n, k, mode, plan.ell)
+
     #: Plans of branches the grid above misses.  At tight k=3 the absorber
     #: grows past the soft cap and still meets the 0.75 merge share; at tight
     #: k=2 no absorber from the soft cap up fits, so it shrinks below it.
@@ -279,7 +302,7 @@ class TestFindHamilton:
         from hampow.randmodels import sample_uniform_hypergraph
 
         host = sample_uniform_hypergraph(2, 1000, 0.9998, seed=9)
-        cfg = Parameters(k=2, mode="power", seed=10, retries=5, input_rate=0.9998)
+        cfg = Parameters(k=2, mode="power", seed=10, retries=5)
         result = find_hamilton(host, cfg)
         if isinstance(result, CycleCertificate):
             assert verify_certificate(host, result)  # certificate is for the input
@@ -302,6 +325,21 @@ class TestFailureDetails:
         assert cover.details["parts"] == resolve_plan(600, cfg).cover_parts
         assert 2 <= cover.details["step"] <= cover.details["parts"]
         assert f"part {cover.details['step']} of {cover.details['parts']}" in cover.message
+
+    @pytest.mark.parametrize("phase,isolated", [("intra-connect", 1), ("chain-connect", 2)])
+    def test_an_absorber_connect_failure_reaches_the_report_under_its_phase(self, phase, isolated):
+        # the intra-link connectors draw their interiors from class 1 mod 3, the
+        # chain connectors from class 2: with that class isolated none is found
+        # (the merge phase's report is checked above)
+        report = find_hamilton(without_class(300, isolated), Parameters(k=1, seed=1, retries=0))
+        assert isinstance(report, FailureReport)
+        (attempt,) = report.attempts
+        assert attempt.phase == phase
+        unmatched, trajectory = attempt.details["unmatched"], attempt.details["trajectory"]
+        assert trajectory and trajectory[-1] == len(unmatched) > 0
+        assert attempt.message == (
+            f"{len(unmatched)} request(s) unmatched after {len(trajectory)} round(s)"
+        )
 
     def test_details_stay_out_of_equality_and_the_report_text(self):
         a = Attempt(seed=1, phase="cover", message="m", details={"step": 3})

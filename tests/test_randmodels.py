@@ -105,7 +105,7 @@ class TestThreeRound:
 
     def test_split_partitions_and_rejoins(self):
         g = sample_uniform_hypergraph(2, 200, 0.3, seed=9)
-        a, b, c = split_edges_three(g, seed=10, p=0.3)
+        a, b, c = split_edges_three(g, seed=10)
         assert set(a.edges()) | set(b.edges()) | set(c.edges()) == set(g.edges())
         codes = set(g.edge_codes().tolist())
         for part in (a, b, c):
@@ -124,11 +124,13 @@ class TestThreeRound:
         g = sample_uniform_hypergraph(2, 900, p, seed=4)
         m = g.edge_count
         assert m > 100_000  # the frequency test runs over >= 1e5 edges
-        q = three_round_rate(p)
-        parts = split_edges_three(g, seed=5, p=p)
-        sd = math.sqrt(m * (q / p) * (1 - q / p))
+        # the split reads the rate off the graph: p_hat = m / C(n, k)
+        p_hat = m / math.comb(900, 2)
+        q = three_round_rate(p_hat)
+        parts = split_edges_three(g, seed=5)
+        sd = math.sqrt(m * (q / p_hat) * (1 - q / p_hat))
         for part in parts:
-            assert abs(part.edge_count - m * q / p) <= 3 * sd
+            assert abs(part.edge_count - m * q / p_hat) <= 3 * sd
 
     def test_joint_sampler_matches_split_law(self):
         g1, g2, g3, full = sample_three_rounds(2, 400, 0.271, seed=21)
