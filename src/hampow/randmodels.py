@@ -4,10 +4,10 @@ All randomness is counter-based: position i of a seed's stream is the
 uniform variate ``finalize(seed + (i+1) * GOLDEN)`` (its top 53 bits), where
 ``finalize`` is the splitmix64 output function.  ``sample_uniform_hypergraph``
 and ``sample_bipartite`` give candidate edge i position i of the seed's
-stream; ``sample_three_rounds`` visits only the candidates it keeps, skipping
-between them with geometric gaps from one derived stream and drawing their
-round patterns from another.  Identical (seed, parameters) therefore produce
-identical samples, and streams can be generated in vectorized chunks.
+stream; ``sample_three_rounds`` draws each exposure round from its own
+derived stream, visiting only the candidates the round stores and skipping
+between them with geometric gaps.  Identical (seed, parameters) therefore
+produce identical samples, and streams can be generated in vectorized chunks.
 Derived seeds (per trial, per retry, per phase) come from the same mixing
 function via :func:`derive`.
 """
@@ -115,37 +115,71 @@ def three_round_rate(p: float) -> float:
     return 1.0 - (1.0 - p) ** (1.0 / 3.0)
 
 
-def _three_round_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(probs, stores, dense): the three round coins' joint law and stored sides.
-
-    probs[t] is the probability of pattern t (bit i: in round i + 1; any bit:
-    in the union).  Results 0-2 are the rounds, 3 the union; dense[r] says
-    that result r stores its non-edges, the side expected to be smaller (a
-    round when q > 1/2, the union when p > 1/2), and stores[r, t] that it
-    stores a candidate of pattern t.
-    """
-    q = three_round_rate(p)
-    patterns = np.arange(8)
-    in_round = (patterns >> np.arange(3)[:, None]) & 1 == 1
-    ones = in_round.sum(axis=0)
-    probs = q ** ones * (1.0 - q) ** (3 - ones)
-    is_edge = np.vstack([in_round, patterns > 0])
-    dense = np.array([q > 0.5] * 3 + [p > 0.5])
-    return probs, is_edge != dense[:, None], dense
-
-
 def expected_stored_codes(k: int, n: int, p: float) -> float:
-    """Expected number of codes the four results of sample_three_rounds store.
+    """Expected codes (8 bytes each) sample_three_rounds stores, each result its smaller side."""
+    q = three_round_rate(p)
+    return (3 * min(q, 1.0 - q) + min(p, 1.0 - p)) * math.comb(n, k)
 
-    The sum over the three rounds and the union of P(the result stores a
-    candidate) * C(n, k); each code takes 8 bytes.
+
+#: Most variates a round draws at once, and about the codes the union merges at once.
+_BATCH = 1 << 16
+
+
+def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
+    """Ascending ranks below total, each kept independently at the given rate.
+
+    Geometric skipping (Batagelj & Brandes, Phys. Rev. E 71, 2005): the j-th
+    gap between kept ranks is Geometric(rate), by inversion of variate j of
+    ``seed``'s stream, so one variate is drawn per kept rank, one batch at a
+    time.  The batches fill one array sized for a rare excess over the
+    expected count, then shrunk in place.
     """
-    probs, stores, _ = _three_round_law(p)
-    return float((stores @ probs).sum()) * math.comb(n, k)
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-rate)
+    expected = rate * total
+    out = np.empty(int(expected + 8 * math.sqrt(expected) + 16), dtype=np.int64)
+    last = -1  # the last kept rank
+    kept = 0
+    while True:
+        # the ranks expected to be left and one sd more: mostly one batch passes the last
+        expected = rate * (total - 1 - last)
+        size = int(min(expected + math.sqrt(expected) + 16, _BATCH))
+        gaps = uniform_stream(seed, kept, kept + size)
+        np.log1p(np.negative(gaps, out=gaps), out=gaps)
+        # rate = 0 gives inf or nan here, which fmin caps at total: no rank is kept
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps /= log_miss
+        ranks = np.fmin(np.floor(gaps, out=gaps), total, out=gaps).astype(np.int64)
+        ranks += 1
+        np.cumsum(ranks, out=ranks)
+        ranks += last
+        ranks = ranks[: np.searchsorted(ranks, total)]
+        if kept + ranks.size > out.size:
+            out.resize(2 * (kept + ranks.size), refcheck=False)
+        out[kept : kept + ranks.size] = ranks
+        kept += ranks.size
+        if ranks.size < size:
+            break
+        last = int(ranks[-1])
+    out.resize(kept, refcheck=False)
+    return out
 
 
-#: Most candidates sample_three_rounds draws at once.
-_BATCH = 1 << 20
+def _merged(rounds: list[np.ndarray], total: int) -> np.ndarray:
+    """The sorted union of sorted codes below total, merged a stretch of about _BATCH at a time."""
+    union = np.empty(sum(codes.size for codes in rounds), dtype=np.int64)
+    stretches = union.size // _BATCH + 1
+    cuts = np.array([total * b // stretches for b in range(stretches + 1)], dtype=np.int64)
+    starts = [np.searchsorted(codes, cuts) for codes in rounds]
+    size = 0
+    for b in range(cuts.size - 1):
+        part = np.concatenate([codes[at[b] : at[b + 1]] for codes, at in zip(rounds, starts)])
+        part.sort()
+        part = part[np.diff(part, prepend=-1) != 0]  # codes are >= 0
+        union[size : size + part.size] = part
+        size += part.size
+    union.resize(size, refcheck=False)
+    return union
 
 
 def sample_three_rounds(
@@ -153,16 +187,13 @@ def sample_three_rounds(
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """Three independent G(n, q) exposures with union rate p, plus the union.
 
-    Each candidate edge gets a pattern from the joint law of three
-    independent Bernoulli(q) coins (q = three_round_rate(p)), and each
-    result stores the side expected to be smaller (_three_round_law).  Only
-    the needed candidates, those some result stores (probability r), are
-    visited (Batagelj & Brandes, Phys. Rev. E 71, 2005): the j-th gap between
-    their lexicographic ranks is Geometric(r), by inversion of variate j of
-    ``derive(seed, 0)``, and the j-th draws its pattern from the law
-    conditioned on being needed with variate j of ``derive(seed, 1)``.  The
-    ranks are the stored codes, so work and memory follow the needed
-    candidates, drawn one batch at a time.
+    Round i (i = 0, 1, 2) is its own Bernoulli process over the ranks (the
+    codes), drawn by _bernoulli_ranks from ``derive(seed, i)``.  Each result
+    stores its smaller side: with q = three_round_rate(p), a round its edges
+    at rate q <= 1/2, or its non-edges at rate 1 - q < 1/2.  The union is
+    - for p <= 1/2, the rounds' edges merged;
+    - for q > 1/2, the codes in all three rounds' non-edges;
+    - in between, the candidates no round has, found in one C(n, k) mask.
     Returns (G1, G2, G3, union).
     """
     _check_edge_probability(p)
@@ -171,65 +202,22 @@ def sample_three_rounds(
     if p == 1.0:
         g = Hypergraph.complete(k, n)
         return g, g, g, g
-    probs, stores, dense = _three_round_law(p)
-    needed = stores.any(axis=0)
-    needed_patterns = np.flatnonzero(needed)
-    cumulative = np.cumsum(probs[needed_patterns])
-    r = min(float(cumulative[-1]), 1.0)
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-r)  # -inf when r = 1: every gap is 0
+    q = three_round_rate(p)
     total = math.comb(n, k)
-    gap_seed, pattern_seed = derive(seed, 0), derive(seed, 1)
-    code_parts = [np.empty(0, dtype=np.int64)]
-    pattern_parts = [np.empty(0, dtype=np.int8)]
-    last = -1  # rank of the last needed candidate
-    kept = 0
-    while True:
-        # enough gaps to pass the last rank, most often in this batch
-        expected = r * (total - 1 - last)
-        size = int(min(expected + 4 * math.sqrt(expected) + 16, _BATCH))
-        gaps = uniform_stream(gap_seed, kept, kept + size)
-        np.log1p(np.negative(gaps, out=gaps), out=gaps)
-        # r = 0 gives inf or nan here, which fmin caps at total: no rank is kept
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gaps /= log_miss
-        ranks = np.fmin(np.floor(gaps, out=gaps), total, out=gaps).astype(np.int64)
-        ranks += 1
-        np.cumsum(ranks, out=ranks)
-        ranks += last
-        ranks = ranks[: np.searchsorted(ranks, total)]
-        if ranks.size:
-            u = uniform_stream(pattern_seed, kept, kept + ranks.size)
-            pick = np.searchsorted(cumulative[:-1], u * r, side="right")
-            pattern_parts.append(needed_patterns[pick].astype(np.int8))
-            code_parts.append(ranks)  # a candidate's rank is its code
-            last = int(ranks[-1])
-            kept += ranks.size
-        if ranks.size < size:
-            break
-    codes = np.concatenate(code_parts)
-    patterns = np.concatenate(pattern_parts)
-    del code_parts, pattern_parts  # before the rounds' codes are selected
-    bits = np.empty_like(patterns)  # one result's 0/1 selection at a time, read as bool
-
-    def stored(i: int) -> np.ndarray:
-        # a result that stores every needed candidate shares the codes array
-        if np.array_equal(stores[i], needed):
-            return codes
-        # bit i of a pattern: an edge of round i + 1; any bit: of the union
-        if i == 3:
-            np.not_equal(patterns, 0, out=bits.view(bool))
-        else:
-            np.right_shift(patterns, i, out=bits)
-            np.bitwise_and(bits, 1, out=bits)
-        if dense[i]:
-            np.bitwise_xor(bits, 1, out=bits)
-        return codes[bits.view(bool)]
-
-    g1, g2, g3, union = (
-        Hypergraph.from_codes(k, n, stored(i), complement=bool(dense[i])) for i in range(4)
-    )
-    return g1, g2, g3, union
+    dense = q > 0.5
+    rounds = [_bernoulli_ranks(derive(seed, i), total, 1.0 - q if dense else q) for i in range(3)]
+    if dense:
+        both = np.intersect1d(rounds[0], rounds[1], assume_unique=True)
+        union = np.intersect1d(both, rounds[2], assume_unique=True)
+    elif p > 0.5:
+        absent = np.ones(total, dtype=bool)
+        for codes in rounds:
+            absent[codes] = False
+        union = np.flatnonzero(absent)
+    else:
+        union = _merged(rounds, total)
+    g1, g2, g3 = (Hypergraph.from_codes(k, n, codes, complement=dense) for codes in rounds)
+    return g1, g2, g3, Hypergraph.from_codes(k, n, union, complement=p > 0.5)
 
 
 def split_edges_three(G: Hypergraph, seed: int) -> tuple[Hypergraph, Hypergraph, Hypergraph]:

@@ -4,8 +4,8 @@ These deliberately avoid the library's own algorithms: densities recount
 edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
 enumerate required pairs and windows directly.  The three-round sampler is
-checked against a candidate-by-candidate edge-form replay of its gap and
-pattern streams, the reservoir-walking copy-search candidates against the
+checked against a candidate-by-candidate edge-form replay of its three
+gap streams, the reservoir-walking copy-search candidates against the
 neighbour-intersection generator they replaced, and the k >= 3 candidate
 stream's charges against a scan that charges one vertex at a time.
 ``is_embedding`` checks a copy edge by edge, and
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -243,52 +243,40 @@ def three_rounds_by_enumeration(
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """sample_three_rounds replayed one candidate at a time, all in edge form.
 
-    A round stores its non-edges when q > 1/2, the union when p > 1/2, and
-    its edges otherwise; a pattern (bit i: in round i + 1, any bit: in the
-    union) is needed when some result stores a candidate with it, and r is
-    the probability of the needed patterns.  Walking the k-subsets in
-    lexicographic order, the j-th needed candidate comes
+    Round i (i = 0, 1, 2) stores its non-edges when q > 1/2 and its edges
+    otherwise, each candidate at rate r = min(q, 1 - q).  Walking the
+    k-subsets in lexicographic order, its j-th stored candidate comes
     1 + floor(log(1 - u) / log(1 - r)) places after the one before (the
     first one at place 0 + that floor), where u is variate j of
-    ``derive(seed, 0)``: none when r = 0, every one when r = 1.  It takes the
-    first needed pattern whose cumulative probability exceeds r times
-    variate j of ``derive(seed, 1)`` (the last needed pattern when none
-    does).  A candidate that is not needed is in exactly the results that
-    store their non-edges.
+    ``derive(seed, i)``: none when r = 0.  A candidate is an edge of round i
+    when it is stored there and the round stores edges, or is not stored and
+    the round stores non-edges; it is an edge of the union when it is one of
+    some round.
     """
     q = three_round_rate(p)
+    dense = q > 0.5
+    r = 1.0 - q if dense else q
 
-    def inside(t: int) -> list[bool]:
-        return [t >> i & 1 == 1 for i in range(3)] + [t > 0]
-
-    def variate(stream: int, j: int) -> float:
-        return (mix(stream, j) >> 11) * 2.0 ** -53
-
-    def gap(j: int) -> float:
-        if r == 0.0:
-            return math.inf
-        if r == 1.0:
-            return 0
-        return math.floor(math.log1p(-variate(derive(seed, 0), j)) / math.log1p(-r))
-
-    dense = [q > 0.5] * 3 + [p > 0.5]
-    needed = [t for t in range(8) if inside(t) != dense]
-    probs = [q ** bin(t).count("1") * (1.0 - q) ** (3 - bin(t).count("1")) for t in needed]
-    cumulative = list(accumulate(probs))
-    r = min(cumulative[-1], 1.0)
-    members: list[list[tuple[int, ...]]] = [[], [], [], []]
-    j = 0
-    next_needed = gap(0)
-    for place, e in enumerate(combinations(range(n), k)):
-        if place == next_needed:
-            x = variate(derive(seed, 1), j) * r
-            where = inside(needed[sum(1 for b in cumulative[:-1] if b <= x)])
+    def stored_places(i: int):
+        stream, j, place = derive(seed, i), 0, -1
+        while r > 0.0:
+            u = (mix(stream, j) >> 11) * 2.0 ** -53
+            place += 1 + math.floor(math.log1p(-u) / math.log1p(-r))
             j += 1
-            next_needed = place + 1 + gap(j)
-        else:
-            where = dense
-        for i in range(4):
-            if where[i]:
+            yield place
+
+    streams = [stored_places(i) for i in range(3)]
+    upcoming = [next(s, math.inf) for s in streams]
+    members: list[list[tuple[int, ...]]] = [[], [], [], []]
+    for place, e in enumerate(combinations(range(n), k)):
+        in_round = []
+        for i in range(3):
+            stored = upcoming[i] == place
+            if stored:
+                upcoming[i] = next(streams[i])
+            in_round.append(stored != dense)
+        for i, inside in enumerate(in_round + [any(in_round)]):
+            if inside:
                 members[i].append(e)
     g1, g2, g3, union = (Hypergraph(k, n, m) for m in members)
     return g1, g2, g3, union

@@ -313,7 +313,7 @@ class TestFindHamilton:
 class TestFailureDetails:
     def test_phase_details_reach_the_report(self):
         # the first attempt of this seed fails in merge, the second in cover
-        cfg = Parameters(k=2, mode="power", seed=30, retries=2)
+        cfg = Parameters(k=2, mode="power", seed=2, retries=2)
         report = find_hamilton(ModelSpec(n=600, p=0.9995), cfg)
         assert isinstance(report, FailureReport)
         merge, cover, _ = report.attempts

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -197,7 +198,7 @@ class TestThreeRound:
             assert chi2 < self.CHI2_CRITICAL[len(cells) - 1]
 
     def test_work_scales_with_the_kept_candidates(self, monkeypatch):
-        # C(3000, 3) is about 4.5e9 candidates; about 4,500 are kept
+        # C(3000, 3) is about 4.5e9 candidates; each round keeps about 1,500
         drawn = []
         stream = randmodels.uniform_stream
 
@@ -207,10 +208,45 @@ class TestThreeRound:
 
         monkeypatch.setattr(randmodels, "uniform_stream", counted)
         *rounds, union = sample_three_rounds(3, 3000, 1e-6, seed=5)
-        # below p = 1/2 the union stores its edges: exactly the kept candidates
-        kept = union.edge_count
-        assert 3000 < kept < 6000
-        assert sum(drawn) <= 2 * kept + randmodels._BATCH
+        # below p = 1/2 the union stores its edges: the rounds' kept candidates
+        assert 3000 < union.edge_count < 6000
+        # one variate per kept code of a round, and a batch's slack past the last
+        sizes = [g.edge_count for g in rounds]
+        assert sum(drawn) <= sum(m + 4 * math.sqrt(m) + 16 for m in sizes)
+
+    def test_a_round_past_its_expected_count_grows_its_array(self, monkeypatch):
+        # variates of 0 keep every rank, far past the 5 expected at this rate
+        monkeypatch.setattr(randmodels, "uniform_stream", lambda seed, lo, hi: np.zeros(hi - lo))
+        assert np.array_equal(randmodels._bernoulli_ranks(1, 5000, 0.001), np.arange(5000))
+
+    @pytest.mark.parametrize("k,n,p", [(3, 400, 0.05), (2, 3000, 0.9995), (2, 2000, 0.6),
+                                       (2, 2000, 0.3)])
+    def test_traced_peak_stays_within_twice_the_stored_codes(self, k, n, p):
+        # a sparse union, dense rounds, the mixed regime's mask and a larger
+        # sparse union: no case copies a result's codes whole
+        tracemalloc.start()
+        try:
+            sampled = sample_three_rounds(k, n, p, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = {id(g._codes): g._codes.nbytes for g in sampled}
+        assert peak <= 2 * sum(stored.values())
+
+    @pytest.mark.parametrize("p", [0.271, 0.6, 0.9995])
+    def test_round_marginal_rates_and_pairwise_independence(self, p):
+        # each round is G(n, q), and two rounds share an edge at rate q^2
+        n = 900
+        total = math.comb(n, 2)
+        q = three_round_rate(p)
+        *rounds, _ = sample_three_rounds(2, n, p, seed=4)
+        sd = math.sqrt(total * q * (1 - q))
+        for g in rounds:
+            assert abs(g.edge_count - total * q) <= 3 * sd
+        sd_pair = math.sqrt(total * q * q * (1 - q * q))
+        for a, b in combinations(rounds, 2):
+            shared = np.intersect1d(a.edge_codes(), b.edge_codes(), assume_unique=True).size
+            assert abs(shared - total * q * q) <= 3 * sd_pair
 
     @pytest.mark.parametrize("k,n,p", [(2, 50, 0.3), (3, 20, 0.9), (2, 30, 0.9995), (3, 12, 1.0)])
     def test_expected_stored_codes(self, k, n, p):
