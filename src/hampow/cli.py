@@ -304,18 +304,26 @@ def _janson_template(spec: str, n: int) -> Hypergraph:
     return _load_graph(spec)
 
 
+def _magnitude(log_value: float) -> str:
+    """A nonnegative figure from its natural log; outside a float's range, a power of ten."""
+    if log_value == -math.inf or abs(log_value) < 700.0:
+        return f"{math.exp(log_value):.10g}"
+    return f"10^{log_value / math.log(10.0):.10g}"
+
+
 def _cmd_janson(args) -> int:
     template = _janson_template(args.template, args.n)
     if args.exact:
         mu, delta = janson_mod.exact_mu_delta(args.n, template, args.p)
+        params = janson_mod.JansonParams.compute(mu=mu, delta=delta, gamma=args.gamma)
         label = "exact"
     else:
-        mu = janson_mod.expected_lex_copies(args.n, template, args.p)
-        delta = janson_mod.delta_upper_bound(args.n, template, args.p)
+        params = janson_mod.JansonParams.from_logs(
+            janson_mod.log_expected_lex_copies(args.n, template, args.p),
+            janson_mod.log_delta_upper_bound(args.n, template, args.p), args.gamma)
         label = "bound"
-    params = janson_mod.JansonParams.compute(mu=mu, delta=delta, gamma=args.gamma)
-    print(f"mu = {mu:.10g}")
-    print(f"delta ({label}) = {delta:.10g}")
+    print(f"mu = {_magnitude(params.log_mu)}")
+    print(f"delta ({label}) = {_magnitude(params.log_delta)}")
     print(f"tail bound (gamma={args.gamma}) = {params.bound:.10g}")
     return 0
 

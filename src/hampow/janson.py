@@ -3,8 +3,8 @@
 Works with the family of *lexicographic* copies: every choice of v(H) host
 vertices determines exactly one copy (the order-preserving one), so the
 family size is C(n, v(H)).  Expected counts and the pair-overlap parameter
-are evaluated in log space; a brute-force enumeration oracle is provided for
-small instances and is the ground truth in tests.
+are returned as logs, which no host overflows; a brute-force enumeration
+oracle is provided for small instances and is the ground truth in tests.
 """
 
 from __future__ import annotations
@@ -17,41 +17,47 @@ from itertools import combinations
 import numpy as np
 
 from hampow.core import Hypergraph, _encode_rows, check_encodable
-from hampow.density import m1_density
+from hampow.density import MAX_EXACT_VERTICES, m1_density
 from hampow.randmodels import _check_edge_probability
 
 __all__ = [
     "JansonParams",
-    "delta_upper_bound",
     "exact_mu_delta",
-    "expected_lex_copies",
+    "log_delta_upper_bound",
+    "log_expected_lex_copies",
 ]
 
 
 @dataclass(frozen=True)
 class JansonParams:
-    """Parameters (mu, delta, gamma) of the lower-tail inequality.
+    """Parameters (mu, delta, gamma) of the lower-tail inequality, mu and delta as logs.
 
-    ``bound`` bounds P[X < (1 - gamma) mu] by exp(-gamma^2 mu^2 / (2 (mu + delta)))
+    Natural logs (-inf for 0) keep figures past a float's range.  ``bound``
+    bounds P[X < (1 - gamma) mu] by exp(-gamma^2 mu^2 / (2 (mu + delta)))
     when mu > 0; it is the vacuous 1.0 when mu = 0.
     """
 
-    mu: float
-    delta: float
+    log_mu: float
+    log_delta: float
     gamma: float
     bound: float
 
     @classmethod
     def compute(cls, mu: float, delta: float, gamma: float) -> "JansonParams":
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {gamma}")
         if mu < 0 or delta < 0:
             raise ValueError("mu and delta must be nonnegative")
-        if mu == 0.0:
-            bound = 1.0
-        else:
-            bound = math.exp(-(gamma * gamma * mu * mu) / (2.0 * (mu + delta)))
-        return cls(mu=mu, delta=delta, gamma=gamma, bound=bound)
+        return cls.from_logs(*(math.log(x) if x > 0 else -math.inf for x in (mu, delta)), gamma)
+
+    @classmethod
+    def from_logs(cls, log_mu: float, log_delta: float, gamma: float) -> "JansonParams":
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+        bound = 1.0
+        if log_mu > -math.inf:
+            # the log of gamma^2 mu^2 / (2 (mu + delta)), capped inside exp's range
+            exponent = 2.0 * math.log(gamma) + 2.0 * log_mu - _logsumexp([log_mu, log_delta])
+            bound = math.exp(-math.exp(min(exponent - math.log(2.0), 709.0)))
+        return cls(log_mu=log_mu, log_delta=log_delta, gamma=gamma, bound=bound)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -68,46 +74,43 @@ def _logsumexp(values: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in finite))
 
 
-def expected_lex_copies(n: int, template: Hypergraph, p: float) -> float:
-    """mu = C(n, v(H)) * p^e(H), evaluated in log space."""
+def log_expected_lex_copies(n: int, template: Hypergraph, p: float) -> float:
+    """log mu, where mu = C(n, v(H)) * p^e(H); -inf when mu = 0."""
     _check_edge_probability(p)
     v = template.n
     if v > n:
         raise ValueError(f"template has {v} vertices but the host only {n}")
     e = template.edge_count
     if p == 0.0:
-        return 0.0 if e > 0 else math.comb(n, v)
-    return math.exp(_log_comb(n, v) + e * math.log(p))
+        return -math.inf if e > 0 else _log_comb(n, v)
+    return _log_comb(n, v) + e * math.log(p)
 
 
-def delta_upper_bound(n: int, template: Hypergraph, p: float) -> float:
-    """Closed-form upper bound on the pair-overlap parameter delta.
+def log_delta_upper_bound(n: int, template: Hypergraph, p: float) -> float:
+    """log of a closed-form upper bound on the pair-overlap parameter delta.
 
     Sums, over the overlap size j from the uniformity up to v(H)-1, the
     number of ways to choose an overlapping ordered pair of lexicographic
-    copies times p^(2 e(H) - (j-1) m1(H)); the exponent uses the exact
-    1-density.  An empty range gives 0.
+    copies times p^(2 e(H) - (j-1) m1(H)).  Above MAX_EXACT_VERTICES template
+    vertices, m1 is bounded by the most edges whose last vertex is one vertex
+    (a subgraph's first vertex is the last of none of its edges).  An empty
+    range, or p = 0, gives a bound of 0 (log -inf).
     """
     _check_edge_probability(p)
     if template.edge_count == 0:
         raise ValueError("delta bound is undefined for an edgeless template")
-    v = template.n
-    k = template.k
+    v, e = template.n, template.edge_count
     if p == 0.0:
-        return 0.0
-    m1 = float(m1_density(template))
+        return -math.inf
+    if v <= MAX_EXACT_VERTICES:
+        m1 = float(m1_density(template))
+    else:
+        m1 = float(max(Counter(edge[-1] for edge in template.edges()).values()))
     logp = math.log(p)
-    terms = []
-    for j in range(k, v):
-        expo = 2.0 * template.edge_count - (j - 1) * m1
-        terms.append(
-            _log_comb(n, j)
-            + 2.0 * _log_comb(n - j, v - j)
-            + expo * logp
-        )
-    if not terms:
-        return 0.0
-    return math.exp(_logsumexp(terms))
+    return _logsumexp([
+        _log_comb(n, j) + 2.0 * _log_comb(n - j, v - j) + (2.0 * e - (j - 1) * m1) * logp
+        for j in range(template.k, v)
+    ])
 
 
 def exact_mu_delta(

@@ -205,6 +205,13 @@ class TestJanson:
                            "builtin:path-2-30000000"], address_space=2 << 30)
         assert proc.returncode == 2 and reason in proc.stderr
 
+    def test_a_mean_past_a_float_is_printed_as_a_power_of_ten(self):
+        proc = run_module(["janson", "--n", "2000", "--p", "0.9",
+                           "--template", "builtin:path-1-1000"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "mu = 10^554.5" in proc.stdout and "delta (bound) = 10^" in proc.stdout
+        assert "inf" not in proc.stdout and "nan" not in proc.stdout
+
     def test_the_path_edge_count_is_exact(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", 2 * 4 - 3)  # the square of a 4-path
         code, out, _ = run(["janson", "--n", "10", "--p", "0.5",

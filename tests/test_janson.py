@@ -2,17 +2,26 @@ import math
 
 import pytest
 
+from hampow import janson
 from hampow.core import Hypergraph, power_path_template, tight_path_template
 from hampow.janson import (
     JansonParams,
-    delta_upper_bound,
     exact_mu_delta,
-    expected_lex_copies,
+    log_delta_upper_bound,
+    log_expected_lex_copies,
 )
 
 
 def triangle():
     return Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+
+
+def expected_lex_copies(n, template, p):
+    return math.exp(log_expected_lex_copies(n, template, p))
+
+
+def delta_upper_bound(n, template, p):
+    return math.exp(log_delta_upper_bound(n, template, p))
 
 
 class TestMu:
@@ -102,6 +111,23 @@ class TestDeltaUpperBound:
         with pytest.raises(ValueError):
             delta_upper_bound(5, Hypergraph(2, 3, ()), 0.5)
 
+    @pytest.mark.parametrize("template", [power_path_template(2, 6), tight_path_template(2, 6)])
+    def test_the_bound_past_the_exact_density_limit_still_dominates(self, template, monkeypatch):
+        # above the limit the exponent uses the most edges ending at one vertex
+        monkeypatch.setattr(janson, "MAX_EXACT_VERTICES", template.n - 1)
+        for p in (0.3, 0.9):
+            _, delta = exact_mu_delta(10, template, p)
+            assert delta_upper_bound(10, template, p) >= delta * (1 - 1e-12)
+
+    def test_figures_past_a_float_stay_finite_logs(self):
+        # mu is about 10^554 here: no float holds it
+        path = power_path_template(1, 1000)
+        log_mu = log_expected_lex_copies(2000, path, 0.9)
+        log_delta = log_delta_upper_bound(2000, path, 0.9)
+        assert 709.8 < log_mu < math.inf and 709.8 < log_delta < math.inf
+        assert 0.0 <= JansonParams.from_logs(log_mu, log_delta, 0.5).bound <= 1.0
+        assert JansonParams.from_logs(1e4, 1e4, 0.5).bound == 0.0
+
 
 @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
 def test_edge_probability_outside_the_unit_interval_is_rejected(p):
@@ -119,6 +145,8 @@ class TestLowerTail:
     def test_formula_value(self):
         params = JansonParams.compute(mu=1.25, delta=1.875, gamma=0.5)
         assert params.bound == pytest.approx(math.exp(-0.0625))
+        logged = JansonParams.from_logs(math.log(1.25), math.log(1.875), 0.5)
+        assert logged.bound == pytest.approx(params.bound)
 
     def test_vacuous_at_zero_mean(self):
         assert JansonParams.compute(mu=0.0, delta=3.0, gamma=0.5).bound == 1.0
