@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class Hypergraph:
         """
         batch = isinstance(vertices, np.ndarray) and vertices.ndim == 2
         if batch:
-            rows = vertices.astype(np.int64)
+            rows = vertices
         else:
             vs = [int(v) for v in vertices]
             try:
@@ -130,14 +130,16 @@ class Hypergraph:
                 return False  # a vertex no int64 holds is out of range
         if rows.shape[1] != self.k:
             return np.zeros(rows.shape[0], dtype=bool) if batch else False
-        rows.sort(axis=1)
-        ok = (rows[:, 0] >= 0) & (rows[:, -1] < self.n) & np.all(rows[:, 1:] > rows[:, :-1], axis=1)
-        # a row that is no edge is encoded as zeros, so no stray vertex overflows
-        codes = _encode_rows(np.where(ok[:, None], rows, 0), self.n)
-        i = np.searchsorted(self._codes, codes)
-        stored = i < self._codes.size
-        stored[stored] = self._codes[i[stored]] == codes[stored]
-        hit = ok & (stored != self._complement)
+        cols = list(np.ascontiguousarray(rows.T, dtype=np.int64))
+        for end in range(self.k - 1, 0, -1):  # a bubble network of compare-exchanges
+            for j in range(end):
+                a, b = cols[j], cols[j + 1]
+                cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
+        ok = (cols[0] >= 0) & (cols[-1] < self.n)
+        for a, b in zip(cols, cols[1:]):
+            ok &= a < b
+        # a row that is no edge may get a meaningless (wrapped) code, which ok masks
+        hit = ok & (_in_sorted(_encode_rows(cols, self.n), self._codes) != self._complement)
         return hit if batch else bool(hit[0])
 
     def edges(self) -> Iterator[tuple[int, ...]]:
@@ -156,13 +158,10 @@ class Hypergraph:
         """Sorted neighbor array (2-uniform only)."""
         if self.k != 2:
             raise ValueError("neighbors() requires a 2-uniform hypergraph")
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside range({self.n})")
         if self._adj is None:
-            # CSR over both orientations of the stored pairs (the neighbours,
-            # or the non-neighbours), sorted as src * n + dst
-            u, w = _decode_codes(self._codes, self.n, 2).T
-            src, dst = np.divmod(np.sort(np.concatenate([u * self.n + w, w * self.n + u])), self.n)
-            starts = np.searchsorted(src, np.arange(self.n + 1))
-            self._adj = (starts, dst)
+            self._adj = _csr(self._codes, self.n)
         starts, dst = self._adj
         row = dst[starts[v]:starts[v + 1]]
         if not self._complement:
@@ -261,22 +260,30 @@ _TEXT_CHUNK = 1 << 20
 
 def _comb(x: np.ndarray, s: int) -> np.ndarray:
     """C(x, s), s >= 1, for each entry of an int64 array x >= 0; exact while x ** s < 2 ** 62."""
-    f = x.copy()
+    f = x
     for i in range(1, s):
-        f *= x - i  # a falling factorial: no step exceeds x ** s
+        f = f * (x - i)  # a falling factorial: no step exceeds x ** s
     return f // math.factorial(s) if s > 1 else f
 
 
-def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic ranks of sorted edges given as the rows of an int64 array.
+def _encode_rows(cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Lexicographic ranks of sorted edges given as their k int64 vertex columns.
 
     Mirrored by a -> n - 1 - a, lex order turns into reversed colex order.
     """
-    k = rows.shape[1]
-    codes = np.full(rows.shape[0], math.comb(n, k) - 1, dtype=np.int64)
-    for j in range(k):
-        codes -= _comb(n - 1 - rows[:, j], k - j)
+    k = len(cols)
+    codes = np.full(cols[0].shape[0], math.comb(n, k) - 1, dtype=np.int64)
+    for j, col in enumerate(cols):
+        codes -= _comb(n - 1 - col, k - j)
     return codes
+
+
+def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Bool mask: which of ``values`` occur in the ascending array ``table``."""
+    if table.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    # a position past the end clips to the largest entry, never a match
+    return table.take(table.searchsorted(values), mode="clip") == values
 
 
 def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -308,9 +315,29 @@ def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
     return rows
 
 
+def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row starts and ascending rows of both orientations of the pairs with these sorted codes.
+
+    Row u's pairs (u, w > u) are the run of codes from first[u], the code of (u, u + 1).
+    """
+    u = np.arange(n + 1)
+    first = u * (2 * n - 1 - u) // 2  # first[n] = C(n, 2)
+    up = codes.searchsorted(first)
+    up_count = np.diff(up)
+    src = np.repeat(u[:-1], up_count)
+    dst = codes - np.repeat((first - u - 1)[:-1], up_count)
+    down = np.sort(dst * n + src)  # the pairs (w, u), u < w, as w * n + u
+    before = down.searchsorted(u * n)  # row w's smaller neighbours start at before[w]
+    adj = np.empty(2 * codes.size, dtype=np.int64)
+    at = np.arange(codes.size)
+    adj[at + np.repeat(before[1:], up_count)] = dst  # after the row's smaller neighbours
+    adj[at + np.repeat(up[:-1], np.diff(before))] = down % n
+    return up + before, adj
+
+
 def _sorted_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Ascending codes of sorted edges given as rows; no edge may repeat."""
-    codes = np.sort(_encode_rows(rows, n))
+    codes = np.sort(_encode_rows(rows.T, n))
     if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate edges are not allowed")
     return codes

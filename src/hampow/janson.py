@@ -135,7 +135,7 @@ def exact_mu_delta(
     copies = np.array(list(combinations(range(n), v)), dtype=np.int64).reshape(n_copies, v)
     rows = np.sort(copies[:, tmpl_edges], axis=2).reshape(-1, template.k)
     by_edge: dict[int, list[int]] = {}
-    for idx, codes in enumerate(_encode_rows(rows, n).reshape(n_copies, e_count).tolist()):
+    for idx, codes in enumerate(_encode_rows(rows.T, n).reshape(n_copies, e_count).tolist()):
         for c in set(codes):
             by_edge.setdefault(c, []).append(idx)
     mu = n_copies * p ** e_count

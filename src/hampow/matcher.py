@@ -21,6 +21,7 @@ import numpy as np
 from hampow.core import (
     Hypergraph,
     VertexTuple,
+    _in_sorted,
     check_uniformity,
     connecting_path_template,
     tight_path_template,
@@ -200,14 +201,17 @@ class _CopySearcher:
         link of every anchor.
         """
         v_t = self.order[depth]
-        fits = np.ones(pool.size, dtype=bool)
+        fits = None  # a memoised mask is only read: the first AND makes a new array
         for e in self.anchors[depth]:
-            fits &= self._link(tuple(sorted(images[u] for u in e if u != v_t)), pool)
+            link = self._link(tuple(sorted(images[u] for u in e if u != v_t)), pool)
+            fits = link if fits is None else fits & link
+        if fits is None:
+            fits = np.ones(pool.size, dtype=bool)
         # a 2-uniform host charges each fitting candidate; any other host the
         # vertices up to each fitting one, in the next() call that scans them
         per_candidate = self.host.k == 2
         scanned = 0
-        for i in np.flatnonzero(fits).tolist():
+        for i in fits.nonzero()[0].tolist():
             self._charge(1 if per_candidate else i + 1 - scanned)
             scanned = i + 1
             if allowed[i] not in used:
@@ -229,12 +233,7 @@ class _CopySearcher:
                 self._links.clear()
             host = self.host
             if host.k == 2:
-                nbrs = host.neighbors(others[0])
-                if nbrs.size == 0:
-                    mask = np.zeros(pool.size, dtype=bool)
-                else:
-                    # a position past the end clips to the largest neighbour, never a match
-                    mask = nbrs.take(nbrs.searchsorted(pool), mode="clip") == pool
+                mask = _in_sorted(pool, host.neighbors(others[0]))
             else:
                 rows = np.empty((pool.size, host.k), dtype=np.int64)
                 rows[:, :-1] = others

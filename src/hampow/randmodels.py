@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from hampow.core import Hypergraph
+from hampow.core import Hypergraph, _in_sorted
 
 __all__ = [
     "BipartiteGraph",
@@ -149,7 +149,7 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
         # rate = 0 gives inf or nan here, which fmin caps at total: no rank is kept
         with np.errstate(divide="ignore", invalid="ignore"):
             gaps /= log_miss
-        ranks = np.fmin(np.floor(gaps, out=gaps), total, out=gaps).astype(np.int64)
+        ranks = np.fmin(gaps, total, out=gaps).astype(np.int64)  # gaps >= 0: the cast floors
         ranks += 1
         np.cumsum(ranks, out=ranks)
         ranks += last
@@ -173,9 +173,13 @@ def _merged(rounds: list[np.ndarray], total: int) -> np.ndarray:
     starts = [np.searchsorted(codes, cuts) for codes in rounds]
     size = 0
     for b in range(cuts.size - 1):
-        part = np.concatenate([codes[at[b] : at[b + 1]] for codes, at in zip(rounds, starts)])
+        pieces = [codes[at[b] : at[b + 1]] for codes, at in zip(rounds, starts)]
+        part = union[size : size + sum(piece.size for piece in pieces)]
+        np.concatenate(pieces, out=part)  # past the union so far: the stretch needs no copy
         part.sort()
-        part = part[np.diff(part, prepend=-1) != 0]  # codes are >= 0
+        fresh = np.ones(part.size, dtype=bool)
+        np.not_equal(part[1:], part[:-1], out=fresh[1:])
+        part = part[fresh]
         union[size : size + part.size] = part
         size += part.size
     union.resize(size, refcheck=False)
@@ -207,8 +211,8 @@ def sample_three_rounds(
     dense = q > 0.5
     rounds = [_bernoulli_ranks(derive(seed, i), total, 1.0 - q if dense else q) for i in range(3)]
     if dense:
-        both = np.intersect1d(rounds[0], rounds[1], assume_unique=True)
-        union = np.intersect1d(both, rounds[2], assume_unique=True)
+        union = rounds[0][_in_sorted(rounds[0], rounds[1])]
+        union = union[_in_sorted(union, rounds[2])]
     elif p > 0.5:
         absent = np.ones(total, dtype=bool)
         for codes in rounds:

@@ -234,7 +234,7 @@ def tight_windows(order: tuple[int, ...], w: int, cyclic: bool = True) -> set[tu
 def complement_twin(g: Hypergraph) -> Hypergraph:
     """The same edge set as ``g``, stored as its non-edges."""
     rows = [e for e in combinations(range(g.n), g.k) if not g.has_edge(e)]
-    codes = _encode_rows(np.array(rows, dtype=np.int64).reshape(-1, g.k), g.n)
+    codes = _encode_rows(np.array(rows, dtype=np.int64).reshape(-1, g.k).T, g.n)
     return Hypergraph.from_codes(g.k, g.n, codes, complement=True)
 
 

@@ -119,7 +119,7 @@ class TestEdgeCodes:
     @settings(max_examples=60, deadline=None)
     def test_codes_are_lexicographic_ranks(self, data, k, n):
         every = np.array(list(combinations(range(n), k)), dtype=np.int64)
-        assert np.array_equal(_encode_rows(every, n), np.arange(len(every)))
+        assert np.array_equal(_encode_rows(every.T, n), np.arange(len(every)))
         # any order, repeats allowed
         codes = data.draw(st.lists(st.integers(0, len(every) - 1)))
         rows = _decode_codes(np.array(codes, dtype=np.int64), n, k)
@@ -140,7 +140,7 @@ class TestEdgeCodes:
         assert rows[0].tolist() == list(range(n - k, n))
         assert rows[3].tolist() == list(range(k))
         assert np.all(rows[:, 1:] > rows[:, :-1]) and rows.min() >= 0 and rows.max() < n
-        assert np.array_equal(_encode_rows(rows, n), codes)
+        assert np.array_equal(_encode_rows(rows.T, n), codes)
 
     def test_codes_outside_the_rank_range_are_refused(self):
         with pytest.raises(ValueError, match="outside"):
@@ -241,17 +241,20 @@ class TestBatchedMembership:
     @settings(max_examples=150, deadline=None)
     def test_rows_answer_like_the_edge_set(self, data):
         k = data.draw(st.integers(2, 4))
-        n = data.draw(st.integers(k, 8))
+        n = data.draw(st.integers(0, 8))
         g = Hypergraph(k, n, data.draw(edge_sets(k, n)))
         edge_set = set(g.edges())
+        width = data.draw(st.sampled_from([k, k, k - 1, k + 1]))
+        dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint64]))
+        info = np.iinfo(dtype)
         # rows that are edges or non-edges in any vertex order, and rows that
-        # repeat a vertex or hold one outside range(n)
-        row = st.one_of(
-            st.sampled_from(sorted(combinations(range(n), k))).flatmap(st.permutations),
-            st.lists(st.integers(-2, n + 1), min_size=k, max_size=k),
-        )
+        # repeat a vertex or hold one outside range(n) or at an end of the dtype
+        vertex = st.integers(max(info.min, -2), n + 1) | st.sampled_from([info.min, info.max])
+        row = st.lists(vertex, min_size=width, max_size=width)
+        if n >= width:
+            row |= st.sampled_from(sorted(combinations(range(n), width))).flatmap(st.permutations)
         rows = data.draw(st.lists(row, max_size=30))
-        batch = np.array(rows, dtype=np.int64).reshape(-1, k)
+        batch = np.array(rows, dtype=dtype).reshape(-1, width)
         expected = [tuple(sorted(r)) in edge_set for r in rows]
         for host in (g, complement_twin(g)):
             got = host.has_edge(batch)
@@ -267,6 +270,37 @@ class TestBatchedMembership:
             assert empty.dtype == bool and empty.shape == (0,)
             assert host.has_edge(np.arange(2 * (k + 1)).reshape(2, k + 1)).tolist() == [False] * 2
             assert host.has_edge(np.empty(0, dtype=np.int64)) is False
+
+
+class TestAdjacency:
+    """``neighbors`` rows against a brute-force adjacency, in both storage forms."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_a_brute_force_adjacency(self, data):
+        n = data.draw(st.integers(1, 12))
+        isolated = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        pairs = [e for e in combinations(range(n), 2) if not isolated & set(e)]
+        kind = data.draw(st.sampled_from(["empty", "all", "some"]))
+        if kind == "some":
+            pairs = [e for e in pairs if data.draw(st.booleans())]
+        g = Hypergraph(2, n, [] if kind == "empty" else pairs)
+        edges = set(g.edges())
+        hosts = [g, complement_twin(g)]
+        if g.edge_count == math.comb(n, 2):
+            hosts.append(Hypergraph.complete(2, n))
+        for host in hosts:
+            # the first call builds the rows, whichever vertex it asks about
+            for v in data.draw(st.permutations(range(n))):
+                row = host.neighbors(v)
+                assert row.tolist() == [w for w in range(n) if (min(v, w), max(v, w)) in edges]
+
+    @pytest.mark.parametrize("host", [complete_graph(5), Hypergraph.complete(2, 5)])
+    def test_a_vertex_outside_the_range_is_refused(self, host):
+        for v in (-1, 5, 7):
+            with pytest.raises(ValueError, match=rf"vertex {v} outside range\(5\)"):
+                host.neighbors(v)
+        assert host._adj is None  # refused before the rows are built
 
 
 class TestTemplates:

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from functools import reduce
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,7 +171,7 @@ class TestThreeRound:
         # independent Bernoulli(q) coins; q = 1/2 at p = 0.875
         seeds = 2000
         candidates = list(combinations(range(n), k))
-        codes = _encode_rows(np.array(candidates, dtype=np.int64), n)
+        codes = _encode_rows(np.array(candidates, dtype=np.int64).T, n)
         counts = np.zeros(8, dtype=np.int64)
         for s in range(seeds):
             *rounds, union = sample_three_rounds(k, n, p, derive(31, s))
@@ -259,6 +261,29 @@ class TestThreeRound:
         # each result's size is binomial, so their sum's variance is <= 4 * want
         sd = 2 * math.sqrt(want)
         assert abs(np.mean(sizes) - want) <= 4 * sd / math.sqrt(len(sizes))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_merged_rounds_are_their_union(self, data):
+        total = data.draw(st.integers(1, 60))
+        codes = st.sets(st.integers(0, total - 1)).map(lambda c: np.array(sorted(c), dtype=np.int64))
+        rounds = [data.draw(codes) for _ in range(3)]  # an empty round included
+        # stretches of a few codes, so most unions take several
+        with mock.patch.object(randmodels, "_BATCH", data.draw(st.integers(1, 8))):
+            union = randmodels._merged(rounds, total)
+        assert union.tolist() == reduce(np.union1d, rounds).tolist()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dense_union_is_the_rounds_common_non_edges(self, data):
+        k = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(k, 9))
+        # q > 1/2: the rounds store their non-edges, few on small hosts, often none
+        p = data.draw(st.floats(0.88, 0.9999))
+        *rounds, union = sample_three_rounds(k, n, p, seed=data.draw(st.integers(0, 999)))
+        assert union._complement and all(g._complement for g in rounds)
+        common = reduce(np.intersect1d, [g._codes for g in rounds])
+        assert union._codes.tolist() == common.tolist()
 
     def test_joint_sampler_determinism(self):
         a = sample_three_rounds(3, 40, 0.4, seed=1)
