@@ -222,15 +222,15 @@ def _cmd_find(args) -> int:
         raise SystemExit(_usage(source))
     if isinstance(source, ModelSpec) and _model_too_large(cfg.uniformity, source.n, source.p):
         return 2
-    n = source.n
-    formula, value = implied_threshold(n, cfg)
-    chosen = args.p if args.p is not None else "n/a (fixed graph)"
-    print(f"seed {args.seed}; implied threshold {formula} = {value:.6g}; chosen p = {chosen}")
     try:
-        plan = resolve_plan(n, cfg)
+        # first, so a host too small for any plan (n = 0 too) never reaches the threshold
+        plan = resolve_plan(source.n, cfg)
     except ValueError as err:
         print(f"infeasible configuration: {err}", file=sys.stderr)
         return 2
+    formula, value = implied_threshold(source.n, cfg)
+    chosen = args.p if args.p is not None else "n/a (fixed graph)"
+    print(f"seed {args.seed}; implied threshold {formula} = {value:.6g}; chosen p = {chosen}")
     print(plan.describe())
     result, attempt = find_hamilton_detailed(source, cfg)
     if isinstance(result, FailureReport):

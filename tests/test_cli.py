@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import resource
 import shlex
@@ -382,6 +383,13 @@ class TestFindFailure:
         assert code == 2
         assert "no verified cycle" in err
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_host_too_small_for_any_plan_exits_2(self, capsys, n):
+        # n = 0 used to divide by zero in the threshold line
+        code, out, err = run(["find", "--model", "gnp", "--n", str(n), "--p", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert f"infeasible configuration: no feasible absorber/cover/merge plan for n={n}" in err
+
 
 class TestModelSizeGuard:
     @pytest.fixture
@@ -630,3 +638,82 @@ class TestReadme:
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+
+#: The subcommands with numeric flags.
+NUMERIC_COMMANDS = ["gen", "find", "verify", "janson", "factor", "absorber", "experiment"]
+
+
+@st.composite
+def numeric_flags(draw, command: str, d: Path) -> list[str]:
+    """``command`` with small numbers, valid or not, drawn for its numeric flags."""
+    def count() -> str:  # a vertex count: the smallest ones most often
+        return str(draw(st.one_of(st.integers(-2, 3), st.integers(-3, 120))))
+
+    def small() -> str:
+        return str(draw(st.integers(-1, 5)))
+
+    def rate() -> str:
+        return repr(draw(st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5, math.nan, math.inf, -math.inf]))))
+
+    def pick(*choices: str) -> str:
+        return draw(st.sampled_from(choices))
+
+    seed = ["--seed", small()]
+    if command == "gen":
+        return ["gen", "--model", pick("gnp", "hgnp", "bip"), "--k", small(), "--n", count(),
+                "--p", rate(), "--out", str(d / "fuzz.hg"), *seed]
+    params = ["--k", small(), "--mode", pick("power", "tight"), "--retries", small()]
+    model = ["--model", pick("gnp", "hgnp"), "--n", count(), "--p", rate()]
+    if command == "find":
+        return ["find", *model, *params, *seed]
+    if command == "verify":
+        return ["verify", *model, "--attempt", small(), "--cert",
+                str(d / pick("power.cert", "tight.cert")), *seed]
+    if command == "janson":
+        exact = draw(st.booleans())
+        n = small() if exact else count()  # exact enumeration is C(n, ell) copies
+        return ["janson", "--n", n, "--p", rate(), "--template",
+                f"builtin:path-{small()}-{small()}", "--gamma", rate()] + ["--exact"] * exact
+    if command == "factor":
+        return ["factor", "--graph", str(d / "power.hg"), "--template", str(d / "path.hg"),
+                "--epsilon", rate()]
+    if command == "absorber":
+        return ["absorber", *params[:4], "--ell", small(), "--validate", small(), *seed]
+    rates = ",".join(rate() for _ in range(draw(st.integers(0, 2))))
+    return ["experiment", "--n-list", ",".join(count() for _ in range(draw(st.integers(0, 2)))),
+            "--p-grid", rates, "--trials", small(), "--jobs", pick("-1", "0", "1"),
+            "--csv", str(d / "fuzz.csv"), *params, *seed]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A host, a template and certificates on six vertices for the flag fuzz."""
+    d = tmp_path_factory.mktemp("flags")
+    (d / "power.hg").write_text(Hypergraph.complete(2, 6).to_text())
+    (d / "path.hg").write_text(Hypergraph(2, 3, [(0, 1), (1, 2)]).to_text())
+    (d / "power.cert").write_text("power 2 6\n0 1 2 3 4 5\n")
+    (d / "tight.cert").write_text("tight 2 6\n0 1 2 3 4 5\n")
+    return d
+
+
+class TestFlagFuzz:
+    """Every numeric flag value, in range or not, ends in exit 0, 1 or 2 with a message.
+
+    ``--jobs`` is drawn from {-1, 0, 1}, so no draw starts a worker process.
+    """
+
+    @pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_numeric_flag_gets_an_exit_code_and_a_message(self, fuzz_files, command, data):
+        argv = data.draw(numeric_flags(command, fuzz_files))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit:  # argparse and the usage errors exit this way
+                code = exit.code
+        assert code in (0, 1, 2)
+        assert (out.getvalue() if code == 0 else err.getvalue()).strip()
