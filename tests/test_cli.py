@@ -591,10 +591,13 @@ def corrupted_certificates(draw) -> bytes:
 
 @pytest.fixture(scope="module")
 def small_hosts(tmp_path_factory):
-    """A directory with the complete graph and the complete 3-uniform host on six vertices."""
+    """Complete 2- and 3-uniform hosts on six vertices, a path template and two certificates."""
     d = tmp_path_factory.mktemp("hosts")
     (d / "power.hg").write_text(Hypergraph.complete(2, 6).to_text())
     (d / "tight.hg").write_text(Hypergraph.complete(3, 6).to_text())
+    (d / "path.hg").write_text(Hypergraph(2, 3, [(0, 1), (1, 2)]).to_text())
+    (d / "power.cert").write_text("power 2 6\n0 1 2 3 4 5\n")
+    (d / "tight.cert").write_text("tight 2 6\n0 1 2 3 4 5\n")
     return d
 
 
@@ -640,10 +643,6 @@ class TestReadme:
             parser.parse_args(argv)
 
 
-#: The subcommands with numeric flags.
-NUMERIC_COMMANDS = ["gen", "find", "verify", "janson", "factor", "absorber", "experiment"]
-
-
 @st.composite
 def numeric_flags(draw, command: str, d: Path) -> list[str]:
     """``command`` with small numbers, valid or not, drawn for its numeric flags."""
@@ -680,22 +679,12 @@ def numeric_flags(draw, command: str, d: Path) -> list[str]:
         return ["factor", "--graph", str(d / "power.hg"), "--template", str(d / "path.hg"),
                 "--epsilon", rate()]
     if command == "absorber":
-        return ["absorber", *params[:4], "--ell", small(), "--validate", small(), *seed]
+        return ["absorber", "--k", small(), "--mode", pick("power", "tight"), "--ell", small(),
+                "--validate", small(), *seed]
     rates = ",".join(rate() for _ in range(draw(st.integers(0, 2))))
     return ["experiment", "--n-list", ",".join(count() for _ in range(draw(st.integers(0, 2)))),
             "--p-grid", rates, "--trials", small(), "--jobs", pick("-1", "0", "1"),
             "--csv", str(d / "fuzz.csv"), *params, *seed]
-
-
-@pytest.fixture(scope="module")
-def fuzz_files(tmp_path_factory):
-    """A host, a template and certificates on six vertices for the flag fuzz."""
-    d = tmp_path_factory.mktemp("flags")
-    (d / "power.hg").write_text(Hypergraph.complete(2, 6).to_text())
-    (d / "path.hg").write_text(Hypergraph(2, 3, [(0, 1), (1, 2)]).to_text())
-    (d / "power.cert").write_text("power 2 6\n0 1 2 3 4 5\n")
-    (d / "tight.cert").write_text("tight 2 6\n0 1 2 3 4 5\n")
-    return d
 
 
 class TestFlagFuzz:
@@ -704,11 +693,12 @@ class TestFlagFuzz:
     ``--jobs`` is drawn from {-1, 0, 1}, so no draw starts a worker process.
     """
 
-    @pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+    @pytest.mark.parametrize(
+        "command", ["gen", "find", "verify", "janson", "factor", "absorber", "experiment"])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_every_numeric_flag_gets_an_exit_code_and_a_message(self, fuzz_files, command, data):
-        argv = data.draw(numeric_flags(command, fuzz_files))
+    def test_every_numeric_flag_gets_an_exit_code_and_a_message(self, small_hosts, command, data):
+        argv = data.draw(numeric_flags(command, small_hosts))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
