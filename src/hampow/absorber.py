@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from hampow.core import Hypergraph, VertexTuple, check_uniformity, required_edges, uniformity
 from hampow.factor import factor_in_window
 from hampow.matcher import connect_paths
@@ -71,14 +73,20 @@ class Backbone:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.ell < 3 or self.ell % 2 == 0:
             raise ValueError(f"backbone needs odd ell >= 3, got {self.ell}")
-        edges: set[tuple[int, ...]] = set()
-        for include_x in (True, False):
-            for piece in self.pieces(include_x):
-                path = required_edges(piece, self.k, self.mode)
-                if self.mode == "tight" and edges & path:
-                    raise AssertionError("backbone tight paths must be edge-disjoint")
-                edges |= path
-        graph = Hypergraph(uniformity(self.k, self.mode), self.vertex_count, edges)
+        w = uniformity(self.k, self.mode)
+        paths = [
+            Hypergraph(w, self.vertex_count, np.concatenate([
+                rows
+                for piece in self.pieces(include_x)
+                for rows in required_edges(piece, self.k, self.mode)
+            ])).edge_codes()
+            for include_x in (True, False)
+        ]
+        codes = np.sort(np.concatenate(paths))
+        shared = codes[1:] == codes[:-1]  # the two power paths share pairs
+        if self.mode == "tight" and shared.any():
+            raise AssertionError("backbone tight paths must be edge-disjoint")
+        graph = Hypergraph.from_codes(w, self.vertex_count, codes[np.append(True, ~shared)])
         object.__setattr__(self, "graph", graph)
 
     @property

@@ -49,9 +49,9 @@ from hampow.randmodels import (
 
 MATERIALIZE_LIMIT = 20_000_000
 
-#: Most edges a path template or backbone that the CLI builds may have: they
-#: are built as Python sets of vertex tuples, about 300 bytes an edge at the
-#: peak, so this many fit in 2 GB (a 5M-edge path peaks at 1.5 GB).
+#: Most edges a path template or backbone that the CLI builds may have.  The
+#: build peaks at 32-48 traced bytes an edge (power path, power backbone,
+#: tight path), but ``janson`` still counts a template's edges as tuples.
 TEMPLATE_EDGE_LIMIT = 4_000_000
 
 #: Most bytes the expected stored codes (8 bytes each) of a sampled host's
@@ -172,7 +172,7 @@ def _cmd_gen(args) -> int:
         return 2
     if args.model == "bip":
         lines = [f"bip {g.left} {g.right} {g.edge_count}"]
-        lines += [f"{l} {r}" for l, r in sorted(g.edges)]
+        lines += [f"{l} {r}" for l, row in enumerate(g.adjacency()) for r in row]
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote bipartite {g.left}x{g.right} with {g.edge_count} edges (seed {args.seed})")
         return 0
@@ -390,15 +390,12 @@ def _cmd_experiment(args) -> int:
     p_grid = [float(x) for x in args.p_grid.split(",") if x]
     cfg_fields = dict(k=args.k, mode=args.mode, retries=args.retries)
     k = uniformity(args.k, args.mode)
-    if any(_model_too_large(k, n, p) for n in n_list for p in p_grid):
+    models = [ModelSpec(n=n, p=p) for n in n_list for p in p_grid]
+    if any(_model_too_large(k, m.n, m.p) for m in models):
         return 2
-    tasks = []
-    row = 0
-    for n in n_list:
-        for p in p_grid:
-            for trial in range(args.trials):
-                tasks.append((n, p, trial, derive(args.seed, row), cfg_fields, args.zero_timings))
-                row += 1
+    runs = [(m, trial) for m in models for trial in range(args.trials)]
+    tasks = [(m.n, m.p, trial, derive(args.seed, row), cfg_fields, args.zero_timings)
+             for row, (m, trial) in enumerate(runs)]
     # the executor starts all its workers at once, so never ask for more than can run
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

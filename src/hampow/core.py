@@ -58,7 +58,13 @@ class Hypergraph:
 
     __slots__ = ("k", "n", "_codes", "_complement", "_adj")
 
-    def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]]):
+    def __init__(self, k: int, n: int, edges: np.ndarray | Iterable[Iterable[int]]):
+        """The graph whose edges are the rows of an (m, k) int array, or these vertex sequences.
+
+        An edge's vertices may come in any order.  The first edge of another
+        width, with a repeated vertex or with a vertex outside ``range(n)`` is
+        refused by name, and so is a repeated edge.
+        """
         self.k = int(k)
         self.n = int(n)
         if self.k < 2:
@@ -66,15 +72,9 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         check_encodable(self.k, self.n)
-        rows = []
-        for edge in edges:
-            vs = sorted(int(v) for v in edge)
-            if len(vs) != self.k or len(set(vs)) != self.k:
-                raise ValueError(f"edge {tuple(edge)} must have {self.k} distinct vertices")
-            if vs[0] < 0 or vs[-1] >= self.n:
-                raise ValueError(f"edge {tuple(vs)} out of range [0, {self.n})")
-            rows.append(vs)
-        self._codes = _sorted_codes(np.array(rows, dtype=np.int64).reshape(-1, self.k), self.n)
+        if not isinstance(edges, np.ndarray) or edges.shape[1:] != (self.k,):
+            edges = _edge_array(edges, self.k, self.n)  # names an edge of another width
+        self._codes = _sorted_codes(edges, self.k, self.n)
         self._complement = False
         self._adj = None
 
@@ -130,15 +130,8 @@ class Hypergraph:
                 return False  # a vertex no int64 holds is out of range
         if rows.shape[1] != self.k:
             return np.zeros(rows.shape[0], dtype=bool) if batch else False
-        cols = list(np.ascontiguousarray(rows.T, dtype=np.int64))
-        for end in range(self.k - 1, 0, -1):  # a bubble network of compare-exchanges
-            for j in range(end):
-                a, b = cols[j], cols[j + 1]
-                cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
-        ok = (cols[0] >= 0) & (cols[-1] < self.n)
-        for a, b in zip(cols, cols[1:]):
-            ok &= a < b
-        # a row that is no edge may get a meaningless (wrapped) code, which ok masks
+        cols, distinct, inside = _edge_columns(rows, self.n)
+        ok = distinct & inside  # a row that is no edge may get a meaningless (wrapped) code
         hit = ok & (_in_sorted(_encode_rows(cols, self.n), self._codes) != self._complement)
         return hit if batch else bool(hit[0])
 
@@ -199,8 +192,8 @@ class Hypergraph:
         """Bit-exact text format: ``k n m`` then one sorted edge per line."""
         codes = self.edge_codes()
         chunks = [f"{self.k} {self.n} {codes.size}\n".encode()]
-        for lo in range(0, codes.size, _TEXT_CHUNK):
-            chunks.append(_edge_lines(codes[lo:lo + _TEXT_CHUNK], self.n, self.k))
+        for lo in range(0, codes.size, _BLOCK):
+            chunks.append(_edge_lines(codes[lo:lo + _BLOCK], self.n, self.k))
         return b"".join(chunks).decode()
 
     @classmethod
@@ -221,41 +214,26 @@ class Hypergraph:
         extra = next((line for line in lines[1 + m:] if line.strip()), None)
         if extra is not None:
             raise ValueError(f"unexpected line {extra!r} after {m} edge lines")
-        g = cls._from_edge_lines(k, n, lines[1:1 + m])
-        if g is not None:
-            return g
-        # the line-by-line parse names the first defect
-        edges = []
-        for line in lines[1:1 + m]:
-            vs = [int(x) for x in line.split()]
-            if any(a >= b for a, b in zip(vs, vs[1:])):
-                raise ValueError(f"edge line {line!r} is not strictly increasing")
-            edges.append(vs)
-        return cls(k, n, edges)
-
-    @classmethod
-    def _from_edge_lines(cls, k: int, n: int, lines: list[str]) -> "Hypergraph | None":
-        """Vectorised parse of edge lines: None on a defect, but a repeated edge raises."""
-        if not lines:
-            return None
+        cls(k, n, ())  # the header alone must describe a graph
+        body = lines[1:1 + m]
         try:
-            g = cls(k, n, ())
             with warnings.catch_warnings():
-                # all-blank lines warn "input contained no data"; the fallback names the defect
+                # all-blank lines warn "input contained no data"; the parse below names the defect
                 warnings.simplefilter("ignore")
-                rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+                rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
         except (ValueError, OverflowError):
-            return None
-        if rows.shape != (len(lines), k):
-            return None  # a blank line, or lines of the wrong width
-        if rows.min() < 0 or rows.max() >= n or np.any(rows[:, 1:] <= rows[:, :-1]):
-            return None
-        g._codes = _sorted_codes(rows, n)
-        return g
+            rows = None
+        if rows is None or rows.shape != (m, k):
+            # line by line: int() names a non-integer, _edge_array a blank or ragged line
+            rows = _edge_array([line.split() for line in body], k, n)
+        bad = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
+        if bad.size:
+            raise ValueError(f"edge line {body[bad[0]]!r} is not strictly increasing")
+        return cls(k, n, rows)
 
 
-#: Edges formatted per block in :meth:`Hypergraph.to_text`.
-_TEXT_CHUNK = 1 << 20
+#: Edges formatted, or checked and encoded, per block: the temporaries stay small.
+_BLOCK = 1 << 14
 
 
 def _comb(x: np.ndarray, s: int) -> np.ndarray:
@@ -335,9 +313,52 @@ def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return up + before, adj
 
 
-def _sorted_codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Ascending codes of sorted edges given as rows; no edge may repeat."""
-    codes = np.sort(_encode_rows(rows.T, n))
+def _edge_columns(rows: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """An (m, w >= 2) int array's int64 columns with each row ascending.
+
+    Also which rows have distinct vertices, and which lie inside ``range(n)``.
+    """
+    cols = list(np.ascontiguousarray(rows.T, dtype=np.int64))
+    for end in range(len(cols) - 1, 0, -1):  # a bubble network of compare-exchanges
+        for j in range(end):
+            a, b = cols[j], cols[j + 1]
+            cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
+    distinct = cols[0] < cols[1]
+    for a, b in zip(cols[1:], cols[2:]):
+        distinct &= a < b
+    return cols, distinct, (cols[0] >= 0) & (cols[-1] < n)
+
+
+def _edge_array(edges: Iterable[Iterable[int]], k: int, n: int) -> np.ndarray:
+    """Vertex sequences as an (m, k) int64 array; names one of another length or past int64."""
+    rows = [tuple(int(v) for v in e) for e in edges]
+    bad = next((e for e in rows if len(e) != k), None)
+    if bad is not None:
+        raise ValueError(f"edge {bad} must have {k} distinct vertices")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, k)
+    except OverflowError:
+        bad = next(e for e in rows if not all(-2 ** 63 <= v < 2 ** 63 for v in e))
+        raise ValueError(f"edge {tuple(sorted(bad))} out of range [0, {n})") from None
+
+
+def _sorted_codes(rows: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Ascending codes of the edges that are the rows of an (m, k) int array.
+
+    They are checked as :class:`Hypergraph` says, a block at a time.
+    """
+    codes = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), _BLOCK):
+        cols, distinct, inside = _edge_columns(rows[lo:lo + _BLOCK], n)
+        bad = ~(distinct & inside)
+        if bad.any():
+            i = int(bad.argmax())
+            edge = tuple(rows[lo + i].tolist())
+            if not distinct[i]:
+                raise ValueError(f"edge {edge} must have {k} distinct vertices")
+            raise ValueError(f"edge {tuple(sorted(edge))} out of range [0, {n})")
+        codes[lo:lo + _BLOCK] = _encode_rows(cols, n)
+    codes.sort()
     if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate edges are not allowed")
     return codes
@@ -394,30 +415,31 @@ def check_uniformity(host: Hypergraph, k: int, mode: str) -> None:
 
 
 def required_edges(
-    seq: Iterable[int], k: int, mode: str, cyclic: bool = False
-) -> set[tuple[int, ...]]:
-    """Sorted host edges that a k-power path or tight path along ``seq`` needs.
+    seq: Sequence[int] | np.ndarray, k: int, mode: str, cyclic: bool = False
+) -> Iterator[np.ndarray]:
+    """The host edges a k-power path or tight path along ``seq`` needs, as batches of sorted rows.
 
-    Power mode: every pair at distance <= k along the sequence.  Tight mode:
+    Power mode: one (m, 2) batch per offset d, the pairs at distance d along
+    the sequence, for d <= min(k, n - 1).  Tight mode: one (m, k+1) batch of
     every window of k+1 consecutive vertices.  With ``cyclic`` the distances
-    and windows wrap around; a pair that wraps onto one vertex (a cycle on at
-    most k vertices) needs no edge.  Cyclic tight mode needs at least k+1
-    vertices.
+    and windows wrap around; on a cycle d <= min(k, n // 2), as offset n - d
+    repeats the pairs of d (offset n / 2 gives each of its pairs twice).
+    Cyclic tight mode needs at least k+1 vertices; the vertices are distinct.
     """
-    s = list(seq)
-    n = len(s)
     w = uniformity(k, mode)
+    s = np.asarray(seq, dtype=np.int64)
+    n = s.size
     if mode == "tight":
-        ext = s + s[:w - 1] if cyclic else s
-        return {tuple(sorted(ext[i:i + w])) for i in range(len(ext) - w + 1)}
-    out = set()
-    reach = min(k, n - 1)  # a longer offset only repeats a pair
-    for i in range(n):
-        for j in range(i + 1, i + reach + 1 if cyclic else min(i + reach + 1, n)):
-            u, v = s[i], s[j % n]
-            if u != v:
-                out.add((u, v) if u < v else (v, u))
-    return out
+        ext = np.concatenate((s, s[:w - 1])) if cyclic else s
+        if ext.size < w:  # a sequence shorter than one window needs no edge
+            return iter((np.empty((0, w), dtype=np.int64),))
+        return iter((np.sort(np.lib.stride_tricks.sliding_window_view(ext, w), axis=1),))
+
+    def pairs(d: int) -> np.ndarray:
+        a, b = (s, np.roll(s, -d)) if cyclic else (s[:n - d], s[d:])
+        return np.column_stack((np.minimum(a, b), np.maximum(a, b)))
+
+    return map(pairs, range(1, min(k, n // 2 if cyclic else n - 1) + 1))
 
 
 # -- path templates ---------------------------------------------------------
@@ -429,7 +451,7 @@ def power_path_template(k: int, ell: int) -> Hypergraph:
         raise ValueError(f"path power must be >= 1, got {k}")
     if ell < 2:
         raise ValueError(f"path length must be >= 2, got {ell}")
-    return Hypergraph(2, ell, required_edges(range(ell), k, "power"))
+    return Hypergraph(2, ell, np.concatenate([*required_edges(np.arange(ell), k, "power")]))
 
 
 def connecting_path_template(k: int, ell: int) -> Hypergraph:
@@ -447,14 +469,8 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
         raise ValueError(f"path power must be >= 1, got {k}")
     if ell <= 2 * k:
         raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
-    first = set(range(k))
-    last = set(range(ell - k, ell))
-    pairs = [
-        (i, j)
-        for i, j in required_edges(range(ell), k, "power")
-        if not ({i, j} <= first or {i, j} <= last)
-    ]
-    return Hypergraph(2, ell, pairs)
+    rows = np.concatenate([*required_edges(np.arange(ell), k, "power")])
+    return Hypergraph(2, ell, rows[(rows[:, 1] >= k) & (rows[:, 0] < ell - k)])
 
 
 def tight_path_template(k: int, ell: int) -> Hypergraph:
@@ -463,7 +479,7 @@ def tight_path_template(k: int, ell: int) -> Hypergraph:
         raise ValueError(f"path parameter must be >= 1, got {k}")
     if ell <= k:
         raise ValueError(f"tight path needs ell >= {k + 1}, got {ell}")
-    return Hypergraph(k + 1, ell, required_edges(range(ell), k, "tight"))
+    return Hypergraph(k + 1, ell, np.concatenate([*required_edges(np.arange(ell), k, "tight")]))
 
 
 # -- path and cycle validation ----------------------------------------------
@@ -483,14 +499,12 @@ def is_tight_path(host: Hypergraph, seq: Iterable[int]) -> bool:
     s = list(seq)
     if len(set(s)) != len(s):
         return False
-    # a sequence shorter than one window needs no edge
     return _has_all(host, required_edges(s, host.k - 1, "tight"))
 
 
-def _has_all(host: Hypergraph, edges: set[tuple[int, ...]]) -> bool:
-    """True iff every one of these host-uniformity vertex sets is a host edge."""
-    rows = np.array(list(edges), dtype=np.int64).reshape(-1, host.k)
-    return bool(host.has_edge(rows).all())
+def _has_all(host: Hypergraph, batches: Iterable[np.ndarray]) -> bool:
+    """True iff every row of every batch is a host edge; stops at the first batch that fails."""
+    return all(host.has_edge(rows).all() for rows in batches)
 
 
 @dataclass(frozen=True)
@@ -533,25 +547,15 @@ class CycleCertificate:
 def verify_certificate(host: Hypergraph, cert: CycleCertificate) -> bool:
     """Check a certificate against the host graph.
 
-    Power mode: every pair at cyclic distance <= k in the ordering must be a
-    host edge.  Tight mode: every window of host-uniformity many consecutive
-    vertices (indices mod n) must be an edge.  Structural defects (wrong
-    permutation, mode/uniformity mismatch) raise ``ValueError``.
-
-    The pairs are asked one cyclic offset d <= min(k, n // 2) at a time (a
-    longer offset repeats the pairs of n - d), the windows in one batch, so
-    memory stays linear in n whatever k is.
+    Every edge :func:`required_edges` names for the cyclic ordering must be
+    a host edge.  Structural defects (wrong permutation, mode/uniformity
+    mismatch, a host shorter than one window) raise ``ValueError``.  Its
+    batches are asked one at a time, so memory stays linear in n whatever k is.
     """
     n = host.n
     if len(cert.order) != n or set(cert.order) != set(range(n)):
         raise ValueError("certificate ordering is not a permutation of the vertex set")
     check_uniformity(host, cert.k, cert.mode)
-    order = np.array(cert.order, dtype=np.int64)
-    if cert.mode == "tight":
-        if n < host.k:
-            raise ValueError(f"host has fewer vertices than one window ({host.k})")
-        return bool(host.has_edge(order[(np.arange(n)[:, None] + np.arange(host.k)) % n]).all())
-    return all(
-        host.has_edge(np.column_stack((order, np.roll(order, -d)))).all()
-        for d in range(1, min(cert.k, n // 2) + 1)
-    )
+    if cert.mode == "tight" and n < host.k:
+        raise ValueError(f"host has fewer vertices than one window ({host.k})")
+    return _has_all(host, required_edges(cert.order, cert.k, cert.mode, cyclic=True))

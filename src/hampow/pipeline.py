@@ -106,6 +106,10 @@ class ModelSpec:
     n: int
     p: float
 
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count n must be >= 0, got {self.n}")
+
 
 @dataclass(frozen=True)
 class Attempt:
@@ -260,17 +264,17 @@ def cover_with_paths(
     parts = tuple(tuple(pool[j * s:(j + 1) * s]) for j in range(t))
     paths = np.empty((s, t), dtype=np.int64)  # path i is row i, part j column j
     paths[:, 0] = parts[0]
+    # the path columns each new edge runs through, relative to the new column:
+    # the edges a path on k + 1 vertices needs at its last vertex, less that vertex
+    needed = np.concatenate([*required_edges(np.arange(k + 1), k, mode)])
+    windows = needed[needed[:, -1] == k, :-1] - k
     for j in range(1, t):
         part = np.array(parts[j], dtype=np.int64)
-        # the path columns each new edge runs through: the edges a path
-        # through the last k parts and this one needs, less this part
-        windows = [
-            sorted(set(e) - {j})
-            for e in required_edges(range(max(0, j - k), j + 1), k, mode) if j in e
-        ]
         # fits[i, u]: part vertex u extends path i
         fits = np.ones((s, s), dtype=bool)
-        for cols in windows:
+        for cols in windows + j:
+            if cols[0] < 0:
+                continue  # the window reaches before the first part
             rows = np.column_stack([np.repeat(paths[:, cols], s, axis=0), np.tile(part, s)])
             fits &= host.has_edge(rows).reshape(s, s)
         matching = perfect_matching(BipartiteGraph.from_mask(fits))

@@ -15,8 +15,6 @@ function via :func:`derive`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from functools import cached_property
 
 import numpy as np
 
@@ -263,7 +261,7 @@ class BipartiteGraph:
     """Bipartite graph on left x right index sets {0..left-1} x {0..right-1}.
 
     ``rows[l]`` lists left vertex l's right neighbours, ascending and in
-    range; :meth:`from_edges` builds them from an edge set and checks it.
+    range.
     """
 
     def __init__(self, left: int, right: int, rows: list[list[int]]):
@@ -274,16 +272,6 @@ class BipartiteGraph:
         self._adj = rows
 
     @classmethod
-    def from_edges(cls, left: int, right: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-        """The graph with the given (left, right) edges."""
-        rows: list[list[int]] = [[] for _ in range(left)]
-        for l, r in sorted(set(edges)):
-            if not (0 <= l < left and 0 <= r < right):
-                raise ValueError(f"edge ({l}, {r}) out of range")
-            rows[l].append(r)
-        return cls(left, right, rows)
-
-    @classmethod
     def from_mask(cls, mask: np.ndarray) -> BipartiteGraph:
         """The graph whose edges are the True entries of a left x right bool mask."""
         return cls(*mask.shape, [np.flatnonzero(row).tolist() for row in mask])
@@ -291,10 +279,6 @@ class BipartiteGraph:
     @property
     def edge_count(self) -> int:
         return sum(map(len, self._adj))
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((l, r) for l, row in enumerate(self._adj) for r in row)
 
     def adjacency(self) -> list[list[int]]:
         """Each left vertex's right neighbours, ascending; shared, so read only."""

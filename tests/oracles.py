@@ -150,7 +150,7 @@ def middle_connecting_path_template(k: int, ell: int) -> Hypergraph:
     if ell <= 2 * k:
         raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
     middle = set(range(k, ell - k))
-    pairs = [e for e in required_edges(range(ell), k, "power") if set(e) & middle]
+    pairs = [e for e in row_set(required_edges(range(ell), k, "power")) if set(e) & middle]
     return Hypergraph(2, ell, pairs)
 
 
@@ -210,6 +210,13 @@ def brute_first_rooted_copy(
         return None
 
     return extend(0)
+
+
+def row_set(batches: Iterable[np.ndarray]) -> set[tuple[int, ...]]:
+    """The rows of these batches as a set of tuples; every row must be strictly increasing."""
+    rows = {tuple(r) for batch in batches for r in batch.tolist()}
+    assert all(a < b for r in rows for a, b in zip(r, r[1:]))
+    return rows
 
 
 def power_cycle_pairs(order: tuple[int, ...], k: int) -> set[tuple[int, int]]:

@@ -437,6 +437,26 @@ class TestModelSizeGuard:
                             "--cert", str(cert)], capsys)
         assert code == 0 and "certificate OK" in out and sampled == [(2, 30, 1.0)]
 
+    @pytest.mark.parametrize("command", ["find", "verify", "experiment"])
+    def test_a_negative_vertex_count_is_refused_by_name(
+        self, tmp_path, capsys, monkeypatch, sampled, command
+    ):
+        # the size estimate's math.comb used to refuse it, naming neither n nor its value
+        estimated = []
+        monkeypatch.setattr(cli, "_model_too_large", lambda *args: estimated.append(args))
+        cert = tmp_path / "c.cert"
+        cert.write_text("power 1 3\n0 1 2\n")
+        csv = tmp_path / "grid.csv"
+        argv = {
+            "find": ["find", "--model", "gnp", "--n", "-3", "--p", "0.5"],
+            "verify": ["verify", "--model", "gnp", "--n", "-3", "--p", "0.5", "--cert", str(cert)],
+            "experiment": ["experiment", "--n-list", "30,-3", "--p-grid", "0.5", "--trials", "1",
+                           "--csv", str(csv)],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "hampow: error: vertex count n must be >= 0, got -3\n")
+        assert estimated == [] and sampled == [] and not csv.exists()
+
     @pytest.mark.parametrize("p", ["0.5", "0"])
     def test_a_host_past_the_edge_encoding_is_refused(self, tmp_path, capsys, sampled, p):
         # C(n, k) of a huge n is too large for the float estimate, and n ** k

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 import warnings
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampow import core
+from hampow.absorber import Backbone
 from hampow.core import (
     MAX_VERTICES,
     CycleCertificate,
@@ -25,7 +29,7 @@ from hampow.core import (
     verify_certificate,
 )
 
-from oracles import complement_twin, is_embedding, power_cycle_pairs, tight_windows
+from oracles import complement_twin, is_embedding, power_cycle_pairs, row_set, tight_windows
 
 
 def complete_graph(n):
@@ -110,6 +114,61 @@ class TestHypergraph:
 
     def test_text_allows_trailing_blank_lines(self):
         assert Hypergraph.from_text("2 3 1\n0 1\n\n  \n") == Hypergraph(2, 3, [(0, 1)])
+
+
+class TestConstructorParity:
+    """Edges as an int64 array, an int32 array or tuples build one graph, or raise one message."""
+
+    @given(data=st.data(), k=st.integers(2, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_and_tuples_agree(self, data, k):
+        n = data.draw(st.integers(k, 12))
+        edges = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True),
+            min_size=1, max_size=12, unique_by=frozenset,
+        ))
+        defect = data.draw(st.sampled_from(
+            [None, "wrong width", "repeated vertex", "out of range", "duplicate edge"]
+        ))
+        i = data.draw(st.integers(0, len(edges) - 1))
+        j, other = data.draw(st.permutations(range(k)))[:2]
+        if defect == "wrong width":
+            # every edge, so that the arrays stay rectangular
+            shorter = data.draw(st.booleans())
+            edges = [e[:-1] if shorter else e + [n + 1] for e in edges]
+        elif defect == "repeated vertex":
+            edges[i][j] = edges[i][other]
+        elif defect == "out of range":
+            edges[i][j] = data.draw(st.integers(-10 ** 6, -1) | st.integers(n, 10 ** 6))
+        elif defect == "duplicate edge":
+            edges.append(list(reversed(edges[i])))
+        edges = [data.draw(st.permutations(e)) for e in data.draw(st.permutations(edges))]
+
+        def build(given_edges):
+            try:
+                return Hypergraph(k, n, given_edges)
+            except ValueError as err:
+                return str(err)
+
+        w = len(edges[0])
+        # small blocks, so that a defect often lies past the first
+        with mock.patch.object(core, "_BLOCK", data.draw(st.integers(1, 5))):
+            got = [
+                build(np.array(edges, dtype=np.int64).reshape(-1, w)),
+                build(np.array(edges, dtype=np.int32).reshape(-1, w)),
+                build([tuple(e) for e in edges]),
+            ]
+        assert got[0] == got[1] == got[2]
+        # the first edge that is no edge is named, as given or sorted
+        bad = next((e for e in edges if len(set(e)) != k or not 0 <= min(e) <= max(e) < n), None)
+        if defect is None:
+            assert set(got[0].edges()) == {tuple(sorted(e)) for e in edges}
+        elif bad is None:
+            assert got[0] == "duplicate edges are not allowed"
+        elif len(bad) != k or len(set(bad)) != k:
+            assert got[0] == f"edge {tuple(bad)} must have {k} distinct vertices"
+        else:
+            assert got[0] == f"edge {tuple(sorted(bad))} out of range [0, {n})"
 
 
 class TestEdgeCodes:
@@ -340,6 +399,22 @@ class TestTemplates:
                 assert connecting_path_template(k, ell).edge_count == expected
             assert tight_path_template(k, ell).edge_count == ell - k
 
+    @pytest.mark.parametrize("build", [
+        lambda: power_path_template(2, 200_000),
+        lambda: tight_path_template(2, 200_000),
+        lambda: Backbone(100, 5, "power").graph,
+    ], ids=["power-path", "tight-path", "backbone"])
+    def test_traced_peak_is_a_few_words_an_edge(self, build):
+        # rows, codes and fixed-size blocks of temporaries; sets of vertex
+        # tuples took about 300 bytes an edge
+        tracemalloc.start()
+        try:
+            g = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * g.edge_count
+
     def test_reversed_path_is_a_path_between_reversed_tuples(self):
         # if P is a k-path from a to b, the reversed ordering is a k-path
         # from reversed(b) to reversed(a)
@@ -499,7 +574,7 @@ class TestUnifiedEdgeRule:
         n = data.draw(st.integers(k + 1, 8))
         order = tuple(data.draw(st.permutations(range(n))))
         required = tight_windows(order, k + 1)
-        assert required_edges(order, k, "tight", cyclic=True) == required
+        assert row_set(required_edges(order, k, "tight", cyclic=True)) == required
         host, edges = random_host(data, n, k + 1, required)
         cert = CycleCertificate(mode="tight", k=k, order=order)
         assert verify_certificate(host, cert) == (required <= edges)
@@ -512,7 +587,7 @@ class TestUnifiedEdgeRule:
         n = data.draw(st.integers(1, 2 * k))
         order = tuple(data.draw(st.permutations(range(n))))
         required = power_cycle_pairs(order, k)
-        assert required_edges(order, k, "power", cyclic=True) == required
+        assert row_set(required_edges(order, k, "power", cyclic=True)) == required
         host, edges = random_host(data, n, 2, required)
         cert = CycleCertificate(mode="power", k=k, order=order)
         assert verify_certificate(host, cert) == (required <= edges)
@@ -526,7 +601,7 @@ class TestUnifiedEdgeRule:
         n = data.draw(st.integers(1 if mode == "power" else 2, 8))
         k = data.draw(st.integers(1, n if mode == "power" else n - 1))
         order = tuple(data.draw(st.permutations(range(n))))
-        required = required_edges(order, k, mode, cyclic=True)
+        required = row_set(required_edges(order, k, mode, cyclic=True))
         host, edges = random_host(data, n, uniformity(k, mode), required)
         if data.draw(st.booleans()):
             host = complement_twin(host)
@@ -546,9 +621,12 @@ class TestUnifiedEdgeRule:
     def test_power_offsets_past_the_cycle_only_repeat_pairs(self, n):
         order = tuple(reversed(range(n)))
         for k in (max(n - 1, 1), n, 3 * n + 1):
-            assert required_edges(order, k, "power", cyclic=True) == power_cycle_pairs(order, k)
-        # offsets are capped at n - 1, so a huge k costs no more than k = n - 1
-        assert required_edges(order, 10 ** 9, "power", cyclic=True) == set(combinations(range(n), 2))
+            required = required_edges(order, k, "power", cyclic=True)
+            assert row_set(required) == power_cycle_pairs(order, k)
+        # offsets are capped at n // 2, so a huge k costs no more than k = n // 2
+        required = list(required_edges(order, 10 ** 9, "power", cyclic=True))
+        assert len(required) == n // 2
+        assert row_set(required) == set(combinations(range(n), 2))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -558,7 +636,7 @@ class TestUnifiedEdgeRule:
         # includes sequences shorter than one window, which need no edge
         seq = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
         required = tight_windows(seq, k + 1, cyclic=False)
-        assert required_edges(seq, k, "tight") == required
+        assert row_set(required_edges(seq, k, "tight")) == required
         host, edges = random_host(data, n, k + 1, required)
         assert is_tight_path(host, seq) == (required <= edges)
 
@@ -577,5 +655,5 @@ class TestUnifiedEdgeRule:
         host, edges = random_host(data, n, 2, required)
         distinct = len(set(seq)) == len(seq)
         if distinct:
-            assert required_edges(seq, k, "power") == required
+            assert row_set(required_edges(seq, k, "power")) == required
         assert is_power_path(host, seq, k) == (distinct and required <= edges)

@@ -36,27 +36,27 @@ def without_class(n, c):
 
 class TestPerfectMatching:
     def test_complete_3x3(self):
-        b = BipartiteGraph.from_edges(3, 3, frozenset((i, j) for i in range(3) for j in range(3)))
+        b = BipartiteGraph(3, 3, [[0, 1, 2]] * 3)
         m = perfect_matching(b)
         assert m is not None and sorted(m.values()) == [0, 1, 2]
 
     def test_empty_graph_has_none(self):
-        assert perfect_matching(BipartiteGraph.from_edges(3, 3, frozenset())) is None
+        assert perfect_matching(BipartiteGraph(3, 3, [[], [], []])) is None
 
     def test_zero_sides(self):
-        assert perfect_matching(BipartiteGraph.from_edges(0, 0, frozenset())) == {}
+        assert perfect_matching(BipartiteGraph(0, 0, [])) == {}
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
-            perfect_matching(BipartiteGraph.from_edges(2, 3, frozenset()))
+            perfect_matching(BipartiteGraph(2, 3, [[], []]))
 
     def test_long_augmenting_path(self):
         # the only perfect matching pairs left i with right i+1 and the last
         # left with right 0; Hopcroft-Karp's first phase matches i to i, so
         # the augmenting path from the last left runs through all s lefts
         s = 3000
-        edges = {(i, i) for i in range(s - 1)} | {(i, i + 1) for i in range(s - 1)}
-        m = perfect_matching(BipartiteGraph.from_edges(s, s, frozenset(edges | {(s - 1, 0)})))
+        rows = [[i, i + 1] for i in range(s - 1)] + [[0]]
+        m = perfect_matching(BipartiteGraph(s, s, rows))
         assert m == {**{i: i + 1 for i in range(s - 1)}, s - 1: 0}
 
     def test_determinism(self):
@@ -70,14 +70,14 @@ class TestPerfectMatching:
         g = nx.Graph()
         g.add_nodes_from((0, i) for i in range(s))
         g.add_nodes_from((1, j) for j in range(s))
-        g.add_edges_from(((0, i), (1, j)) for i, j in b.edges)
+        g.add_edges_from(((0, i), (1, j)) for i, row in enumerate(b.adjacency()) for j in row)
         nx_size = len(nx.bipartite.maximum_matching(g, top_nodes=[(0, i) for i in range(s)])) // 2
         ours = perfect_matching(b)
         if nx_size == s:
             assert ours is not None
             assert sorted(ours) == list(range(s))
             assert sorted(set(ours.values())) == list(range(s))
-            assert all((i, j) in b.edges for i, j in ours.items())
+            assert all(j in b.adjacency()[i] for i, j in ours.items())
         else:
             assert ours is None
 
@@ -273,6 +273,11 @@ class TestFindHamilton:
     def test_below_minimum_is_an_error(self):
         with pytest.raises(ValueError):
             find_hamilton(ModelSpec(n=60, p=1.0), Parameters(k=2, mode="power"))
+
+    def test_a_negative_vertex_count_is_refused_by_name(self):
+        # it used to read as a host too small for any plan
+        with pytest.raises(ValueError, match="vertex count n must be >= 0, got -3"):
+            ModelSpec(n=-3, p=0.5)
 
     def test_failure_report_lists_attempts(self):
         # sparse host: every attempt fails in the factor phase

@@ -302,9 +302,11 @@ class TestBipartite:
         assert abs(b.edge_count - 125_000) <= 4 * sd
 
     def test_validates_edges(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph.from_edges(2, 2, frozenset({(0, 5)}))
+        with pytest.raises(ValueError, match="expected 2 rows"):
+            BipartiteGraph(2, 2, [[0, 1]])
 
     def test_adjacency_sorted(self):
-        b = BipartiteGraph.from_edges(3, 3, frozenset({(0, 2), (0, 1), (2, 0)}))
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[[0, 0, 2], [2, 1, 0]] = True
+        b = BipartiteGraph.from_mask(mask)
         assert b.adjacency() == [[1, 2], [], [0]]
