@@ -26,7 +26,6 @@ __all__ = [
     "SingleVertexAbsorber",
     "absorb",
     "absorb_single",
-    "backbone_template",
     "build_chain_absorber",
     "chain_capacity",
     "chain_vertex_count",
@@ -125,13 +124,6 @@ class Backbone:
             out.append(tuple(reversed(self.tail(i))) + tuple(reversed(self.head(i + 2))))
         out.append(tuple(reversed(self.tail(ell - 1))) + tuple(self.tail(ell)))
         return out
-
-
-def backbone_template(k: int, ell: int, mode: str) -> Backbone:
-    """The backbone gadget; 2-uniform in power mode, (k+1)-uniform in tight mode."""
-    if ell < 5 or ell % 2 == 0:
-        raise ValueError(f"backbone template needs odd ell >= 5, got {ell}")
-    return Backbone(k, ell, mode)
 
 
 def default_connector_len(k: int, mode: str) -> int:
@@ -296,7 +288,7 @@ def build_chain_absorber(
     if absorb_size < 1:
         raise ValueError(f"absorb_size must be >= 1, got {absorb_size}")
     t = absorb_size
-    backbone = backbone_template(k, ell, mode)
+    backbone = Backbone(k, ell, mode)
     capacity = chain_capacity(n, k, mode, ell)
     if t > capacity:
         raise ValueError(
@@ -340,7 +332,7 @@ def build_chain_absorber(
 
 def demo_absorber(k: int, ell: int, mode: str) -> tuple[Hypergraph, SingleVertexAbsorber]:
     """A single-vertex absorber on a complete host, for demos and tests."""
-    backbone = backbone_template(k, ell, mode)
+    backbone = Backbone(k, ell, mode)
     interior = default_connector_len(k, mode) - 2 * k
     nb = backbone.graph.n
     n = nb + (ell - 1) * interior

@@ -26,6 +26,7 @@ from hampow.core import (
     is_power_path,
     is_tight_path,
     power_path_template,
+    required_edges,
     uniformity,
     verify_certificate,
 )
@@ -264,7 +265,14 @@ def _cmd_verify(args) -> int:
         print(f"malformed certificate: {err}", file=sys.stderr)
         return 2
     print("certificate OK" if ok else "certificate REJECTED")
-    return 0 if ok else 2
+    if ok:
+        return 0
+    for rows in required_edges(cert.order, cert.k, cert.mode, cyclic=True):
+        missing = rows[~host.has_edge(rows)]
+        if missing.size:
+            print(f"host lacks required edge {tuple(missing[0].tolist())}", file=sys.stderr)
+            break
+    return 2
 
 
 def _cmd_density(args) -> int:

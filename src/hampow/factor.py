@@ -76,14 +76,14 @@ def factor_in_window(
     """
     _check_template(template)
     w = sorted(set(window))
-    default_quota = len(w) // (4 * template.n)
     if quota is None:
-        quota = default_quota
-    if quota < 1:
-        raise ValueError(
-            f"window of {len(w)} vertices gives quota {default_quota}; "
-            f"need |W| >= {4 * template.n}"
-        )
+        quota = len(w) // (4 * template.n)
+        if quota < 1:
+            raise ValueError(
+                f"window of {len(w)} vertices gives quota 0; need |W| >= {4 * template.n}"
+            )
+    elif quota < 1:
+        raise ValueError(f"quota must be >= 1, got {quota}")
     searcher = _CopySearcher(host, template, root=())
     unused = w
     copies: list[dict[int, int]] = []

@@ -12,7 +12,6 @@ assignment along that order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,14 +88,15 @@ class _CopySearcher:
     one pool, that is one :meth:`find` call, and dropped when it returns.
     The memo holds one pool-length bool per distinct anchor set, and less
     than :data:`_LINK_MEMO_BYTES` plus one mask: a miss that finds it full
-    empties it first.  The bound matters on 2-uniform hosts, where a failing
-    search can meet every pool vertex as an anchor without spending a unit.
+    empties it first.  Each stream that ends has paid one unit per mask
+    byte, so the budget alone bounds the memo only by anchors times budget
+    bytes, which a template with many anchors per vertex makes large.
 
     A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
     ``remaining`` and spends them over all its searches, so a phase that
-    builds one searcher is bounded as a whole.  One unit is charged per
-    candidate a stream scans, used or not: on a 2-uniform host the allowed
-    vertices that fit, on any other host every allowed vertex.  While a
+    builds one searcher is bounded as a whole.  On every host, each allowed
+    vertex a stream scans costs one unit, whether it fits or is used or
+    not, so a stream that runs to its end costs the pool size.  While a
     stream is open, ``used`` holds exactly the images of the shallower
     depths (deeper depths give theirs back before it resumes), so a
     candidate's used check may come at any point of the stream and the
@@ -114,18 +114,14 @@ class _CopySearcher:
         self._pool: np.ndarray | None = None
         self._links: dict[tuple[int, ...], np.ndarray] = {}
         self.host = host
-        self.template = template
         self.root = tuple(root)
         rs = set(self.root)
-        if len(rs) != len(self.root):
-            raise ValueError("root vertices must be distinct")
         edges = [tuple(e) for e in template.edges()]
         self.root_edges = [e for e in edges if set(e) <= rs]
         # connectivity-aware order over the internal vertices
         placed = set(rs)
-        internals = [v for v in range(template.n) if v not in rs]
         order: list[int] = []
-        remaining = set(internals)
+        remaining = set(range(template.n)) - rs
         while remaining:
             adjacent = sorted(
                 v for v in remaining
@@ -150,21 +146,13 @@ class _CopySearcher:
     def find(self, y: Sequence[int], allowed: Sequence[int]) -> dict[int, int] | None:
         """First embedding with root -> y and internals inside allowed, or None.
 
-        ``allowed`` lists the reservoir in ascending order.  None means no
+        ``allowed`` lists the reservoir in ascending order.  The request is
+        not checked here: :func:`connect_family` checks it.  None means no
         copy exists; running out of budget raises
         :class:`SearchBudgetExceeded`.
         """
-        host, template = self.host, self.template
-        if len(y) != len(self.root):
-            raise ValueError(f"root tuple has {len(self.root)} vertices, image has {len(y)}")
-        if len(set(y)) != len(y):
-            raise ValueError("root image vertices must be distinct")
-        for v in y:
-            i = bisect_left(allowed, v)
-            if i < len(allowed) and allowed[i] == v:
-                raise ValueError("root image must be disjoint from the allowed reservoir")
         images: dict[int, int] = dict(zip(self.root, y))
-        if self.root_edges and not host.has_edge(
+        if self.root_edges and not self.host.has_edge(
             np.array([[images[v] for v in e] for e in self.root_edges], dtype=np.int64)
         ).all():
             return None
@@ -207,17 +195,15 @@ class _CopySearcher:
             fits = link if fits is None else fits & link
         if fits is None:
             fits = np.ones(pool.size, dtype=bool)
-        # a 2-uniform host charges each fitting candidate; any other host the
-        # vertices up to each fitting one, in the next() call that scans them
-        per_candidate = self.host.k == 2
+        # the vertices up to each fitting one are charged in the next() call
+        # that scans them, the rest when the stream ends
         scanned = 0
         for i in fits.nonzero()[0].tolist():
-            self._charge(1 if per_candidate else i + 1 - scanned)
+            self._charge(i + 1 - scanned)
             scanned = i + 1
             if allowed[i] not in used:
                 yield allowed[i]
-        if not per_candidate:
-            self._charge(pool.size - scanned)
+        self._charge(pool.size - scanned)
 
     def _link(self, others: tuple[int, ...], pool: np.ndarray) -> np.ndarray:
         """Bool mask over ``pool``: the w for which ``others`` plus w is an edge.
@@ -279,10 +265,6 @@ def partition_reservoir(reservoir: Iterable[int], rounds: int) -> list[tuple[int
     return parts
 
 
-def _default_rounds(n: int) -> int:
-    return max(1, math.ceil(math.log2(max(n, 2))))
-
-
 def connect_family(
     host: Hypergraph,
     template: Hypergraph,
@@ -320,7 +302,7 @@ def connect_family(
             raise ValueError("request tuples must avoid the reservoir")
         seen |= ys
     if rounds is None:
-        rounds = _default_rounds(host.n)
+        rounds = max(1, math.ceil(math.log2(max(host.n, 2))))
     t = len(tuples)
     if t == 0:
         return [], []

@@ -309,7 +309,7 @@ def intersection_candidates(searcher, depth, images, used, allowed_set):
 
 
 def charged_scan(searcher, depth, images, used, allowed):
-    """The copy-search candidate stream of a k >= 3 host, charged vertex by vertex.
+    """The copy-search candidate stream, charged vertex by vertex.
 
     Scans the allowed vertices in order, asking the host about each anchor
     with one scalar ``has_edge`` call.  Every scanned vertex costs one unit

@@ -8,7 +8,6 @@ from hampow.absorber import (
     SingleVertexAbsorber,
     absorb,
     absorb_single,
-    backbone_template,
     build_chain_absorber,
     chain_capacity,
     chain_vertex_count,
@@ -28,30 +27,30 @@ def path_checker(mode, k):
 
 class TestBackboneTemplate:
     def test_vertex_count(self):
-        b = backbone_template(2, 5, "power")
+        b = Backbone(2, 5, "power")
         assert b.graph.n == 21
         assert b.vertex_count == 21
 
     def test_frozen_edge_counts(self):
         # golden values from the construction: 2 k^2 ell + k edges (power),
         # 2 k ell + 1 edges (tight, groups pairwise edge-disjoint)
-        assert backbone_template(2, 5, "power").graph.edge_count == 42
-        assert backbone_template(2, 5, "tight").graph.edge_count == 21
+        assert Backbone(2, 5, "power").graph.edge_count == 42
+        assert Backbone(2, 5, "tight").graph.edge_count == 21
         for k in (1, 2, 3):
-            for ell in (5, 7, 9):
-                assert backbone_template(k, ell, "power").graph.edge_count == 2 * k * k * ell + k
-                assert backbone_template(k, ell, "tight").graph.edge_count == 2 * k * ell + 1
+            for ell in (3, 5, 7, 9):
+                assert Backbone(k, ell, "power").graph.edge_count == 2 * k * k * ell + k
+                assert Backbone(k, ell, "tight").graph.edge_count == 2 * k * ell + 1
 
     def test_parity_and_size_preconditions(self):
         with pytest.raises(ValueError):
-            backbone_template(2, 4, "power")
+            Backbone(2, 4, "power")
         with pytest.raises(ValueError):
-            backbone_template(2, 3, "power")
+            Backbone(2, 1, "power")
         with pytest.raises(ValueError):
-            backbone_template(2, 5, "cycle")
+            Backbone(2, 5, "cycle")
 
     def test_tuple_layout(self):
-        lay = backbone_template(2, 5, "power")
+        lay = Backbone(2, 5, "power")
         assert lay.x == 0
         assert tuple(lay.head(1)) == (1, 2)
         assert tuple(lay.tail(1)) == (3, 4)
@@ -59,13 +58,13 @@ class TestBackboneTemplate:
         assert tuple(lay.tail(5)) == (19, 20)
 
     def test_tight_mode_uniformity(self):
-        assert backbone_template(3, 5, "tight").graph.k == 4
-        assert backbone_template(3, 5, "power").graph.k == 2
+        assert Backbone(3, 5, "tight").graph.k == 4
+        assert Backbone(3, 5, "power").graph.k == 2
 
 
 class TestAbsorbSingle:
     @pytest.mark.parametrize("mode", ["power", "tight"])
-    @pytest.mark.parametrize("k,ell", [(1, 5), (2, 5), (2, 7), (3, 5)])
+    @pytest.mark.parametrize("k,ell", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (2, 7), (3, 5)])
     def test_both_traversals_on_complete_host(self, k, ell, mode):
         host, ab = demo_absorber(k, ell, mode)
         check = path_checker(mode, k)

@@ -14,9 +14,9 @@ from itertools import combinations
 import pytest
 
 from hampow.absorber import (
+    Backbone,
     absorb,
     absorb_single,
-    backbone_template,
     build_chain_absorber,
     chain_vertex_count,
     default_connector_len,
@@ -77,8 +77,8 @@ class TestCriterion1Templates:
                 h = tight_path_template(k, ell)
                 ok &= h.n == ell and h.edge_count == ell - k
             for ell in range(5, 21, 2):
-                b = backbone_template(k, ell, "power")
-                bh = backbone_template(k, ell, "tight")
+                b = Backbone(k, ell, "power")
+                bh = Backbone(k, ell, "tight")
                 ok &= b.graph.n == 1 + 2 * k * ell == bh.graph.n
                 ok &= b.graph.edge_count == 2 * k * k * ell + k
                 ok &= bh.graph.edge_count == 2 * k * ell + 1
@@ -99,7 +99,7 @@ class TestCriterion2DensityOracle:
             connecting_path_template(3, 10),
             tight_path_template(2, 8),
             tight_path_template(3, 9),
-            backbone_template(1, 5, "power").graph,   # 11 vertices
+            Backbone(1, 5, "power").graph,   # 11 vertices
         ]
         ok = True
         for g in zoo:
@@ -149,7 +149,7 @@ class TestCriterion3BackboneDegeneracy:
         failures = []
         for mode in ("power", "tight"):
             for k, ell in self.CASES:
-                b = backbone_template(k, ell, mode)
+                b = Backbone(k, ell, mode)
                 order = list(backbone_degeneracy_ordering(k, ell))
                 case = f"({mode}, k={k}, ell={ell})"
                 if sorted(order) != list(range(b.graph.n)):
@@ -185,7 +185,7 @@ class TestCriterion3BackboneDegeneracy:
                 ("power", k + Fraction(1, 2 * ell)),
                 ("tight", 1 + Fraction(1, 2 * k * ell)),
             ):
-                g = backbone_template(k, ell, mode).graph
+                g = Backbone(k, ell, mode).graph
                 values = [mincut_m1(g)]
                 if g.n <= 21:
                     values.append(m1_density(g))

@@ -275,7 +275,7 @@ class TestAbsorberCli:
     @pytest.mark.parametrize("mode", ["power", "tight"])
     @pytest.mark.parametrize("k,ell", [(1, 5), (2, 7), (3, 5)])
     def test_the_backbone_edge_count_is_exact(self, capsys, monkeypatch, mode, k, ell):
-        edges = absorber.backbone_template(k, ell, mode).graph.edge_count
+        edges = absorber.Backbone(k, ell, mode).graph.edge_count
         argv = ["absorber", "--k", str(k), "--ell", str(ell), "--mode", mode, "--demo"]
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges)
         assert run(argv, capsys)[0] == 0
@@ -727,3 +727,12 @@ class TestFlagFuzz:
                 code = exit.code
         assert code in (0, 1, 2)
         assert (out.getvalue() if code == 0 else err.getvalue()).strip()
+
+    def test_a_rejected_certificate_names_an_edge_the_host_lacks(self, small_hosts, capsys):
+        # a draw the fuzz found: the edgeless host holds no pair of the cycle
+        code, out, err = run(["verify", "--model", "gnp", "--n", "6", "--p", "0.0",
+                              "--attempt", "0", "--cert", str(small_hosts / "power.cert"),
+                              "--seed", "0"], capsys)
+        assert code == 2
+        assert out == "certificate REJECTED\n"
+        assert err == "host lacks required edge (0, 1)\n"

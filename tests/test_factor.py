@@ -1,7 +1,7 @@
 import pytest
 
 from hampow.core import Hypergraph
-from hampow.absorber import backbone_template
+from hampow.absorber import Backbone
 from hampow.factor import almost_factor, factor_in_window
 from hampow.matcher import PhaseFailure
 from hampow.randmodels import sample_uniform_hypergraph
@@ -88,7 +88,7 @@ class TestAlmostFactor:
 
 class TestFactorInWindow:
     def test_complete_host_meets_quota(self):
-        backbone = backbone_template(2, 5, "power").graph  # 21 vertices
+        backbone = Backbone(2, 5, "power").graph  # 21 vertices
         host = complete_graph(170)
         window = range(1, 169)  # 168 vertices -> quota 2
         copies = factor_in_window(host, backbone, window)
@@ -97,9 +97,14 @@ class TestFactorInWindow:
         assert covered <= set(window)
 
     def test_window_too_small(self):
-        backbone = backbone_template(2, 5, "power").graph
-        with pytest.raises(ValueError):
+        backbone = Backbone(2, 5, "power").graph
+        with pytest.raises(ValueError, match="window of 50 vertices gives quota 0; need"):
             factor_in_window(complete_graph(60), backbone, range(50))
+
+    @pytest.mark.parametrize("quota", [0, -3])
+    def test_an_explicit_quota_below_1_is_named(self, quota):
+        with pytest.raises(ValueError, match=rf"^quota must be >= 1, got {quota}$"):
+            factor_in_window(complete_graph(200), triangle(), range(200), quota=quota)
 
     def test_template_without_vertices(self):
         with pytest.raises(ValueError, match="no vertices"):
@@ -119,7 +124,7 @@ class TestFactorInWindow:
     def test_monte_carlo_backbone_quota(self):
         # the corollary-scale experiment: disjoint backbone copies inside a
         # window of a random graph, quota from the |W| / 4 v(F) formula
-        backbone = backbone_template(2, 5, "power").graph
+        backbone = Backbone(2, 5, "power").graph
         wins = 0
         trials = 30
         for s in range(trials):

@@ -52,27 +52,15 @@ def triangle():
     return Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 
 
-def edge_searcher(host):
-    """A searcher for one edge rooted at its endpoint 0."""
-    return _CopySearcher(host, Hypergraph(2, 2, [(0, 1)]), (0,))
-
-
 class TestFindRootedCopy:
     def test_single_edge(self):
-        emb = edge_searcher(Hypergraph(2, 3, [(0, 2)])).find((0,), [2])
+        searcher = _CopySearcher(Hypergraph(2, 3, [(0, 2)]), Hypergraph(2, 2, [(0, 1)]), (0,))
+        emb = searcher.find((0,), [2])
         assert emb == {0: 0, 1: 2}
 
     def test_no_room(self):
         searcher = _CopySearcher(complete_graph(5), power_path_template(2, 4), (0,))
         assert searcher.find((0,), []) is None
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            edge_searcher(complete_graph(4)).find((0, 1), [2])
-
-    def test_root_image_inside_reservoir_rejected(self):
-        with pytest.raises(ValueError):
-            edge_searcher(complete_graph(4)).find((2,), [2, 3])
 
     def test_connecting_path_in_complete_host(self):
         cp = connecting_path_template(2, 5)
@@ -164,15 +152,18 @@ class TestFindRootedCopy:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_charges_match_the_vertex_by_vertex_scan(self, data):
-        w = data.draw(st.sampled_from([3, 4]))
+        w = data.draw(st.sampled_from([2, 3, 4]))
         n = data.draw(st.integers(w + 5, 14))
         host = sample_uniform_hypergraph(
             w, n, data.draw(st.sampled_from([0.3, 0.7, 0.95])), seed=data.draw(st.integers(0, 999))
         )
-        template, root = data.draw(st.sampled_from(
-            [(tight_path_template(w - 1, w + 3), tuple(range(w - 1))),
-             (tight_path_template(w - 1, w + 2), ())]
-        ))
+        if w == 2:
+            choices = [(power_path_template(2, 6), ()), (power_path_template(2, 6), (0,)),
+                       (connecting_path_template(2, 7), (0, 1, 5, 6))]
+        else:
+            choices = [(tight_path_template(w - 1, w + 3), tuple(range(w - 1))),
+                       (tight_path_template(w - 1, w + 2), ())]
+        template, root = data.draw(st.sampled_from(choices))
         searcher = _CopySearcher(host, template, root)
         depth = data.draw(st.integers(0, len(searcher.order) - 1))
         # root images, the internals placed before this depth, then the rest
@@ -202,24 +193,18 @@ class TestFindRootedCopy:
         oracle = _CopySearcher(host, template, root)
         assert got == steps(charged_scan(oracle, depth, images, used, allowed), oracle)
 
-    def test_budget_charges_allowed_candidates_adjacent_to_every_anchor(self, monkeypatch):
+    @pytest.mark.parametrize("host,template", [
+        (Hypergraph(2, 7, [(0, 5)]), Hypergraph(2, 3, [(0, 1), (0, 2)])),
+        (Hypergraph(3, 7, [(0, 1, 5)]), Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])),
+    ], ids=["2-uniform", "3-uniform"])
+    def test_budget_charges_every_scanned_allowed_vertex(self, monkeypatch, host, template):
         monkeypatch.setattr(matcher, "SEARCH_BUDGET", 100)
-        searcher = _CopySearcher(bipartite_host(), connecting_path_template(2, 7), (0, 1, 5, 6))
-        allowed = list(range(20, 60))
-        assert searcher.find((0, 2, 4, 6), allowed) is None
-        # path vertex 2 may be any of the 20 odd allowed vertices; vertex 3
-        # then needs a neighbour of an even and an odd vertex, and has none
-        assert searcher.remaining == 100 - 20
-
-    def test_budget_charges_every_scanned_allowed_vertex_on_a_3_uniform_host(self, monkeypatch):
-        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 100)
-        # two triples through the root pair, but the host holds only {0, 1, 5}
-        template = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
-        searcher = _CopySearcher(Hypergraph(3, 7, [(0, 1, 5)]), template, (0, 1))
-        allowed = [2, 3, 4, 5, 6]
-        assert searcher.find((0, 1), allowed) is None
-        # vertex 2 scans all five and keeps only 5; with 5 placed, vertex 3
-        # scans all five again, the used 5 included
+        # two edges through the root, but the host holds only the one through 5
+        root = tuple(range(host.k - 1))
+        searcher = _CopySearcher(host, template, root)
+        assert searcher.find(root, [2, 3, 4, 5, 6]) is None
+        # the first internal vertex scans all five and keeps only 5; with 5
+        # placed, the second scans all five again, the used 5 included
         assert searcher.remaining == 100 - 5 - 5
 
 
@@ -314,9 +299,11 @@ class TestLinkMemo:
 
     def test_a_failing_2_uniform_search_holds_a_bounded_memo(self, monkeypatch):
         # a perfect matching has no path of three vertices, so every pool vertex
-        # is placed first and anchors a link of its own, and no stream spends a unit
+        # is placed first and anchors a link of its own; each pays one unit and
+        # two full scans, one for its partner and one for a third vertex
         p = 4000
         host = Hypergraph(2, p, [(v, v + 1) for v in range(0, p, 2)])
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", p * (2 * p + 1))
         searcher = _CopySearcher(host, power_path_template(2, 6), ())
         limit = 50 * p
         monkeypatch.setattr(matcher, "_LINK_MEMO_BYTES", limit)
@@ -331,6 +318,7 @@ class TestLinkMemo:
 
         monkeypatch.setattr(searcher, "_link", tracked)
         assert searcher.find((), list(range(p))) is None
+        assert searcher.remaining == 0
         assert len(anchors) == p  # kept, these links would hold p * p bytes
         assert limit <= max(held) < limit + p
         assert searcher._links == {} and searcher._pool is None
@@ -381,9 +369,9 @@ class TestCopySearchDigest:
         for budget in (100, 40):
             monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
             lines += [f"budget {budget}"] + self.trace()
-        assert sum(" exceeded " in line for line in lines) == 18
+        assert sum(" exceeded " in line for line in lines) == 20
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "f7231a60ea6ad2d3411b038796bdbda05796f7fe173da84b7be403944e719b40"
+        assert digest == "4fdd3ef3dd53b3d804e3c63fbf3c35a54dcc4665647d6d8eb190939244391a7e"
 
 
 class TestPartitionReservoir:
@@ -428,6 +416,11 @@ class TestConnectionRequest:
             connect_family(host, t, (0,), [(5,)], (5, 6))
         with pytest.raises(ValueError):
             connect_family(host, t, (0,), [(1, 2)], (5, 6))
+        # a root or a tuple that repeats a vertex
+        with pytest.raises(ValueError):
+            connect_family(host, t, (0, 0), [(1, 2)], (5, 6))
+        with pytest.raises(ValueError):
+            connect_family(host, t, (0, 1), [(1, 1)], (5, 6))
 
 
 class TestConnectFamily:
@@ -646,9 +639,9 @@ class TestConnectionDigest:
             monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
             lines += [f"budget {budget}"] + self.trace()
         tags = [line.split()[3] for line in lines if not line.startswith("budget")]
-        assert (tags.count("ok"), tags.count("unmatched"), tags.count("budget")) == (24, 46, 20)
+        assert (tags.count("ok"), tags.count("unmatched"), tags.count("budget")) == (14, 20, 56)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "acf942401187916b4ab1bb6c6b1cc2c52bbfc66cc9c9eceeea2e7314fe0b6e63"
+        assert digest == "d329d48b17c3f7c208c7f45fcc7a64098d9aef9f00464ab9e64689e019b4e44d"
 
 
 class TestSearchBudget:
