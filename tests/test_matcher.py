@@ -62,6 +62,15 @@ class TestFindRootedCopy:
         searcher = _CopySearcher(complete_graph(5), power_path_template(2, 4), (0,))
         assert searcher.find((0,), []) is None
 
+    # a rooted-copy request is checked once, by connect_family, not by find
+    def test_arity_mismatch(self):
+        with pytest.raises(ValueError, match="root arity"):
+            connect_family(complete_graph(4), Hypergraph(2, 2, [(0, 1)]), (0,), [(0, 1)], [2])
+
+    def test_root_image_inside_reservoir_rejected(self):
+        with pytest.raises(ValueError, match="avoid the reservoir"):
+            connect_family(complete_graph(4), Hypergraph(2, 2, [(0, 1)]), (0,), [(2,)], [2, 3])
+
     def test_connecting_path_in_complete_host(self):
         cp = connecting_path_template(2, 5)
         searcher = _CopySearcher(complete_graph(9), cp, (0, 1, 3, 4))
