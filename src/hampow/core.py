@@ -2,7 +2,10 @@
 
 Vertices are dense 0-based integers.  A graph is simply the 2-uniform case;
 there is one code path for both.  Hypergraphs are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  A hypergraph may defer
+drawing its codes until their first read (``Hypergraph.from_codes`` with a
+function); the draw is deterministic, so two threads that race on the first
+read store identical arrays and sharing stays safe.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +59,7 @@ class Hypergraph:
     depend on the edge set only, never on the stored side.
     """
 
-    __slots__ = ("k", "n", "_codes", "_complement", "_adj")
+    __slots__ = ("k", "n", "_codes", "_complement", "_adj", "_draw")
 
     def __init__(self, k: int, n: int, edges: np.ndarray | Iterable[Iterable[int]]):
         """The graph whose edges are the rows of an (m, k) int array, or these vertex sequences.
@@ -87,16 +90,30 @@ class Hypergraph:
 
     @classmethod
     def from_codes(
-        cls, k: int, n: int, codes: np.ndarray, complement: bool = False
+        cls, k: int, n: int, codes: np.ndarray | Callable[[], np.ndarray],
+        complement: bool = False,
     ) -> "Hypergraph":
         """Internal fast path: ``codes`` must be sorted, unique, valid.
 
-        They are the edges, or with ``complement`` the non-edges.
+        They are the edges, or with ``complement`` the non-edges.  ``codes``
+        may also be a function of no arguments that returns them: it is
+        called on their first read, and the array it returns is kept.
         """
         g = cls(k, n, ())
-        g._codes = np.asarray(codes, dtype=np.int64)
+        if callable(codes):
+            del g._codes  # an unset slot: its first read goes to __getattr__
+            g._draw = codes
+        else:
+            g._codes = np.asarray(codes, dtype=np.int64)
         g._complement = complement
         return g
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # only a slot never set gets here; once drawn, ``_codes`` is read directly
+        if name != "_codes":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._codes = codes = np.asarray(self._draw(), dtype=np.int64)
+        return codes
 
     # -- basic queries -----------------------------------------------------
 

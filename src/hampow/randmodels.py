@@ -14,6 +14,7 @@ function via :func:`derive`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -196,6 +197,10 @@ def sample_three_rounds(
     - for p <= 1/2, the rounds' edges merged;
     - for q > 1/2, the codes in all three rounds' non-edges;
     - in between, the candidates no round has, found in one C(n, k) mask.
+    When q <= 1/2 nothing is drawn before a result is first read: round i
+    on its own first read, and the union from the rounds on its first read,
+    so an attempt that fails in its first phase draws one round.  When
+    q > 1/2 all four are drawn before this returns.
     Returns (G1, G2, G3, union).
     """
     _check_edge_probability(p)
@@ -207,19 +212,30 @@ def sample_three_rounds(
     q = three_round_rate(p)
     total = math.comb(n, k)
     dense = q > 0.5
-    rounds = [_bernoulli_ranks(derive(seed, i), total, 1.0 - q if dense else q) for i in range(3)]
-    if dense:
-        union = rounds[0][_in_sorted(rounds[0], rounds[1])]
-        union = union[_in_sorted(union, rounds[2])]
-    elif p > 0.5:
-        absent = np.ones(total, dtype=bool)
-        for codes in rounds:
-            absent[codes] = False
-        union = np.flatnonzero(absent)
-    else:
-        union = _merged(rounds, total)
-    g1, g2, g3 = (Hypergraph.from_codes(k, n, codes, complement=dense) for codes in rounds)
-    return g1, g2, g3, Hypergraph.from_codes(k, n, union, complement=p > 0.5)
+    draws = [functools.partial(_bernoulli_ranks, derive(seed, i), total, 1.0 - q if dense else q)
+             for i in range(3)]
+    # Dense draws stay eager for the traced benchmark: perfbench/spans.py
+    # reads the union's edge_count right after its sampling span, so a
+    # deferred draw would put rounds 2-3 and the intersection (~40 ms at
+    # n = 3000) outside every span, below the layer coverage its tests
+    # assert.  They can defer too once the spans live in src/.
+    g1, g2, g3 = (
+        Hypergraph.from_codes(k, n, draw() if dense else draw, complement=dense) for draw in draws
+    )
+
+    def union() -> np.ndarray:
+        rounds = [g._codes for g in (g1, g2, g3)]
+        if dense:
+            common = rounds[0][_in_sorted(rounds[0], rounds[1])]
+            return common[_in_sorted(common, rounds[2])]
+        if p > 0.5:
+            absent = np.ones(total, dtype=bool)
+            for codes in rounds:
+                absent[codes] = False
+            return np.flatnonzero(absent)
+        return _merged(rounds, total)
+
+    return g1, g2, g3, Hypergraph.from_codes(k, n, union() if dense else union, complement=p > 0.5)
 
 
 def split_edges_three(G: Hypergraph, seed: int) -> tuple[Hypergraph, Hypergraph, Hypergraph]:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from itertools import combinations, product
@@ -293,6 +295,56 @@ class TestComplementForm:
         assert g.is_complete and g.edge_count == 10
         assert g == complement_twin(complete_graph(5)) == complete_graph(5)
         assert g.neighbors(2).tolist() == [0, 1, 3, 4]
+
+
+class TestDeferredCodes:
+    """``from_codes`` with a function draws the codes on their first read, once."""
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_codes_are_drawn_once_on_first_read(self, complement):
+        eager = Hypergraph(3, 7, [(0, 1, 2), (1, 3, 6), (2, 4, 5)])
+        codes = eager.edge_codes()
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return codes
+
+        g = Hypergraph.from_codes(3, 7, draw, complement=complement)
+        twin = Hypergraph.from_codes(3, 7, codes, complement=complement)
+        assert calls == [] and g.k == 3 and g.n == 7
+        assert g.edge_count == twin.edge_count
+        assert g.has_edge(np.array([[6, 3, 1], [0, 1, 3]])).tolist() == [not complement, complement]
+        assert list(g.edges()) == list(twin.edges()) and g == twin
+        assert calls == [1]
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            g.missing
+
+    def test_racing_first_reads_agree(self):
+        # every thread reads a fresh deferred host at once; a draw may run
+        # twice, but each reader must see the one deterministic array
+        want = np.arange(0, 4950, 3, dtype=np.int64)
+        hosts = [Hypergraph.from_codes(2, 100, lambda: want.copy()) for _ in range(40)]
+        seen = []
+        start = threading.Barrier(6)
+
+        def read():
+            start.wait(timeout=10)
+            seen.extend((i, g.edge_count, g.has_edge([0, 4])) for i, g in enumerate(hosts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(seen) == sorted((i, want.size, True) for i in range(40) for _ in range(6))
+        assert all(np.array_equal(g._codes, want) for g in hosts)
 
 
 class TestBatchedMembership:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hampow import randmodels
 from hampow.core import Hypergraph, _decode_codes, _encode_rows
+from hampow.pipeline import ModelSpec, Parameters, find_hamilton
 from hampow.randmodels import (
     BipartiteGraph,
     derive,
@@ -221,6 +223,33 @@ class TestThreeRound:
         monkeypatch.setattr(randmodels, "uniform_stream", lambda seed, lo, hi: np.zeros(hi - lo))
         assert np.array_equal(randmodels._bernoulli_ranks(1, 5000, 0.001), np.arange(5000))
 
+    def test_sparse_rounds_are_drawn_on_first_read(self, monkeypatch):
+        calls = Counter()
+        for name in ("_bernoulli_ranks", "_merged"):
+            def counted(*args, name=name, orig=getattr(randmodels, name)):
+                calls[name] += 1
+                return orig(*args)
+            monkeypatch.setattr(randmodels, name, counted)
+        # this find fails in factor, which reads round 1 alone: one draw, no merge
+        report = find_hamilton(ModelSpec(1000, 0.05), Parameters(k=2, mode="tight", retries=0, seed=3))
+        assert str(report) == (
+            "no verified cycle after 1 attempt(s):\n"
+            "  seed=9757208891808321065: factor: search budget exhausted"
+        )
+        assert calls == {"_bernoulli_ranks": 1}
+        # reading the union draws the rounds not yet drawn and merges them, once
+        calls.clear()
+        *rounds, union = sample_three_rounds(2, 300, 0.05, seed=1)
+        rounds[0].edge_count
+        assert calls == {"_bernoulli_ranks": 1}
+        union.edge_count
+        union.has_edge([0, 1])
+        assert calls == {"_bernoulli_ranks": 3, "_merged": 1}
+        # q > 1/2: the rounds are drawn before the sampler returns
+        calls.clear()
+        sample_three_rounds(2, 300, 0.9995, seed=1)
+        assert calls == {"_bernoulli_ranks": 3}
+
     @pytest.mark.parametrize("k,n,p", [(3, 400, 0.05), (2, 3000, 0.9995), (2, 2000, 0.6),
                                        (2, 2000, 0.3)])
     def test_traced_peak_stays_within_twice_the_stored_codes(self, k, n, p):
@@ -229,6 +258,8 @@ class TestThreeRound:
         tracemalloc.start()
         try:
             sampled = sample_three_rounds(k, n, p, seed=3)
+            for g in sampled:
+                g.edge_count  # a sparse sample draws its rounds and union on first read
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
