@@ -2,12 +2,12 @@
 
 All randomness is counter-based: position i of a seed's stream is the
 uniform variate ``finalize(seed + (i+1) * GOLDEN)`` (its top 53 bits), where
-``finalize`` is the splitmix64 output function.  ``sample_uniform_hypergraph``
-and ``sample_bipartite`` give candidate edge i position i of the seed's
-stream; ``sample_three_rounds`` draws each exposure round from its own
-derived stream, visiting only the candidates the round stores and skipping
-between them with geometric gaps.  Identical (seed, parameters) therefore
-produce identical samples, and streams can be generated in vectorized chunks.
+``finalize`` is the splitmix64 output function.  One stream rule serves
+every sample: the j-th candidate (in rank order) a sample stores lies a
+Geometric gap past the one before, by inversion of position j of its seed's
+stream.  Hosts, bipartite graphs and each exposure round (on its own derived
+seed) all draw this way.  Identical (seed, parameters) therefore produce
+identical samples, and streams can be generated in vectorized chunks.
 Derived seeds (per trial, per retry, per phase) come from the same mixing
 function via :func:`derive`.
 """
@@ -77,34 +77,6 @@ def uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
     return u
 
 
-_CHUNK = 1 << 22
-
-
-def _kept_positions(seed: int, total: int, p: float) -> np.ndarray:
-    """Ascending stream positions i < total whose variate is below p."""
-    kept = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, total if p > 0.0 else 0, _CHUNK):
-        u = uniform_stream(seed, lo, min(lo + _CHUNK, total))
-        kept.append(np.flatnonzero(u < p) + lo)
-    return np.concatenate(kept)
-
-
-def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph:
-    """Sample the binomial k-uniform hypergraph on n vertices.
-
-    Each of the C(n, k) possible edges is present independently with
-    probability p.  One uniform is drawn per candidate edge in lexicographic
-    order, so the sample is bit-reproducible.
-    """
-    _check_edge_probability(p)
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if p == 1.0:
-        return Hypergraph.complete(k, n)
-    # a candidate's stream position is its lexicographic rank: its code
-    return Hypergraph.from_codes(k, n, _kept_positions(seed, math.comb(n, k), p))
-
-
 def three_round_rate(p: float) -> float:
     """The per-round rate q with 1 - (1-q)^3 = p.
 
@@ -145,8 +117,9 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
         size = int(min(expected + math.sqrt(expected) + 16, _BATCH))
         gaps = uniform_stream(seed, kept, kept + size)
         np.log1p(np.negative(gaps, out=gaps), out=gaps)
-        # rate = 0 gives inf or nan here, which fmin caps at total: no rank is kept
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # rate = 0, or one so small that the quotient overflows, gives inf or
+        # nan here, which fmin caps at total: no rank is kept
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             gaps /= log_miss
         ranks = np.fmin(gaps, total, out=gaps).astype(np.int64)  # gaps >= 0: the cast floors
         ranks += 1
@@ -162,6 +135,22 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
         last = int(ranks[-1])
     out.resize(kept, refcheck=False)
     return out
+
+
+def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph:
+    """Sample the binomial k-uniform hypergraph on n vertices.
+
+    Each of the C(n, k) possible edges is present independently with
+    probability p.  The sample stores its smaller side: its edges, drawn at
+    rate p, or for p > 1/2 its non-edges, drawn at rate 1 - p.  That side is
+    drawn by _bernoulli_ranks from ``seed``'s stream on its first read.
+    """
+    _check_edge_probability(p)
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    # a candidate's lexicographic rank is its code, so the drawn ranks are stored as they are
+    draw = functools.partial(_bernoulli_ranks, seed, math.comb(n, k), min(p, 1.0 - p))
+    return Hypergraph.from_codes(k, n, draw, complement=p > 0.5)
 
 
 def _merged(rounds: list[np.ndarray], total: int) -> np.ndarray:
@@ -190,10 +179,10 @@ def sample_three_rounds(
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """Three independent G(n, q) exposures with union rate p, plus the union.
 
-    Round i (i = 0, 1, 2) is its own Bernoulli process over the ranks (the
-    codes), drawn by _bernoulli_ranks from ``derive(seed, i)``.  Each result
-    stores its smaller side: with q = three_round_rate(p), a round its edges
-    at rate q <= 1/2, or its non-edges at rate 1 - q < 1/2.  The union is
+    With q = three_round_rate(p), round i (i = 0, 1, 2) is
+    ``sample_uniform_hypergraph(k, n, q, derive(seed, i))``.  Each result
+    stores its smaller side: a round its edges at rate q <= 1/2, or its
+    non-edges at rate 1 - q < 1/2.  The union is
     - for p <= 1/2, the rounds' edges merged;
     - for q > 1/2, the codes in all three rounds' non-edges;
     - in between, the candidates no round has, found in one C(n, k) mask.
@@ -203,25 +192,10 @@ def sample_three_rounds(
     q > 1/2 all four are drawn before this returns.
     Returns (G1, G2, G3, union).
     """
-    _check_edge_probability(p)
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if p == 1.0:
-        g = Hypergraph.complete(k, n)
-        return g, g, g, g
     q = three_round_rate(p)
+    g1, g2, g3 = (sample_uniform_hypergraph(k, n, q, derive(seed, i)) for i in range(3))
     total = math.comb(n, k)
     dense = q > 0.5
-    draws = [functools.partial(_bernoulli_ranks, derive(seed, i), total, 1.0 - q if dense else q)
-             for i in range(3)]
-    # Dense draws stay eager for the traced benchmark: perfbench/spans.py
-    # reads the union's edge_count right after its sampling span, so a
-    # deferred draw would put rounds 2-3 and the intersection (~40 ms at
-    # n = 3000) outside every span, below the layer coverage its tests
-    # assert.  They can defer too once the spans live in src/.
-    g1, g2, g3 = (
-        Hypergraph.from_codes(k, n, draw() if dense else draw, complement=dense) for draw in draws
-    )
 
     def union() -> np.ndarray:
         rounds = [g._codes for g in (g1, g2, g3)]
@@ -235,6 +209,11 @@ def sample_three_rounds(
             return np.flatnonzero(absent)
         return _merged(rounds, total)
 
+    # The dense union stays eager, and so draws the rounds, for the traced
+    # benchmark: perfbench/spans.py reads the union's edge_count right after
+    # its sampling span, so a deferred draw would put the rounds and the
+    # intersection (~40 ms at n = 3000) outside every span, below the layer
+    # coverage its tests assert.  It can defer too once the spans live in src/.
     return g1, g2, g3, Hypergraph.from_codes(k, n, union() if dense else union, complement=p > 0.5)
 
 
@@ -307,6 +286,6 @@ def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     if s < 0:
         raise ValueError(f"side size must be >= 0, got {s}")
     rows: list[list[int]] = [[] for _ in range(s)]
-    for r in _kept_positions(seed, s * s, p).tolist():  # ranks ascend, so rows do too
+    for r in _bernoulli_ranks(seed, s * s, p).tolist():  # ranks ascend, so rows do too
         rows[r // s].append(r % s)
     return BipartiteGraph(s, s, rows)

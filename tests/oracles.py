@@ -238,6 +238,11 @@ def tight_windows(order: tuple[int, ...], w: int, cyclic: bool = True) -> set[tu
     return {tuple(sorted(order[(i + d) % n] for d in range(w))) for i in starts}
 
 
+def edge_twin(g: Hypergraph) -> Hypergraph:
+    """The same edge set as ``g``, stored as its edges."""
+    return Hypergraph.from_codes(g.k, g.n, g.edge_codes())
+
+
 def complement_twin(g: Hypergraph) -> Hypergraph:
     """The same edge set as ``g``, stored as its non-edges."""
     rows = [e for e in combinations(range(g.n), g.k) if not g.has_edge(e)]

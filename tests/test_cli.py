@@ -16,6 +16,7 @@ import hampow.absorber as absorber
 import hampow.cli as cli
 import hampow.matcher as matcher
 import hampow.pipeline as pipeline
+import hampow.randmodels as randmodels
 from hampow.cli import build_parser, main
 from hampow.core import MAX_VERTICES, Hypergraph
 from hampow.randmodels import expected_stored_codes
@@ -149,14 +150,31 @@ class TestGen:
 
     @pytest.mark.parametrize("model,limit", [("gnp", 25), ("bip", 54)])
     def test_sampled_count_is_checked_too(self, tmp_path, capsys, monkeypatch, model, limit):
-        # at n=10, p=0.5, seed 5 the expected 22.5 (gnp) and 50 (bip) edges
+        # at n=10, p=0.5, seed 41 the expected 22.5 (gnp) and 50 (bip) edges
         # pass the limit, but the 26 and 55 sampled ones do not
         monkeypatch.setattr(cli, "MATERIALIZE_LIMIT", limit)
         out = tmp_path / "g.hg"
         code, _, err = run(["gen", "--model", model, "--n", "10", "--p", "0.5",
-                            "--seed", "5", "--out", str(out)], capsys)
+                            "--seed", "41", "--out", str(out)], capsys)
         assert code == 2 and f"refusing to write {limit + 1} edges" in err
         assert not out.exists()
+
+    def test_a_sparse_host_draws_one_variate_per_edge(self, tmp_path, capsys, monkeypatch):
+        # about 500 edges of 5e11 candidates: the draw never visits the rest
+        drawn = []
+        stream = randmodels.uniform_stream
+
+        def counted(seed, start, stop):
+            drawn.append(stop - start)
+            return stream(seed, start, stop)
+
+        monkeypatch.setattr(randmodels, "uniform_stream", counted)
+        out = tmp_path / "g.hg"
+        code, _, _ = run(["gen", "--model", "gnp", "--n", "1000000", "--p", "1e-9",
+                          "--seed", "1", "--out", str(out)], capsys)
+        assert code == 0
+        m = int(out.read_text().split()[2])
+        assert m > 0 and sum(drawn) <= m + 4 * math.sqrt(m) + 16
 
 
 class TestDensity:

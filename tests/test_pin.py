@@ -58,7 +58,7 @@ FIND_CASES = {
     "power-k2-fixed-host": (
         lambda: sample_uniform_hypergraph(2, 1000, 0.9998, seed=9),
         dict(k=2, mode="power", seed=7),
-        "161c83a3ff1ff26dc0ca585c36f43e251827898df06c653d87bbaf4f7d7ea55a",
+        "f4e2fccc69c641dc7869c94b279a253ee7e46d9489d2573a47d022b2690242b8",
     ),
 }
 
@@ -97,11 +97,11 @@ def test_experiment_csv_digest(tmp_path, capsys):
 
 GEN_CASES = {
     "gnp": (["--model", "gnp", "--n", "60", "--p", "0.3", "--seed", "3"],
-            "dd7ad08ec213de31b820da1da70d2bf01cff665ce9439b043f84d3f9ce858b9c"),
+            "50669d381f06437e6d79f6d86d8b72a3917eb6aa2d02000de0207e24c57060e1"),
     "hgnp": (["--model", "hgnp", "--k", "3", "--n", "20", "--p", "0.2", "--seed", "4"],
-             "6c5e9c92374c7f3d1aea334eb5bc74203f47e67bfbaf2026326f79bfc777ab23"),
+             "e8ed0bb983ded944e6e8557a91d116ec11efc5f9256b105c4e796e253c58feee"),
     "bip": (["--model", "bip", "--n", "12", "--p", "0.4", "--seed", "5"],
-            "77d0fd46372665535863077afcefb195353dcee8799ea78fa46f0cbf2aa1e1b2"),
+            "54fed3a673b8399b03f18c4658ecf0ddec5cd1c9f0284b3ad6a6a18d4ff8e47e"),
 }
 
 
@@ -148,4 +148,4 @@ def test_sampled_rounds_text_digest():
 
 def test_sampled_host_text_digest():
     texts = [sample_uniform_hypergraph(k, n, p, seed).to_text() for k, n, p, seed in SAMPLE_CASES]
-    assert sha256("".join(texts)) == "ca6a85ae15fa9fd2d0968dea294bc6e118661a31e38258126ac5cb2486058d59"
+    assert sha256("".join(texts)) == "f4475dc0e5f509e023b0faa6d4abf7e58b65313dcad0c7d7098cd2d02d0ff758"

@@ -21,7 +21,7 @@ from hampow.pipeline import (
 )
 from hampow.randmodels import BipartiteGraph, derive, sample_bipartite, sample_uniform_hypergraph
 
-from oracles import complement_twin
+from oracles import complement_twin, edge_twin
 
 
 def complete_graph(n):
@@ -158,11 +158,11 @@ class TestCoverDigest:
         for mode, k, n, t, densities in self.CASES:
             for p in densities:
                 for seed in range(4):
-                    edge_form = sample_uniform_hypergraph(uniformity(k, mode), n, p, seed=seed)
+                    g = sample_uniform_hypergraph(uniformity(k, mode), n, p, seed=seed)
                     order = sorted(range(n), key=lambda v: derive(seed, 3, v))
                     pool = order[:t * (n // t - 1)]
                     uncovered, borrowed = pool[:len(pool) * 2 // 3], pool[len(pool) * 2 // 3:]
-                    for form, host in (("edges", edge_form), ("complement", complement_twin(edge_form))):
+                    for form, host in (("edges", edge_twin(g)), ("complement", complement_twin(g))):
                         try:
                             out = cover_with_paths(host, uncovered, borrowed, t, k, mode).paths
                         except PhaseFailure as e:
@@ -172,9 +172,9 @@ class TestCoverDigest:
 
     def test_digest(self):
         lines = self.lines()
-        assert sum("'cover'" in line for line in lines) == 44
+        assert sum("'cover'" in line for line in lines) == 50
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "077304ebff02f34034fa6ed26368c95e217ae4d29b3df1761a8633da49dd848b"
+        assert digest == "512f96ec135c2d77bcb73b6a9a1411b3954faa597e83ffa12c127f51fd6bdeaf"
 
 
 class TestResolvePlan:

@@ -159,9 +159,14 @@ class TestThreeRound:
         sampled = sample_three_rounds(k, n, p, seed)
         q = three_round_rate(p)
         assert [g._complement for g in sampled] == [q > 0.5] * 3 + [p > 0.5]
-        for got, want in zip(sampled, three_rounds_by_enumeration(k, n, p, seed)):
+        replayed = three_rounds_by_enumeration(k, n, p, seed)
+        for got, want in zip(sampled, replayed):
             assert got == want
             assert list(got.edges()) == list(want.edges())
+        # round i is the host sampled at rate q from the round's seed
+        for i, want in enumerate(replayed[:3]):
+            host = sample_uniform_hypergraph(k, n, q, derive(seed, i))
+            assert host._complement == (q > 0.5) and host == want
 
     # upper 1e-4 quantiles of the chi-square law with 1..7 degrees of freedom
     CHI2_CRITICAL = {1: 15.14, 2: 18.42, 3: 21.11, 4: 23.51, 5: 25.74, 6: 27.86, 7: 29.88}
@@ -202,7 +207,8 @@ class TestThreeRound:
             assert chi2 < self.CHI2_CRITICAL[len(cells) - 1]
 
     def test_work_scales_with_the_kept_candidates(self, monkeypatch):
-        # C(3000, 3) is about 4.5e9 candidates; each round keeps about 1,500
+        # C(3000, 3) is about 4.5e9 candidates; each round and the host keep
+        # about 1,500, and the bipartite graph about 10 of its 1e10
         drawn = []
         stream = randmodels.uniform_stream
 
@@ -214,8 +220,10 @@ class TestThreeRound:
         *rounds, union = sample_three_rounds(3, 3000, 1e-6, seed=5)
         # below p = 1/2 the union stores its edges: the rounds' kept candidates
         assert 3000 < union.edge_count < 6000
-        # one variate per kept code of a round, and a batch's slack past the last
-        sizes = [g.edge_count for g in rounds]
+        host = sample_uniform_hypergraph(3, 3000, 1e-6, seed=5)
+        bipartite = sample_bipartite(10 ** 5, 1e-9, seed=5)
+        # one variate per kept code of a sample, and a batch's slack past the last
+        sizes = [g.edge_count for g in (*rounds, host, bipartite)]
         assert sum(drawn) <= sum(m + 4 * math.sqrt(m) + 16 for m in sizes)
 
     def test_a_round_past_its_expected_count_grows_its_array(self, monkeypatch):
