@@ -173,7 +173,8 @@ def _cmd_gen(args) -> int:
         return 2
     if args.model == "bip":
         lines = [f"bip {g.left} {g.right} {g.edge_count}"]
-        lines += [f"{l} {r}" for l, row in enumerate(g.adjacency()) for r in row]
+        lefts, rights = divmod(g.cells, g.right)
+        lines += [f"{l} {r}" for l, r in zip(lefts.tolist(), rights.tolist())]
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote bipartite {g.left}x{g.right} with {g.edge_count} edges (seed {args.seed})")
         return 0
@@ -202,7 +203,7 @@ def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec | str:
 def _model_too_large(k: int, n: int, p: float) -> bool:
     """Say so on stderr when sampling this host would store too much."""
     check_encodable(k, n)  # raises first, so the estimate cannot overflow
-    need = 8 * expected_stored_codes(k, n, p)
+    need = 8 * expected_stored_codes(k, n, p)  # int64 codes: a bound for int32 ones too
     if need <= MODEL_BYTES_LIMIT:
         return False
     print(f"refusing to sample the {k}-uniform host with n={n}, p={p}: its three "

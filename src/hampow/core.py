@@ -24,6 +24,7 @@ __all__ = [
     "VertexTuple",
     "check_encodable",
     "check_uniformity",
+    "code_dtype",
     "connecting_path_template",
     "is_power_path",
     "is_tight_path",
@@ -51,7 +52,8 @@ class Hypergraph:
     """Immutable k-uniform hypergraph on the vertex set ``{0, .., n-1}``.
 
     An edge's code is the lexicographic rank of its sorted vertex tuple among
-    all k-subsets; the codes are kept in a sorted array.  A hypergraph
+    all k-subsets; the codes are kept in a sorted array of
+    ``code_dtype(math.comb(n, k))``, int32 when every code fits.  A hypergraph
     stores whichever side of its edge set its producer expects to be smaller:
     the edges themselves, or (complement form) the non-edges.  The complete
     hypergraph is the complement form with nothing stored, so dense hosts of
@@ -104,7 +106,7 @@ class Hypergraph:
             del g._codes  # an unset slot: its first read goes to __getattr__
             g._draw = codes
         else:
-            g._codes = np.asarray(codes, dtype=np.int64)
+            g._codes = np.asarray(codes, dtype=code_dtype(math.comb(g.n, g.k)))
         g._complement = complement
         return g
 
@@ -112,7 +114,8 @@ class Hypergraph:
         # only a slot never set gets here; once drawn, ``_codes`` is read directly
         if name != "_codes":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._codes = codes = np.asarray(self._draw(), dtype=np.int64)
+        dtype = code_dtype(math.comb(self.n, self.k))
+        self._codes = codes = np.asarray(self._draw(), dtype=dtype)
         return codes
 
     # -- basic queries -----------------------------------------------------
@@ -157,12 +160,12 @@ class Hypergraph:
         return map(tuple, _decode_codes(self.edge_codes(), self.n, self.k).tolist())
 
     def edge_codes(self) -> np.ndarray:
-        """Sorted codes of the edges (built on each call in complement form)."""
+        """Sorted codes of the edges, in the stored codes' dtype (built on each call in complement form)."""
         if not self._complement:
             return self._codes
         keep = np.ones(math.comb(self.n, self.k), dtype=bool)
         keep[self._codes] = False
-        return np.flatnonzero(keep)
+        return _true_positions(keep, self._codes.dtype)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor array (2-uniform only)."""
@@ -177,7 +180,7 @@ class Hypergraph:
         if not self._complement:
             return row
         keep = np.ones(self.n, dtype=bool)
-        keep[row] = False
+        keep[row.astype(np.intp)] = False  # numpy's own cast of an int32 index costs ~2 us a call
         keep[v] = False
         return np.flatnonzero(keep)
 
@@ -273,12 +276,40 @@ def _encode_rows(cols: Sequence[np.ndarray], n: int) -> np.ndarray:
     return codes
 
 
+def code_dtype(total: int) -> type[np.signedinteger]:
+    """The dtype that stores codes below ``total``: int32 when total <= 2**31 - 1, else int64."""
+    return np.int32 if total <= np.iinfo(np.int32).max else np.int64
+
+
 def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Bool mask: which of ``values`` occur in the ascending array ``table``."""
+    """Bool mask: which of the 1-D int array ``values`` occur in the ascending array ``table``.
+
+    The keys are searched in the table's dtype, as numpy would otherwise copy
+    the whole table to a wider one; a key that wraps in that cast still differs
+    from the element found, which is compared with the key itself.  They are
+    searched a block at a time, so the positions found stay small too.
+    """
     if table.size == 0:
         return np.zeros(values.shape, dtype=bool)
+    if values.size > _BLOCK:
+        return np.concatenate([_in_sorted(values[lo:lo + _BLOCK], table)
+                               for lo in range(0, values.size, _BLOCK)])
+    at = table.searchsorted(values.astype(table.dtype, copy=False))
     # a position past the end clips to the largest entry, never a match
-    return table.take(table.searchsorted(values), mode="clip") == values
+    return table.take(at, mode="clip") == values
+
+
+def _true_positions(mask: np.ndarray, dtype: type[np.signedinteger]) -> np.ndarray:
+    """``np.flatnonzero(mask)`` in dtype, found a block at a time: no full-length int64 copy."""
+    out = np.empty(np.count_nonzero(mask), dtype=dtype)
+    size = 0
+    step = _BLOCK << 6
+    for lo in range(0, mask.size, step):
+        found = np.flatnonzero(mask[lo:lo + step])
+        found += lo
+        out[size:size + found.size] = found
+        size += found.size
+    return out
 
 
 def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -316,17 +347,20 @@ def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     Row u's pairs (u, w > u) are the run of codes from first[u], the code of (u, u + 1).
     """
     u = np.arange(n + 1)
-    first = u * (2 * n - 1 - u) // 2  # first[n] = C(n, 2)
-    up = codes.searchsorted(first)
+    first = u * (2 * n - 1 - u) // 2  # first[n] = C(n, 2), so first fits the codes' dtype
+    up = codes.searchsorted(first.astype(codes.dtype, copy=False))
     up_count = np.diff(up)
-    src = np.repeat(u[:-1], up_count)
-    dst = codes - np.repeat((first - u - 1)[:-1], up_count)
-    down = np.sort(dst * n + src)  # the pairs (w, u), u < w, as w * n + u
+    dst = codes - np.repeat((first - u - 1)[:-1].astype(codes.dtype, copy=False), up_count)
+    down = dst.astype(np.int64)  # the pairs (w, u), u < w, as w * n + u
+    down *= n
+    down += np.repeat(u[:-1], up_count)
+    down.sort()
     before = down.searchsorted(u * n)  # row w's smaller neighbours start at before[w]
-    adj = np.empty(2 * codes.size, dtype=np.int64)
+    down %= n
+    adj = np.empty(2 * codes.size, dtype=np.int32)  # vertex ids: n < 2 ** 31 by check_encodable
     at = np.arange(codes.size)
     adj[at + np.repeat(before[1:], up_count)] = dst  # after the row's smaller neighbours
-    adj[at + np.repeat(up[:-1], np.diff(before))] = down % n
+    adj[at + np.repeat(up[:-1], np.diff(before))] = down
     return up + before, adj
 
 
@@ -364,7 +398,7 @@ def _sorted_codes(rows: np.ndarray, k: int, n: int) -> np.ndarray:
 
     They are checked as :class:`Hypergraph` says, a block at a time.
     """
-    codes = np.empty(len(rows), dtype=np.int64)
+    codes = np.empty(len(rows), dtype=code_dtype(math.comb(n, k)))
     for lo in range(0, len(rows), _BLOCK):
         cols, distinct, inside = _edge_columns(rows[lo:lo + _BLOCK], n)
         bad = ~(distinct & inside)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from hampow.core import Hypergraph, _in_sorted
+from hampow.core import Hypergraph, _in_sorted, _true_positions, code_dtype
 
 __all__ = [
     "BipartiteGraph",
@@ -87,7 +87,7 @@ def three_round_rate(p: float) -> float:
 
 
 def expected_stored_codes(k: int, n: int, p: float) -> float:
-    """Expected codes (8 bytes each) sample_three_rounds stores, each result its smaller side."""
+    """Expected codes sample_three_rounds stores, each result its smaller side."""
     q = three_round_rate(p)
     return (3 * min(q, 1.0 - q) + min(p, 1.0 - p)) * math.comb(n, k)
 
@@ -102,13 +102,14 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
     Geometric skipping (Batagelj & Brandes, Phys. Rev. E 71, 2005): the j-th
     gap between kept ranks is Geometric(rate), by inversion of variate j of
     ``seed``'s stream, so one variate is drawn per kept rank, one batch at a
-    time.  The batches fill one array sized for a rare excess over the
-    expected count, then shrunk in place.
+    time.  Each batch is computed in int64 and fills one array of
+    ``code_dtype(total)``, sized for a rare excess over the expected count,
+    then shrunk in place.
     """
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-rate)
     expected = rate * total
-    out = np.empty(int(expected + 8 * math.sqrt(expected) + 16), dtype=np.int64)
+    out = np.empty(int(expected + 8 * math.sqrt(expected) + 16), dtype=code_dtype(total))
     last = -1  # the last kept rank
     kept = 0
     while True:
@@ -154,10 +155,13 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
 
 
 def _merged(rounds: list[np.ndarray], total: int) -> np.ndarray:
-    """The sorted union of sorted codes below total, merged a stretch of about _BATCH at a time."""
-    union = np.empty(sum(codes.size for codes in rounds), dtype=np.int64)
+    """The sorted union of sorted codes below total, merged a stretch of about _BATCH at a time.
+
+    The union and the stretch cuts take the rounds' dtype.
+    """
+    union = np.empty(sum(codes.size for codes in rounds), dtype=rounds[0].dtype)
     stretches = union.size // _BATCH + 1
-    cuts = np.array([total * b // stretches for b in range(stretches + 1)], dtype=np.int64)
+    cuts = np.array([total * b // stretches for b in range(stretches + 1)], dtype=union.dtype)
     starts = [np.searchsorted(codes, cuts) for codes in rounds]
     size = 0
     for b in range(cuts.size - 1):
@@ -206,7 +210,7 @@ def sample_three_rounds(
             absent = np.ones(total, dtype=bool)
             for codes in rounds:
                 absent[codes] = False
-            return np.flatnonzero(absent)
+            return _true_positions(absent, rounds[0].dtype)
         return _merged(rounds, total)
 
     # The dense union stays eager, and so draws the rounds, for the traced
@@ -255,28 +259,42 @@ def split_edges_three(G: Hypergraph, seed: int) -> tuple[Hypergraph, Hypergraph,
 class BipartiteGraph:
     """Bipartite graph on left x right index sets {0..left-1} x {0..right-1}.
 
-    ``rows[l]`` lists left vertex l's right neighbours, ascending and in
-    range.
+    Its edges are stored as one sorted int64 array of cells ``l * right + r``,
+    so a graph costs what it keeps, not one object per left vertex.
     """
 
     def __init__(self, left: int, right: int, rows: list[list[int]]):
+        """The graph in which ``rows[l]`` lists left vertex l's right neighbours, ascending and in range."""
         if len(rows) != left:
             raise ValueError(f"expected {left} rows, got {len(rows)}")
         self.left = left
         self.right = right
-        self._adj = rows
+        self.cells = np.array([l * right + r for l, row in enumerate(rows) for r in row], dtype=np.int64)
+        self._adj: list[list[int]] | None = None
+
+    @classmethod
+    def _from_cells(cls, left: int, right: int, cells: np.ndarray) -> BipartiteGraph:
+        g = cls(0, right, [])
+        g.left = left
+        g.cells = np.asarray(cells, dtype=np.int64)
+        return g
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> BipartiteGraph:
         """The graph whose edges are the True entries of a left x right bool mask."""
-        return cls(*mask.shape, [np.flatnonzero(row).tolist() for row in mask])
+        return cls._from_cells(*mask.shape, np.flatnonzero(mask))
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self._adj))
+        return int(self.cells.size)
 
     def adjacency(self) -> list[list[int]]:
-        """Each left vertex's right neighbours, ascending; shared, so read only."""
+        """Each left vertex's right neighbours, ascending; built on the first call and shared, so read only."""
+        if self._adj is None:
+            lefts, rights = divmod(self.cells, max(self.right, 1))
+            starts = np.searchsorted(lefts, np.arange(self.left + 1)).tolist()
+            rights = rights.tolist()
+            self._adj = [rights[a:b] for a, b in zip(starts, starts[1:])]
         return self._adj
 
 
@@ -285,7 +303,5 @@ def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     _check_edge_probability(p)
     if s < 0:
         raise ValueError(f"side size must be >= 0, got {s}")
-    rows: list[list[int]] = [[] for _ in range(s)]
-    for r in _bernoulli_ranks(seed, s * s, p).tolist():  # ranks ascend, so rows do too
-        rows[r // s].append(r % s)
-    return BipartiteGraph(s, s, rows)
+    # the ranks of the s x s cells ascend, as the stored cells do
+    return BipartiteGraph._from_cells(s, s, _bernoulli_ranks(seed, s * s, p))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hampow import core
 from hampow.absorber import Backbone
+from hampow.randmodels import sample_uniform_hypergraph
 from hampow.core import (
     MAX_VERTICES,
     CycleCertificate,
@@ -20,7 +21,9 @@ from hampow.core import (
     VertexTuple,
     _decode_codes,
     _encode_rows,
+    _in_sorted,
     check_encodable,
+    code_dtype,
     connecting_path_template,
     is_power_path,
     is_tight_path,
@@ -381,6 +384,37 @@ class TestBatchedMembership:
             assert empty.dtype == bool and empty.shape == (0,)
             assert host.has_edge(np.arange(2 * (k + 1)).reshape(2, k + 1)).tolist() == [False] * 2
             assert host.has_edge(np.empty(0, dtype=np.int64)) is False
+
+
+class TestCodeDtype:
+    """A host's codes are int32 when every code fits, C(n, k) <= 2**31 - 1, and int64 otherwise."""
+
+    def test_the_rule(self):
+        assert code_dtype(2 ** 31 - 1) is np.int32
+        assert code_dtype(2 ** 31) is np.int64
+        assert Hypergraph(3, 1000, [(0, 1, 2)])._codes.dtype == np.int32
+        assert Hypergraph.complete(2, 70_000)._codes.dtype == np.int64
+
+    @pytest.mark.parametrize("n,dtype", [(65536, np.int32), (65537, np.int64)])
+    def test_hosts_on_both_sides_of_the_edge_answer_like_a_set(self, n, dtype):
+        # C(65536, 2) = 2,147,450,880 <= 2**31 - 1 < C(65537, 2)
+        for seed in range(4):
+            g = sample_uniform_hypergraph(2, n, 1e-9, seed)
+            assert g._codes.dtype == dtype
+            edges = set(g.edges())
+            rng = np.random.default_rng(seed)
+            rows = np.concatenate([np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+                                   rng.integers(0, n, (50, 2)), [[n - 2, n - 1], [0, 1]]])
+            expected = [tuple(sorted(r)) in edges for r in rows.tolist()]
+            assert g.has_edge(rows).tolist() == expected
+            assert g.has_edge(rows[:, ::-1]).tolist() == expected
+            for u, w in edges:
+                assert w in g.neighbors(u).tolist() and u in g.neighbors(w).tolist()
+
+    def test_a_key_that_wraps_in_the_cast_is_no_member(self):
+        table = np.array([0, 3, 7, 2 ** 31 - 2], dtype=np.int32)
+        keys = np.concatenate([table.astype(np.int64) + 2 ** 32, table, [-2 ** 32, 2 ** 31]])
+        assert _in_sorted(keys, table).tolist() == [False] * 4 + [True] * 4 + [False] * 2
 
 
 class TestAdjacency:

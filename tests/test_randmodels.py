@@ -274,6 +274,26 @@ class TestThreeRound:
         stored = {id(g._codes): g._codes.nbytes for g in sampled}
         assert peak <= 2 * sum(stored.values())
 
+    def test_a_sparse_round_is_drawn_as_int32_and_never_copied(self):
+        # C(1000, 3) < 2**31: round 1 of the tight-k2-sparse host holds ~2.8M int32
+        # codes; the draw peaks within 4 MB of them, and a 334-row has_edge batch
+        # (an int32 copy of the table would be ~11 MB) allocates under 1 MB
+        g = sample_three_rounds(3, 1000, 0.05, seed=1)[0]
+        rows = np.sort(np.random.default_rng(1).integers(0, 1000, (334, 3)), axis=1)
+        tracemalloc.start()
+        try:
+            codes = g._codes
+            _, drawn = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            g.has_edge(rows)
+            _, asked = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert codes.dtype == np.int32 and codes.size > 2_700_000
+        assert drawn <= codes.nbytes + (4 << 20)
+        assert asked - before < 1 << 20
+
     @pytest.mark.parametrize("p", [0.271, 0.6, 0.9995])
     def test_round_marginal_rates_and_pairwise_independence(self, p):
         # each round is G(n, q), and two rounds share an edge at rate q^2
@@ -343,6 +363,25 @@ class TestBipartite:
     def test_validates_edges(self):
         with pytest.raises(ValueError, match="expected 2 rows"):
             BipartiteGraph(2, 2, [[0, 1]])
+
+    def test_a_sparse_graph_costs_what_it_keeps(self):
+        # about 10 of 10^16 cells: no object per left vertex
+        tracemalloc.start()
+        try:
+            b = sample_bipartite(10 ** 8, 1e-15, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0 < b.edge_count < 30 and np.all(np.diff(b.cells) > 0)
+        assert b.left == b.right == 10 ** 8
+
+    def test_rows_and_cells_agree(self):
+        b = sample_bipartite(40, 0.2, seed=5)
+        twin = BipartiteGraph(40, 40, b.adjacency())
+        assert np.array_equal(twin.cells, b.cells) and twin.adjacency() == b.adjacency()
+        assert b.adjacency() is b.adjacency()
+        assert BipartiteGraph(2, 0, [[], []]).adjacency() == [[], []]
 
     def test_adjacency_sorted(self):
         mask = np.zeros((3, 3), dtype=bool)
