@@ -23,10 +23,9 @@ from hampow.core import (
     Hypergraph,
     VertexTuple,
     check_encodable,
-    is_power_path,
-    is_tight_path,
+    is_path,
+    missing_edge,
     power_path_template,
-    required_edges,
     uniformity,
     verify_certificate,
 )
@@ -88,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="sample a random (hyper)graph")
     g.add_argument("--model", choices=["gnp", "hgnp", "bip"], required=True)
-    g.add_argument("--k", type=int, default=2, help="uniformity (hgnp)")
+    g.add_argument("--k", type=int, default=None,
+                   help="uniformity: hgnp takes k >= 2 (default 2), gnp only 2, bip none")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--p", type=float, required=True)
     g.add_argument("--out", required=True)
@@ -134,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--k", type=int, default=2)
     ab.add_argument("--ell", type=int, default=5)
     ab.add_argument("--mode", choices=["power", "tight"], default="power")
-    ab.add_argument("--demo", action="store_true")
-    ab.add_argument("--validate", type=int, default=0,
-                    help="check this many random absorb subsets")
-    _add_seed(ab)
 
     e = sub.add_parser("experiment", help="Monte-Carlo success grid")
     e.add_argument("--n-list", required=True, help="comma-separated host sizes")
@@ -157,7 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    k = 2 if args.model == "gnp" else args.k
+    k = 2 if args.k is None else args.k
+    if not {"gnp": k == 2, "hgnp": k >= 2, "bip": args.k is None}[args.model]:
+        return _usage(f"--k {args.k} does not fit --model {args.model}: hgnp takes a "
+                      "uniformity >= 2, gnp only 2 and bip none")
     candidates = args.n * args.n if args.model == "bip" else math.comb(args.n, k)
     # compared as MATERIALIZE_LIMIT / p, so a huge candidate count cannot overflow
     if args.p > 0 and candidates > MATERIALIZE_LIMIT / args.p:
@@ -171,15 +170,9 @@ def _cmd_gen(args) -> int:
     if g.edge_count > MATERIALIZE_LIMIT:
         print(f"refusing to write {g.edge_count} edges (> {MATERIALIZE_LIMIT})", file=sys.stderr)
         return 2
-    if args.model == "bip":
-        lines = [f"bip {g.left} {g.right} {g.edge_count}"]
-        lefts, rights = divmod(g.cells, g.right)
-        lines += [f"{l} {r}" for l, r in zip(lefts.tolist(), rights.tolist())]
-        Path(args.out).write_text("\n".join(lines) + "\n")
-        print(f"wrote bipartite {g.left}x{g.right} with {g.edge_count} edges (seed {args.seed})")
-        return 0
     Path(args.out).write_text(g.to_text())
-    print(f"wrote {g!r} (seed {args.seed})")
+    what = f"bipartite {g.left}x{g.right} with {g.edge_count} edges" if args.model == "bip" else repr(g)
+    print(f"wrote {what} (seed {args.seed})")
     return 0
 
 
@@ -268,11 +261,8 @@ def _cmd_verify(args) -> int:
     print("certificate OK" if ok else "certificate REJECTED")
     if ok:
         return 0
-    for rows in required_edges(cert.order, cert.k, cert.mode, cyclic=True):
-        missing = rows[~host.has_edge(rows)]
-        if missing.size:
-            print(f"host lacks required edge {tuple(missing[0].tolist())}", file=sys.stderr)
-            break
+    edge = missing_edge(host, cert.order, cert.k, cert.mode, cyclic=True)
+    print(f"host lacks required edge {edge}", file=sys.stderr)
     return 2
 
 
@@ -352,8 +342,6 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_absorber(args) -> int:
-    if args.validate < 0:
-        return _usage(f"--validate must be >= 0, got {args.validate}")
     # the backbone has k edges per vertex in power mode (its 1-density is
     # k + 1/(2 ell)), one per vertex in tight mode
     per_vertex = args.k if args.mode == "power" else 1
@@ -362,20 +350,11 @@ def _cmd_absorber(args) -> int:
     host, ab = absorber_mod.demo_absorber(args.k, args.ell, args.mode)
     with_x = absorber_mod.absorb_single(ab, include_x=True)
     without_x = absorber_mod.absorb_single(ab, include_x=False)
-    if args.demo or not args.validate:
-        print(f"host: complete {host.k}-uniform on {host.n} vertices")
-        print(f"a = {tuple(ab.a)}, b = {tuple(ab.b)}, x = {ab.x}")
-        print("traversal including x: ", " ".join(map(str, with_x)))
-        print("traversal without x:   ", " ".join(map(str, without_x)))
-    checker = is_power_path if args.mode == "power" else lambda h, s, _k: is_tight_path(h, s)
-    ok = checker(host, with_x, args.k) and checker(host, without_x, args.k)
-    if args.validate:
-        for i in range(args.validate):
-            include = bool(derive(args.seed, i) & 1)
-            path = absorber_mod.absorb_single(ab, include_x=include)
-            ok = ok and checker(host, path, args.k)
-        print(f"validated {args.validate} random absorb choices "
-              f"(seed {args.seed}): {'OK' if ok else 'FAILED'}")
+    print(f"host: complete {host.k}-uniform on {host.n} vertices")
+    print(f"a = {tuple(ab.a)}, b = {tuple(ab.b)}, x = {ab.x}")
+    print("traversal including x: ", " ".join(map(str, with_x)))
+    print("traversal without x:   ", " ".join(map(str, without_x)))
+    ok = all(is_path(host, path, args.k, args.mode) for path in (with_x, without_x))
     return 0 if ok else 2
 
 

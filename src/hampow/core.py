@@ -26,8 +26,8 @@ __all__ = [
     "check_uniformity",
     "code_dtype",
     "connecting_path_template",
-    "is_power_path",
-    "is_tight_path",
+    "is_path",
+    "missing_edge",
     "power_path_template",
     "required_edges",
     "tight_path_template",
@@ -213,7 +213,7 @@ class Hypergraph:
         codes = self.edge_codes()
         chunks = [f"{self.k} {self.n} {codes.size}\n".encode()]
         for lo in range(0, codes.size, _BLOCK):
-            chunks.append(_edge_lines(codes[lo:lo + _BLOCK], self.n, self.k))
+            chunks.append(_row_lines(_decode_codes(codes[lo:lo + _BLOCK], self.n, self.k)))
         return b"".join(chunks).decode()
 
     @classmethod
@@ -415,9 +415,10 @@ def _sorted_codes(rows: np.ndarray, k: int, n: int) -> np.ndarray:
     return codes
 
 
-def _edge_lines(codes: np.ndarray, n: int, k: int) -> bytes:
-    """The edges with these codes as text lines of k space-separated vertex ids."""
-    values = _decode_codes(codes, n, k).ravel()
+def _row_lines(rows: np.ndarray) -> bytes:
+    """The rows of a nonnegative (m, w) int array as text lines of w space-separated integers."""
+    w = rows.shape[1]
+    values = rows.ravel()
     if values.size == 0:
         return b""
     digits = len(str(int(values.max())))
@@ -427,7 +428,7 @@ def _edge_lines(codes: np.ndarray, n: int, k: int) -> bytes:
     # every value is followed by one separator byte: a space or a newline
     ends = np.cumsum(width + 1) - 1
     buf = np.full(int(ends[-1]) + 1, ord(" "), dtype=np.uint8)
-    buf[ends[k - 1::k]] = ord("\n")
+    buf[ends[w - 1::w]] = ord("\n")
     for d in range(digits):
         has = width > d
         buf[ends[has] - 1 - d] = values[has] // 10 ** d % 10 + ord("0")
@@ -536,26 +537,26 @@ def tight_path_template(k: int, ell: int) -> Hypergraph:
 # -- path and cycle validation ----------------------------------------------
 
 
-def is_power_path(host: Hypergraph, seq: Iterable[int], k: int) -> bool:
-    """True iff every pair of ``seq`` at distance <= k is a host edge."""
-    check_uniformity(host, k, "power")
+def missing_edge(
+    host: Hypergraph, seq: Sequence[int] | np.ndarray, k: int, mode: str, cyclic: bool = False
+) -> tuple[int, ...] | None:
+    """The first row of :func:`required_edges` that is no host edge, as a tuple, or None.
+
+    Each batch is asked with one ``has_edge`` call, and the walk stops at the
+    first batch with a non-edge, so only one batch is held at a time.
+    """
+    for rows in required_edges(seq, k, mode, cyclic):
+        hit = host.has_edge(rows)
+        if not hit.all():
+            return tuple(rows[hit.argmin()].tolist())
+    return None
+
+
+def is_path(host: Hypergraph, seq: Iterable[int], k: int, mode: str) -> bool:
+    """True iff ``seq`` is a k-power (or tight) path of the host: distinct vertices, no edge missing."""
+    check_uniformity(host, k, mode)
     s = list(seq)
-    if len(set(s)) != len(s):
-        return False
-    return _has_all(host, required_edges(s, k, "power"))
-
-
-def is_tight_path(host: Hypergraph, seq: Iterable[int]) -> bool:
-    """True iff every window of host-uniformity consecutive vertices is an edge."""
-    s = list(seq)
-    if len(set(s)) != len(s):
-        return False
-    return _has_all(host, required_edges(s, host.k - 1, "tight"))
-
-
-def _has_all(host: Hypergraph, batches: Iterable[np.ndarray]) -> bool:
-    """True iff every row of every batch is a host edge; stops at the first batch that fails."""
-    return all(host.has_edge(rows).all() for rows in batches)
+    return len(set(s)) == len(s) and missing_edge(host, s, k, mode) is None
 
 
 @dataclass(frozen=True)
@@ -592,6 +593,9 @@ class CycleCertificate:
         order = tuple(int(x) for x in lines[1].split())
         if len(order) != int(n):
             raise ValueError(f"expected {n} vertices, found {len(order)}")
+        extra = next((line for line in lines[2:] if line.strip()), None)
+        if extra is not None:
+            raise ValueError(f"unexpected line {extra!r} after the ordering line")
         return cls(mode=mode, k=int(k), order=order)
 
 
@@ -609,4 +613,4 @@ def verify_certificate(host: Hypergraph, cert: CycleCertificate) -> bool:
     check_uniformity(host, cert.k, cert.mode)
     if cert.mode == "tight" and n < host.k:
         raise ValueError(f"host has fewer vertices than one window ({host.k})")
-    return _has_all(host, required_edges(cert.order, cert.k, cert.mode, cyclic=True))
+    return missing_edge(host, cert.order, cert.k, cert.mode, cyclic=True) is None

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from hampow.core import Hypergraph, _in_sorted, _true_positions, code_dtype
+from hampow.core import _BLOCK, Hypergraph, _in_sorted, _row_lines, _true_positions, code_dtype
 
 __all__ = [
     "BipartiteGraph",
@@ -296,6 +296,13 @@ class BipartiteGraph:
             rights = rights.tolist()
             self._adj = [rights[a:b] for a, b in zip(starts, starts[1:])]
         return self._adj
+
+    def to_text(self) -> str:
+        """Text format: ``bip left right m`` then one ``l r`` edge per line, ascending."""
+        chunks = [f"bip {self.left} {self.right} {self.edge_count}\n".encode()]
+        for lo in range(0, self.cells.size, _BLOCK):
+            chunks.append(_row_lines(np.column_stack(divmod(self.cells[lo:lo + _BLOCK], self.right))))
+        return b"".join(chunks).decode()
 
 
 def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:

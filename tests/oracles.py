@@ -219,12 +219,14 @@ def row_set(batches: Iterable[np.ndarray]) -> set[tuple[int, ...]]:
     return rows
 
 
-def power_cycle_pairs(order: tuple[int, ...], k: int) -> set[tuple[int, int]]:
-    """Edge set of the k-th power of the cycle written along ``order``."""
+def power_cycle_pairs(order: tuple[int, ...], k: int, cyclic: bool = True) -> set[tuple[int, int]]:
+    """Edge set of the k-th power of the cycle (or path) written along ``order``."""
     n = len(order)
     pairs = set()
     for i in range(n):
         for d in range(1, k + 1):
+            if not cyclic and i + d >= n:
+                break
             u, v = order[i], order[(i + d) % n]
             if u != v:
                 pairs.add((min(u, v), max(u, v)))

@@ -14,15 +14,9 @@ from hampow.absorber import (
     default_connector_len,
     demo_absorber,
 )
-from hampow.core import Hypergraph, is_power_path, is_tight_path, uniformity
+from hampow.core import Hypergraph, is_path, uniformity
 from hampow.matcher import PhaseFailure
 from hampow.randmodels import derive, sample_uniform_hypergraph
-
-
-def path_checker(mode, k):
-    if mode == "power":
-        return lambda host, seq: is_power_path(host, seq, k)
-    return lambda host, seq: is_tight_path(host, seq)
 
 
 class TestBackboneTemplate:
@@ -67,11 +61,10 @@ class TestAbsorbSingle:
     @pytest.mark.parametrize("k,ell", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (2, 7), (3, 5)])
     def test_both_traversals_on_complete_host(self, k, ell, mode):
         host, ab = demo_absorber(k, ell, mode)
-        check = path_checker(mode, k)
         with_x = absorb_single(ab, include_x=True)
         without_x = absorb_single(ab, include_x=False)
-        assert check(host, with_x)
-        assert check(host, without_x)
+        assert is_path(host, with_x, k, mode)
+        assert is_path(host, without_x, k, mode)
         assert set(with_x) == ab.vertices()
         assert set(without_x) == ab.vertices() - {ab.x}
         assert len(with_x) == len(without_x) + 1
@@ -93,8 +86,8 @@ class TestAbsorbSingle:
             for e in cp.edges():
                 edges.add(tuple(sorted((seq[e[0]], seq[e[1]]))))
         host = Hypergraph(2, host_complete.n, edges)
-        assert is_power_path(host, absorb_single(ab, True), k)
-        assert is_power_path(host, absorb_single(ab, False), k)
+        assert is_path(host, absorb_single(ab, True), k, "power")
+        assert is_path(host, absorb_single(ab, False), k, "power")
 
     def test_connector_endpoint_validation(self):
         host, ab = demo_absorber(2, 5, "power")
@@ -120,14 +113,13 @@ class TestChainAbsorber:
     @pytest.mark.parametrize("k", [1, 2])
     def test_absorb_all_subsets_small_chain(self, k, mode):
         host, chain = self.build_complete_chain(k, mode, t=3)
-        check = path_checker(mode, k)
         xs = chain.absorbable
         from itertools import chain as ichain, combinations
 
         for size in range(len(xs) + 1):
             for subset in combinations(xs, size):
                 path = absorb(chain, subset)
-                assert check(host, path)
+                assert is_path(host, path, k, mode)
                 assert set(path) == chain.vertices() - set(subset)
                 assert path[:k] == tuple(chain.a)
                 assert path[-k:] == tuple(chain.b)
@@ -205,7 +197,7 @@ class TestChainAbsorber:
                 mask = derive(s, trial)
                 subset = {x for i, x in enumerate(xs) if (mask >> i) & 1}
                 path = absorb(chain, subset)
-                assert is_power_path(host, path, 2)
+                assert is_path(host, path, 2, "power")
                 assert set(path) == chain.vertices() - subset
         assert wins >= int(trials * 0.8)
 

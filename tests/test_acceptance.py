@@ -27,8 +27,7 @@ from hampow.core import (
     Hypergraph,
     VertexTuple,
     connecting_path_template,
-    is_power_path,
-    is_tight_path,
+    is_path,
     power_path_template,
     tight_path_template,
     verify_certificate,
@@ -277,11 +276,7 @@ class TestCriterion6AbsorberSoundness:
                     host, ab = demo_absorber(k, ell, mode)
                     for include in (True, False):
                         path = absorb_single(ab, include_x=include)
-                        valid = (
-                            is_power_path(host, path, k)
-                            if mode == "power"
-                            else is_tight_path(host, path)
-                        )
+                        valid = is_path(host, path, k, mode)
                         expect = ab.vertices() - (set() if include else {ab.x})
                         ok &= valid and set(path) == expect
         report("6a (single-vertex absorbers exhaustive)", ok)
@@ -300,7 +295,7 @@ class TestCriterion6AbsorberSoundness:
         for trial in range(128):  # >= 100 subsets, here all 2^7 of them
             subset = {x for i, x in enumerate(xs) if (trial >> i) & 1}
             path = absorb(chain, subset)
-            valid = is_power_path(host, path, k) if mode == "power" else is_tight_path(host, path)
+            valid = is_path(host, path, k, mode)
             ok &= valid and set(path) == chain.vertices() - subset
             checked += 1
         report(f"6b (chain absorber, {mode})", ok, f"{checked} subsets checked")

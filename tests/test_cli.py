@@ -1,10 +1,12 @@
 import io
 import math
 import os
+import re
 import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -131,6 +133,42 @@ class TestGen:
                           "--seed", "2", "--out", str(outb)], capsys)
         assert code == 0
         assert outb.read_text().splitlines()[0] == "bip 5 5 25"
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gnp", "--k", "3"],
+        ["--model", "gnp", "--k", "1"],
+        ["--model", "bip", "--k", "7"],
+        ["--model", "bip", "--k", "2"],
+        ["--model", "hgnp", "--k", "1"],
+        ["--model", "hgnp", "--k", "-1"],
+    ])
+    def test_k_only_where_the_model_takes_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.hg"
+        code, _, err = run(["gen", *argv, "--n", "5", "--p", "0.5", "--out", str(out)], capsys)
+        assert code == 1 and "--k" in err
+        assert not out.exists()
+
+    def test_hgnp_defaults_to_graphs(self, tmp_path, capsys):
+        out = tmp_path / "g.hg"
+        assert run(["gen", "--model", "hgnp", "--n", "5", "--p", "0.5", "--out", str(out)],
+                   capsys)[0] == 0
+        assert Hypergraph.from_text(out.read_text()).k == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "bip", "--n", "1000", "--p", "0.8", "--seed", "2"],
+        ["--model", "gnp", "--n", "1415", "--p", "0.8", "--seed", "2"],  # as many edges
+    ], ids=["bip", "gnp"])
+    def test_writing_costs_a_few_times_the_file(self, tmp_path, capsys, argv):
+        # tracemalloc counts numpy's buffers too; the old bip writer's lists peaked at 19.5x
+        out = tmp_path / "g.txt"
+        tracemalloc.start()
+        try:
+            code = main(["gen", *argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 6 * out.stat().st_size
 
     @pytest.mark.parametrize("argv", [
         ["--model", "gnp", "--n", "200", "--p", "0.5"],          # 9,950 expected
@@ -279,14 +317,12 @@ class TestFactorCli:
 
 class TestAbsorberCli:
     def test_demo_and_validate(self, capsys):
-        code, out, _ = run(["absorber", "--k", "2", "--ell", "5", "--mode", "power",
-                            "--demo", "--validate", "10"], capsys)
+        code, out, _ = run(["absorber", "--k", "2", "--ell", "5", "--mode", "power"], capsys)
         assert code == 0
         assert "traversal including x" in out
-        assert "OK" in out
 
     def test_a_backbone_too_big_to_build_is_refused(self):
-        proc = run_module(["absorber", "--k", "1000", "--demo"], address_space=2 << 30)
+        proc = run_module(["absorber", "--k", "1000"], address_space=2 << 30)
         assert proc.returncode == 2
         assert f"10001000 edges exceed the limit of {cli.TEMPLATE_EDGE_LIMIT}" in proc.stderr
 
@@ -294,7 +330,7 @@ class TestAbsorberCli:
     @pytest.mark.parametrize("k,ell", [(1, 5), (2, 7), (3, 5)])
     def test_the_backbone_edge_count_is_exact(self, capsys, monkeypatch, mode, k, ell):
         edges = absorber.Backbone(k, ell, mode).graph.edge_count
-        argv = ["absorber", "--k", str(k), "--ell", str(ell), "--mode", mode, "--demo"]
+        argv = ["absorber", "--k", str(k), "--ell", str(ell), "--mode", mode]
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges)
         assert run(argv, capsys)[0] == 0
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges - 1)
@@ -303,8 +339,17 @@ class TestAbsorberCli:
         assert info.value.code == 2
 
     def test_negative_validate_is_a_usage_error(self, capsys):
-        code, out, err = run(["absorber", "--validate", "-3"], capsys)
-        assert code == 1 and "--validate" in err and "validated" not in out
+        # the traversals are checked once: there is no --validate loop to run
+        with pytest.raises(SystemExit) as info:
+            main(["absorber", "--validate", "-3"])
+        assert info.value.code == 1 and "--validate" in capsys.readouterr().err
+
+    def test_only_k_ell_and_mode_are_options(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["absorber", "--help"])
+        assert info.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--k", "--ell", "--mode"}
 
 
 class TestRoundTrip:
@@ -372,6 +417,14 @@ class TestRoundTrip:
         code, out, _ = run(["verify", "--graph", str(gf), "--cert", str(cf)], capsys)
         assert code == 2
         assert "REJECTED" in out
+
+    def test_verify_refuses_a_line_after_the_ordering(self, tmp_path, capsys):
+        gf = write_triangle(tmp_path / "k3.hg")
+        cf = tmp_path / "junk.cert"
+        cf.write_text("power 1 3\n0 1 2\ngarbage line\n")
+        code, out, err = run(["verify", "--graph", str(gf), "--cert", str(cf)], capsys)
+        assert code == 2 and "certificate" not in out
+        assert "unexpected line 'garbage line'" in err
 
     def test_verify_a_huge_k_in_time(self, tmp_path):
         # every pair of K5 is an edge, so any power of any cycle on it is there
@@ -717,8 +770,7 @@ def numeric_flags(draw, command: str, d: Path) -> list[str]:
         return ["factor", "--graph", str(d / "power.hg"), "--template", str(d / "path.hg"),
                 "--epsilon", rate()]
     if command == "absorber":
-        return ["absorber", "--k", small(), "--mode", pick("power", "tight"), "--ell", small(),
-                "--validate", small(), *seed]
+        return ["absorber", "--k", small(), "--mode", pick("power", "tight"), "--ell", small()]
     rates = ",".join(rate() for _ in range(draw(st.integers(0, 2))))
     return ["experiment", "--n-list", ",".join(count() for _ in range(draw(st.integers(0, 2)))),
             "--p-grid", rates, "--trials", small(), "--jobs", pick("-1", "0", "1"),

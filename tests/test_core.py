@@ -1,9 +1,13 @@
+import io
 import math
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hampow import core
+from hampow import cli, core
 from hampow.absorber import Backbone
 from hampow.randmodels import sample_uniform_hypergraph
 from hampow.core import (
@@ -25,8 +29,8 @@ from hampow.core import (
     check_encodable,
     code_dtype,
     connecting_path_template,
-    is_power_path,
-    is_tight_path,
+    is_path,
+    missing_edge,
     power_path_template,
     required_edges,
     tight_path_template,
@@ -508,7 +512,7 @@ class TestTemplates:
         host = complete_graph(20)
         seq = tuple(range(3, 3 + ell))
         rev = tuple(reversed(seq))
-        assert is_power_path(host, seq, k) and is_power_path(host, rev, k)
+        assert is_path(host, seq, k, "power") and is_path(host, rev, k, "power")
         a, b = seq[:k], seq[-k:]
         assert rev[:k] == tuple(reversed(b))
         assert rev[-k:] == tuple(reversed(a))
@@ -617,18 +621,24 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError, match="'mode k n'"):
             CycleCertificate.from_text(f"{header}\n2 0 1 3\n")
 
+    def test_a_line_after_the_ordering_is_named(self):
+        with pytest.raises(ValueError, match="unexpected line 'garbage line'"):
+            CycleCertificate.from_text("power 1 3\n0 1 2\ngarbage line\n")
+        # blank lines after the ordering are no content
+        assert CycleCertificate.from_text("power 1 3\n0 1 2\n\n  \n").order == (0, 1, 2)
+
 
 class TestPathValidators:
     def test_power_path(self):
         host = power_path_template(2, 6)
-        assert is_power_path(host, (0, 1, 2, 3, 4, 5), 2)
-        assert not is_power_path(host, (0, 2, 4, 5, 3, 1), 2)
+        assert is_path(host, (0, 1, 2, 3, 4, 5), 2, "power")
+        assert not is_path(host, (0, 2, 4, 5, 3, 1), 2, "power")
 
     def test_tight_path(self):
         host = tight_path_template(2, 6)
-        assert is_tight_path(host, (0, 1, 2, 3, 4, 5))
-        assert not is_tight_path(host, (5, 4, 0, 1, 2, 3))
-        assert is_tight_path(host, (0, 1))  # shorter than a window
+        assert is_path(host, (0, 1, 2, 3, 4, 5), 2, "tight")
+        assert not is_path(host, (5, 4, 0, 1, 2, 3), 2, "tight")
+        assert is_path(host, (0, 1), 2, "tight")  # shorter than a window
 
 
 def random_host(data, n, w, required):
@@ -701,7 +711,7 @@ class TestUnifiedEdgeRule:
         with pytest.raises(ValueError, match=message):
             verify_certificate(tight, square)
         with pytest.raises(ValueError, match=message):
-            is_power_path(tight, (0, 1, 2), 2)
+            is_path(tight, (0, 1, 2), 2, "power")
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_power_offsets_past_the_cycle_only_repeat_pairs(self, n):
@@ -715,8 +725,43 @@ class TestUnifiedEdgeRule:
         assert row_set(required) == set(combinations(range(n), 2))
 
     @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_missing_edge_is_the_first_absent_oracle_edge(self, data):
+        mode = data.draw(st.sampled_from(["power", "tight"]))
+        cyclic = data.draw(st.booleans())
+        k = data.draw(st.integers(1, 3))
+        w = uniformity(k, mode)
+        n = data.draw(st.integers(w if cyclic and mode == "tight" else 1, 8))
+        if cyclic:  # the certificate's case: a permutation of the vertex set
+            seq = tuple(data.draw(st.permutations(range(n))))
+        else:
+            seq = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
+        required = (power_cycle_pairs(seq, k, cyclic) if mode == "power"
+                    else tight_windows(seq, w, cyclic))
+        host, edges = random_host(data, n, w, required)
+        if data.draw(st.booleans()):
+            host = complement_twin(host)
+        got = missing_edge(host, seq, k, mode, cyclic)
+        if required <= edges:
+            assert got is None
+        else:
+            rows = [tuple(r) for b in required_edges(seq, k, mode, cyclic) for r in b.tolist()]
+            assert got in required - edges
+            assert set(rows[:rows.index(got)]) <= edges
+        if cyclic:  # verify names the same edge
+            with tempfile.TemporaryDirectory() as d:
+                gf, cf = Path(d, "g.hg"), Path(d, "c.cert")
+                gf.write_text(host.to_text())
+                cf.write_text(CycleCertificate(mode=mode, k=k, order=seq).to_text())
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(["verify", "--graph", str(gf), "--cert", str(cf)])
+            assert (code, err.getvalue()) == (
+                (0, "") if got is None else (2, f"host lacks required edge {got}\n"))
+
+    @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_is_tight_path(self, data):
+    def test_is_path_tight(self, data):
         k = data.draw(st.integers(1, 3))
         n = data.draw(st.integers(k + 1, 8))
         # includes sequences shorter than one window, which need no edge
@@ -724,11 +769,11 @@ class TestUnifiedEdgeRule:
         required = tight_windows(seq, k + 1, cyclic=False)
         assert row_set(required_edges(seq, k, "tight")) == required
         host, edges = random_host(data, n, k + 1, required)
-        assert is_tight_path(host, seq) == (required <= edges)
+        assert is_path(host, seq, k, "tight") == (required <= edges)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_is_power_path(self, data):
+    def test_is_path_power(self, data):
         k = data.draw(st.integers(1, 3))
         n = data.draw(st.integers(2, 8))
         # repeated vertices are allowed in the draw and never form a path
@@ -742,4 +787,4 @@ class TestUnifiedEdgeRule:
         distinct = len(set(seq)) == len(seq)
         if distinct:
             assert row_set(required_edges(seq, k, "power")) == required
-        assert is_power_path(host, seq, k) == (distinct and required <= edges)
+        assert is_path(host, seq, k, "power") == (distinct and required <= edges)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hampow.core import (
     Hypergraph,
     connecting_path_template,
-    is_power_path,
-    is_tight_path,
+    is_path,
     power_path_template,
     tight_path_template,
 )
@@ -532,13 +531,13 @@ class TestConnectPaths:
         got = connect_paths(host, [((0, 1), (2, 3))], range(4, 9), k=2, ell=5, mode="power")
         (seq,) = got.sequences
         assert seq[:2] == (0, 1) and seq[-2:] == (2, 3)
-        assert is_power_path(host, seq, 2)
+        assert is_path(host, seq, 2, "power")
 
     def test_tight_mode(self):
         host = Hypergraph.complete(3, 12)
         got = connect_paths(host, [((0, 1), (2, 3))], range(4, 12), k=2, ell=6, mode="tight")
         (seq,) = got.sequences
-        assert is_tight_path(host, seq)
+        assert is_path(host, seq, 2, "tight")
         assert got.internal_vertices() <= set(range(4, 12))
 
     def test_mode_uniformity_mismatch(self):

@@ -100,10 +100,10 @@ class TestCoverWithPaths:
     def test_complete_host_tight(self):
         host = Hypergraph.complete(3, 20)
         fam = cover_with_paths(host, range(20), (), t=5, k=2, mode="tight")
-        from hampow.core import is_tight_path
+        from hampow.core import is_path
 
         for p in fam.paths:
-            assert is_tight_path(host, p)
+            assert is_path(host, p, 2, "tight")
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestCoverWithPaths:
         assert info.value.details["step"] == 2
 
     def test_paths_are_valid_power_paths(self):
-        from hampow.core import is_power_path
+        from hampow.core import is_path
         from hampow.randmodels import sample_uniform_hypergraph
 
         host = sample_uniform_hypergraph(2, 40, 0.9, seed=31)
@@ -131,7 +131,7 @@ class TestCoverWithPaths:
         except PhaseFailure:
             pytest.skip("unlucky sample for this smoke test")
         for p in fam.paths:
-            assert is_power_path(host, p, 2)
+            assert is_path(host, p, 2, "power")
 
 
 class TestCoverDigest:
