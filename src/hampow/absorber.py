@@ -68,11 +68,9 @@ class Backbone:
     graph: Hypergraph = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        w = uniformity(self.k, self.mode)
         if self.ell < 3 or self.ell % 2 == 0:
             raise ValueError(f"backbone needs odd ell >= 3, got {self.ell}")
-        w = uniformity(self.k, self.mode)
         paths = [
             Hypergraph(w, self.vertex_count, np.concatenate([
                 rows

@@ -51,7 +51,7 @@ MATERIALIZE_LIMIT = 20_000_000
 
 #: Most edges a path template or backbone that the CLI builds may have.  The
 #: build peaks at 32-48 traced bytes an edge (power path, power backbone,
-#: tight path), but ``janson`` still counts a template's edges as tuples.
+#: tight path), and ``janson`` counts a template's edges as arrays too.
 TEMPLATE_EDGE_LIMIT = 4_000_000
 
 #: Most bytes the expected stored codes (8 bytes each) of a sampled host's
@@ -77,6 +77,13 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=int, default=5)
 
 
+def _add_host(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", default=None, help="host graph file")
+    p.add_argument("--model", choices=["gnp", "hgnp"], default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--p", type=float, default=None)
+
+
 def _load_graph(path: str) -> Hypergraph:
     return Hypergraph.from_text(Path(path).read_text())
 
@@ -95,19 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(g)
 
     f = sub.add_parser("find", help="search for a spanning cycle")
-    f.add_argument("--graph", default=None, help="host graph file")
-    f.add_argument("--model", choices=["gnp", "hgnp"], default=None)
-    f.add_argument("--n", type=int, default=None)
-    f.add_argument("--p", type=float, default=None)
+    _add_host(f)
     f.add_argument("--out", default=None, help="certificate output file")
     _add_params(f)
     _add_seed(f)
 
     v = sub.add_parser("verify", help="check a certificate")
-    v.add_argument("--graph", default=None)
-    v.add_argument("--model", choices=["gnp", "hgnp"], default=None)
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--p", type=float, default=None)
+    _add_host(v)
     v.add_argument("--attempt", type=int, default=0,
                    help="attempt index whose host to regenerate (--model only)")
     v.add_argument("--cert", required=True)
@@ -170,7 +171,8 @@ def _cmd_gen(args) -> int:
     if g.edge_count > MATERIALIZE_LIMIT:
         print(f"refusing to write {g.edge_count} edges (> {MATERIALIZE_LIMIT})", file=sys.stderr)
         return 2
-    Path(args.out).write_text(g.to_text())
+    with open(args.out, "wb") as out:
+        out.writelines(g.text_blocks())
     what = f"bipartite {g.left}x{g.right} with {g.edge_count} edges" if args.model == "bip" else repr(g)
     print(f"wrote {what} (seed {args.seed})")
     return 0
@@ -414,6 +416,10 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
+        # an output file is refused before any work when its directory is missing
+        out = vars(args).get("out") or vars(args).get("csv")
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {out}: no directory {Path(out).parent}")
         return handlers[args.command](args)
     except ValueError as err:
         print(f"hampow: error: {err}", file=sys.stderr)

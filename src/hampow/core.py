@@ -208,13 +208,16 @@ class Hypergraph:
         tag = "complete " if self.is_complete else ""
         return f"Hypergraph({tag}k={self.k}, n={self.n}, m={self.edge_count})"
 
+    def text_blocks(self) -> Iterator[bytes]:
+        """The text format as bytes, formatted a block at a time: the header, then edge lines."""
+        codes = self.edge_codes()
+        yield f"{self.k} {self.n} {codes.size}\n".encode()
+        for lo in range(0, codes.size, _BLOCK):
+            yield _row_lines(_decode_codes(codes[lo:lo + _BLOCK], self.n, self.k))
+
     def to_text(self) -> str:
         """Bit-exact text format: ``k n m`` then one sorted edge per line."""
-        codes = self.edge_codes()
-        chunks = [f"{self.k} {self.n} {codes.size}\n".encode()]
-        for lo in range(0, codes.size, _BLOCK):
-            chunks.append(_row_lines(_decode_codes(codes[lo:lo + _BLOCK], self.n, self.k)))
-        return b"".join(chunks).decode()
+        return b"".join(self.text_blocks()).decode()
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
@@ -451,7 +454,9 @@ def check_encodable(k: int, n: int) -> None:
 
 
 def uniformity(k: int, mode: str) -> int:
-    """Host uniformity of a mode: 2 for k-th powers, k+1 for tight cycles."""
+    """Host uniformity of a mode for k >= 1: 2 for k-th powers, k+1 for tight cycles."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if mode == "power":
         return 2
     if mode == "tight":
@@ -499,8 +504,6 @@ def required_edges(
 
 def power_path_template(k: int, ell: int) -> Hypergraph:
     """k-th power of a path on ``ell`` vertices: edges {i, j} with 0 < j-i <= k."""
-    if k < 1:
-        raise ValueError(f"path power must be >= 1, got {k}")
     if ell < 2:
         raise ValueError(f"path length must be >= 2, got {ell}")
     return Hypergraph(2, ell, np.concatenate([*required_edges(np.arange(ell), k, "power")]))
@@ -517,8 +520,6 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
     blocks (they are required when such a path is spliced between two
     structures).
     """
-    if k < 1:
-        raise ValueError(f"path power must be >= 1, got {k}")
     if ell <= 2 * k:
         raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
     rows = np.concatenate([*required_edges(np.arange(ell), k, "power")])
@@ -527,8 +528,6 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
 
 def tight_path_template(k: int, ell: int) -> Hypergraph:
     """(k+1)-uniform path: consecutive windows {i, .., i+k}, ell-k edges."""
-    if k < 1:
-        raise ValueError(f"path parameter must be >= 1, got {k}")
     if ell <= k:
         raise ValueError(f"tight path needs ell >= {k + 1}, got {ell}")
     return Hypergraph(k + 1, ell, np.concatenate([*required_edges(np.arange(ell), k, "tight")]))
@@ -573,9 +572,7 @@ class CycleCertificate:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        uniformity(self.k, self.mode)  # rejects an unknown mode
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        uniformity(self.k, self.mode)  # rejects k < 1 and an unknown mode
 
     def to_text(self) -> str:
         head = f"{self.mode} {self.k} {len(self.order)}"

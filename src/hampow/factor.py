@@ -65,27 +65,19 @@ def factor_in_window(
     host: Hypergraph,
     template: Hypergraph,
     window: Iterable[int],
-    quota: int | None = None,
+    quota: int,
 ) -> list[dict[int, int]]:
-    """At least floor(|W| / 4 v(F)) disjoint copies with all vertices in W.
+    """``quota`` disjoint copies with all vertices in W.
 
     Copies are found by repeated empty-root search inside the unused portion
-    of the window; an explicit ``quota`` overrides the default one.  Raises
-    :class:`PhaseFailure` when the quota cannot be met or the searcher runs
-    out of budget.
+    of the window.  Raises :class:`PhaseFailure` when the quota cannot be met
+    or the searcher runs out of budget.
     """
     _check_template(template)
-    w = sorted(set(window))
-    if quota is None:
-        quota = len(w) // (4 * template.n)
-        if quota < 1:
-            raise ValueError(
-                f"window of {len(w)} vertices gives quota 0; need |W| >= {4 * template.n}"
-            )
-    elif quota < 1:
+    if quota < 1:
         raise ValueError(f"quota must be >= 1, got {quota}")
     searcher = _CopySearcher(host, template, root=())
-    unused = w
+    unused = sorted(set(window))
     copies: list[dict[int, int]] = []
     while len(copies) < quota:
         try:

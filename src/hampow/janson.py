@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hampow.core import Hypergraph, _encode_rows, check_encodable
+from hampow.core import Hypergraph, _decode_codes, _encode_rows, check_encodable
 from hampow.density import MAX_EXACT_VERTICES, m1_density
 from hampow.randmodels import _check_edge_probability
 
@@ -105,7 +105,7 @@ def log_delta_upper_bound(n: int, template: Hypergraph, p: float) -> float:
     if v <= MAX_EXACT_VERTICES:
         m1 = float(m1_density(template))
     else:
-        m1 = float(max(Counter(edge[-1] for edge in template.edges()).values()))
+        m1 = float(np.bincount(_decode_codes(template.edge_codes(), v, template.k)[:, -1]).max())
     logp = math.log(p)
     return _logsumexp([
         _log_comb(n, j) + 2.0 * _log_comb(n - j, v - j) + (2.0 * e - (j - 1) * m1) * logp

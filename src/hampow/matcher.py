@@ -84,8 +84,8 @@ class _CopySearcher:
     A candidate fits when it forms an edge with every anchor: on any host,
     the fit mask is the AND of the anchors' link masks (:meth:`_link`), each
     a bool over the pool of the vertices w for which the anchor's placed
-    images plus w form an edge.  Link masks are memoised for the lifetime of
-    one pool, that is one :meth:`find` call, and dropped when it returns.
+    images plus w form an edge.  Link masks are memoised for one
+    :meth:`find` call over its pool, and dropped when it returns.
     The memo holds one pool-length bool per distinct anchor set, and less
     than :data:`_LINK_MEMO_BYTES` plus one mask: a miss that finds it full
     empties it first.  Each stream that ends has paid one unit per mask
@@ -111,7 +111,6 @@ class _CopySearcher:
                 f"uniformity mismatch: host {host.k}-uniform, template {template.k}-uniform"
             )
         self.remaining = SEARCH_BUDGET
-        self._pool: np.ndarray | None = None
         self._links: dict[tuple[int, ...], np.ndarray] = {}
         self.host = host
         self.root = tuple(root)
@@ -159,7 +158,7 @@ class _CopySearcher:
         if not self.order:
             return dict(images)
         used: set[int] = set()
-        pool = np.array(allowed, dtype=np.int64)  # a new pool: the link memo starts empty
+        pool = np.array(allowed, dtype=np.int64)
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
         iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed, pool)]
@@ -180,7 +179,7 @@ class _CopySearcher:
                 iters.append(self._candidates(depth + 1, images, used, allowed, pool))
             return None
         finally:
-            self._pool, self._links = None, {}
+            self._links = {}
 
     def _candidates(self, depth, images, used, allowed, pool):
         """Allowed, unused vertices that extend the partial embedding, ascending.
@@ -209,10 +208,8 @@ class _CopySearcher:
         """Bool mask over ``pool``: the w for which ``others`` plus w is an edge.
 
         ``others`` is an anchor's sorted placed images.  The mask is memoised
-        until a call brings a different pool array or the memo is full.
+        until :meth:`find` returns or the memo is full.
         """
-        if pool is not self._pool:
-            self._pool, self._links = pool, {}
         mask = self._links.get(others)
         if mask is None:
             if len(self._links) * pool.size >= _LINK_MEMO_BYTES:

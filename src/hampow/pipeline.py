@@ -88,9 +88,7 @@ class Parameters:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        uniformity(self.k, self.mode)  # rejects an unknown mode
+        uniformity(self.k, self.mode)  # rejects k < 1 and an unknown mode
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
@@ -435,7 +433,7 @@ def _attempt(
     borrowed = absorbable[: plan.borrow]
     cover = cover_with_paths(g2, uncovered, borrowed, plan.cover_parts, k, mode)
     s = plan.s_paths
-    merge_reservoir = [v for v in absorbable if v not in set(borrowed)]
+    merge_reservoir = absorbable[plan.borrow:]
     pairs = [(tuple(chain.b), cover.a(0, k))]
     for i in range(s - 1):
         pairs.append((cover.b(i, k), cover.a(i + 1, k)))

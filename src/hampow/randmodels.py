@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -263,46 +264,33 @@ class BipartiteGraph:
     so a graph costs what it keeps, not one object per left vertex.
     """
 
-    def __init__(self, left: int, right: int, rows: list[list[int]]):
-        """The graph in which ``rows[l]`` lists left vertex l's right neighbours, ascending and in range."""
-        if len(rows) != left:
-            raise ValueError(f"expected {left} rows, got {len(rows)}")
+    def __init__(self, left: int, right: int, cells: np.ndarray):
+        """The graph whose edges are these cells, ascending, unique and below left * right."""
         self.left = left
         self.right = right
-        self.cells = np.array([l * right + r for l, row in enumerate(rows) for r in row], dtype=np.int64)
-        self._adj: list[list[int]] | None = None
-
-    @classmethod
-    def _from_cells(cls, left: int, right: int, cells: np.ndarray) -> BipartiteGraph:
-        g = cls(0, right, [])
-        g.left = left
-        g.cells = np.asarray(cells, dtype=np.int64)
-        return g
+        self.cells = np.asarray(cells, dtype=np.int64)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> BipartiteGraph:
         """The graph whose edges are the True entries of a left x right bool mask."""
-        return cls._from_cells(*mask.shape, np.flatnonzero(mask))
+        return cls(*mask.shape, np.flatnonzero(mask))
 
     @property
     def edge_count(self) -> int:
         return int(self.cells.size)
 
     def adjacency(self) -> list[list[int]]:
-        """Each left vertex's right neighbours, ascending; built on the first call and shared, so read only."""
-        if self._adj is None:
-            lefts, rights = divmod(self.cells, max(self.right, 1))
-            starts = np.searchsorted(lefts, np.arange(self.left + 1)).tolist()
-            rights = rights.tolist()
-            self._adj = [rights[a:b] for a, b in zip(starts, starts[1:])]
-        return self._adj
+        """Each left vertex's right neighbours, ascending, built anew on each call."""
+        lefts, rights = divmod(self.cells, max(self.right, 1))
+        starts = np.searchsorted(lefts, np.arange(self.left + 1)).tolist()
+        rights = rights.tolist()
+        return [rights[a:b] for a, b in zip(starts, starts[1:])]
 
-    def to_text(self) -> str:
-        """Text format: ``bip left right m`` then one ``l r`` edge per line, ascending."""
-        chunks = [f"bip {self.left} {self.right} {self.edge_count}\n".encode()]
+    def text_blocks(self) -> Iterator[bytes]:
+        """Text format in byte blocks: ``bip left right m``, then one ``l r`` edge per line, ascending."""
+        yield f"bip {self.left} {self.right} {self.edge_count}\n".encode()
         for lo in range(0, self.cells.size, _BLOCK):
-            chunks.append(_row_lines(np.column_stack(divmod(self.cells[lo:lo + _BLOCK], self.right))))
-        return b"".join(chunks).decode()
+            yield _row_lines(np.column_stack(divmod(self.cells[lo:lo + _BLOCK], self.right)))
 
 
 def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
@@ -311,4 +299,4 @@ def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     if s < 0:
         raise ValueError(f"side size must be >= 0, got {s}")
     # the ranks of the s x s cells ascend, as the stored cells do
-    return BipartiteGraph._from_cells(s, s, _bernoulli_ranks(seed, s * s, p))
+    return BipartiteGraph(s, s, _bernoulli_ranks(seed, s * s, p))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hampow import cli, core
 from hampow.absorber import Backbone
+from hampow.pipeline import Parameters
 from hampow.randmodels import sample_uniform_hypergraph
 from hampow.core import (
     MAX_VERTICES,
@@ -712,6 +713,24 @@ class TestUnifiedEdgeRule:
             verify_certificate(tight, square)
         with pytest.raises(ValueError, match=message):
             is_path(tight, (0, 1, 2), 2, "power")
+
+    @pytest.mark.parametrize("mode", ["power", "tight"])
+    def test_k_below_1_has_one_message(self, capsys, mode):
+        for call in (
+            lambda: uniformity(0, mode),
+            lambda: Parameters(k=0, mode=mode),
+            lambda: CycleCertificate(mode=mode, k=0, order=(0, 1, 2)),
+            lambda: Backbone(0, 5, mode),
+            lambda: power_path_template(0, 4),
+            lambda: connecting_path_template(0, 4),
+            lambda: tight_path_template(0, 4),
+            lambda: required_edges((0, 1, 2), 0, mode),
+        ):
+            with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+                call()
+        argv = ["find", "--model", "hgnp", "--n", "30", "--p", "0.5", "--mode", mode, "--k", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "hampow: error: k must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_power_offsets_past_the_cycle_only_repeat_pairs(self, n):

@@ -328,7 +328,7 @@ class TestLinkMemo:
         assert searcher.remaining == 0
         assert len(anchors) == p  # kept, these links would hold p * p bytes
         assert limit <= max(held) < limit + p
-        assert searcher._links == {} and searcher._pool is None
+        assert searcher._links == {}
 
 
 class TestCopySearchDigest:
@@ -658,7 +658,7 @@ class TestSearchBudget:
     """Every copy search is bounded: each entry point ends in its budget failure."""
 
     @pytest.mark.parametrize("phase,call", [
-        ("factor", lambda: factor_in_window(bipartite_host(), triangle(), range(60))),
+        ("factor", lambda: factor_in_window(bipartite_host(), triangle(), range(60), quota=5)),
         ("factor", lambda: almost_factor(bipartite_host(), triangle(), epsilon=0.5)),
         ("connect", lambda: connect_paths(
             bipartite_host(), [((0, 2), (4, 6))], range(20, 60), k=2, ell=7, mode="power"

@@ -2,6 +2,7 @@ import hashlib
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from hampow.absorber import chain_capacity
@@ -36,27 +37,29 @@ def without_class(n, c):
 
 class TestPerfectMatching:
     def test_complete_3x3(self):
-        b = BipartiteGraph(3, 3, [[0, 1, 2]] * 3)
+        b = BipartiteGraph.from_mask(np.ones((3, 3), dtype=bool))
         m = perfect_matching(b)
         assert m is not None and sorted(m.values()) == [0, 1, 2]
 
     def test_empty_graph_has_none(self):
-        assert perfect_matching(BipartiteGraph(3, 3, [[], [], []])) is None
+        assert perfect_matching(BipartiteGraph.from_mask(np.zeros((3, 3), dtype=bool))) is None
 
     def test_zero_sides(self):
         assert perfect_matching(BipartiteGraph(0, 0, [])) == {}
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
-            perfect_matching(BipartiteGraph(2, 3, [[], []]))
+            perfect_matching(BipartiteGraph(2, 3, []))
 
     def test_long_augmenting_path(self):
         # the only perfect matching pairs left i with right i+1 and the last
         # left with right 0; Hopcroft-Karp's first phase matches i to i, so
         # the augmenting path from the last left runs through all s lefts
         s = 3000
-        rows = [[i, i + 1] for i in range(s - 1)] + [[0]]
-        m = perfect_matching(BipartiteGraph(s, s, rows))
+        mask = np.zeros((s, s), dtype=bool)
+        left = np.arange(s - 1)
+        mask[left, left] = mask[left, left + 1] = mask[s - 1, 0] = True
+        m = perfect_matching(BipartiteGraph.from_mask(mask))
         assert m == {**{i: i + 1 for i in range(s - 1)}, s - 1: 0}
 
     def test_determinism(self):
