@@ -416,10 +416,13 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
-        # an output file is refused before any work when its directory is missing
+        # an output file is refused before any work when its directory is
+        # missing, or when it names a directory itself
         out = vars(args).get("out") or vars(args).get("csv")
         if out and not Path(out).parent.is_dir():
             raise FileNotFoundError(f"cannot write {out}: no directory {Path(out).parent}")
+        if out and Path(out).is_dir():
+            raise IsADirectoryError(f"cannot write {out}: it is a directory")
         return handlers[args.command](args)
     except ValueError as err:
         print(f"hampow: error: {err}", file=sys.stderr)

@@ -168,21 +168,35 @@ class Hypergraph:
         return _true_positions(keep, self._codes.dtype)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor array (2-uniform only)."""
+        """Sorted array of the neighbours of v (2-uniform only): the true positions of v's row."""
+        return np.flatnonzero(self._row(v))
+
+    def adjacent(self, v: int, among: np.ndarray) -> np.ndarray:
+        """Bool mask over the int array ``among``: which of its vertices are neighbours of v.
+
+        2-uniform only.  ``among`` may hold its vertices in any order, and
+        repeats; v itself is never its own neighbour.  The answer is a gather
+        from v's n-long row, so no neighbour list is built or searched.
+        """
+        if self._adj is None:
+            # perfbench/spans.py times the rows' first build in neighbors (ROADMAP item 9)
+            self.neighbors(v)
+        return self._row(v)[among]
+
+    def _row(self, v: int) -> np.ndarray:
+        """v's n-long bool row of the adjacency, from the stored CSR row, built on the first call."""
         if self.k != 2:
-            raise ValueError("neighbors() requires a 2-uniform hypergraph")
+            raise ValueError("the adjacency requires a 2-uniform hypergraph")
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside range({self.n})")
         if self._adj is None:
             self._adj = _csr(self._codes, self.n)
         starts, dst = self._adj
-        row = dst[starts[v]:starts[v + 1]]
-        if not self._complement:
-            return row
-        keep = np.ones(self.n, dtype=bool)
-        keep[row.astype(np.intp)] = False  # numpy's own cast of an int32 index costs ~2 us a call
-        keep[v] = False
-        return np.flatnonzero(keep)
+        row = np.full(self.n, self._complement)
+        # numpy's own cast of an int32 index costs ~2 us of a ~6 us call
+        row[dst[starts[v]:starts[v + 1]].astype(np.intp)] = not self._complement
+        row[v] = False
+        return row
 
     # -- equality / text ----------------------------------------------------
 
@@ -345,26 +359,29 @@ def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row starts and ascending rows of both orientations of the pairs with these sorted codes.
+    """Row starts and ascending int32 rows of both orientations of the pairs with these sorted codes.
 
-    Row u's pairs (u, w > u) are the run of codes from first[u], the code of (u, u + 1).
+    Row u's pairs (u, w > u) are the run of codes from first[u], the code of
+    (u, u + 1).  Each pair {u, w} becomes the keys u * n + w and w * n + u,
+    sorted in place as one array: row u is the run of keys in [u * n, (u + 1) * n).
     """
     u = np.arange(n + 1)
     first = u * (2 * n - 1 - u) // 2  # first[n] = C(n, 2), so first fits the codes' dtype
-    up = codes.searchsorted(first.astype(codes.dtype, copy=False))
-    up_count = np.diff(up)
-    dst = codes - np.repeat((first - u - 1)[:-1].astype(codes.dtype, copy=False), up_count)
-    down = dst.astype(np.int64)  # the pairs (w, u), u < w, as w * n + u
-    down *= n
-    down += np.repeat(u[:-1], up_count)
-    down.sort()
-    before = down.searchsorted(u * n)  # row w's smaller neighbours start at before[w]
-    down %= n
-    adj = np.empty(2 * codes.size, dtype=np.int32)  # vertex ids: n < 2 ** 31 by check_encodable
-    at = np.arange(codes.size)
-    adj[at + np.repeat(before[1:], up_count)] = dst  # after the row's smaller neighbours
-    adj[at + np.repeat(up[:-1], np.diff(before))] = down
-    return up + before, adj
+    up_count = np.diff(codes.searchsorted(first.astype(codes.dtype, copy=False)))
+    dtype = code_dtype(n * n)  # every key is below n * n
+    keys = np.empty(2 * codes.size, dtype=dtype)
+    low, high = keys[:codes.size], keys[codes.size:]
+    low[:] = np.repeat(u[:-1].astype(dtype), up_count)
+    high[:] = codes
+    high -= np.repeat((first - u - 1)[:-1].astype(dtype), up_count)  # the larger vertex w
+    low *= n
+    low += high  # u * n + w
+    high *= n
+    high += low // n  # w * n + u
+    keys.sort()
+    starts = keys.searchsorted(u.astype(dtype) * n)
+    keys %= n  # vertex ids: n < 2 ** 31 by check_encodable
+    return starts, keys.astype(np.int32, copy=False)
 
 
 def _edge_columns(rows: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ import numpy as np
 from hampow.core import (
     Hypergraph,
     VertexTuple,
-    _in_sorted,
     check_uniformity,
     connecting_path_template,
     tight_path_template,
@@ -216,7 +215,7 @@ class _CopySearcher:
                 self._links.clear()
             host = self.host
             if host.k == 2:
-                mask = _in_sorted(pool, host.neighbors(others[0]))
+                mask = host.adjacent(others[0], pool)
             else:
                 rows = np.empty((pool.size, host.k), dtype=np.int64)
                 rows[:, :-1] = others

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from hampow.core import _BLOCK, Hypergraph, _in_sorted, _row_lines, _true_positions, code_dtype
+from hampow.core import _BLOCK, Hypergraph, _row_lines, _true_positions, code_dtype
 
 __all__ = [
     "BipartiteGraph",
@@ -205,8 +205,8 @@ def sample_three_rounds(
     def union() -> np.ndarray:
         rounds = [g._codes for g in (g1, g2, g3)]
         if dense:
-            common = rounds[0][_in_sorted(rounds[0], rounds[1])]
-            return common[_in_sorted(common, rounds[2])]
+            common = np.intersect1d(rounds[0], rounds[1], assume_unique=True)
+            return np.intersect1d(common, rounds[2], assume_unique=True)
         if p > 0.5:
             absent = np.ones(total, dtype=bool)
             for codes in rounds:
@@ -217,8 +217,9 @@ def sample_three_rounds(
     # The dense union stays eager, and so draws the rounds, for the traced
     # benchmark: perfbench/spans.py reads the union's edge_count right after
     # its sampling span, so a deferred draw would put the rounds and the
-    # intersection (~40 ms at n = 3000) outside every span, below the layer
-    # coverage its tests assert.  It can defer too once the spans live in src/.
+    # intersection (~30 ms at n = 3000 on a 2-core box, ~8 of them the
+    # intersection) outside every span, below the layer coverage its tests
+    # assert.  It can defer too once the spans live in src/.
     return g1, g2, g3, Hypergraph.from_codes(k, n, union() if dense else union, complement=p > 0.5)
 
 

@@ -110,6 +110,9 @@ class TestUsage:
         code, _, err = run([*argv, str(out)], capsys)
         assert code == 1 and f"no directory {out.parent}" in err
         assert not out.parent.exists()
+        # an output that names an existing directory is refused the same way
+        code, _, err = run([*argv, str(tmp_path)], capsys)
+        assert code == 1 and f"cannot write {tmp_path}: it is a directory" in err
 
     @pytest.mark.parametrize("command", ["find", "verify"])
     @pytest.mark.parametrize("flag", [["--n", "6"], ["--p", "0.5"]])

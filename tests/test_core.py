@@ -423,7 +423,7 @@ class TestCodeDtype:
 
 
 class TestAdjacency:
-    """``neighbors`` rows against a brute-force adjacency, in both storage forms."""
+    """``neighbors`` rows and ``adjacent`` masks against a brute-force adjacency, in both storage forms."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -439,18 +439,48 @@ class TestAdjacency:
         hosts = [g, complement_twin(g)]
         if g.edge_count == math.comb(n, 2):
             hosts.append(Hypergraph.complete(2, n))
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
         for host in hosts:
-            # the first call builds the rows, whichever vertex it asks about
+            # the first call builds the rows, whichever vertex and method it asks
+            mask_first = data.draw(st.booleans())
             for v in data.draw(st.permutations(range(n))):
+                among = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
+                                 dtype=dtype)
+                if mask_first:
+                    mask = host.adjacent(v, among)
                 row = host.neighbors(v)
+                if not mask_first:
+                    mask = host.adjacent(v, among)
                 assert row.tolist() == [w for w in range(n) if (min(v, w), max(v, w)) in edges]
+                assert mask.tolist() == [(min(v, w), max(v, w)) in edges for w in among.tolist()]
 
     @pytest.mark.parametrize("host", [complete_graph(5), Hypergraph.complete(2, 5)])
     def test_a_vertex_outside_the_range_is_refused(self, host):
         for v in (-1, 5, 7):
             with pytest.raises(ValueError, match=rf"vertex {v} outside range\(5\)"):
                 host.neighbors(v)
+            with pytest.raises(ValueError, match=rf"vertex {v} outside range\(5\)"):
+                host.adjacent(v, np.arange(5))
         assert host._adj is None  # refused before the rows are built
+
+    @pytest.mark.parametrize("host", [Hypergraph(3, 5, [(0, 1, 2)]), Hypergraph.complete(3, 5)])
+    def test_a_host_of_another_uniformity_is_refused(self, host):
+        for ask in (lambda: host.neighbors(0), lambda: host.adjacent(0, np.arange(5))):
+            with pytest.raises(ValueError, match="requires a 2-uniform hypergraph"):
+                ask()
+        assert host._adj is None
+
+    def test_the_row_build_peaks_within_a_small_multiple_of_its_output(self):
+        # both orientations are one array of keys, sorted and reduced to the
+        # rows in place: the output plus temporaries of a fraction of its size
+        codes = sample_uniform_hypergraph(2, 1500, 0.92, 7)._codes
+        tracemalloc.start()
+        try:
+            starts, rows = core._csr(codes, 1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (starts.nbytes + rows.nbytes)
 
 
 class TestTemplates:
