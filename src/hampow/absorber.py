@@ -294,9 +294,7 @@ def build_chain_absorber(
             f"at most {capacity} do"
         )
     connector_len = default_connector_len(k, mode)
-    w1 = [v for v in range(n) if v % 3 == 0]
-    w2 = [v for v in range(n) if v % 3 == 1]
-    w3 = [v for v in range(n) if v % 3 == 2]
+    w1, w2, w3 = (range(c, n, 3) for c in range(3))
 
     copies = factor_in_window(host, backbone.graph, w1, quota=t)
 

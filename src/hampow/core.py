@@ -11,6 +11,7 @@ read store identical arrays and sharing stays safe.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -36,13 +37,21 @@ __all__ = [
 ]
 
 
+def _vertex(v: int) -> int:
+    """v as a Python int, read by ``operator.index``: a float is refused, never truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
+
+
 class VertexTuple(tuple):
-    """Ordered tuple of distinct vertices."""
+    """Ordered tuple of distinct integer vertices (NumPy integers too; a float is refused)."""
 
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable[int] = ()) -> "VertexTuple":
-        t = super().__new__(cls, (int(v) for v in vertices))
+        t = super().__new__(cls, map(_vertex, vertices))
         if len(set(t)) != len(t):
             raise ValueError(f"vertices must be distinct, got {tuple(t)}")
         return t
@@ -136,18 +145,20 @@ class Hypergraph:
         An (m, w) int array asks about each of its rows and gives an m-long
         bool array; any other vertex sequence is one set and gives a bool.
         A set of the wrong size, with a repeated vertex or with a vertex
-        outside ``range(n)`` is no edge.  An empty batch is a ``(0, w)``
-        array: a 1-D empty array reads as one (empty) vertex set.
+        outside ``range(n)`` or not an integer (any row of a float array)
+        is no edge.  An empty batch is a ``(0, w)`` array: a 1-D empty
+        array reads as one (empty) vertex set.
         """
         batch = isinstance(vertices, np.ndarray) and vertices.ndim == 2
         if batch:
             rows = vertices
+            if rows.dtype.kind not in "biu":  # a cast would truncate
+                return np.zeros(rows.shape[0], dtype=bool)
         else:
-            vs = [int(v) for v in vertices]
             try:
-                rows = np.array([vs], dtype=np.int64)
-            except OverflowError:
-                return False  # a vertex no int64 holds is out of range
+                rows = np.array([[_vertex(v) for v in vertices]], dtype=np.int64)
+            except (ValueError, OverflowError):
+                return False  # a vertex that is no integer, or that no int64 holds
         if rows.shape[1] != self.k:
             return np.zeros(rows.shape[0], dtype=bool) if batch else False
         cols, distinct, inside = _edge_columns(rows, self.n)
@@ -192,7 +203,8 @@ class Hypergraph:
         if self._adj is None:
             self._adj = _csr(self._codes, self.n)
         starts, dst = self._adj
-        row = np.full(self.n, self._complement)
+        row = np.empty(self.n, dtype=bool)
+        row.fill(self._complement)
         # numpy's own cast of an int32 index costs ~2 us of a ~6 us call
         row[dst[starts[v]:starts[v + 1]].astype(np.intp)] = not self._complement
         row[v] = False
@@ -380,7 +392,9 @@ def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     high += low // n  # w * n + u
     keys.sort()
     starts = keys.searchsorted(u.astype(dtype) * n)
-    keys %= n  # vertex ids: n < 2 ** 31 by check_encodable
+    for lo in range(0, keys.size, _BLOCK):  # numpy's % by a scalar is several times slower
+        part = keys[lo:lo + _BLOCK]
+        part -= part // n * n  # vertex ids: n < 2 ** 31 by check_encodable
     return starts, keys.astype(np.int32, copy=False)
 
 

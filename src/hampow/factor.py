@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from hampow.core import Hypergraph
 from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
@@ -11,11 +13,38 @@ from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
 __all__ = ["almost_factor", "factor_in_window"]
 
 
-def _check_template(template: Hypergraph) -> None:
-    # a vertex-less copy takes nothing, so the greedy loops would never end;
+def _greedy(
+    host: Hypergraph,
+    template: Hypergraph,
+    unused: np.ndarray,
+    window: int | None,
+    done: Callable[[int, int], bool],
+    fail: Callable[[np.ndarray | None, int, int], PhaseFailure],
+) -> list[dict[int, int]]:
+    """Disjoint copies, each the first one in the lowest ``window`` vertices still unused.
+
+    ``unused`` is an ascending int64 array; ``window`` None views all of it.
+    A search comes whenever ``done(copies, unused left)`` is false.  One that
+    finds no copy raises ``fail(view, copies, unused left)``, and one that
+    runs out of budget raises ``fail(None, copies, unused left)``.
+    """
+    # a vertex-less copy takes nothing, so the loop would never end;
     # the copy searcher refuses a template whose uniformity is not the host's
     if template.n == 0:
         raise ValueError("template has no vertices")
+    searcher = _CopySearcher(host, template, root=())
+    copies: list[dict[int, int]] = []
+    while not done(len(copies), unused.size):
+        view = unused[:window]
+        try:
+            emb = searcher.find((), view)
+        except SearchBudgetExceeded:
+            raise fail(None, len(copies), unused.size) from None
+        if emb is None:
+            raise fail(view, len(copies), unused.size)
+        copies.append(emb)
+        unused = np.delete(unused, unused.searchsorted(list(emb.values())))
+    return copies
 
 
 def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> list[dict[int, int]]:
@@ -26,7 +55,6 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
     vertices.  Raises :class:`PhaseFailure` if some window holds no copy or
     the searcher runs out of budget.
     """
-    _check_template(template)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     n = host.n
@@ -35,30 +63,16 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
         raise ValueError(
             f"window of {window} vertices cannot host a {template.n}-vertex copy"
         )
-    searcher = _CopySearcher(host, template, root=())
-    unused = sorted(range(n))
-    copies: list[dict[int, int]] = []
-    while len(unused) >= epsilon * n:
-        view = unused[:window]
-        try:
-            emb = searcher.find((), view)
-        except SearchBudgetExceeded:
-            raise PhaseFailure(
-                "factor", "search budget exhausted",
-                copies_found=len(copies), uncovered=len(unused),
-            ) from None
-        if emb is None:
-            raise PhaseFailure(
-                "factor",
-                f"no template copy inside the current {window}-vertex window",
-                window=tuple(view),
-                copies_found=len(copies),
-                uncovered=len(unused),
-            )
-        copies.append(emb)
-        taken = set(emb.values())
-        unused = [v for v in unused if v not in taken]
-    return copies
+
+    def fail(view: np.ndarray | None, found: int, left: int) -> PhaseFailure:
+        if view is None:
+            return PhaseFailure("factor", "search budget exhausted", copies_found=found, uncovered=left)
+        message = f"no template copy inside the current {window}-vertex window"
+        return PhaseFailure("factor", message, window=tuple(view.tolist()), copies_found=found,
+                            uncovered=left)
+
+    unused = np.arange(n, dtype=np.int64)
+    return _greedy(host, template, unused, window, lambda found, left: left < epsilon * n, fail)
 
 
 def factor_in_window(
@@ -73,29 +87,12 @@ def factor_in_window(
     of the window.  Raises :class:`PhaseFailure` when the quota cannot be met
     or the searcher runs out of budget.
     """
-    _check_template(template)
     if quota < 1:
         raise ValueError(f"quota must be >= 1, got {quota}")
-    searcher = _CopySearcher(host, template, root=())
-    unused = sorted(set(window))
-    copies: list[dict[int, int]] = []
-    while len(copies) < quota:
-        try:
-            emb = searcher.find((), unused)
-        except SearchBudgetExceeded:
-            raise PhaseFailure(
-                "factor", "search budget exhausted",
-                copies_found=len(copies), quota=quota, window_left=len(unused),
-            ) from None
-        if emb is None:
-            raise PhaseFailure(
-                "factor",
-                f"found {len(copies)} of {quota} required copies",
-                copies_found=len(copies),
-                quota=quota,
-                window_left=len(unused),
-            )
-        copies.append(emb)
-        taken = set(emb.values())
-        unused = [v for v in unused if v not in taken]
-    return copies
+
+    def fail(view: np.ndarray | None, found: int, left: int) -> PhaseFailure:
+        message = "search budget exhausted" if view is None else f"found {found} of {quota} required copies"
+        return PhaseFailure("factor", message, copies_found=found, quota=quota, window_left=left)
+
+    unused = np.array(sorted(set(window)), dtype=np.int64)
+    return _greedy(host, template, unused, None, lambda found, left: found >= quota, fail)

@@ -116,22 +116,21 @@ class _CopySearcher:
         rs = set(self.root)
         edges = [tuple(e) for e in template.edges()]
         self.root_edges = [e for e in edges if set(e) <= rs]
-        # connectivity-aware order over the internal vertices
-        placed = set(rs)
-        order: list[int] = []
+        # connectivity-aware order over the internal vertices: the least one
+        # that shares an edge with a placed vertex, else the least one left
+        near = {v: set().union(*(e for e in edges if v in e)) for v in range(template.n)}
         remaining = set(range(template.n)) - rs
+        frontier = set().union(*(near[v] for v in rs))
+        order: list[int] = []
         while remaining:
-            adjacent = sorted(
-                v for v in remaining
-                if any(v in e and (set(e) & placed) for e in edges)
-            )
-            nxt = adjacent[0] if adjacent else min(remaining)
+            nxt = min(frontier & remaining or remaining)
             order.append(nxt)
-            placed.add(nxt)
             remaining.discard(nxt)
+            frontier |= near[nxt]
         self.order = order
         # an edge is anchored at the latest-placed internal vertex it contains:
-        # it becomes fully determined (and checkable) exactly there
+        # it becomes fully determined (and checkable) exactly there, and the
+        # anchor keeps the edge's other template vertices
         pos = {v: i for i, v in enumerate(order)}
         self.anchors: list[list[tuple[int, ...]]] = [[] for _ in order]
         for e in edges:
@@ -139,15 +138,15 @@ class _CopySearcher:
             if not internal:
                 continue
             last = max(internal, key=pos.__getitem__)
-            self.anchors[pos[last]].append(e)
+            self.anchors[pos[last]].append(tuple(u for u in e if u != last))
 
-    def find(self, y: Sequence[int], allowed: Sequence[int]) -> dict[int, int] | None:
+    def find(self, y: Sequence[int], allowed: Sequence[int] | np.ndarray) -> dict[int, int] | None:
         """First embedding with root -> y and internals inside allowed, or None.
 
-        ``allowed`` lists the reservoir in ascending order.  The request is
-        not checked here: :func:`connect_family` checks it.  None means no
-        copy exists; running out of budget raises
-        :class:`SearchBudgetExceeded`.
+        ``allowed`` holds the reservoir in ascending order, best as an int64
+        array, which the link masks read without a copy.  The request is not
+        checked here: :func:`connect_family` checks it.  None means no copy
+        exists; running out of budget raises :class:`SearchBudgetExceeded`.
         """
         images: dict[int, int] = dict(zip(self.root, y))
         if self.root_edges and not self.host.has_edge(
@@ -157,7 +156,8 @@ class _CopySearcher:
         if not self.order:
             return dict(images)
         used: set[int] = set()
-        pool = np.array(allowed, dtype=np.int64)
+        pool = np.asarray(allowed, dtype=np.int64)
+        allowed = pool.tolist()  # one C pass: the streams read their candidates from it
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
         iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed, pool)]
@@ -183,24 +183,26 @@ class _CopySearcher:
     def _candidates(self, depth, images, used, allowed, pool):
         """Allowed, unused vertices that extend the partial embedding, ascending.
 
-        ``pool`` is ``allowed`` as an int64 array; a candidate must lie in the
-        link of every anchor.
+        ``allowed`` lists the pool's vertices and ``pool`` holds them as an
+        int64 array; a candidate must lie in the link of every anchor.
         """
-        v_t = self.order[depth]
         fits = None  # a memoised mask is only read: the first AND makes a new array
-        for e in self.anchors[depth]:
-            link = self._link(tuple(sorted(images[u] for u in e if u != v_t)), pool)
+        for others in self.anchors[depth]:
+            link = self._link(tuple(sorted([images[u] for u in others])), pool)
             fits = link if fits is None else fits & link
-        if fits is None:
-            fits = np.ones(pool.size, dtype=bool)
-        # the vertices up to each fitting one are charged in the next() call
-        # that scans them, the rest when the stream ends
-        scanned = 0
-        for i in fits.nonzero()[0].tolist():
-            self._charge(i + 1 - scanned)
-            scanned = i + 1
-            if allowed[i] not in used:
-                yield allowed[i]
+        hits = np.arange(pool.size) if fits is None else fits.nonzero()[0]
+        # the vertices up to each fitting one are charged in the next() call that
+        # scans them, the rest when the stream ends; positions become ints in
+        # chunks growing eightfold, so a stream that keeps an early one converts few
+        scanned, lo, size = 0, 0, 8
+        while lo < hits.size:
+            for i in hits[lo:lo + size].tolist():
+                self._charge(i + 1 - scanned)
+                scanned = i + 1
+                if allowed[i] not in used:
+                    yield allowed[i]
+            lo += size
+            size *= 8
         self._charge(pool.size - scanned)
 
     def _link(self, others: tuple[int, ...], pool: np.ndarray) -> np.ndarray:
@@ -248,17 +250,12 @@ def round_sizes(total: int, rounds: int) -> list[int]:
     return sizes + [total - sum(sizes)]
 
 
-def partition_reservoir(reservoir: Iterable[int], rounds: int) -> list[tuple[int, ...]]:
-    """Split a reservoir into slices of :func:`round_sizes`, in canonical vertex order."""
-    w = sorted(set(reservoir))
-    if not w:
+def partition_reservoir(reservoir: Iterable[int], rounds: int) -> list[np.ndarray]:
+    """The reservoir's vertices, ascending, split into int64 slices of :func:`round_sizes`."""
+    w = np.array(sorted(set(reservoir)), dtype=np.int64)  # np.unique imports numpy.ma (~0.7 MB)
+    if not w.size:
         raise ValueError("reservoir must be nonempty")
-    parts = []
-    at = 0
-    for size in round_sizes(len(w), rounds):
-        parts.append(tuple(w[at:at + size]))
-        at += size
-    return parts
+    return np.split(w, np.cumsum(round_sizes(w.size, rounds))[:-1])
 
 
 def connect_family(
@@ -286,7 +283,6 @@ def connect_family(
     root = VertexTuple(root)
     tuples = [VertexTuple(t) for t in tuples]
     w = set(reservoir)
-    reservoir = sorted(w)
     seen: set[int] = set()
     for y in tuples:
         if len(y) != len(root):
@@ -303,15 +299,12 @@ def connect_family(
     if t == 0:
         return [], []
     need = t * (template.n - len(root))
-    if need > len(reservoir):
-        raise ValueError(
-            f"request needs {need} internal vertices but the reservoir has "
-            f"{len(reservoir)}"
-        )
-    parts = partition_reservoir(reservoir, rounds)
+    if need > len(w):
+        raise ValueError(f"request needs {need} internal vertices but the reservoir has {len(w)}")
+    parts = partition_reservoir(w, rounds)
     details = {
         "round_sizes": [len(p) for p in parts],
-        "strict_precondition": need <= len(reservoir) // 4,
+        "strict_precondition": need <= len(w) // 4,
     }
     searcher = _CopySearcher(host, template, root)
     embeddings: list[dict[int, int] | None] = [None] * t
@@ -320,11 +313,11 @@ def connect_family(
     for part in parts:
         if not remaining:
             break
-        used: set[int] = set()
+        free = np.ones(part.size, dtype=bool)  # the slice less this round's copies
         still: list[int] = []
         for i in remaining:
             try:
-                emb = searcher.find(tuples[i], [v for v in part if v not in used])
+                emb = searcher.find(tuples[i], part[free])
             except SearchBudgetExceeded:
                 raise ConnectFailure(
                     phase,
@@ -337,7 +330,7 @@ def connect_family(
                 still.append(i)
             else:
                 embeddings[i] = emb
-                used |= {h for tv, h in emb.items() if tv not in root}
+                free[part.searchsorted([emb[v] for v in searcher.order])] = False
         remaining = still
         trajectory.append(len(remaining))
     if remaining:

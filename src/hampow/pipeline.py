@@ -268,13 +268,13 @@ def cover_with_paths(
     windows = needed[needed[:, -1] == k, :-1] - k
     for j in range(1, t):
         part = np.array(parts[j], dtype=np.int64)
-        # fits[i, u]: part vertex u extends path i
-        fits = np.ones((s, s), dtype=bool)
-        for cols in windows + j:
-            if cols[0] < 0:
-                continue  # the window reaches before the first part
-            rows = np.column_stack([np.repeat(paths[:, cols], s, axis=0), np.tile(part, s)])
-            fits &= host.has_edge(rows).reshape(s, s)
+        cols = windows + j
+        cols = cols[cols[:, 0] >= 0]  # a window that reaches before the first part is skipped
+        # rows[c, i, u]: window c of path i, then part vertex u; fits[i, u]: u extends path i
+        rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
+        rows[..., :-1] = paths[:, cols].transpose(1, 0, 2)[:, :, None]
+        rows[..., -1] = part
+        fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
         matching = perfect_matching(BipartiteGraph.from_mask(fits))
         if matching is None:
             raise PhaseFailure(
@@ -286,8 +286,6 @@ def cover_with_paths(
             )
         paths[:, j] = part[[matching[i] for i in range(s)]]
     family = CoverFamily(parts=parts, paths=tuple(map(tuple, paths.tolist())))
-    for p in family.paths:
-        assert len(p) == t
     for j, part in enumerate(parts):
         assert {p[j] for p in family.paths} == set(part)
     return family

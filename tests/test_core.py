@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import sys
 import tempfile
 import threading
@@ -50,6 +51,13 @@ class TestVertexTuple:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             VertexTuple((1, 2, 1))
+
+    def test_a_float_vertex_is_refused_by_name_and_numpy_ints_are_read(self):
+        for bad in ([0, 1.7], [0, 2.0], [np.float64(0.5)]):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {bad[-1]!r} is not an integer")):
+                VertexTuple(bad)
+        t = VertexTuple([np.int32(3), np.int64(5), 7])
+        assert t == (3, 5, 7) and all(type(v) is int for v in t)
 
 
 class TestHypergraph:
@@ -382,6 +390,15 @@ class TestBatchedMembership:
                 assert host.has_edge(batch[i:i + 1]).tolist() == [host.has_edge(r)]
                 assert host.has_edge(batch[i]) is host.has_edge(r) is expected[i]
 
+    @pytest.mark.parametrize("host", [Hypergraph(2, 3, [(0, 1)]), Hypergraph.complete(2, 3)])
+    def test_a_vertex_that_is_not_an_integer_is_no_edge(self, host):
+        # a cast would truncate 1.5 or 0.9 and 1.2 to the edge (0, 1)
+        assert host.has_edge([0, 1]) is True
+        assert host.has_edge([0, 1.5]) is False
+        assert host.has_edge([np.float64(0.0), 1]) is False
+        assert host.has_edge(np.array([[0.9, 1.2], [0.0, 1.0]])).tolist() == [False, False]
+        assert host.has_edge(np.array([[0, 1]], dtype=np.uint8)).tolist() == [True]
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_empty_and_wrong_width_batches(self, k):
         for host in (Hypergraph(k, 6, [tuple(range(k))]), Hypergraph.complete(k, 6)):
@@ -453,6 +470,23 @@ class TestAdjacency:
                     mask = host.adjacent(v, among)
                 assert row.tolist() == [w for w in range(n) if (min(v, w), max(v, w)) in edges]
                 assert mask.tolist() == [(min(v, w), max(v, w)) in edges for w in among.tolist()]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_rows_built_over_several_blocks_match_a_dense_adjacency(self, seed):
+        # more stored pairs than one block of the row build, and a partial last block
+        g = sample_uniform_hypergraph(2, 200, 0.5, seed)
+        twin = complement_twin(g)
+        assert not g._complement and twin._complement
+        for host in (g, twin):
+            assert 2 * host._codes.size > core._BLOCK and 2 * host._codes.size % core._BLOCK
+        dense = np.zeros((200, 200), dtype=bool)
+        for u, w in g.edges():
+            dense[u, w] = dense[w, u] = True
+        among = np.arange(200)
+        for host in (g, twin):
+            for v in range(200):
+                assert np.array_equal(host.neighbors(v), np.flatnonzero(dense[v]))
+                assert np.array_equal(host.adjacent(v, among), dense[v])
 
     @pytest.mark.parametrize("host", [complete_graph(5), Hypergraph.complete(2, 5)])
     def test_a_vertex_outside_the_range_is_refused(self, host):

@@ -62,6 +62,29 @@ class TestFindRootedCopy:
         searcher = _CopySearcher(complete_graph(5), power_path_template(2, 4), (0,))
         assert searcher.find((0,), []) is None
 
+    @pytest.mark.parametrize("w,p,template,root", [
+        (2, 0.4, power_path_template(2, 7), (0,)),
+        (2, 0.5, connecting_path_template(2, 8), (0, 1, 6, 7)),
+        (3, 0.4, tight_path_template(2, 7), (0, 1, 5, 6)),
+    ])
+    def test_a_list_pool_and_an_int64_array_pool_search_alike(self, w, p, template, root):
+        for seed in range(6):
+            host = sample_uniform_hypergraph(w, 24, p, seed=seed)
+            order = sorted(range(24), key=lambda v: derive(seed, 9, v))
+            y, allowed = order[:len(root)], sorted(order[len(root):len(root) + 8 + 2 * seed])
+            outcomes = []
+            for pool in (allowed, np.array(allowed, dtype=np.int64)):
+                searcher = _CopySearcher(host, template, root)
+                searcher.remaining = 40 * (seed + 1)  # some searches run out
+                try:
+                    emb = searcher.find(y, pool)
+                except SearchBudgetExceeded:
+                    emb = "exceeded"
+                outcomes.append((emb, searcher.remaining))
+                if isinstance(emb, dict):
+                    assert all(type(v) is int for v in emb.values())
+            assert outcomes[0] == outcomes[1]
+
     # a rooted-copy request is checked once, by connect_family, not by find
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="root arity"):

@@ -136,6 +136,25 @@ class TestCoverWithPaths:
         for p in fam.paths:
             assert is_path(host, p, 2, "power")
 
+    @pytest.mark.parametrize("mode,k,n,t", [("power", 2, 40, 8), ("tight", 2, 24, 6)])
+    def test_each_step_asks_the_host_once(self, monkeypatch, mode, k, n, t):
+        host = Hypergraph.complete(uniformity(k, mode), n)
+        calls = []
+        has_edge = Hypergraph.has_edge
+
+        def counting(self, vertices):
+            calls.append(len(vertices))
+            return has_edge(self, vertices)
+
+        monkeypatch.setattr(Hypergraph, "has_edge", counting)
+        fam = cover_with_paths(host, range(n), (), t=t, k=k, mode=mode)
+        assert len(fam.paths) == n // t
+        # at most one batch per step, of every window that lies inside the parts so far
+        s = n // t
+        windows = [min(j, k) if mode == "power" else int(j >= k) for j in range(1, t)]
+        assert len(calls) <= t - 1
+        assert [c for c in calls if c] == [c * s * s for c in windows if c]
+
 
 class TestCoverDigest:
     """Seeded covers of sampled hosts, pinned by one digest of their outcomes.
