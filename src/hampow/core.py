@@ -70,14 +70,14 @@ class Hypergraph:
     depend on the edge set only, never on the stored side.
     """
 
-    __slots__ = ("k", "n", "_codes", "_complement", "_adj", "_draw")
+    __slots__ = ("k", "n", "_codes", "_complement", "_adj", "_rows", "_draw")
 
     def __init__(self, k: int, n: int, edges: np.ndarray | Iterable[Iterable[int]]):
         """The graph whose edges are the rows of an (m, k) int array, or these vertex sequences.
 
         An edge's vertices may come in any order.  The first edge of another
-        width, with a repeated vertex or with a vertex outside ``range(n)`` is
-        refused by name, and so is a repeated edge.
+        width, with a repeated vertex, or with a vertex outside ``range(n)`` or
+        not an integer is refused by name, and so is a repeated edge.
         """
         self.k = int(k)
         self.n = int(n)
@@ -86,11 +86,13 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         check_encodable(self.k, self.n)
-        if not isinstance(edges, np.ndarray) or edges.shape[1:] != (self.k,):
-            edges = _edge_array(edges, self.k, self.n)  # names an edge of another width
+        array = isinstance(edges, np.ndarray) and edges.dtype.kind in "biu"
+        if not array or edges.shape[1:] != (self.k,):
+            edges = _edge_array(edges, self.k, self.n)  # names an edge of another width or a float vertex
         self._codes = _sorted_codes(edges, self.k, self.n)
         self._complement = False
         self._adj = None
+        self._rows: dict[int, int] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -182,22 +184,25 @@ class Hypergraph:
         """Sorted array of the neighbours of v (2-uniform only): the true positions of v's row."""
         return np.flatnonzero(self._row(v))
 
-    def adjacent(self, v: int, among: np.ndarray) -> np.ndarray:
-        """Bool mask over the int array ``among``: which of its vertices are neighbours of v.
+    def neighbor_bits(self, v: int) -> int:
+        """The neighbours of v (2-uniform only) as a Python int whose bit w is w.
 
-        2-uniform only.  ``among`` may hold its vertices in any order, and
-        repeats; v itself is never its own neighbour.  The answer is a gather
-        from v's n-long row, so no neighbour list is built or searched.
+        The host keeps the rows, n / 8 bytes each, until a miss finds :data:`_MEMO_BYTES` of them.
         """
-        if self._adj is None:
-            # perfbench/spans.py times the rows' first build in neighbors (ROADMAP item 9)
-            self.neighbors(v)
-        return self._row(v)[among]
+        bits = self._rows.get(_vertex(v))  # 1.0 would hash as 1
+        if bits is None:
+            if self._adj is None:  # perfbench/spans.py times the rows' first build in neighbors
+                self.neighbors(v)
+            if len(self._rows) * ((self.n + 7) // 8) >= _MEMO_BYTES:
+                self._rows.clear()
+            bits = self._rows[v] = _bits(self._row(v))
+        return bits
 
     def _row(self, v: int) -> np.ndarray:
         """v's n-long bool row of the adjacency, from the stored CSR row, built on the first call."""
         if self.k != 2:
             raise ValueError("the adjacency requires a 2-uniform hypergraph")
+        v = _vertex(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside range({self.n})")
         if self._adj is None:
@@ -274,7 +279,7 @@ class Hypergraph:
             rows = None
         if rows is None or rows.shape != (m, k):
             # line by line: int() names a non-integer, _edge_array a blank or ragged line
-            rows = _edge_array([line.split() for line in body], k, n)
+            rows = _edge_array([[int(x) for x in line.split()] for line in body], k, n)
         bad = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
         if bad.size:
             raise ValueError(f"edge line {body[bad[0]]!r} is not strictly increasing")
@@ -283,6 +288,14 @@ class Hypergraph:
 
 #: Edges formatted, or checked and encoded, per block: the temporaries stay small.
 _BLOCK = 1 << 14
+
+#: Bytes of vertex bitsets one owner (a host's rows, a copy search's links) may hold.
+_MEMO_BYTES = 1 << 24
+
+
+def _bits(mask: np.ndarray) -> int:
+    """The true positions of a 1-D bool array as the set bits of a Python int."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _comb(x: np.ndarray, s: int) -> np.ndarray:
@@ -415,8 +428,8 @@ def _edge_columns(rows: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarra
 
 
 def _edge_array(edges: Iterable[Iterable[int]], k: int, n: int) -> np.ndarray:
-    """Vertex sequences as an (m, k) int64 array; names one of another length or past int64."""
-    rows = [tuple(int(v) for v in e) for e in edges]
+    """Vertex sequences as an (m, k) int64 array; names one of another length, past int64 or a float."""
+    rows = [tuple(map(_vertex, e)) for e in edges]
     bad = next((e for e in rows if len(e) != k), None)
     if bad is not None:
         raise ValueError(f"edge {bad} must have {k} distinct vertices")

@@ -18,8 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from hampow.core import (
+    _MEMO_BYTES,
     Hypergraph,
     VertexTuple,
+    _bits,
     check_uniformity,
     connecting_path_template,
     tight_path_template,
@@ -39,8 +41,8 @@ __all__ = [
 #: Candidate checks one copy searcher may spend over all its searches (see _CopySearcher).
 SEARCH_BUDGET = 1_500_000
 
-#: Bytes of link masks one copy search may hold before it empties its memo.
-_LINK_MEMO_BYTES = 1 << 24
+#: Bytes of link bitsets one copy search may hold before it empties its memo.
+_LINK_MEMO_BYTES = _MEMO_BYTES
 
 
 class PhaseFailure(Exception):
@@ -80,16 +82,11 @@ class ConnectFailure(PhaseFailure):
 class _CopySearcher:
     """Reusable backtracking search for rooted copies of one template.
 
-    A candidate fits when it forms an edge with every anchor: on any host,
-    the fit mask is the AND of the anchors' link masks (:meth:`_link`), each
-    a bool over the pool of the vertices w for which the anchor's placed
-    images plus w form an edge.  Link masks are memoised for one
-    :meth:`find` call over its pool, and dropped when it returns.
-    The memo holds one pool-length bool per distinct anchor set, and less
-    than :data:`_LINK_MEMO_BYTES` plus one mask: a miss that finds it full
-    empties it first.  Each stream that ends has paid one unit per mask
-    byte, so the budget alone bounds the memo only by anchors times budget
-    bytes, which a template with many anchors per vertex makes large.
+    Vertex sets are Python ints, bit w for vertex w.  A candidate fits when it
+    forms an edge with every anchor: a stream's set is the pool less ``used``,
+    ANDed with the anchors' links (:meth:`_link`).  A miss empties the memo of
+    k >= 3 links, n / 8 bytes each, when it holds :data:`_LINK_MEMO_BYTES`: the
+    budget alone bounds it only by anchors times budget, large for many anchors.
 
     A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
     ``remaining`` and spends them over all its searches, so a phase that
@@ -97,11 +94,10 @@ class _CopySearcher:
     vertex a stream scans costs one unit, whether it fits or is used or
     not, so a stream that runs to its end costs the pool size.  While a
     stream is open, ``used`` holds exactly the images of the shallower
-    depths (deeper depths give theirs back before it resumes), so a
-    candidate's used check may come at any point of the stream and the
-    vertices before the next fitting one are charged in one sum.
-    Exhaustion leaves ``remaining`` at -1 and raises
-    :class:`SearchBudgetExceeded`.
+    depths (deeper depths give theirs back before it resumes), so the
+    stream leaves them out when it opens and the vertices before the next
+    fitting one are charged in one sum.  Exhaustion leaves ``remaining`` at
+    -1 and raises :class:`SearchBudgetExceeded`.
     """
 
     def __init__(self, host: Hypergraph, template: Hypergraph, root: Sequence[int]):
@@ -110,7 +106,7 @@ class _CopySearcher:
                 f"uniformity mismatch: host {host.k}-uniform, template {template.k}-uniform"
             )
         self.remaining = SEARCH_BUDGET
-        self._links: dict[tuple[int, ...], np.ndarray] = {}
+        self._links: dict[tuple[int, ...], int] = {}
         self.host = host
         self.root = tuple(root)
         rs = set(self.root)
@@ -143,10 +139,10 @@ class _CopySearcher:
     def find(self, y: Sequence[int], allowed: Sequence[int] | np.ndarray) -> dict[int, int] | None:
         """First embedding with root -> y and internals inside allowed, or None.
 
-        ``allowed`` holds the reservoir in ascending order, best as an int64
-        array, which the link masks read without a copy.  The request is not
-        checked here: :func:`connect_family` checks it.  None means no copy
-        exists; running out of budget raises :class:`SearchBudgetExceeded`.
+        ``allowed`` holds the reservoir in ascending order inside ``range(n)``,
+        best as an int64 array, read without a copy.  The request is not checked
+        here: :func:`connect_family` checks it.  None means no copy exists;
+        running out of budget raises :class:`SearchBudgetExceeded`.
         """
         images: dict[int, int] = dict(zip(self.root, y))
         if self.root_edges and not self.host.has_edge(
@@ -155,76 +151,72 @@ class _CopySearcher:
             return None
         if not self.order:
             return dict(images)
-        used: set[int] = set()
+        used = 0
         pool = np.asarray(allowed, dtype=np.int64)
-        allowed = pool.tolist()  # one C pass: the streams read their candidates from it
+        if pool.size and not 0 <= pool[0] <= pool[-1] < self.host.n:  # a bitset holds no other vertex
+            raise ValueError(f"allowed vertices must lie in range({self.host.n})")
+        bits = _vertex_bits(pool, self.host.n)
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
-        iters: list[Iterable[int]] = [self._candidates(0, images, used, allowed, pool)]
+        iters: list[Iterable[int]] = [self._candidates(0, images, used, pool, bits)]
         try:
             while iters:
                 depth = len(iters) - 1
                 v_t = self.order[depth]
                 if v_t in images:
-                    used.discard(images.pop(v_t))
+                    used ^= 1 << images.pop(v_t)
                 nxt = next(iters[depth], None)
                 if nxt is None:
                     iters.pop()
                     continue
                 images[v_t] = nxt
-                used.add(nxt)
+                used |= 1 << nxt
                 if depth + 1 == len(self.order):
                     return dict(images)
-                iters.append(self._candidates(depth + 1, images, used, allowed, pool))
+                iters.append(self._candidates(depth + 1, images, used, pool, bits))
             return None
         finally:
             self._links = {}
 
-    def _candidates(self, depth, images, used, allowed, pool):
-        """Allowed, unused vertices that extend the partial embedding, ascending.
+    def _candidates(self, depth, images, used, pool, bits):
+        """Pool vertices outside the bitset ``used`` that extend the partial embedding, ascending.
 
-        ``allowed`` lists the pool's vertices and ``pool`` holds them as an
-        int64 array; a candidate must lie in the link of every anchor.
+        ``pool`` holds the allowed vertices as an ascending int64 array and
+        ``bits`` as a bitset; a candidate must lie in the link of every anchor.
         """
-        fits = None  # a memoised mask is only read: the first AND makes a new array
+        fits = bits & ~used
         for others in self.anchors[depth]:
-            link = self._link(tuple(sorted([images[u] for u in others])), pool)
-            fits = link if fits is None else fits & link
-        hits = np.arange(pool.size) if fits is None else fits.nonzero()[0]
-        # the vertices up to each fitting one are charged in the next() call that
-        # scans them, the rest when the stream ends; positions become ints in
-        # chunks growing eightfold, so a stream that keeps an early one converts few
-        scanned, lo, size = 0, 0, 8
-        while lo < hits.size:
-            for i in hits[lo:lo + size].tolist():
-                self._charge(i + 1 - scanned)
-                scanned = i + 1
-                if allowed[i] not in used:
-                    yield allowed[i]
-            lo += size
-            size *= 8
-        self._charge(pool.size - scanned)
+            fits &= self._link(others, images, pool)
+        # the pool vertices up to each fitting one are charged in the next()
+        # call that yields it, the rest when the stream ends
+        scanned = 0
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            at = (bits & (low - 1)).bit_count() + 1
+            self._charge(at - scanned)
+            scanned = at
+            yield low.bit_length() - 1
+        self._charge(bits.bit_count() - scanned)
 
-    def _link(self, others: tuple[int, ...], pool: np.ndarray) -> np.ndarray:
-        """Bool mask over ``pool``: the w for which ``others`` plus w is an edge.
+    def _link(self, others: tuple[int, ...], images: dict[int, int], pool: np.ndarray) -> int:
+        """The bitset of the w forming an edge with the images of an anchor's template vertices ``others``.
 
-        ``others`` is an anchor's sorted placed images.  The mask is memoised
-        until :meth:`find` returns or the memo is full.
+        2-uniform, the host's row of the one image; else the pool's vertices, memoised for the find.
         """
-        mask = self._links.get(others)
-        if mask is None:
-            if len(self._links) * pool.size >= _LINK_MEMO_BYTES:
+        host = self.host
+        if host.k == 2:
+            return host.neighbor_bits(images[others[0]])
+        key = tuple(sorted([images[u] for u in others]))
+        bits = self._links.get(key)
+        if bits is None:
+            if len(self._links) * ((host.n + 7) // 8) >= _LINK_MEMO_BYTES:
                 self._links.clear()
-            host = self.host
-            if host.k == 2:
-                mask = host.adjacent(others[0], pool)
-            else:
-                rows = np.empty((pool.size, host.k), dtype=np.int64)
-                rows[:, :-1] = others
-                rows[:, -1] = pool
-                mask = host.has_edge(rows)
-            self._links[others] = mask
-        return mask
+            rows = np.empty((pool.size, host.k), dtype=np.int64)
+            rows[:, :-1] = key
+            rows[:, -1] = pool
+            bits = self._links[key] = _vertex_bits(pool, host.n, host.has_edge(rows))
+        return bits
 
     def _charge(self, units: int) -> None:
         """Spend ``units`` candidate checks; past the budget, leave -1 and raise."""
@@ -232,6 +224,13 @@ class _CopySearcher:
         if self.remaining < 0:
             self.remaining = -1
             raise SearchBudgetExceeded()
+
+
+def _vertex_bits(vertices: np.ndarray, n: int, keep: np.ndarray | bool = True) -> int:
+    """A bitset of an int array's distinct vertices, each in ``range(n)``, where ``keep`` is true."""
+    mask = np.zeros(n, dtype=bool)
+    mask[vertices] = keep
+    return _bits(mask)
 
 
 def round_sizes(total: int, rounds: int) -> list[int]:

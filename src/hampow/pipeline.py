@@ -31,6 +31,7 @@ from hampow.absorber import (
     splice,
 )
 from hampow.core import (
+    _BLOCK,
     MAX_VERTICES,
     CycleCertificate,
     Hypergraph,
@@ -205,8 +206,13 @@ def perfect_matching(B: BipartiteGraph) -> dict[int, int] | None:
                     via.pop()
         return False
 
-    size = 0
-    while bfs():
+    for u in range(s):  # the first phase: every left vertex is free at distance 0, so it is greedy
+        for v in adj[u]:
+            if match_r[v] is None:
+                match_l[u], match_r[v] = v, u
+                break
+    size = s - match_l.count(None)
+    while size < s and bfs():
         for u in range(s):
             if match_l[u] is None and dfs(u):
                 size += 1
@@ -246,9 +252,9 @@ def cover_with_paths(
     paths start as the singletons of part one and are extended one part per
     step by a perfect matching in the auxiliary bipartite graph whose edges
     mark extensions that keep every new adjacency window satisfied.  Only
-    adjacencies between the new part and the last k parts are ever consulted.
-    Raises :class:`PhaseFailure` naming the first step without a perfect
-    matching.
+    adjacencies between the new part and the last k parts are ever consulted;
+    on a 2-uniform host they do not depend on the matchings and are asked first.
+    Raises :class:`PhaseFailure` naming the first step without a perfect matching.
     """
     check_uniformity(host, k, mode)
     pool = sorted(set(uncovered) | set(borrowed))
@@ -260,21 +266,25 @@ def cover_with_paths(
     if s == 0:
         raise ValueError("empty parts")
     parts = tuple(tuple(pool[j * s:(j + 1) * s]) for j in range(t))
-    paths = np.empty((s, t), dtype=np.int64)  # path i is row i, part j column j
-    paths[:, 0] = parts[0]
+    flat = np.array(pool, dtype=np.int64)  # part j is flat[j * s:(j + 1) * s]
+    at = np.repeat(np.arange(s)[:, None], t, axis=1)  # path i runs through vertex at[i, j] of part j
     # the path columns each new edge runs through, relative to the new column:
     # the edges a path on k + 1 vertices needs at its last vertex, less that vertex
     needed = np.concatenate([*required_edges(np.arange(k + 1), k, mode)])
     windows = needed[needed[:, -1] == k, :-1] - k
+    near = _fits_ahead(host, flat, s, k) if host.k == 2 else None
     for j in range(1, t):
-        part = np.array(parts[j], dtype=np.int64)
-        cols = windows + j
-        cols = cols[cols[:, 0] >= 0]  # a window that reaches before the first part is skipped
-        # rows[c, i, u]: window c of path i, then part vertex u; fits[i, u]: u extends path i
-        rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
-        rows[..., :-1] = paths[:, cols].transpose(1, 0, 2)[:, :, None]
-        rows[..., -1] = part
-        fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
+        # fits[i, u]: vertex u of part j extends path i
+        if near is not None:  # window d is the column j - d, whose vertices are part j - d reordered
+            fits = np.logical_and.reduce(
+                [near[(j - d) * s + at[:, j - d], (d - 1) * s:d * s] for d in range(1, min(k, j) + 1)])
+        else:  # rows[c, i, u]: window c of path i, then part vertex u
+            cols = windows + j
+            cols = cols[cols[:, 0] >= 0]  # a window that reaches before the first part is skipped
+            rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
+            rows[..., :-1] = flat[cols * s + at[:, cols]].transpose(1, 0, 2)[:, :, None]
+            rows[..., -1] = flat[j * s:(j + 1) * s]
+            fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
         matching = perfect_matching(BipartiteGraph.from_mask(fits))
         if matching is None:
             raise PhaseFailure(
@@ -284,11 +294,29 @@ def cover_with_paths(
                 parts=t,
                 paths=s,
             )
-        paths[:, j] = part[[matching[i] for i in range(s)]]
+        at[:, j] = [matching[i] for i in range(s)]
+    paths = flat[at + s * np.arange(t)]
     family = CoverFamily(parts=parts, paths=tuple(map(tuple, paths.tolist())))
     for j, part in enumerate(parts):
         assert {p[j] for p in family.paths} == set(part)
     return family
+
+
+def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> np.ndarray:
+    """``near[q, (d - 1) * s + u]``: pool vertex q and vertex u of the d-th part past its own form an edge.
+
+    The parts are the ascending pool's runs of s vertices; entries past the pool stay False.  Every
+    pair is asked once, in ascending code order, at most ``_BLOCK`` rows a call.
+    """
+    near = np.zeros((pool.size, k * s), dtype=bool)
+    step = max(1, _BLOCK // (k * s))
+    for lo in range(0, pool.size - s, step):  # the last part has no part past it
+        q = np.arange(lo, min(lo + step, pool.size - s))
+        other = (q // s + 1)[:, None] * s + np.arange(k * s)
+        inside = other < pool.size
+        rows = np.column_stack((np.repeat(pool[q], inside.sum(axis=1)), pool[other[inside]]))
+        near[lo:lo + q.size][inside] = host.has_edge(rows)
+    return near
 
 
 # -- planning -----------------------------------------------------------------
@@ -425,11 +453,13 @@ def _attempt(
     n, k, mode = plan.n, plan.k, plan.mode
     g1, g2, g3, full = attempt_rounds(source, cfg, r)
     chain = build_chain_absorber(g1, k, mode, ell=plan.ell, absorb_size=plan.absorb_size)
+    del g1  # each round is dropped when its phase ends, with its codes, CSR and rows
     absorbable = sorted(chain.absorbable)
     a_vertices = chain.vertices()
     uncovered = [v for v in range(n) if v not in a_vertices]
     borrowed = absorbable[: plan.borrow]
     cover = cover_with_paths(g2, uncovered, borrowed, plan.cover_parts, k, mode)
+    del g2
     s = plan.s_paths
     merge_reservoir = absorbable[plan.borrow:]
     pairs = [(tuple(chain.b), cover.a(0, k))]

@@ -8,6 +8,8 @@ checked against a candidate-by-candidate edge-form replay of its three
 gap streams, the reservoir-walking copy-search candidates against the
 neighbour-intersection generator they replaced, and the k >= 3 candidate
 stream's charges against a scan that charges one vertex at a time.
+``hopcroft_karp`` is the matching without its greedy first pass, and
+``per_step_cover`` the cover that asks the host once per step.
 ``is_embedding`` checks a copy edge by edge, and
 ``middle_connecting_path_template`` is the connecting path without the
 edges between its end blocks, for rooted densities.  The degeneracy helpers (peeling, ordering check and the
@@ -18,6 +20,7 @@ gadget.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
@@ -27,8 +30,9 @@ import pytest
 
 from hampow.absorber import Backbone
 from hampow.core import Hypergraph, VertexTuple, _encode_rows, required_edges
-from hampow.matcher import SearchBudgetExceeded
-from hampow.randmodels import derive, mix, three_round_rate
+from hampow.matcher import PhaseFailure, SearchBudgetExceeded
+from hampow.pipeline import CoverFamily
+from hampow.randmodels import BipartiteGraph, derive, mix, three_round_rate
 
 
 def naive_m1(template: Hypergraph) -> Fraction:
@@ -335,6 +339,107 @@ def charged_scan(searcher, depth, images, used, allowed):
         )
         if fits and w not in used:
             yield w
+
+
+# -- cover by perfect matchings ------------------------------------------------
+
+
+def hopcroft_karp(B: BipartiteGraph) -> dict[int, int] | None:
+    """A perfect matching of a balanced bipartite graph, or None, by plain Hopcroft-Karp.
+
+    Hopcroft & Karp, SIAM J. Comput. 1973: BFS layers from the free left
+    vertices, then DFS augmentations along them, over sorted adjacency.
+    """
+    s = B.left
+    if s == 0:
+        return {}
+    adj = B.adjacency()
+    INF = float("inf")
+    match_l: list[int | None] = [None] * s
+    match_r: list[int | None] = [None] * s
+    dist = [0.0] * s
+
+    def bfs() -> bool:
+        q = deque()
+        for u in range(s):
+            if match_l[u] is None:
+                dist[u] = 0.0
+                q.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = match_r[v]
+                if w is None:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return found
+
+    def dfs(root: int) -> bool:
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                w = match_r[v]
+                if w is None:
+                    via.append(v)
+                    for (x, _), y in zip(stack, via):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if via:
+                    via.pop()
+        return False
+
+    size = 0
+    while bfs():
+        for u in range(s):
+            if match_l[u] is None and dfs(u):
+                size += 1
+    if size != s:
+        return None
+    return {u: match_l[u] for u in range(s)}
+
+
+def per_step_cover(
+    host: Hypergraph, uncovered: Iterable[int], borrowed: Iterable[int], t: int, k: int, mode: str
+) -> CoverFamily:
+    """The cover by perfect matchings, asking the host about each step's windows at that step."""
+    pool = sorted(set(uncovered) | set(borrowed))
+    s = len(pool) // t
+    parts = tuple(tuple(pool[j * s:(j + 1) * s]) for j in range(t))
+    paths = np.empty((s, t), dtype=np.int64)
+    paths[:, 0] = parts[0]
+    needed = np.concatenate([*required_edges(np.arange(k + 1), k, mode)])
+    windows = needed[needed[:, -1] == k, :-1] - k
+    for j in range(1, t):
+        part = np.array(parts[j], dtype=np.int64)
+        cols = windows + j
+        cols = cols[cols[:, 0] >= 0]
+        rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
+        rows[..., :-1] = paths[:, cols].transpose(1, 0, 2)[:, :, None]
+        rows[..., -1] = part
+        fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
+        matching = hopcroft_karp(BipartiteGraph.from_mask(fits))
+        if matching is None:
+            raise PhaseFailure(
+                "cover", f"no perfect matching when extending into part {j + 1} of {t}",
+                step=j + 1, parts=t, paths=s,
+            )
+        paths[:, j] = part[[matching[i] for i in range(s)]]
+    return CoverFamily(parts=parts, paths=tuple(map(tuple, paths.tolist())))
 
 
 # -- degeneracy machinery -----------------------------------------------------

@@ -71,6 +71,17 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(3, 4, [(0, 1)])
 
+    def test_a_float_vertex_of_a_sequence_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"vertex 1\.5 is not an integer"):
+            Hypergraph(2, 3, [(0, 1.5)])
+
+    def test_a_float_array_is_refused_by_its_first_vertex(self):
+        for rows in ([[0.2, 1.9]], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match=r"vertex \S*0\.[02]\S* is not an integer"):
+                Hypergraph(2, 3, np.array(rows))
+        # an object array of Python ints is read like the sequences it holds
+        assert Hypergraph(2, 3, np.array([[0, 2]], dtype=object)) == Hypergraph(2, 3, [(0, 2)])
+
     def test_membership_and_count(self):
         g = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
         assert g.edge_count == 2
@@ -440,7 +451,7 @@ class TestCodeDtype:
 
 
 class TestAdjacency:
-    """``neighbors`` rows and ``adjacent`` masks against a brute-force adjacency, in both storage forms."""
+    """``neighbors`` and ``neighbor_bits`` against a brute-force adjacency, in both storage forms."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -456,20 +467,18 @@ class TestAdjacency:
         hosts = [g, complement_twin(g)]
         if g.edge_count == math.comb(n, 2):
             hosts.append(Hypergraph.complete(2, n))
-        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
         for host in hosts:
             # the first call builds the rows, whichever vertex and method it asks
-            mask_first = data.draw(st.booleans())
+            bits_first = data.draw(st.booleans())
             for v in data.draw(st.permutations(range(n))):
-                among = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
-                                 dtype=dtype)
-                if mask_first:
-                    mask = host.adjacent(v, among)
+                if bits_first:
+                    bits = host.neighbor_bits(v)
                 row = host.neighbors(v)
-                if not mask_first:
-                    mask = host.adjacent(v, among)
-                assert row.tolist() == [w for w in range(n) if (min(v, w), max(v, w)) in edges]
-                assert mask.tolist() == [(min(v, w), max(v, w)) in edges for w in among.tolist()]
+                if not bits_first:
+                    bits = host.neighbor_bits(v)
+                expected = [w for w in range(n) if (min(v, w), max(v, w)) in edges]
+                assert row.tolist() == expected
+                assert bits == sum(1 << w for w in expected)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_rows_built_over_several_blocks_match_a_dense_adjacency(self, seed):
@@ -482,11 +491,10 @@ class TestAdjacency:
         dense = np.zeros((200, 200), dtype=bool)
         for u, w in g.edges():
             dense[u, w] = dense[w, u] = True
-        among = np.arange(200)
         for host in (g, twin):
             for v in range(200):
                 assert np.array_equal(host.neighbors(v), np.flatnonzero(dense[v]))
-                assert np.array_equal(host.adjacent(v, among), dense[v])
+                assert host.neighbor_bits(v) == sum(1 << w for w in np.flatnonzero(dense[v]).tolist())
 
     @pytest.mark.parametrize("host", [complete_graph(5), Hypergraph.complete(2, 5)])
     def test_a_vertex_outside_the_range_is_refused(self, host):
@@ -494,12 +502,22 @@ class TestAdjacency:
             with pytest.raises(ValueError, match=rf"vertex {v} outside range\(5\)"):
                 host.neighbors(v)
             with pytest.raises(ValueError, match=rf"vertex {v} outside range\(5\)"):
-                host.adjacent(v, np.arange(5))
+                host.neighbor_bits(v)
         assert host._adj is None  # refused before the rows are built
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_a_vertex_that_is_not_an_integer_is_refused_by_name(self, twin):
+        host = Hypergraph(2, 3, [(0, 1)])
+        host = complement_twin(host) if twin else host
+        assert host.neighbor_bits(1) == 0b1  # a kept row is not read for 1.0 either
+        for v in (1.5, 1.0, np.float64(1.0)):
+            for ask in (host.neighbors, host.neighbor_bits):
+                with pytest.raises(ValueError, match=rf"vertex {re.escape(repr(v))} is not an integer"):
+                    ask(v)
 
     @pytest.mark.parametrize("host", [Hypergraph(3, 5, [(0, 1, 2)]), Hypergraph.complete(3, 5)])
     def test_a_host_of_another_uniformity_is_refused(self, host):
-        for ask in (lambda: host.neighbors(0), lambda: host.adjacent(0, np.arange(5))):
+        for ask in (lambda: host.neighbors(0), lambda: host.neighbor_bits(0)):
             with pytest.raises(ValueError, match="requires a 2-uniform hypergraph"):
                 ask()
         assert host._adj is None

@@ -13,6 +13,7 @@ from hampow.core import (
     power_path_template,
     tight_path_template,
 )
+import hampow.core as core
 import hampow.matcher as matcher
 from hampow.absorber import build_chain_absorber
 from hampow.factor import almost_factor, factor_in_window
@@ -46,6 +47,10 @@ def complete_graph(n):
 def bipartite_host(n=60):
     """Complete bipartite graph between the even and the odd vertices: no triangles."""
     return Hypergraph(2, n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 2])
+
+
+def bitset(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def triangle():
@@ -177,7 +182,7 @@ class TestFindRootedCopy:
         images = dict(zip(root, y)) | dict(zip(searcher.order, placed))
         used = set(placed)
         pool = np.asarray(allowed, dtype=np.int64)
-        got = list(searcher._candidates(depth, images, used, allowed, pool))
+        got = list(searcher._candidates(depth, images, bitset(used), pool, bitset(allowed)))
         assert got == list(intersection_candidates(searcher, depth, images, used, set(allowed)))
 
     @given(data=st.data())
@@ -220,9 +225,22 @@ class TestFindRootedCopy:
                     return out + [("exceeded", owner.remaining)]
 
         pool = np.asarray(allowed, dtype=np.int64)
-        got = steps(searcher._candidates(depth, images, used, allowed, pool), searcher)
+        got = steps(searcher._candidates(depth, images, bitset(used), pool, bitset(allowed)), searcher)
         oracle = _CopySearcher(host, template, root)
         assert got == steps(charged_scan(oracle, depth, images, used, allowed), oracle)
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_allowed_vertices_outside_the_host_are_refused(self, w):
+        # a pool is a bitset of the host's vertices, where -1 would read as vertex n - 1
+        host = Hypergraph.complete(w, 8)
+        template = tight_path_template(w - 1, w + 1)
+        root = tuple(range(w - 1)) + (w,)
+        tuples = [tuple(range(w - 1)) + (w,)]
+        for reservoir in ([-1], [w - 1, 8]):
+            with pytest.raises(ValueError, match=r"allowed vertices must lie in range\(8\)"):
+                connect_family(host, template, root, tuples, reservoir)
+        with pytest.raises(ValueError, match=r"range\(8\)"):
+            factor_in_window(host, template, [3, 9], quota=1)
 
     @pytest.mark.parametrize("host,template", [
         (Hypergraph(2, 7, [(0, 5)]), Hypergraph(2, 3, [(0, 1), (0, 2)])),
@@ -335,23 +353,23 @@ class TestLinkMemo:
         host = Hypergraph(2, p, [(v, v + 1) for v in range(0, p, 2)])
         monkeypatch.setattr(matcher, "SEARCH_BUDGET", p * (2 * p + 1))
         searcher = _CopySearcher(host, power_path_template(2, 6), ())
-        limit = 50 * p
-        monkeypatch.setattr(matcher, "_LINK_MEMO_BYTES", limit)
+        # the links are the host's rows, which it keeps under the bound, at p / 8 bytes a row
+        limit, row = 50 * p, p // 8
+        monkeypatch.setattr(core, "_MEMO_BYTES", limit)
         anchors, held = set(), []
-        link = searcher._link
+        neighbor_bits = Hypergraph.neighbor_bits
 
-        def tracked(others, pool):
-            mask = link(others, pool)
-            anchors.add(others)
-            held.append(sum(m.nbytes for m in searcher._links.values()))
-            return mask
+        def tracked(self, v):
+            bits = neighbor_bits(self, v)
+            anchors.add(v)
+            held.append(len(self._rows) * row)
+            return bits
 
-        monkeypatch.setattr(searcher, "_link", tracked)
+        monkeypatch.setattr(Hypergraph, "neighbor_bits", tracked)
         assert searcher.find((), list(range(p))) is None
         assert searcher.remaining == 0
-        assert len(anchors) == p  # kept, these links would hold p * p bytes
-        assert limit <= max(held) < limit + p
-        assert searcher._links == {}
+        assert len(anchors) == p  # kept, these rows would hold p * p / 8 bytes
+        assert limit <= max(held) < limit + row
 
 
 class TestCopySearchDigest:

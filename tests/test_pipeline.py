@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -13,6 +14,7 @@ from hampow.pipeline import (
     FailureReport,
     ModelSpec,
     Parameters,
+    _attempt,
     cover_with_paths,
     find_hamilton,
     find_hamilton_detailed,
@@ -22,7 +24,7 @@ from hampow.pipeline import (
 )
 from hampow.randmodels import BipartiteGraph, derive, sample_bipartite, sample_uniform_hypergraph
 
-from oracles import complement_twin, edge_twin
+from oracles import complement_twin, edge_twin, hopcroft_karp, per_step_cover
 
 
 def complete_graph(n):
@@ -65,6 +67,17 @@ class TestPerfectMatching:
     def test_determinism(self):
         b = sample_bipartite(40, 0.2, seed=5)
         assert perfect_matching(b) == perfect_matching(b)
+
+    def test_matches_plain_hopcroft_karp(self):
+        # the greedy pass is Hopcroft-Karp's first phase, so both return the same
+        graphs = [BipartiteGraph(s, s, np.empty(0, dtype=np.int64)) for s in range(10)]
+        for s in range(10):
+            for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+                graphs += [sample_bipartite(s, p, derive(29, s, seed)) for seed in range(34)]
+        assert len(graphs) >= 2000
+        outcomes = [perfect_matching(B) for B in graphs]
+        assert outcomes == [hopcroft_karp(B) for B in graphs]
+        assert None in outcomes and sum(m is not None and len(m) > 4 for m in outcomes) > 500
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_networkx_maximum_matching(self, seed):
@@ -149,11 +162,56 @@ class TestCoverWithPaths:
         monkeypatch.setattr(Hypergraph, "has_edge", counting)
         fam = cover_with_paths(host, range(n), (), t=t, k=k, mode=mode)
         assert len(fam.paths) == n // t
-        # at most one batch per step, of every window that lies inside the parts so far
+        # at most one batch per step, of every window that lies inside the parts so far;
+        # a 2-uniform host is asked each window's s * s rows once, before the steps
         s = n // t
         windows = [min(j, k) if mode == "power" else int(j >= k) for j in range(1, t)]
         assert len(calls) <= t - 1
-        assert [c for c in calls if c] == [c * s * s for c in windows if c]
+        if mode == "power":
+            assert sum(calls) == sum(windows) * s * s
+        else:
+            assert [c for c in calls if c] == [c * s * s for c in windows if c]
+
+    @pytest.mark.parametrize("mode,k,n,t,p", [
+        ("power", 1, 40, 4, 0.5),
+        ("power", 2, 40, 5, 0.7),
+        ("power", 3, 36, 6, 0.85),
+        ("tight", 1, 30, 5, 0.5),
+        ("power", 2, 40, 5, 0.4),  # every cover meets a step with no perfect matching
+    ])
+    def test_a_2_uniform_cover_matches_the_per_step_oracle(self, mode, k, n, t, p):
+        outcomes = []
+        for seed in range(6):
+            g = sample_uniform_hypergraph(2, n, p, seed=seed)
+            order = sorted(range(n), key=lambda v: derive(seed, 5, v))
+            pool = order[:t * (n // t - 1)]
+            uncovered, borrowed = pool[:len(pool) // 2], pool[len(pool) // 2:]
+            for host in (edge_twin(g), complement_twin(g)):
+                pair = []
+                for cover in (cover_with_paths, per_step_cover):
+                    try:
+                        pair.append(cover(host, uncovered, borrowed, t, k, mode))
+                    except PhaseFailure as e:
+                        pair.append((e.phase, e.message, e.details))
+                assert pair[0] == pair[1]
+                outcomes.append(pair[0])
+        failed = sum(isinstance(out, tuple) for out in outcomes)
+        assert failed == len(outcomes) if p == 0.4 else failed < len(outcomes)
+
+
+class TestAttemptMemory:
+    def test_a_power_attempt_drops_each_round_when_its_phase_ends(self):
+        # the first round's codes, CSR and rows are gone before the cover, and the
+        # second round's before the merge builds the third round's CSR
+        cfg = Parameters(k=2, mode="power", seed=1)
+        plan = resolve_plan(3000, cfg)
+        tracemalloc.start()
+        try:
+            _attempt(ModelSpec(n=3000, p=0.9995), cfg, plan, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 2 ** 20
 
 
 class TestCoverDigest:
