@@ -181,8 +181,8 @@ class Hypergraph:
         return _true_positions(keep, self._codes.dtype)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted array of the neighbours of v (2-uniform only): the true positions of v's row."""
-        return np.flatnonzero(self._row(v))
+        """Sorted array of the neighbours of v (2-uniform only): the set bits of v's row."""
+        return np.flatnonzero(np.unpackbits(self._row(v), count=self.n, bitorder="little"))
 
     def neighbor_bits(self, v: int) -> int:
         """The neighbours of v (2-uniform only) as a Python int whose bit w is w.
@@ -191,29 +191,38 @@ class Hypergraph:
         """
         bits = self._rows.get(_vertex(v))  # 1.0 would hash as 1
         if bits is None:
-            if self._adj is None:  # perfbench/spans.py times the rows' first build in neighbors
+            if self._adj is None:  # perfbench/spans.py times the adjacency's first build in neighbors
                 self.neighbors(v)
             if len(self._rows) * ((self.n + 7) // 8) >= _MEMO_BYTES:
                 self._rows.clear()
-            bits = self._rows[v] = _bits(self._row(v))
+            bits = self._rows[v] = int.from_bytes(self._row(v).tobytes(), "little")
         return bits
 
     def _row(self, v: int) -> np.ndarray:
-        """v's n-long bool row of the adjacency, from the stored CSR row, built on the first call."""
+        """v's row of the adjacency as ceil(n / 8) bytes, bit w % 8 of byte w // 8 set for each neighbour w.
+
+        The first call builds the adjacency in the smaller of two layouts:
+        packed rows, n * ceil(n / 8) bytes, or a CSR of two int32 ids a stored pair.
+        """
         if self.k != 2:
             raise ValueError("the adjacency requires a 2-uniform hypergraph")
         v = _vertex(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside range({self.n})")
         if self._adj is None:
-            self._adj = _csr(self._codes, self.n)
+            if self.n * ((self.n + 7) // 8) <= 8 * self._codes.size:
+                self._adj = _packed_rows(self._codes, self.n, self._complement)
+            else:
+                self._adj = _csr(self._codes, self.n)
+        if isinstance(self._adj, np.ndarray):
+            return self._adj[v]
         starts, dst = self._adj
         row = np.empty(self.n, dtype=bool)
         row.fill(self._complement)
         # numpy's own cast of an int32 index costs ~2 us of a ~6 us call
         row[dst[starts[v]:starts[v + 1]].astype(np.intp)] = not self._complement
         row[v] = False
-        return row
+        return np.packbits(row, bitorder="little")
 
     # -- equality / text ----------------------------------------------------
 
@@ -288,6 +297,10 @@ class Hypergraph:
 
 #: Edges formatted, or checked and encoded, per block: the temporaries stay small.
 _BLOCK = 1 << 14
+
+#: Pairs the packed row build flips at once: its ~10 bytes a pair of
+#: temporaries stay under half the rows' bytes from n = 1500 up.
+_PACK_BLOCK = _BLOCK // 4
 
 #: Bytes of vertex bitsets one owner (a host's rows, a copy search's links) may hold.
 _MEMO_BYTES = 1 << 24
@@ -409,6 +422,69 @@ def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         part = keys[lo:lo + _BLOCK]
         part -= part // n * n  # vertex ids: n < 2 ** 31 by check_encodable
     return starts, keys.astype(np.int32, copy=False)
+
+
+def _packed_rows(codes: np.ndarray, n: int, complement: bool) -> np.ndarray:
+    """The (n, ceil(n / 8)) uint8 rows whose bit w % 8 of byte (v, w // 8) says {v, w} is an edge.
+
+    The edges are the pairs with these sorted codes, or in complement form
+    all other pairs.  Row u's pairs (u, w > u) are the run of codes from
+    first[u], the code of (u, u + 1), so w = code - first[u] + u + 1.  The
+    pairs flip their bits a stretch of whole rows, about _PACK_BLOCK pairs,
+    at a time: bit (u, w) at u * 8 * width + w and bit (w, u) at
+    w * 8 * width + u, each an affine map of the code with one coefficient
+    per row.
+    """
+    width = (n + 7) // 8
+    line = 8 * width  # bits a row
+    dtype = code_dtype(n * line)
+    rows = np.full((n, width), 0xFF if complement else 0, dtype=np.uint8)
+    flat = rows.reshape(-1)
+    flip = np.subtract if complement else np.add
+    u = np.arange(n + 1, dtype=dtype)
+    if complement:  # no padding bit and no self-pair is an edge
+        if n % 8:
+            rows[:, -1] = (1 << n % 8) - 1
+        _flip_bits(flat, u[:-1] * (line + 1), flip)
+    first = u.astype(np.int64)
+    first *= 2 * n - 1 - first
+    first //= 2
+    starts = codes.searchsorted(first.astype(codes.dtype, copy=False))
+    first -= u + 1  # w = code - first[u]
+    across = u * line - first.astype(dtype)  # (u, w) is code + across[u]
+    first *= -line
+    first += u
+    # (w, u) is line * code + down[u]: in dtype, down and line * code wrap
+    # modulo its range, and their sum, below n * line, comes out exact
+    down = first.astype(dtype)
+    del first
+    count = np.diff(starts)
+    # a stretch begins at each row whose first code enters another _PACK_BLOCK
+    cuts = [*np.flatnonzero(np.diff(starts[:-1] // _PACK_BLOCK, prepend=-1)).tolist(), n]
+    for a, b in zip(cuts, cuts[1:]):
+        block = codes[starts[a]:starts[b]]
+        pos = np.repeat(across[a:b], count[a:b])
+        pos += block
+        _flip_bits(flat, pos, flip)
+        pos = block.astype(dtype)
+        pos *= line
+        pos += np.repeat(down[a:b], count[a:b])
+        _flip_bits(flat, pos, flip)
+    return rows
+
+
+def _flip_bits(flat: np.ndarray, pos: np.ndarray, flip: np.ufunc) -> None:
+    """Flip the bits at these distinct positions of a uint8 array, bit i % 8 of byte i // 8.
+
+    ``flip`` is ``np.add`` to set bits that are clear, ``np.subtract`` to clear
+    bits that are set: no two positions share a bit, so its sum over a byte is
+    their OR.  ``pos`` is overwritten.
+    """
+    bit = pos.astype(np.uint8)  # the low byte
+    bit &= 7
+    np.left_shift(1, bit, out=bit)
+    pos >>= 3
+    flip.at(flat, pos, bit)
 
 
 def _edge_columns(rows: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:

@@ -453,7 +453,7 @@ def _attempt(
     n, k, mode = plan.n, plan.k, plan.mode
     g1, g2, g3, full = attempt_rounds(source, cfg, r)
     chain = build_chain_absorber(g1, k, mode, ell=plan.ell, absorb_size=plan.absorb_size)
-    del g1  # each round is dropped when its phase ends, with its codes, CSR and rows
+    del g1  # each round is dropped when its phase ends, with its codes, adjacency and rows
     absorbable = sorted(chain.absorbable)
     a_vertices = chain.vertices()
     uncovered = [v for v in range(n) if v not in a_vertices]

@@ -155,28 +155,33 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
     return Hypergraph.from_codes(k, n, draw, complement=p > 0.5)
 
 
-def _merged(rounds: list[np.ndarray], total: int) -> np.ndarray:
-    """The sorted union of sorted codes below total, merged a stretch of about _BATCH at a time.
+def _merged(rounds: list[np.ndarray], total: int, times: int = 1) -> np.ndarray:
+    """The sorted codes below total found in at least ``times`` of these sorted, unique rounds.
 
-    The union and the stretch cuts take the rounds' dtype.
+    ``times`` = 1 is their union, ``times`` = len(rounds) their intersection.
+    They are merged a stretch of about _BATCH codes at a time, so no
+    temporary holds more than a stretch.  A code found in ``times`` rounds
+    is in at least one of any len(rounds) - times + 1 of them, which bounds
+    the result.  The result and the stretch cuts take the rounds' dtype.
     """
-    union = np.empty(sum(codes.size for codes in rounds), dtype=rounds[0].dtype)
-    stretches = union.size // _BATCH + 1
-    cuts = np.array([total * b // stretches for b in range(stretches + 1)], dtype=union.dtype)
+    sizes = sorted(codes.size for codes in rounds)
+    out = np.empty(sum(sizes[: len(rounds) - times + 1]), dtype=rounds[0].dtype)
+    stretches = sum(sizes) // _BATCH + 1
+    cuts = np.array([total * b // stretches for b in range(stretches + 1)], dtype=out.dtype)
     starts = [np.searchsorted(codes, cuts) for codes in rounds]
     size = 0
-    for b in range(cuts.size - 1):
-        pieces = [codes[at[b] : at[b + 1]] for codes, at in zip(rounds, starts)]
-        part = union[size : size + sum(piece.size for piece in pieces)]
-        np.concatenate(pieces, out=part)  # past the union so far: the stretch needs no copy
+    for b in range(stretches):
+        part = np.concatenate([codes[at[b] : at[b + 1]] for codes, at in zip(rounds, starts)])
         part.sort()
-        fresh = np.ones(part.size, dtype=bool)
-        np.not_equal(part[1:], part[:-1], out=fresh[1:])
-        part = part[fresh]
-        union[size : size + part.size] = part
-        size += part.size
-    union.resize(size, refcheck=False)
-    return union
+        # each round holds a code once, so a code found `times` times opens a run of that length
+        keep = np.zeros(part.size, dtype=bool)
+        np.equal(part[times - 1 :], part[: part.size - times + 1], out=keep[: part.size - times + 1])
+        keep[1:] &= part[1:] != part[:-1]
+        found = np.count_nonzero(keep)
+        np.compress(keep, part, out=out[size : size + found])
+        size += found
+    out.resize(size, refcheck=False)
+    return out
 
 
 def sample_three_rounds(
@@ -189,7 +194,7 @@ def sample_three_rounds(
     stores its smaller side: a round its edges at rate q <= 1/2, or its
     non-edges at rate 1 - q < 1/2.  The union is
     - for p <= 1/2, the rounds' edges merged;
-    - for q > 1/2, the codes in all three rounds' non-edges;
+    - for q > 1/2, the codes in all three rounds' non-edges, merged;
     - in between, the candidates no round has, found in one C(n, k) mask.
     When q <= 1/2 nothing is drawn before a result is first read: round i
     on its own first read, and the union from the rounds on its first read,
@@ -205,8 +210,7 @@ def sample_three_rounds(
     def union() -> np.ndarray:
         rounds = [g._codes for g in (g1, g2, g3)]
         if dense:
-            common = np.intersect1d(rounds[0], rounds[1], assume_unique=True)
-            return np.intersect1d(common, rounds[2], assume_unique=True)
+            return _merged(rounds, total, times=3)
         if p > 0.5:
             absent = np.ones(total, dtype=bool)
             for codes in rounds:
@@ -216,10 +220,10 @@ def sample_three_rounds(
 
     # The dense union stays eager, and so draws the rounds, for the traced
     # benchmark: perfbench/spans.py reads the union's edge_count right after
-    # its sampling span, so a deferred draw would put the rounds and the
-    # intersection (~30 ms at n = 3000 on a 2-core box, ~8 of them the
-    # intersection) outside every span, below the layer coverage its tests
-    # assert.  It can defer too once the spans live in src/.
+    # its sampling span, so a deferred draw would put the rounds and their
+    # merge (~22 ms at n = 3000 on a 2-core box, ~5 of them the merge)
+    # outside every span, below the layer coverage its tests assert.  It can
+    # defer too once the spans live in src/.
     return g1, g2, g3, Hypergraph.from_codes(k, n, union() if dense else union, complement=p > 0.5)
 
 

@@ -256,6 +256,16 @@ def complement_twin(g: Hypergraph) -> Hypergraph:
     return Hypergraph.from_codes(g.k, g.n, codes, complement=True)
 
 
+def common_codes(rounds: list[np.ndarray]) -> np.ndarray:
+    """The codes found in all three sorted, unique rounds, by two whole-round intersections.
+
+    This is how ``sample_three_rounds`` found the dense union before it merged
+    the rounds a stretch at a time.
+    """
+    common = np.intersect1d(rounds[0], rounds[1], assume_unique=True)
+    return np.intersect1d(common, rounds[2], assume_unique=True)
+
+
 def three_rounds_by_enumeration(
     k: int, n: int, p: float, seed: int
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:

@@ -451,7 +451,7 @@ class TestCodeDtype:
 
 
 class TestAdjacency:
-    """``neighbors`` and ``neighbor_bits`` against a brute-force adjacency, in both storage forms."""
+    """``neighbors`` and ``neighbor_bits`` against a brute-force adjacency, in both storage forms and both layouts."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -480,21 +480,53 @@ class TestAdjacency:
                 assert row.tolist() == expected
                 assert bits == sum(1 << w for w in expected)
 
+    @staticmethod
+    def assert_rows_match_its_edges(host):
+        dense = np.zeros((host.n, host.n), dtype=bool)
+        u, w = np.array(list(host.edges()), dtype=np.int64).reshape(-1, 2).T
+        dense[u, w] = dense[w, u] = True
+        for v in range(host.n):
+            assert np.array_equal(host.neighbors(v), np.flatnonzero(dense[v]))
+            assert host.neighbor_bits(v) == sum(1 << w for w in np.flatnonzero(dense[v]).tolist())
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_rows_built_over_several_blocks_match_a_dense_adjacency(self, seed):
-        # more stored pairs than one block of the row build, and a partial last block
-        g = sample_uniform_hypergraph(2, 200, 0.5, seed)
-        twin = complement_twin(g)
-        assert not g._complement and twin._complement
-        for host in (g, twin):
-            assert 2 * host._codes.size > core._BLOCK and 2 * host._codes.size % core._BLOCK
-        dense = np.zeros((200, 200), dtype=bool)
-        for u, w in g.edges():
-            dense[u, w] = dense[w, u] = True
-        for host in (g, twin):
-            for v in range(200):
-                assert np.array_equal(host.neighbors(v), np.flatnonzero(dense[v]))
-                assert host.neighbor_bits(v) == sum(1 << w for w in np.flatnonzero(dense[v]).tolist())
+        # more stored pairs than one block of the row build, and a partial last
+        # block: the CSR sorts two keys a pair, the packed rows flip two bits a pair
+        sparse, dense, middle = (sample_uniform_hypergraph(2, n, p, seed)
+                                 for n, p in [(1200, 0.025), (1200, 0.975), (300, 0.5)])
+        assert dense._complement and not middle._complement
+        for host, packed in [(sparse, False), (dense, False), (middle, True), (complement_twin(middle), True)]:
+            assert host._codes.size > core._BLOCK and 2 * host._codes.size % core._BLOCK
+            self.assert_rows_match_its_edges(host)
+            assert isinstance(host._adj, np.ndarray) == packed
+
+    @pytest.mark.parametrize("n", [16, 21, 40])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_the_smaller_layout_is_built_on_each_side_of_the_threshold(self, n, complement):
+        # packed rows take n * ceil(n / 8) bytes, the CSR two int32 ids a stored pair
+        least = -(-n * ((n + 7) // 8) // 8)  # the fewest stored pairs the packed rows fit in
+        codes = np.random.default_rng(n).choice(math.comb(n, 2), least, replace=False)
+        for stored, packed in ((least, True), (least - 1, False)):
+            host = Hypergraph.from_codes(2, n, np.sort(codes[:stored]), complement=complement)
+            self.assert_rows_match_its_edges(host)
+            assert isinstance(host._adj, np.ndarray) == packed
+
+    @pytest.mark.parametrize("host", [Hypergraph(2, 2000, ()), Hypergraph.complete(2, 2000)])
+    def test_a_host_that_stores_no_pair_builds_the_csr(self, host):
+        # packed rows would hold 0.5 MB for nothing stored
+        vertices = [0, 1, 999, 1998, 1999]
+        for v in vertices:
+            expected = [w for w in range(2000) if w != v] if host.is_complete else []
+            assert host.neighbors(v).tolist() == expected
+            assert host.neighbor_bits(v) == sum(1 << w for w in expected)
+        assert isinstance(host._adj, tuple)
+
+    def test_a_dense_complement_host_builds_packed_rows(self):
+        host = sample_uniform_hypergraph(2, 203, 0.9, 5)
+        assert host._complement
+        self.assert_rows_match_its_edges(host)
+        assert isinstance(host._adj, np.ndarray) and host._adj.shape == (203, 26)
 
     @pytest.mark.parametrize("host", [complete_graph(5), Hypergraph.complete(2, 5)])
     def test_a_vertex_outside_the_range_is_refused(self, host):
@@ -533,6 +565,19 @@ class TestAdjacency:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * (starts.nbytes + rows.nbytes)
+
+    def test_the_packed_row_build_peaks_within_half_again_its_output(self):
+        # the pairs flip their bits a stretch of rows at a time, with a few
+        # bytes a pair of temporaries, on the codes the CSR case above sorts
+        codes = sample_uniform_hypergraph(2, 1500, 0.92, 7)._codes
+        tracemalloc.start()
+        try:
+            rows = core._packed_rows(codes, 1500, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (1500, 188)
+        assert peak <= 1.5 * rows.nbytes
 
 
 class TestTemplates:

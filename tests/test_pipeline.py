@@ -201,8 +201,8 @@ class TestCoverWithPaths:
 
 class TestAttemptMemory:
     def test_a_power_attempt_drops_each_round_when_its_phase_ends(self):
-        # the first round's codes, CSR and rows are gone before the cover, and the
-        # second round's before the merge builds the third round's CSR
+        # the first round's codes, adjacency and rows are gone before the cover, and
+        # the second round's before the merge builds the third round's adjacency
         cfg = Parameters(k=2, mode="power", seed=1)
         plan = resolve_plan(3000, cfg)
         tracemalloc.start()
@@ -211,7 +211,7 @@ class TestAttemptMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 9.5 * 2 ** 20
+        assert peak < 7 * 2 ** 20
 
 
 class TestCoverDigest:

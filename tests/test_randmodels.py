@@ -26,7 +26,7 @@ from hampow.randmodels import (
     uniform_stream,
 )
 
-from oracles import three_rounds_by_enumeration
+from oracles import common_codes, three_rounds_by_enumeration
 
 
 class TestMixing:
@@ -234,9 +234,9 @@ class TestThreeRound:
     def test_sparse_rounds_are_drawn_on_first_read(self, monkeypatch):
         calls = Counter()
         for name in ("_bernoulli_ranks", "_merged"):
-            def counted(*args, name=name, orig=getattr(randmodels, name)):
+            def counted(*args, name=name, orig=getattr(randmodels, name), **kwargs):
                 calls[name] += 1
-                return orig(*args)
+                return orig(*args, **kwargs)
             monkeypatch.setattr(randmodels, name, counted)
         # this find fails in factor, which reads round 1 alone: one draw, no merge
         report = find_hamilton(ModelSpec(1000, 0.05), Parameters(k=2, mode="tight", retries=0, seed=3))
@@ -253,10 +253,10 @@ class TestThreeRound:
         union.edge_count
         union.has_edge([0, 1])
         assert calls == {"_bernoulli_ranks": 3, "_merged": 1}
-        # q > 1/2: the rounds are drawn before the sampler returns
+        # q > 1/2: the rounds are drawn and their common codes merged before the sampler returns
         calls.clear()
         sample_three_rounds(2, 300, 0.9995, seed=1)
-        assert calls == {"_bernoulli_ranks": 3}
+        assert calls == {"_bernoulli_ranks": 3, "_merged": 1}
 
     @pytest.mark.parametrize("k,n,p", [(3, 400, 0.05), (2, 3000, 0.9995), (2, 2000, 0.6),
                                        (2, 2000, 0.3)])
@@ -331,6 +331,26 @@ class TestThreeRound:
         with mock.patch.object(randmodels, "_BATCH", data.draw(st.integers(1, 8))):
             union = randmodels._merged(rounds, total)
         assert union.tolist() == reduce(np.union1d, rounds).tolist()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_merged_common_codes_are_the_rounds_intersection(self, data):
+        total = data.draw(st.integers(1, 60))
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+        batch = data.draw(st.integers(1, 8))
+        sizes = [data.draw(st.integers(0, total)) for _ in range(3)]  # empty rounds included
+        # the codes that open a stretch, by the rule _merged cuts with
+        stretches = sum(sizes) // batch + 1
+        cuts = sorted({total * b // stretches for b in range(stretches)})
+        rounds = []
+        for size in sizes:
+            on_cuts = data.draw(st.lists(st.sampled_from(cuts), unique=True, max_size=min(size, len(cuts))))
+            rest = data.draw(st.permutations(sorted(set(range(total)) - set(on_cuts))))
+            rounds.append(np.array(sorted(on_cuts + rest[: size - len(on_cuts)]), dtype=dtype))
+        with mock.patch.object(randmodels, "_BATCH", batch):
+            common = randmodels._merged(rounds, total, times=3)
+        assert common.dtype == dtype
+        assert common.tolist() == common_codes(rounds).tolist()
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
