@@ -66,11 +66,18 @@ class Backbone:
     ell: int
     mode: str
     graph: Hypergraph = field(init=False)
+    # each block's head and tail tuples, then the pieces around and through x
+    _ends: tuple[tuple[VertexTuple, ...], ...] = field(init=False, repr=False, compare=False)
+    _pieces: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = uniformity(self.k, self.mode)
         if self.ell < 3 or self.ell % 2 == 0:
             raise ValueError(f"backbone needs odd ell >= 3, got {self.ell}")
+        blocks = [self.block(i) for i in range(1, self.ell + 1)]
+        ends = tuple(tuple(VertexTuple(b[j:j + self.k]) for b in blocks) for j in (0, self.k))
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_pieces", (tuple(self._walk(False)), tuple(self._walk(True))))
         paths = [
             Hypergraph(w, self.vertex_count, np.concatenate([
                 rows
@@ -95,24 +102,30 @@ class Backbone:
         return 1 + 2 * self.k * self.ell
 
     def block(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.ell:
-            raise ValueError(f"block index {i} out of range 1..{self.ell}")
-        base = 1 + (i - 1) * 2 * self.k
+        base = 1 + self._index(i) * 2 * self.k
         return tuple(range(base, base + 2 * self.k))
 
     def head(self, i: int) -> VertexTuple:
-        return VertexTuple(self.block(i)[: self.k])
+        return self._ends[0][self._index(i)]
 
     def tail(self, i: int) -> VertexTuple:
-        return VertexTuple(self.block(i)[self.k:])
+        return self._ends[1][self._index(i)]
+
+    def _index(self, i: int) -> int:
+        if not 1 <= i <= self.ell:
+            raise ValueError(f"block index {i} out of range 1..{self.ell}")
+        return i - 1
 
     def pieces(self, include_x: bool) -> list[tuple[int, ...]]:
-        """The ell pieces of the spanning path from head(1) to tail(ell).
+        """The ell pieces of the spanning path from head(1) to tail(ell), computed once.
 
         Through x: block 1 with x between its tuples, then blocks 2..ell.
         Around x: each piece ends on a reversed tail and the next starts on
         a reversed head, so the connectors are walked backwards.
         """
+        return list(self._pieces[include_x])
+
+    def _walk(self, include_x: bool) -> list[tuple[int, ...]]:
         ell = self.ell
         if include_x:
             first = tuple(self.head(1)) + (self.x,) + tuple(self.tail(1))
@@ -148,6 +161,7 @@ class SingleVertexAbsorber:
     backbone: Backbone
     embedding: dict[int, int]
     connectors: tuple[tuple[int, ...], ...]
+    _walks: dict[bool, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bb = self.backbone
@@ -183,12 +197,15 @@ def absorb_single(ab: SingleVertexAbsorber, include_x: bool) -> tuple[int, ...]:
 
     Both traversals run from the a-tuple to the b-tuple: the embedded
     backbone pieces joined by the connectors, walked forwards through x and
-    backwards around it.
+    backwards around it.  Each absorber walks each traversal once.
     """
-    g = ab.embedding
-    pieces = [[g[v] for v in piece] for piece in ab.backbone.pieces(include_x)]
-    connectors = ab.connectors if include_x else [seq[::-1] for seq in ab.connectors]
-    return splice(pieces, connectors, ab.backbone.k)
+    walk = ab._walks.get(include_x)
+    if walk is None:
+        g = ab.embedding
+        pieces = [[g[v] for v in piece] for piece in ab.backbone.pieces(include_x)]
+        connectors = ab.connectors if include_x else [seq[::-1] for seq in ab.connectors]
+        walk = ab._walks[include_x] = splice(pieces, connectors, ab.backbone.k)
+    return walk
 
 
 @dataclass(frozen=True)

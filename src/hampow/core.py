@@ -195,7 +195,9 @@ class Hypergraph:
                 self.neighbors(v)
             if len(self._rows) * ((self.n + 7) // 8) >= _MEMO_BYTES:
                 self._rows.clear()
-            bits = self._rows[v] = int.from_bytes(self._row(v).tobytes(), "little")
+            adj = self._adj
+            row = adj[v] if isinstance(adj, np.ndarray) and 0 <= v < self.n else self._row(v)
+            bits = self._rows[v] = int.from_bytes(row, "little")
         return bits
 
     def _row(self, v: int) -> np.ndarray:
@@ -298,8 +300,8 @@ class Hypergraph:
 #: Edges formatted, or checked and encoded, per block: the temporaries stay small.
 _BLOCK = 1 << 14
 
-#: Pairs the packed row build flips at once: its ~10 bytes a pair of
-#: temporaries stay under half the rows' bytes from n = 1500 up.
+#: Fewest pairs the packed row build flips at once (else one per 64 bytes of rows):
+#: its ~10 bytes a pair of temporaries stay under half the rows' bytes from n = 1500 up.
 _PACK_BLOCK = _BLOCK // 4
 
 #: Bytes of vertex bitsets one owner (a host's rows, a copy search's links) may hold.
@@ -430,10 +432,10 @@ def _packed_rows(codes: np.ndarray, n: int, complement: bool) -> np.ndarray:
     The edges are the pairs with these sorted codes, or in complement form
     all other pairs.  Row u's pairs (u, w > u) are the run of codes from
     first[u], the code of (u, u + 1), so w = code - first[u] + u + 1.  The
-    pairs flip their bits a stretch of whole rows, about _PACK_BLOCK pairs,
-    at a time: bit (u, w) at u * 8 * width + w and bit (w, u) at
-    w * 8 * width + u, each an affine map of the code with one coefficient
-    per row.
+    pairs flip their bits a stretch of whole rows, about max(_PACK_BLOCK,
+    rows' bytes / 64) pairs, at a time: bit (u, w) at u * 8 * width + w and
+    bit (w, u) at w * 8 * width + u, each an affine map of the code with one
+    coefficient per row.
     """
     width = (n + 7) // 8
     line = 8 * width  # bits a row
@@ -459,8 +461,9 @@ def _packed_rows(codes: np.ndarray, n: int, complement: bool) -> np.ndarray:
     down = first.astype(dtype)
     del first
     count = np.diff(starts)
-    # a stretch begins at each row whose first code enters another _PACK_BLOCK
-    cuts = [*np.flatnonzero(np.diff(starts[:-1] // _PACK_BLOCK, prepend=-1)).tolist(), n]
+    # a stretch begins at each row whose first code enters another block of per pairs
+    per = max(_PACK_BLOCK, rows.nbytes // 64)
+    cuts = [*np.flatnonzero(np.diff(starts[:-1] // per, prepend=-1)).tolist(), n]
     for a, b in zip(cuts, cuts[1:]):
         block = codes[starts[a]:starts[b]]
         pos = np.repeat(across[a:b], count[a:b])

@@ -8,7 +8,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from hampow.core import Hypergraph
-from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
+from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher, _vertex_bits
 
 __all__ = ["almost_factor", "factor_in_window"]
 
@@ -23,7 +23,7 @@ def _greedy(
 ) -> list[dict[int, int]]:
     """Disjoint copies, each the first one in the lowest ``window`` vertices still unused.
 
-    ``unused`` is an ascending int64 array; ``window`` None views all of it.
+    ``unused`` is an ascending int64 array, kept beside it as a bitset; ``window`` None views all of it.
     A search comes whenever ``done(copies, unused left)`` is false.  One that
     finds no copy raises ``fail(view, copies, unused left)``, and one that
     runs out of budget raises ``fail(None, copies, unused left)``.
@@ -33,17 +33,22 @@ def _greedy(
     if template.n == 0:
         raise ValueError("template has no vertices")
     searcher = _CopySearcher(host, template, root=())
+    free = _vertex_bits(unused, host.n)
     copies: list[dict[int, int]] = []
     while not done(len(copies), unused.size):
         view = unused[:window]
+        # the view's bits are the unused ones up to its last vertex
+        bits = free if window is None or not view.size else free & ~(-1 << int(view[-1]) + 1)
         try:
-            emb = searcher.find((), view)
+            emb = searcher.find_in((), bits, view)
         except SearchBudgetExceeded:
             raise fail(None, len(copies), unused.size) from None
         if emb is None:
             raise fail(view, len(copies), unused.size)
         copies.append(emb)
         unused = np.delete(unused, unused.searchsorted(list(emb.values())))
+        for v in emb.values():
+            free ^= 1 << v
     return copies
 
 

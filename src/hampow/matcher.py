@@ -144,18 +144,22 @@ class _CopySearcher:
         here: :func:`connect_family` checks it.  None means no copy exists;
         running out of budget raises :class:`SearchBudgetExceeded`.
         """
+        pool = np.asarray(allowed, dtype=np.int64)
+        return self.find_in(y, _vertex_bits(pool, self.host.n), pool)
+
+    def find_in(self, y: Sequence[int], bits: int, pool: np.ndarray | None = None) -> dict[int, int] | None:
+        """:meth:`find` with the reservoir as a bitset; a k >= 3 search derives its ascending ``pool`` if not given."""
         images: dict[int, int] = dict(zip(self.root, y))
         if self.root_edges and not self.host.has_edge(
             np.array([[images[v] for v in e] for e in self.root_edges], dtype=np.int64)
         ).all():
             return None
         if not self.order:
-            return dict(images)
+            return images
+        if pool is None and self.host.k != 2:  # the bits' vertices, ascending
+            raw = np.frombuffer(bits.to_bytes((self.host.n + 7) // 8, "little"), dtype=np.uint8)
+            pool = np.flatnonzero(np.unpackbits(raw, count=self.host.n, bitorder="little"))
         used = 0
-        pool = np.asarray(allowed, dtype=np.int64)
-        if pool.size and not 0 <= pool[0] <= pool[-1] < self.host.n:  # a bitset holds no other vertex
-            raise ValueError(f"allowed vertices must lie in range({self.host.n})")
-        bits = _vertex_bits(pool, self.host.n)
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
         iters: list[Iterable[int]] = [self._candidates(0, images, used, pool, bits)]
@@ -181,12 +185,17 @@ class _CopySearcher:
     def _candidates(self, depth, images, used, pool, bits):
         """Pool vertices outside the bitset ``used`` that extend the partial embedding, ascending.
 
-        ``pool`` holds the allowed vertices as an ascending int64 array and
-        ``bits`` as a bitset; a candidate must lie in the link of every anchor.
+        ``bits`` holds the allowed vertices as a bitset and ``pool`` (read by k >= 3 links)
+        as an ascending int64 array; a candidate must lie in the link of every anchor.
         """
         fits = bits & ~used
-        for others in self.anchors[depth]:
-            fits &= self._link(others, images, pool)
+        if self.host.k == 2:  # the link of an anchor is the host's row of its one image
+            row = self.host.neighbor_bits
+            for (u,) in self.anchors[depth]:
+                fits &= row(images[u])
+        else:
+            for others in self.anchors[depth]:
+                fits &= self._link(others, images, pool)
         # the pool vertices up to each fitting one are charged in the next()
         # call that yields it, the rest when the stream ends
         scanned = 0
@@ -194,19 +203,19 @@ class _CopySearcher:
             low = fits & -fits
             fits ^= low
             at = (bits & (low - 1)).bit_count() + 1
-            self._charge(at - scanned)
+            self.remaining -= at - scanned
+            if self.remaining < 0:
+                self._charge(0)  # leaves -1 and raises
             scanned = at
             yield low.bit_length() - 1
         self._charge(bits.bit_count() - scanned)
 
     def _link(self, others: tuple[int, ...], images: dict[int, int], pool: np.ndarray) -> int:
-        """The bitset of the w forming an edge with the images of an anchor's template vertices ``others``.
+        """The bitset of the pool's w forming an edge with the images of an anchor's template vertices ``others``.
 
-        2-uniform, the host's row of the one image; else the pool's vertices, memoised for the find.
+        k >= 3 only (a 2-uniform link is a host row); memoised for the find.
         """
         host = self.host
-        if host.k == 2:
-            return host.neighbor_bits(images[others[0]])
         key = tuple(sorted([images[u] for u in others]))
         bits = self._links.get(key)
         if bits is None:
@@ -226,10 +235,12 @@ class _CopySearcher:
             raise SearchBudgetExceeded()
 
 
-def _vertex_bits(vertices: np.ndarray, n: int, keep: np.ndarray | bool = True) -> int:
-    """A bitset of an int array's distinct vertices, each in ``range(n)``, where ``keep`` is true."""
+def _vertex_bits(pool: np.ndarray, n: int, keep: np.ndarray | bool = True) -> int:
+    """A bitset of an ascending int array's vertices where ``keep`` is true; one outside ``range(n)`` is refused."""
+    if pool.size and not 0 <= pool[0] <= pool[-1] < n:  # a bitset holds no other vertex
+        raise ValueError(f"allowed vertices must lie in range({n})")
     mask = np.zeros(n, dtype=bool)
-    mask[vertices] = keep
+    mask[pool] = keep
     return _bits(mask)
 
 
@@ -312,11 +323,11 @@ def connect_family(
     for part in parts:
         if not remaining:
             break
-        free = np.ones(part.size, dtype=bool)  # the slice less this round's copies
+        free = _vertex_bits(part, host.n)  # the slice less this round's copies
         still: list[int] = []
         for i in remaining:
             try:
-                emb = searcher.find(tuples[i], part[free])
+                emb = searcher.find_in(tuples[i], free)
             except SearchBudgetExceeded:
                 raise ConnectFailure(
                     phase,
@@ -329,7 +340,8 @@ def connect_family(
                 still.append(i)
             else:
                 embeddings[i] = emb
-                free[part.searchsorted([emb[v] for v in searcher.order])] = False
+                for v in searcher.order:
+                    free ^= 1 << emb[v]
         remaining = still
         trajectory.append(len(remaining))
     if remaining:

@@ -155,8 +155,12 @@ def perfect_matching(B: BipartiteGraph) -> dict[int, int] | None:
         return {}
     adj = B.adjacency()
     INF = float("inf")
-    match_l: list[int | None] = [None] * s
+    # the first phase: every left vertex is free at distance 0, so it is greedy
+    match_l = _greedy_pass([sum(1 << v for v in row) for row in adj], s)
     match_r: list[int | None] = [None] * s
+    for u, v in enumerate(match_l):
+        if v is not None:
+            match_r[v] = u
     dist = [0.0] * s
 
     def bfs() -> bool:
@@ -206,11 +210,6 @@ def perfect_matching(B: BipartiteGraph) -> dict[int, int] | None:
                     via.pop()
         return False
 
-    for u in range(s):  # the first phase: every left vertex is free at distance 0, so it is greedy
-        for v in adj[u]:
-            if match_r[v] is None:
-                match_l[u], match_r[v] = v, u
-                break
     size = s - match_l.count(None)
     while size < s and bfs():
         for u in range(s):
@@ -219,6 +218,30 @@ def perfect_matching(B: BipartiteGraph) -> dict[int, int] | None:
     if size != s:
         return None
     return {u: match_l[u] for u in range(s)}  # type: ignore[misc]
+
+
+def _greedy_pass(rows: Iterable[int], s: int) -> list[int | None]:
+    """Hopcroft-Karp's first phase: left vertex u in turn takes the lowest free right vertex of bitset rows[u], or None."""
+    free = (1 << s) - 1
+    out: list[int | None] = []
+    for row in rows:
+        row &= free
+        low = row & -row
+        free ^= low
+        out.append(low.bit_length() - 1 if low else None)
+    return out
+
+
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """The rows of a 2-D bool array as bitsets, bit u for column u."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if width <= 8:  # a row is one little-endian 64-bit word
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[lo:lo + width], "little") for lo in range(0, len(raw), width)]
 
 
 # -- covering with transversal paths -----------------------------------------
@@ -267,22 +290,32 @@ def cover_with_paths(
         raise ValueError("empty parts")
     parts = tuple(tuple(pool[j * s:(j + 1) * s]) for j in range(t))
     flat = np.array(pool, dtype=np.int64)  # part j is flat[j * s:(j + 1) * s]
-    at = np.repeat(np.arange(s)[:, None], t, axis=1)  # path i runs through vertex at[i, j] of part j
+    at = [list(range(s))]  # path i runs through vertex flat[at[j][i]] of part j
     # the path columns each new edge runs through, relative to the new column:
     # the edges a path on k + 1 vertices needs at its last vertex, less that vertex
     needed = np.concatenate([*required_edges(np.arange(k + 1), k, mode)])
     windows = needed[needed[:, -1] == k, :-1] - k
     near = _fits_ahead(host, flat, s, k) if host.k == 2 else None
+    if near is not None:  # ahead[d - 1][q]: near's window d of pool vertex q, as bits
+        ahead = [_bit_rows(near[:, d * s:(d + 1) * s]) for d in range(k)]
     for j in range(1, t):
         # fits[i, u]: vertex u of part j extends path i
         if near is not None:  # window d is the column j - d, whose vertices are part j - d reordered
+            bits = None
+            for d in range(1, min(k, j) + 1):
+                ends = map(ahead[d - 1].__getitem__, at[j - d])
+                bits = list(ends) if bits is None else list(map(int.__and__, bits, ends))
+            taken = _greedy_pass(bits, s)
+            if None not in taken:  # Hopcroft-Karp would stop after this first phase
+                at.append([j * s + u for u in taken])
+                continue
             fits = np.logical_and.reduce(
-                [near[(j - d) * s + at[:, j - d], (d - 1) * s:d * s] for d in range(1, min(k, j) + 1)])
+                [near[at[j - d], (d - 1) * s:d * s] for d in range(1, min(k, j) + 1)])
         else:  # rows[c, i, u]: window c of path i, then part vertex u
             cols = windows + j
             cols = cols[cols[:, 0] >= 0]  # a window that reaches before the first part is skipped
             rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
-            rows[..., :-1] = flat[cols * s + at[:, cols]].transpose(1, 0, 2)[:, :, None]
+            rows[..., :-1] = flat[np.array(at).T[:, cols]].transpose(1, 0, 2)[:, :, None]
             rows[..., -1] = flat[j * s:(j + 1) * s]
             fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
         matching = perfect_matching(BipartiteGraph.from_mask(fits))
@@ -294,12 +327,10 @@ def cover_with_paths(
                 parts=t,
                 paths=s,
             )
-        at[:, j] = [matching[i] for i in range(s)]
-    paths = flat[at + s * np.arange(t)]
-    family = CoverFamily(parts=parts, paths=tuple(map(tuple, paths.tolist())))
-    for j, part in enumerate(parts):
-        assert {p[j] for p in family.paths} == set(part)
-    return family
+        at.append([j * s + matching[i] for i in range(s)])
+    order = np.array(at)
+    assert (np.sort(order, axis=1) == np.arange(t * s).reshape(t, s)).all()  # each part's vertices once
+    return CoverFamily(parts=parts, paths=tuple(map(tuple, flat[order.T].tolist())))
 
 
 def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> np.ndarray:
@@ -455,8 +486,9 @@ def _attempt(
     chain = build_chain_absorber(g1, k, mode, ell=plan.ell, absorb_size=plan.absorb_size)
     del g1  # each round is dropped when its phase ends, with its codes, adjacency and rows
     absorbable = sorted(chain.absorbable)
-    a_vertices = chain.vertices()
-    uncovered = [v for v in range(n) if v not in a_vertices]
+    left = np.ones(n, dtype=bool)
+    left[list(chain.vertices())] = False  # the links' walks through x, walked by the build
+    uncovered = np.flatnonzero(left).tolist()
     borrowed = absorbable[: plan.borrow]
     cover = cover_with_paths(g2, uncovered, borrowed, plan.cover_parts, k, mode)
     del g2
@@ -474,11 +506,12 @@ def _attempt(
     absorb_path = absorb(chain, exclude)
     # a .. b, Z1, Q1, Z2, ..., Qs, Z_{s+1}: the last merge connector closes at a
     cycle = splice([absorb_path, *cover.paths, ()], merge.sequences, k)
-    if len(cycle) != n or set(cycle) != set(range(n)):
+    distinct = len(set(cycle))
+    if not len(cycle) == distinct == n or not 0 <= min(cycle) <= max(cycle) < n:
         raise PhaseFailure(
             "assembly",
             f"vertex accounting failed: cycle has {len(cycle)} entries, "
-            f"{len(set(cycle))} distinct, host has {n}",
+            f"{distinct} distinct, host has {n}",
         )
     cert = CycleCertificate(mode=mode, k=k, order=cycle)
     if not verify_certificate(full, cert):

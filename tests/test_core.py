@@ -40,7 +40,7 @@ from hampow.core import (
     verify_certificate,
 )
 
-from oracles import complement_twin, is_embedding, power_cycle_pairs, row_set, tight_windows
+from oracles import complement_twin, edge_twin, is_embedding, power_cycle_pairs, row_set, tight_windows
 
 
 def complete_graph(n):
@@ -565,6 +565,24 @@ class TestAdjacency:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * (starts.nbytes + rows.nbytes)
+
+    def test_rows_built_over_several_scaled_stretches_match_a_dense_adjacency(self):
+        # from n = 1500 up a stretch holds one pair per 64 bytes of rows, more than
+        # _PACK_BLOCK; both storage forms of the host are past the packed threshold
+        n = 1500
+        dense_host = sample_uniform_hypergraph(2, n, 0.92, 7)
+        edges = core._decode_codes(dense_host.edge_codes(), n, 2)
+        dense = np.zeros((n, n), dtype=bool)
+        dense[edges[:, 0], edges[:, 1]] = dense[edges[:, 1], edges[:, 0]] = True
+        per = n * ((n + 7) // 8) // 64
+        assert per > core._PACK_BLOCK and dense_host._complement
+        for host in (dense_host, edge_twin(dense_host)):  # non-edges stored, then edges
+            assert host._codes.size >= 3 * per  # several stretches
+            rows = core._packed_rows(host._codes, n, host._complement)
+            assert np.array_equal(np.unpackbits(rows, axis=1, count=n, bitorder="little"), dense)
+            for v in (0, 1, 749, n - 2, n - 1):
+                assert np.array_equal(host.neighbors(v), np.flatnonzero(dense[v]))
+            assert isinstance(host._adj, np.ndarray)
 
     def test_the_packed_row_build_peaks_within_half_again_its_output(self):
         # the pairs flip their bits a stretch of rows at a time, with a few

@@ -229,6 +229,40 @@ class TestFindRootedCopy:
         oracle = _CopySearcher(host, template, root)
         assert got == steps(charged_scan(oracle, depth, images, used, allowed), oracle)
 
+    @pytest.mark.parametrize("w,p,budget,template,root", [
+        (2, 0.5, 150, connecting_path_template(2, 8), (0, 1, 6, 7)),
+        (3, 0.2, 700, tight_path_template(2, 7), (0, 1, 5, 6)),
+    ])
+    def test_a_bitset_pool_finds_and_spends_as_the_array_pool(self, w, p, budget, template, root):
+        # the copy search of connect_family and the factor takes the caller's
+        # bitset; a k >= 3 search derives its array for the has_edge links
+        host = sample_uniform_hypergraph(w, 30, p, seed=w)
+        outcomes = []
+        for by_bits in (False, True):
+            searcher = _CopySearcher(host, template, root)
+            searcher.remaining = budget  # some searches find nothing, and the later ones run out
+            for call in range(8):
+                order = sorted(range(30), key=lambda v: derive(w, call, v))
+                y, allowed = order[:len(root)], sorted(order[len(root):len(root) + 6 + 3 * call])
+                try:
+                    if by_bits:
+                        emb = searcher.find_in(y, sum(1 << v for v in allowed))
+                    else:
+                        emb = searcher.find(y, allowed)
+                except SearchBudgetExceeded:
+                    emb = "exceeded"
+                outcomes.append((emb, searcher.remaining))
+        half = len(outcomes) // 2
+        assert outcomes[:half] == outcomes[half:]
+        assert {type(emb) for emb, _ in outcomes} == {dict, type(None), str}
+        # the callers build the bitset, and refuse a vertex outside the host
+        with pytest.raises(ValueError, match=r"allowed vertices must lie in range\(30\)"):
+            _CopySearcher(host, template, root).find(y, allowed + [30])
+        with pytest.raises(ValueError, match=r"range\(30\)"):
+            connect_family(host, template, root, [y], [-1] + allowed, rounds=1)  # -1 is in the first slice
+        with pytest.raises(ValueError, match=r"range\(30\)"):
+            factor_in_window(host, template, allowed + [30], quota=1)
+
     @pytest.mark.parametrize("w", [2, 3])
     def test_allowed_vertices_outside_the_host_are_refused(self, w):
         # a pool is a bitset of the host's vertices, where -1 would read as vertex n - 1

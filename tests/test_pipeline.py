@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from hampow import pipeline
 from hampow.absorber import chain_capacity
 from hampow.core import CycleCertificate, Hypergraph, uniformity, verify_certificate
 from hampow.matcher import PhaseFailure
@@ -178,9 +179,15 @@ class TestCoverWithPaths:
         ("power", 3, 36, 6, 0.85),
         ("tight", 1, 30, 5, 0.5),
         ("power", 2, 40, 5, 0.4),  # every cover meets a step with no perfect matching
+        ("power", 2, 40, 5, 0.8),  # every cover succeeds, some steps past the greedy pass
+        ("power", 1, 140, 2, 0.95),  # 69 paths: a fit row is wider than one 64-bit word
     ])
-    def test_a_2_uniform_cover_matches_the_per_step_oracle(self, mode, k, n, t, p):
-        outcomes = []
+    def test_a_2_uniform_cover_matches_the_per_step_oracle(self, monkeypatch, mode, k, n, t, p):
+        # a step runs Hopcroft-Karp only when the greedy pass leaves a path unmatched
+        matchings = []
+        matching = pipeline.perfect_matching
+        monkeypatch.setattr(pipeline, "perfect_matching", lambda B: matchings.append(B) or matching(B))
+        outcomes, runs = [], []
         for seed in range(6):
             g = sample_uniform_hypergraph(2, n, p, seed=seed)
             order = sorted(range(n), key=lambda v: derive(seed, 5, v))
@@ -188,6 +195,7 @@ class TestCoverWithPaths:
             uncovered, borrowed = pool[:len(pool) // 2], pool[len(pool) // 2:]
             for host in (edge_twin(g), complement_twin(g)):
                 pair = []
+                matchings.clear()
                 for cover in (cover_with_paths, per_step_cover):
                     try:
                         pair.append(cover(host, uncovered, borrowed, t, k, mode))
@@ -195,8 +203,11 @@ class TestCoverWithPaths:
                         pair.append((e.phase, e.message, e.details))
                 assert pair[0] == pair[1]
                 outcomes.append(pair[0])
+                runs.append(len(matchings))
         failed = sum(isinstance(out, tuple) for out in outcomes)
         assert failed == len(outcomes) if p == 0.4 else failed < len(outcomes)
+        if p == 0.8:
+            assert failed == 0 and all(0 < r < t - 1 for r in runs)
 
 
 class TestAttemptMemory:
