@@ -188,9 +188,6 @@ class SingleVertexAbsorber:
     def x(self) -> int:
         return self.embedding[self.backbone.x]
 
-    def vertices(self) -> set[int]:
-        return set(absorb_single(self, True))
-
 
 def absorb_single(ab: SingleVertexAbsorber, include_x: bool) -> tuple[int, ...]:
     """Spanning path of the single-vertex absorber, with or without x.

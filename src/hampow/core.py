@@ -110,7 +110,8 @@ class Hypergraph:
 
         They are the edges, or with ``complement`` the non-edges.  ``codes``
         may also be a function of no arguments that returns them: it is
-        called on their first read, and the array it returns is kept.
+        called on their first read, the array it returns is kept, and the
+        function is dropped.
         """
         g = cls(k, n, ())
         if callable(codes):
@@ -125,8 +126,11 @@ class Hypergraph:
         # only a slot never set gets here; once drawn, ``_codes`` is read directly
         if name != "_codes":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        dtype = code_dtype(math.comb(self.n, self.k))
-        self._codes = codes = np.asarray(self._draw(), dtype=dtype)
+        draw = self._draw
+        if draw is None:  # another thread drew them meanwhile
+            return self._codes
+        self._codes = codes = np.asarray(draw(), dtype=code_dtype(math.comb(self.n, self.k)))
+        self._draw = None  # what the draw holds (a union's rounds) goes with it
         return codes
 
     # -- basic queries -----------------------------------------------------
@@ -195,9 +199,7 @@ class Hypergraph:
                 self.neighbors(v)
             if len(self._rows) * ((self.n + 7) // 8) >= _MEMO_BYTES:
                 self._rows.clear()
-            adj = self._adj
-            row = adj[v] if isinstance(adj, np.ndarray) and 0 <= v < self.n else self._row(v)
-            bits = self._rows[v] = int.from_bytes(row, "little")
+            bits = self._rows[v] = int.from_bytes(self._row(v), "little")
         return bits
 
     def _row(self, v: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from hampow.core import Hypergraph
-from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher, _vertex_bits
+from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _bit_vertices, _CopySearcher, _vertex_bits
 
 __all__ = ["almost_factor", "factor_in_window"]
 
@@ -16,37 +16,35 @@ __all__ = ["almost_factor", "factor_in_window"]
 def _greedy(
     host: Hypergraph,
     template: Hypergraph,
-    unused: np.ndarray,
+    free: int,
     window: int | None,
     done: Callable[[int, int], bool],
-    fail: Callable[[np.ndarray | None, int, int], PhaseFailure],
+    fail: Callable[[int | None, int, int], PhaseFailure],
 ) -> list[dict[int, int]]:
     """Disjoint copies, each the first one in the lowest ``window`` vertices still unused.
 
-    ``unused`` is an ascending int64 array, kept beside it as a bitset; ``window`` None views all of it.
+    ``free`` holds the unused vertices as a bitset; ``window`` None views all of them.
     A search comes whenever ``done(copies, unused left)`` is false.  One that
-    finds no copy raises ``fail(view, copies, unused left)``, and one that
-    runs out of budget raises ``fail(None, copies, unused left)``.
+    finds no copy raises ``fail(the view's bitset, copies, unused left)``, and
+    one that runs out of budget raises ``fail(None, copies, unused left)``.
     """
     # a vertex-less copy takes nothing, so the loop would never end;
     # the copy searcher refuses a template whose uniformity is not the host's
     if template.n == 0:
         raise ValueError("template has no vertices")
     searcher = _CopySearcher(host, template, root=())
-    free = _vertex_bits(unused, host.n)
     copies: list[dict[int, int]] = []
-    while not done(len(copies), unused.size):
-        view = unused[:window]
-        # the view's bits are the unused ones up to its last vertex
-        bits = free if window is None or not view.size else free & ~(-1 << int(view[-1]) + 1)
+    while not done(len(copies), left := free.bit_count()):
+        view = free
+        if window is not None and left > window:  # the unused vertices up to the window's last one
+            view &= (2 << int(_bit_vertices(free, host.n)[window - 1])) - 1
         try:
-            emb = searcher.find_in((), bits, view)
+            emb = searcher.find((), view)
         except SearchBudgetExceeded:
-            raise fail(None, len(copies), unused.size) from None
+            raise fail(None, len(copies), left) from None
         if emb is None:
-            raise fail(view, len(copies), unused.size)
+            raise fail(view, len(copies), left)
         copies.append(emb)
-        unused = np.delete(unused, unused.searchsorted(list(emb.values())))
         for v in emb.values():
             free ^= 1 << v
     return copies
@@ -69,15 +67,14 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
             f"window of {window} vertices cannot host a {template.n}-vertex copy"
         )
 
-    def fail(view: np.ndarray | None, found: int, left: int) -> PhaseFailure:
+    def fail(view: int | None, found: int, left: int) -> PhaseFailure:
         if view is None:
             return PhaseFailure("factor", "search budget exhausted", copies_found=found, uncovered=left)
         message = f"no template copy inside the current {window}-vertex window"
-        return PhaseFailure("factor", message, window=tuple(view.tolist()), copies_found=found,
-                            uncovered=left)
+        return PhaseFailure("factor", message, window=tuple(_bit_vertices(view, n).tolist()),
+                            copies_found=found, uncovered=left)
 
-    unused = np.arange(n, dtype=np.int64)
-    return _greedy(host, template, unused, window, lambda found, left: left < epsilon * n, fail)
+    return _greedy(host, template, (1 << n) - 1, window, lambda found, left: left < epsilon * n, fail)
 
 
 def factor_in_window(
@@ -95,9 +92,9 @@ def factor_in_window(
     if quota < 1:
         raise ValueError(f"quota must be >= 1, got {quota}")
 
-    def fail(view: np.ndarray | None, found: int, left: int) -> PhaseFailure:
+    def fail(view: int | None, found: int, left: int) -> PhaseFailure:
         message = "search budget exhausted" if view is None else f"found {found} of {quota} required copies"
         return PhaseFailure("factor", message, copies_found=found, quota=quota, window_left=left)
 
-    unused = np.array(sorted(set(window)), dtype=np.int64)
-    return _greedy(host, template, unused, None, lambda found, left: found >= quota, fail)
+    free = _vertex_bits(np.array(sorted(set(window)), dtype=np.int64), host.n)
+    return _greedy(host, template, free, None, lambda found, left: found >= quota, fail)

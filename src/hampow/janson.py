@@ -27,6 +27,9 @@ __all__ = [
     "log_expected_lex_copies",
 ]
 
+#: Copies :func:`exact_mu_delta` may enumerate: C(n, v(H)) past it is refused.
+EXACT_COPY_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class JansonParams:
@@ -113,22 +116,20 @@ def log_delta_upper_bound(n: int, template: Hypergraph, p: float) -> float:
     ])
 
 
-def exact_mu_delta(
-    n: int, template: Hypergraph, p: float, budget: int = 100_000
-) -> tuple[float, float]:
+def exact_mu_delta(n: int, template: Hypergraph, p: float) -> tuple[float, float]:
     """Enumerate all lexicographic copies and edge-sharing ordered pairs.
 
     The oracle: mu is the copy count times p^e; delta sums
     p^(2 e - |shared edges|) over ordered pairs of distinct copies sharing at
-    least one edge.  Refuses hosts with more than ``budget`` copies.
+    least one edge.  Refuses hosts with more than :data:`EXACT_COPY_BUDGET` copies.
     """
     _check_edge_probability(p)
     v = template.n
     if v > n:
         raise ValueError(f"template has {v} vertices but the host only {n}")
     n_copies = math.comb(n, v)
-    if n_copies > budget:
-        raise ValueError(f"enumeration budget exceeded: C({n},{v}) = {n_copies} > {budget}")
+    if n_copies > EXACT_COPY_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: C({n},{v}) = {n_copies} > {EXACT_COPY_BUDGET}")
     check_encodable(template.k, n)
     tmpl_edges = np.array(list(template.edges()), dtype=np.int64).reshape(-1, template.k)
     e_count = len(tmpl_edges)

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+import hampow.core as core
 from hampow.core import (
-    _MEMO_BYTES,
     Hypergraph,
     VertexTuple,
     _bits,
@@ -40,9 +40,6 @@ __all__ = [
 
 #: Candidate checks one copy searcher may spend over all its searches (see _CopySearcher).
 SEARCH_BUDGET = 1_500_000
-
-#: Bytes of link bitsets one copy search may hold before it empties its memo.
-_LINK_MEMO_BYTES = _MEMO_BYTES
 
 
 class PhaseFailure(Exception):
@@ -85,8 +82,9 @@ class _CopySearcher:
     Vertex sets are Python ints, bit w for vertex w.  A candidate fits when it
     forms an edge with every anchor: a stream's set is the pool less ``used``,
     ANDed with the anchors' links (:meth:`_link`).  A miss empties the memo of
-    k >= 3 links, n / 8 bytes each, when it holds :data:`_LINK_MEMO_BYTES`: the
-    budget alone bounds it only by anchors times budget, large for many anchors.
+    k >= 3 links, n / 8 bytes each, when it holds ``core._MEMO_BYTES``, as the
+    host's memo of rows does: the budget alone bounds it only by anchors times
+    budget, large for many anchors.
 
     A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
     ``remaining`` and spends them over all its searches, so a phase that
@@ -136,19 +134,14 @@ class _CopySearcher:
             last = max(internal, key=pos.__getitem__)
             self.anchors[pos[last]].append(tuple(u for u in e if u != last))
 
-    def find(self, y: Sequence[int], allowed: Sequence[int] | np.ndarray) -> dict[int, int] | None:
-        """First embedding with root -> y and internals inside allowed, or None.
+    def find(self, y: Sequence[int], bits: int) -> dict[int, int] | None:
+        """First embedding with root -> y and internals among the allowed vertices, or None.
 
-        ``allowed`` holds the reservoir in ascending order inside ``range(n)``,
-        best as an int64 array, read without a copy.  The request is not checked
-        here: :func:`connect_family` checks it.  None means no copy exists;
-        running out of budget raises :class:`SearchBudgetExceeded`.
+        ``bits`` holds the allowed vertices as a bitset of ``range(n)``, bit w
+        for vertex w (:func:`_vertex_bits` builds one).  The request is not
+        checked here: :func:`connect_family` checks it.  None means no copy
+        exists; running out of budget raises :class:`SearchBudgetExceeded`.
         """
-        pool = np.asarray(allowed, dtype=np.int64)
-        return self.find_in(y, _vertex_bits(pool, self.host.n), pool)
-
-    def find_in(self, y: Sequence[int], bits: int, pool: np.ndarray | None = None) -> dict[int, int] | None:
-        """:meth:`find` with the reservoir as a bitset; a k >= 3 search derives its ascending ``pool`` if not given."""
         images: dict[int, int] = dict(zip(self.root, y))
         if self.root_edges and not self.host.has_edge(
             np.array([[images[v] for v in e] for e in self.root_edges], dtype=np.int64)
@@ -156,9 +149,8 @@ class _CopySearcher:
             return None
         if not self.order:
             return images
-        if pool is None and self.host.k != 2:  # the bits' vertices, ascending
-            raw = np.frombuffer(bits.to_bytes((self.host.n + 7) // 8, "little"), dtype=np.uint8)
-            pool = np.flatnonzero(np.unpackbits(raw, count=self.host.n, bitorder="little"))
+        # a k >= 3 link asks the host about the allowed vertices, ascending
+        pool = None if self.host.k == 2 else _bit_vertices(bits, self.host.n)
         used = 0
         # one candidate stream per placed depth; a depth that takes its next
         # candidate first gives back the vertex it held
@@ -186,7 +178,7 @@ class _CopySearcher:
         """Pool vertices outside the bitset ``used`` that extend the partial embedding, ascending.
 
         ``bits`` holds the allowed vertices as a bitset and ``pool`` (read by k >= 3 links)
-        as an ascending int64 array; a candidate must lie in the link of every anchor.
+        as an ascending int array; a candidate must lie in the link of every anchor.
         """
         fits = bits & ~used
         if self.host.k == 2:  # the link of an anchor is the host's row of its one image
@@ -219,7 +211,7 @@ class _CopySearcher:
         key = tuple(sorted([images[u] for u in others]))
         bits = self._links.get(key)
         if bits is None:
-            if len(self._links) * ((host.n + 7) // 8) >= _LINK_MEMO_BYTES:
+            if len(self._links) * ((host.n + 7) // 8) >= core._MEMO_BYTES:
                 self._links.clear()
             rows = np.empty((pool.size, host.k), dtype=np.int64)
             rows[:, :-1] = key
@@ -242,6 +234,12 @@ def _vertex_bits(pool: np.ndarray, n: int, keep: np.ndarray | bool = True) -> in
     mask = np.zeros(n, dtype=bool)
     mask[pool] = keep
     return _bits(mask)
+
+
+def _bit_vertices(bits: int, n: int) -> np.ndarray:
+    """The vertices of a bitset of ``range(n)``, ascending, as an int array: :func:`_vertex_bits` undone."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
 
 
 def round_sizes(total: int, rounds: int) -> list[int]:
@@ -327,7 +325,7 @@ def connect_family(
         still: list[int] = []
         for i in remaining:
             try:
-                emb = searcher.find_in(tuples[i], free)
+                emb = searcher.find(tuples[i], free)
             except SearchBudgetExceeded:
                 raise ConnectFailure(
                     phase,

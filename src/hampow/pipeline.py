@@ -40,7 +40,7 @@ from hampow.core import (
     uniformity,
     verify_certificate,
 )
-from hampow.matcher import PhaseFailure, connect_paths, round_sizes
+from hampow.matcher import PhaseFailure, _bit_vertices, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
     _check_edge_probability,
@@ -251,7 +251,6 @@ def _bit_rows(mask: np.ndarray) -> list[int]:
 class CoverFamily:
     """s vertex-disjoint paths, each with exactly one vertex in every part."""
 
-    parts: tuple[tuple[int, ...], ...]
     paths: tuple[tuple[int, ...], ...]
 
     def a(self, i: int, k: int) -> tuple[int, ...]:
@@ -277,6 +276,8 @@ def cover_with_paths(
     mark extensions that keep every new adjacency window satisfied.  Only
     adjacencies between the new part and the last k parts are ever consulted;
     on a 2-uniform host they do not depend on the matchings and are asked first.
+    A step runs Hopcroft-Karp only when its first phase, the greedy pass,
+    leaves a path unmatched.
     Raises :class:`PhaseFailure` naming the first step without a perfect matching.
     """
     check_uniformity(host, k, mode)
@@ -288,55 +289,50 @@ def cover_with_paths(
     s = len(pool) // t
     if s == 0:
         raise ValueError("empty parts")
-    parts = tuple(tuple(pool[j * s:(j + 1) * s]) for j in range(t))
     flat = np.array(pool, dtype=np.int64)  # part j is flat[j * s:(j + 1) * s]
     at = [list(range(s))]  # path i runs through vertex flat[at[j][i]] of part j
     # the path columns each new edge runs through, relative to the new column:
     # the edges a path on k + 1 vertices needs at its last vertex, less that vertex
     needed = np.concatenate([*required_edges(np.arange(k + 1), k, mode)])
     windows = needed[needed[:, -1] == k, :-1] - k
-    near = _fits_ahead(host, flat, s, k) if host.k == 2 else None
-    if near is not None:  # ahead[d - 1][q]: near's window d of pool vertex q, as bits
-        ahead = [_bit_rows(near[:, d * s:(d + 1) * s]) for d in range(k)]
+    ahead = _fits_ahead(host, flat, s, k) if host.k == 2 else None
     for j in range(1, t):
-        # fits[i, u]: vertex u of part j extends path i
-        if near is not None:  # window d is the column j - d, whose vertices are part j - d reordered
-            bits = None
+        # fits[i]: the vertices u of part j that extend path i, as bit u
+        if ahead is not None:  # window d is the column j - d, whose vertices are part j - d reordered
+            fits = None
             for d in range(1, min(k, j) + 1):
                 ends = map(ahead[d - 1].__getitem__, at[j - d])
-                bits = list(ends) if bits is None else list(map(int.__and__, bits, ends))
-            taken = _greedy_pass(bits, s)
-            if None not in taken:  # Hopcroft-Karp would stop after this first phase
-                at.append([j * s + u for u in taken])
-                continue
-            fits = np.logical_and.reduce(
-                [near[at[j - d], (d - 1) * s:d * s] for d in range(1, min(k, j) + 1)])
+                fits = list(ends) if fits is None else list(map(int.__and__, fits, ends))
         else:  # rows[c, i, u]: window c of path i, then part vertex u
             cols = windows + j
             cols = cols[cols[:, 0] >= 0]  # a window that reaches before the first part is skipped
             rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
             rows[..., :-1] = flat[np.array(at).T[:, cols]].transpose(1, 0, 2)[:, :, None]
             rows[..., -1] = flat[j * s:(j + 1) * s]
-            fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
-        matching = perfect_matching(BipartiteGraph.from_mask(fits))
-        if matching is None:
-            raise PhaseFailure(
-                "cover",
-                f"no perfect matching when extending into part {j + 1} of {t}",
-                step=j + 1,
-                parts=t,
-                paths=s,
-            )
-        at.append([j * s + matching[i] for i in range(s)])
+            fits = _bit_rows(host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0))
+        taken = _greedy_pass(fits, s)
+        if None in taken:  # Hopcroft-Karp goes past its first phase; cell i * s + u is fits[i]'s bit u
+            cells = _bit_vertices(sum(row << i * s for i, row in enumerate(fits)), s * s)
+            matching = perfect_matching(BipartiteGraph(s, s, cells))
+            if matching is None:
+                raise PhaseFailure(
+                    "cover",
+                    f"no perfect matching when extending into part {j + 1} of {t}",
+                    step=j + 1,
+                    parts=t,
+                    paths=s,
+                )
+            taken = [matching[i] for i in range(s)]
+        at.append([j * s + u for u in taken])
     order = np.array(at)
     assert (np.sort(order, axis=1) == np.arange(t * s).reshape(t, s)).all()  # each part's vertices once
-    return CoverFamily(parts=parts, paths=tuple(map(tuple, flat[order.T].tolist())))
+    return CoverFamily(paths=tuple(map(tuple, flat[order.T].tolist())))
 
 
-def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> np.ndarray:
-    """``near[q, (d - 1) * s + u]``: pool vertex q and vertex u of the d-th part past its own form an edge.
+def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> list[list[int]]:
+    """``ahead[d - 1][q]``: the vertices u of the d-th part past pool vertex q's own that form an edge with it, as bit u.
 
-    The parts are the ascending pool's runs of s vertices; entries past the pool stay False.  Every
+    The parts are the ascending pool's runs of s vertices; a part past the pool has no vertex.  Every
     pair is asked once, in ascending code order, at most ``_BLOCK`` rows a call.
     """
     near = np.zeros((pool.size, k * s), dtype=bool)
@@ -347,7 +343,7 @@ def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> np.ndarra
         inside = other < pool.size
         rows = np.column_stack((np.repeat(pool[q], inside.sum(axis=1)), pool[other[inside]]))
         near[lo:lo + q.size][inside] = host.has_edge(rows)
-    return near
+    return [_bit_rows(near[:, d * s:(d + 1) * s]) for d in range(k)]
 
 
 # -- planning -----------------------------------------------------------------
@@ -484,7 +480,9 @@ def _attempt(
     n, k, mode = plan.n, plan.k, plan.mode
     g1, g2, g3, full = attempt_rounds(source, cfg, r)
     chain = build_chain_absorber(g1, k, mode, ell=plan.ell, absorb_size=plan.absorb_size)
-    del g1  # each round is dropped when its phase ends, with its codes, adjacency and rows
+    # each round is dropped when its phase ends, with its adjacency and rows;
+    # its codes go too, unless a union not yet drawn holds them
+    del g1
     absorbable = sorted(chain.absorbable)
     left = np.ones(n, dtype=bool)
     left[list(chain.vertices())] = False  # the links' walks through x, walked by the build

@@ -145,13 +145,14 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
     Each of the C(n, k) possible edges is present independently with
     probability p.  The sample stores its smaller side: its edges, drawn at
     rate p, or for p > 1/2 its non-edges, drawn at rate 1 - p.  That side is
-    drawn by _bernoulli_ranks from ``seed``'s stream on its first read.
+    drawn by _bernoulli_ranks from ``seed``'s stream on its first read, by a
+    draw that keeps what it drew (:func:`sample_three_rounds` reads it).
     """
     _check_edge_probability(p)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     # a candidate's lexicographic rank is its code, so the drawn ranks are stored as they are
-    draw = functools.partial(_bernoulli_ranks, seed, math.comb(n, k), min(p, 1.0 - p))
+    draw = functools.cache(functools.partial(_bernoulli_ranks, seed, math.comb(n, k), min(p, 1.0 - p)))
     return Hypergraph.from_codes(k, n, draw, complement=p > 0.5)
 
 
@@ -204,11 +205,14 @@ def sample_three_rounds(
     """
     q = three_round_rate(p)
     g1, g2, g3 = (sample_uniform_hypergraph(k, n, q, derive(seed, i)) for i in range(3))
+    # the union reads the rounds' codes through their draws, so it holds
+    # their codes but not the rounds, whose adjacencies go with them
+    draws = [g._draw for g in (g1, g2, g3)]
     total = math.comb(n, k)
     dense = q > 0.5
 
     def union() -> np.ndarray:
-        rounds = [g._codes for g in (g1, g2, g3)]
+        rounds = [draw() for draw in draws]
         if dense:
             return _merged(rounds, total, times=3)
         if p > 0.5:
@@ -274,11 +278,6 @@ class BipartiteGraph:
         self.left = left
         self.right = right
         self.cells = np.asarray(cells, dtype=np.int64)
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> BipartiteGraph:
-        """The graph whose edges are the True entries of a left x right bool mask."""
-        return cls(*mask.shape, np.flatnonzero(mask))
 
     @property
     def edge_count(self) -> int:

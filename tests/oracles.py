@@ -423,6 +423,11 @@ def hopcroft_karp(B: BipartiteGraph) -> dict[int, int] | None:
     return {u: match_l[u] for u in range(s)}
 
 
+def mask_graph(mask: np.ndarray) -> BipartiteGraph:
+    """The bipartite graph whose edges are the True entries of a left x right bool mask."""
+    return BipartiteGraph(*mask.shape, np.flatnonzero(mask))
+
+
 def per_step_cover(
     host: Hypergraph, uncovered: Iterable[int], borrowed: Iterable[int], t: int, k: int, mode: str
 ) -> CoverFamily:
@@ -442,14 +447,14 @@ def per_step_cover(
         rows[..., :-1] = paths[:, cols].transpose(1, 0, 2)[:, :, None]
         rows[..., -1] = part
         fits = host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0)
-        matching = hopcroft_karp(BipartiteGraph.from_mask(fits))
+        matching = hopcroft_karp(mask_graph(fits))
         if matching is None:
             raise PhaseFailure(
                 "cover", f"no perfect matching when extending into part {j + 1} of {t}",
                 step=j + 1, parts=t, paths=s,
             )
         paths[:, j] = part[[matching[i] for i in range(s)]]
-    return CoverFamily(parts=parts, paths=tuple(map(tuple, paths.tolist())))
+    return CoverFamily(paths=tuple(map(tuple, paths.tolist())))
 
 
 # -- degeneracy machinery -----------------------------------------------------

@@ -274,10 +274,11 @@ class TestCriterion6AbsorberSoundness:
             for k in (2, 3):
                 for ell in (5, 7):
                     host, ab = demo_absorber(k, ell, mode)
+                    spanned = set(ab.embedding.values()).union(*ab.connectors)  # the absorber's vertices
                     for include in (True, False):
                         path = absorb_single(ab, include_x=include)
                         valid = is_path(host, path, k, mode)
-                        expect = ab.vertices() - (set() if include else {ab.x})
+                        expect = spanned - (set() if include else {ab.x})
                         ok &= valid and set(path) == expect
         report("6a (single-vertex absorbers exhaustive)", ok)
         assert ok

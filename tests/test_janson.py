@@ -64,7 +64,7 @@ class TestExactDelta:
 
     def test_budget(self):
         with pytest.raises(ValueError):
-            exact_mu_delta(200, triangle(), 0.5, budget=1000)
+            exact_mu_delta(200, triangle(), 0.5)  # C(200, 3) = 1,313,400 copies
 
 
     @pytest.mark.parametrize("template,n,p", [

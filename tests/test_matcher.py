@@ -22,6 +22,7 @@ from hampow.matcher import (
     PhaseFailure,
     SearchBudgetExceeded,
     _CopySearcher,
+    _vertex_bits,
     connect_family,
     connect_paths,
     partition_reservoir,
@@ -60,12 +61,12 @@ def triangle():
 class TestFindRootedCopy:
     def test_single_edge(self):
         searcher = _CopySearcher(Hypergraph(2, 3, [(0, 2)]), Hypergraph(2, 2, [(0, 1)]), (0,))
-        emb = searcher.find((0,), [2])
+        emb = searcher.find((0,), bitset([2]))
         assert emb == {0: 0, 1: 2}
 
     def test_no_room(self):
         searcher = _CopySearcher(complete_graph(5), power_path_template(2, 4), (0,))
-        assert searcher.find((0,), []) is None
+        assert searcher.find((0,), bitset([])) is None
 
     @pytest.mark.parametrize("w,p,template,root", [
         (2, 0.4, power_path_template(2, 7), (0,)),
@@ -78,11 +79,12 @@ class TestFindRootedCopy:
             order = sorted(range(24), key=lambda v: derive(seed, 9, v))
             y, allowed = order[:len(root)], sorted(order[len(root):len(root) + 8 + 2 * seed])
             outcomes = []
-            for pool in (allowed, np.array(allowed, dtype=np.int64)):
+            # the bitset of a list, and the one the callers build from an int64 array
+            for bits in (bitset(allowed), _vertex_bits(np.array(allowed, dtype=np.int64), 24)):
                 searcher = _CopySearcher(host, template, root)
                 searcher.remaining = 40 * (seed + 1)  # some searches run out
                 try:
-                    emb = searcher.find(y, pool)
+                    emb = searcher.find(y, bits)
                 except SearchBudgetExceeded:
                     emb = "exceeded"
                 outcomes.append((emb, searcher.remaining))
@@ -102,7 +104,7 @@ class TestFindRootedCopy:
     def test_connecting_path_in_complete_host(self):
         cp = connecting_path_template(2, 5)
         searcher = _CopySearcher(complete_graph(9), cp, (0, 1, 3, 4))
-        emb = searcher.find((0, 1, 2, 3), [4, 5, 6, 7, 8])
+        emb = searcher.find((0, 1, 2, 3), bitset([4, 5, 6, 7, 8]))
         assert emb is not None
         assert emb[2] == 4  # lowest available internal
         assert is_embedding(cp, complete_graph(9), emb)
@@ -113,7 +115,7 @@ class TestFindRootedCopy:
         cp = connecting_path_template(2, 5)
         host = Hypergraph(2, 5, [e for e in complete_graph(5).edges() if e != (1, 3)])
         searcher = _CopySearcher(host, cp, (0, 1, 3, 4))
-        assert searcher.find((0, 1, 3, 4), [2]) is None
+        assert searcher.find((0, 1, 3, 4), bitset([2])) is None
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -131,7 +133,7 @@ class TestFindRootedCopy:
         y = (data.draw(st.integers(0, n - 1)),)
         allowed = set(range(n)) - set(y)
         searcher = _CopySearcher(host, template, root)
-        got = searcher.find(y, sorted(allowed))
+        got = searcher.find(y, bitset(allowed))
         exists = brute_rooted_copy_exists(host, template, root, y, allowed)
         assert (got is not None) == exists
         if got is not None:
@@ -150,7 +152,7 @@ class TestFindRootedCopy:
         y = (0,)
         allowed = set(range(1, n))
         searcher = _CopySearcher(host, template, root)
-        got = searcher.find(y, sorted(allowed))
+        got = searcher.find(y, bitset(allowed))
         ref = brute_first_rooted_copy(host, template, root, searcher.order, y, allowed)
         assert got == ref
 
@@ -234,8 +236,9 @@ class TestFindRootedCopy:
         (3, 0.2, 700, tight_path_template(2, 7), (0, 1, 5, 6)),
     ])
     def test_a_bitset_pool_finds_and_spends_as_the_array_pool(self, w, p, budget, template, root):
-        # the copy search of connect_family and the factor takes the caller's
-        # bitset; a k >= 3 search derives its array for the has_edge links
+        # the copy search takes the caller's bitset, here of a list or built by
+        # _vertex_bits from an int64 array; a k >= 3 search derives its array
+        # for the has_edge links
         host = sample_uniform_hypergraph(w, 30, p, seed=w)
         outcomes = []
         for by_bits in (False, True):
@@ -246,9 +249,9 @@ class TestFindRootedCopy:
                 y, allowed = order[:len(root)], sorted(order[len(root):len(root) + 6 + 3 * call])
                 try:
                     if by_bits:
-                        emb = searcher.find_in(y, sum(1 << v for v in allowed))
+                        emb = searcher.find(y, bitset(allowed))
                     else:
-                        emb = searcher.find(y, allowed)
+                        emb = searcher.find(y, _vertex_bits(np.array(allowed, dtype=np.int64), 30))
                 except SearchBudgetExceeded:
                     emb = "exceeded"
                 outcomes.append((emb, searcher.remaining))
@@ -257,7 +260,7 @@ class TestFindRootedCopy:
         assert {type(emb) for emb, _ in outcomes} == {dict, type(None), str}
         # the callers build the bitset, and refuse a vertex outside the host
         with pytest.raises(ValueError, match=r"allowed vertices must lie in range\(30\)"):
-            _CopySearcher(host, template, root).find(y, allowed + [30])
+            _vertex_bits(np.array(allowed + [30], dtype=np.int64), 30)
         with pytest.raises(ValueError, match=r"range\(30\)"):
             connect_family(host, template, root, [y], [-1] + allowed, rounds=1)  # -1 is in the first slice
         with pytest.raises(ValueError, match=r"range\(30\)"):
@@ -285,7 +288,7 @@ class TestFindRootedCopy:
         # two edges through the root, but the host holds only the one through 5
         root = tuple(range(host.k - 1))
         searcher = _CopySearcher(host, template, root)
-        assert searcher.find(root, [2, 3, 4, 5, 6]) is None
+        assert searcher.find(root, bitset([2, 3, 4, 5, 6])) is None
         # the first internal vertex scans all five and keeps only 5; with 5
         # placed, the second scans all five again, the used 5 included
         assert searcher.remaining == 100 - 5 - 5
@@ -321,7 +324,7 @@ class TestLinkMemo:
             outcomes = []
             for s in (searcher, fresh):
                 try:
-                    outcomes.append((s.find(y, allowed), s.remaining))
+                    outcomes.append((s.find(y, bitset(allowed)), s.remaining))
                 except SearchBudgetExceeded:
                     outcomes.append(("exceeded", s.remaining))
             assert outcomes[0] == outcomes[1]
@@ -352,7 +355,7 @@ class TestLinkMemo:
         for call in range(6):
             order = sorted(range(30), key=lambda v: derive(6, call, v))
             asked.clear()
-            searcher.find(order[:4], sorted(order[4:]))
+            searcher.find(order[:4], bitset(order[4:]))
             assert asked and len(asked) == len(set(asked))
             per_find.append(len(asked))
         # without the memo, every stream would ask once per anchor
@@ -368,13 +371,13 @@ class TestLinkMemo:
         vertices = data.draw(st.permutations(range(n)))
         allowed = sorted(vertices[: data.draw(st.integers(1, n))])
         outcomes = []
-        for limit in (matcher._LINK_MEMO_BYTES, data.draw(st.integers(0, 3 * n))):
+        for limit in (core._MEMO_BYTES, data.draw(st.integers(0, 3 * n))):
             searcher = _CopySearcher(host, template, ())
             searcher.remaining = 300
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(matcher, "_LINK_MEMO_BYTES", limit)
+                mp.setattr(core, "_MEMO_BYTES", limit)
                 try:
-                    outcomes.append((searcher.find((), allowed), searcher.remaining))
+                    outcomes.append((searcher.find((), bitset(allowed)), searcher.remaining))
                 except SearchBudgetExceeded:
                     outcomes.append(("exceeded", searcher.remaining))
         assert outcomes[0] == outcomes[1]
@@ -400,7 +403,7 @@ class TestLinkMemo:
             return bits
 
         monkeypatch.setattr(Hypergraph, "neighbor_bits", tracked)
-        assert searcher.find((), list(range(p))) is None
+        assert searcher.find((), bitset(range(p))) is None
         assert searcher.remaining == 0
         assert len(anchors) == p  # kept, these rows would hold p * p / 8 bytes
         assert limit <= max(held) < limit + row
@@ -436,7 +439,7 @@ class TestCopySearchDigest:
                     y = order[:len(root)]
                     allowed = sorted(order[len(root):len(root) + 6 + 3 * call])
                     try:
-                        emb = searcher.find(y, allowed)
+                        emb = searcher.find(y, bitset(allowed))
                         out = None if emb is None else sorted(emb.items())
                     except SearchBudgetExceeded:
                         out = "exceeded"

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import networkx as nx
@@ -25,7 +26,7 @@ from hampow.pipeline import (
 )
 from hampow.randmodels import BipartiteGraph, derive, sample_bipartite, sample_uniform_hypergraph
 
-from oracles import complement_twin, edge_twin, hopcroft_karp, per_step_cover
+from oracles import complement_twin, edge_twin, hopcroft_karp, mask_graph, per_step_cover
 
 
 def complete_graph(n):
@@ -40,12 +41,12 @@ def without_class(n, c):
 
 class TestPerfectMatching:
     def test_complete_3x3(self):
-        b = BipartiteGraph.from_mask(np.ones((3, 3), dtype=bool))
+        b = mask_graph(np.ones((3, 3), dtype=bool))
         m = perfect_matching(b)
         assert m is not None and sorted(m.values()) == [0, 1, 2]
 
     def test_empty_graph_has_none(self):
-        assert perfect_matching(BipartiteGraph.from_mask(np.zeros((3, 3), dtype=bool))) is None
+        assert perfect_matching(mask_graph(np.zeros((3, 3), dtype=bool))) is None
 
     def test_zero_sides(self):
         assert perfect_matching(BipartiteGraph(0, 0, [])) == {}
@@ -62,7 +63,7 @@ class TestPerfectMatching:
         mask = np.zeros((s, s), dtype=bool)
         left = np.arange(s - 1)
         mask[left, left] = mask[left, left + 1] = mask[s - 1, 0] = True
-        m = perfect_matching(BipartiteGraph.from_mask(mask))
+        m = perfect_matching(mask_graph(mask))
         assert m == {**{i: i + 1 for i in range(s - 1)}, s - 1: 0}
 
     def test_determinism(self):
@@ -111,8 +112,8 @@ class TestCoverWithPaths:
         assert len(fam.paths) == 4
         for p in fam.paths:
             assert len(p) == 6
-        for j in range(6):
-            assert {p[j] for p in fam.paths} == set(fam.parts[j])
+        for j in range(6):  # part j is the pool's j-th run of four vertices
+            assert {p[j] for p in fam.paths} == set(range(4 * j, 4 * j + 4))
 
     def test_complete_host_tight(self):
         host = Hypergraph.complete(3, 20)
@@ -181,6 +182,9 @@ class TestCoverWithPaths:
         ("power", 2, 40, 5, 0.4),  # every cover meets a step with no perfect matching
         ("power", 2, 40, 5, 0.8),  # every cover succeeds, some steps past the greedy pass
         ("power", 1, 140, 2, 0.95),  # 69 paths: a fit row is wider than one 64-bit word
+        # 3-uniform hosts take the same greedy-first step on their has_edge fit rows
+        ("tight", 2, 24, 4, 0.5),  # some covers fail, some succeed past the greedy pass
+        ("tight", 2, 40, 5, 0.8),  # every cover succeeds
     ])
     def test_a_2_uniform_cover_matches_the_per_step_oracle(self, monkeypatch, mode, k, n, t, p):
         # a step runs Hopcroft-Karp only when the greedy pass leaves a path unmatched
@@ -189,7 +193,7 @@ class TestCoverWithPaths:
         monkeypatch.setattr(pipeline, "perfect_matching", lambda B: matchings.append(B) or matching(B))
         outcomes, runs = [], []
         for seed in range(6):
-            g = sample_uniform_hypergraph(2, n, p, seed=seed)
+            g = sample_uniform_hypergraph(uniformity(k, mode), n, p, seed=seed)
             order = sorted(range(n), key=lambda v: derive(seed, 5, v))
             pool = order[:t * (n // t - 1)]
             uncovered, borrowed = pool[:len(pool) // 2], pool[len(pool) // 2:]
@@ -207,7 +211,11 @@ class TestCoverWithPaths:
         failed = sum(isinstance(out, tuple) for out in outcomes)
         assert failed == len(outcomes) if p == 0.4 else failed < len(outcomes)
         if p == 0.8:
-            assert failed == 0 and all(0 < r < t - 1 for r in runs)
+            assert failed == 0
+        if p == 0.8 and mode == "power":
+            assert all(0 < r < t - 1 for r in runs)
+        if uniformity(k, mode) == 3:
+            assert any(r and not isinstance(out, tuple) for out, r in zip(outcomes, runs))
 
 
 class TestAttemptMemory:
@@ -223,6 +231,35 @@ class TestAttemptMemory:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 2 ** 20
+
+    @pytest.mark.parametrize("p", [0.5, 0.8])  # the attempt fails in merge, and succeeds
+    def test_a_sparse_attempt_drops_each_round_when_its_phase_ends(self, monkeypatch, p):
+        # sparse rounds are drawn on their first read and the union from them,
+        # so the union must hold their codes, not the rounds with their adjacency;
+        # the chain and the merge build one (a cover asks has_edge)
+        cfg = Parameters(k=1, mode="power", seed=1)
+        adjacencies = []
+
+        def phase(name):
+            run = getattr(pipeline, name)
+
+            def checked(host, *args, **kwargs):
+                assert all(adj() is None for adj in adjacencies)  # the earlier rounds are gone
+                try:
+                    return run(host, *args, **kwargs)
+                finally:
+                    if host._adj is not None:
+                        adjacencies.append(weakref.ref(host._adj))
+
+            monkeypatch.setattr(pipeline, name, checked)
+
+        for name in ("build_chain_absorber", "cover_with_paths", "connect_paths"):
+            phase(name)
+        try:
+            _attempt(ModelSpec(n=3000, p=p), cfg, resolve_plan(3000, cfg), 0)
+        except PhaseFailure as e:
+            assert (p, e.phase) == (0.5, "merge")
+        assert len(adjacencies) == 2
 
 
 class TestCoverDigest:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -26,7 +27,7 @@ from hampow.randmodels import (
     uniform_stream,
 )
 
-from oracles import common_codes, three_rounds_by_enumeration
+from oracles import common_codes, mask_graph, three_rounds_by_enumeration
 
 
 class TestMixing:
@@ -258,6 +259,17 @@ class TestThreeRound:
         sample_three_rounds(2, 300, 0.9995, seed=1)
         assert calls == {"_bernoulli_ranks": 3, "_merged": 1}
 
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_a_dropped_sparse_round_is_freed_once_the_union_is_drawn(self, p):
+        # until it draws, the union holds the rounds' codes but not the rounds
+        g1, _, _, union = sample_three_rounds(2, 200, p, seed=3)
+        g1.neighbors(0)  # builds round 1's adjacency
+        adj, codes = weakref.ref(g1._adj), weakref.ref(g1._codes)
+        del g1
+        assert adj() is None and codes() is not None
+        union.edge_count  # the union drops its draw, and with it the codes
+        assert codes() is None
+
     @pytest.mark.parametrize("k,n,p", [(3, 400, 0.05), (2, 3000, 0.9995), (2, 2000, 0.6),
                                        (2, 2000, 0.3)])
     def test_traced_peak_stays_within_twice_the_stored_codes(self, k, n, p):
@@ -394,12 +406,12 @@ class TestBipartite:
 
     def test_rows_and_cells_agree(self):
         mask = np.random.default_rng(5).random((40, 30)) < 0.2
-        b = BipartiteGraph.from_mask(mask)
+        b = mask_graph(mask)
         assert b.adjacency() == [np.flatnonzero(row).tolist() for row in mask]
         assert BipartiteGraph(2, 0, []).adjacency() == [[], []]
 
     def test_adjacency_sorted(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[[0, 0, 2], [2, 1, 0]] = True
-        b = BipartiteGraph.from_mask(mask)
+        b = mask_graph(mask)
         assert b.adjacency() == [[1, 2], [], [0]]
