@@ -45,6 +45,14 @@ def _vertex(v: int) -> int:
         raise ValueError(f"vertex {v!r} is not an integer") from None
 
 
+def _vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
+    """The distinct vertices ascending, as int64; one that is no integer or lies outside ``range(n)`` is refused."""
+    vs = sorted(set(map(_vertex, vertices)))  # np.unique imports numpy.ma (~0.7 MB)
+    if vs and not 0 <= vs[0] <= vs[-1] < n:
+        raise ValueError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} outside range({n})")
+    return np.array(vs, dtype=np.int64)
+
+
 class VertexTuple(tuple):
     """Ordered tuple of distinct integer vertices (NumPy integers too; a float is refused)."""
 
@@ -186,7 +194,7 @@ class Hypergraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of the neighbours of v (2-uniform only): the set bits of v's row."""
-        return np.flatnonzero(np.unpackbits(self._row(v), count=self.n, bitorder="little"))
+        return _bit_vertices(self._row(v), self.n)
 
     def neighbor_bits(self, v: int) -> int:
         """The neighbours of v (2-uniform only) as a Python int whose bit w is w.
@@ -310,9 +318,30 @@ _PACK_BLOCK = _BLOCK // 4
 _MEMO_BYTES = 1 << 24
 
 
-def _bits(mask: np.ndarray) -> int:
-    """The true positions of a 1-D bool array as the set bits of a Python int."""
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """The rows of a 2-D bool array as vertex bitsets: Python ints, bit u for column u."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if width <= 8:  # a row is one little-endian 64-bit word
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[lo:lo + width], "little") for lo in range(0, len(raw), width)]
+
+
+def _vertex_bits(pool: np.ndarray, n: int, keep: np.ndarray | bool = True) -> int:
+    """A bitset of an int array's vertices in ``range(n)``, as :func:`_vertex_set` reads them, where ``keep`` is true."""
+    mask = np.zeros(n, dtype=bool)
+    mask[pool] = keep
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _bit_vertices(bits: int | np.ndarray, n: int) -> np.ndarray:
+    """The vertices of a bitset of ``range(n)``, a Python int or packed bytes, ascending: :func:`_vertex_bits` undone."""
+    if isinstance(bits, int):
+        bits = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, count=n, bitorder="little"))
 
 
 def _comb(x: np.ndarray, s: int) -> np.ndarray:
@@ -400,28 +429,54 @@ def _decode_codes(codes: np.ndarray, n: int, k: int) -> np.ndarray:
     return rows
 
 
+def _pair_positions(codes: np.ndarray, n: int, line: int, per: int) -> Iterator[np.ndarray]:
+    """Positions u * line + w, then w * line + u, of the pairs {u < w} with these sorted codes.
+
+    ``line`` >= n is a row's length: n for the CSR's keys, whole bytes of
+    bits for the packed rows.  Row u's pairs (u, w > u) are the run of codes
+    from first[u], the code of (u, u + 1), so w = code - first[u] + u + 1 and
+    each position is an affine map of the code with one coefficient per row.
+    They come a stretch of whole rows, about ``per`` pairs, at a time: one
+    array of ``code_dtype(n * line)`` an orientation.
+    """
+    dtype = code_dtype(n * line)
+    u = np.arange(n + 1)
+    first = u * (2 * n - 1 - u) // 2  # first[n] = C(n, 2), so first fits the codes' dtype
+    starts = codes.searchsorted(first.astype(codes.dtype, copy=False))
+    first -= u + 1  # w = code - first[u]
+    across = (u * line - first).astype(dtype)  # (u, w) is code + across[u]
+    # (w, u) is line * code + down[u]: in dtype, down and line * code wrap
+    # modulo its range, and their sum, below n * line, comes out exact
+    down = (u - line * first).astype(dtype)
+    del u, first
+    count = np.diff(starts)
+    # a stretch begins at each row whose first code enters another block of per pairs
+    cuts = [*np.flatnonzero(np.diff(starts[:-1] // per, prepend=-1)).tolist(), n]
+    for a, b in zip(cuts, cuts[1:]):
+        block = codes[starts[a]:starts[b]]
+        pos = np.repeat(across[a:b], count[a:b])
+        pos += block
+        yield pos
+        pos = block.astype(dtype)
+        pos *= line
+        pos += np.repeat(down[a:b], count[a:b])
+        yield pos
+
+
 def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row starts and ascending int32 rows of both orientations of the pairs with these sorted codes.
 
-    Row u's pairs (u, w > u) are the run of codes from first[u], the code of
-    (u, u + 1).  Each pair {u, w} becomes the keys u * n + w and w * n + u,
-    sorted in place as one array: row u is the run of keys in [u * n, (u + 1) * n).
+    Each pair {u, w} becomes the keys u * n + w and w * n + u, its
+    :func:`_pair_positions` in rows n long, sorted in place as one array:
+    row u is the run of keys in [u * n, (u + 1) * n).
     """
-    u = np.arange(n + 1)
-    first = u * (2 * n - 1 - u) // 2  # first[n] = C(n, 2), so first fits the codes' dtype
-    up_count = np.diff(codes.searchsorted(first.astype(codes.dtype, copy=False)))
-    dtype = code_dtype(n * n)  # every key is below n * n
-    keys = np.empty(2 * codes.size, dtype=dtype)
-    low, high = keys[:codes.size], keys[codes.size:]
-    low[:] = np.repeat(u[:-1].astype(dtype), up_count)
-    high[:] = codes
-    high -= np.repeat((first - u - 1)[:-1].astype(dtype), up_count)  # the larger vertex w
-    low *= n
-    low += high  # u * n + w
-    high *= n
-    high += low // n  # w * n + u
+    keys = np.empty(2 * codes.size, dtype=code_dtype(n * n))
+    size = 0
+    for pos in _pair_positions(codes, n, n, max(_PACK_BLOCK, keys.nbytes // 64)):
+        keys[size:size + pos.size] = pos
+        size += pos.size
     keys.sort()
-    starts = keys.searchsorted(u.astype(dtype) * n)
+    starts = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) * n)
     for lo in range(0, keys.size, _BLOCK):  # numpy's % by a scalar is several times slower
         part = keys[lo:lo + _BLOCK]
         part -= part // n * n  # vertex ids: n < 2 ** 31 by check_encodable
@@ -432,48 +487,20 @@ def _packed_rows(codes: np.ndarray, n: int, complement: bool) -> np.ndarray:
     """The (n, ceil(n / 8)) uint8 rows whose bit w % 8 of byte (v, w // 8) says {v, w} is an edge.
 
     The edges are the pairs with these sorted codes, or in complement form
-    all other pairs.  Row u's pairs (u, w > u) are the run of codes from
-    first[u], the code of (u, u + 1), so w = code - first[u] + u + 1.  The
-    pairs flip their bits a stretch of whole rows, about max(_PACK_BLOCK,
-    rows' bytes / 64) pairs, at a time: bit (u, w) at u * 8 * width + w and
-    bit (w, u) at w * 8 * width + u, each an affine map of the code with one
-    coefficient per row.
+    all other pairs.  Bit (v, w) is bit v * 8 * width + w of the rows; the
+    pairs flip their two bits, their :func:`_pair_positions`, a stretch of
+    about max(_PACK_BLOCK, rows' bytes / 64) pairs at a time.
     """
     width = (n + 7) // 8
     line = 8 * width  # bits a row
-    dtype = code_dtype(n * line)
     rows = np.full((n, width), 0xFF if complement else 0, dtype=np.uint8)
     flat = rows.reshape(-1)
     flip = np.subtract if complement else np.add
-    u = np.arange(n + 1, dtype=dtype)
     if complement:  # no padding bit and no self-pair is an edge
         if n % 8:
             rows[:, -1] = (1 << n % 8) - 1
-        _flip_bits(flat, u[:-1] * (line + 1), flip)
-    first = u.astype(np.int64)
-    first *= 2 * n - 1 - first
-    first //= 2
-    starts = codes.searchsorted(first.astype(codes.dtype, copy=False))
-    first -= u + 1  # w = code - first[u]
-    across = u * line - first.astype(dtype)  # (u, w) is code + across[u]
-    first *= -line
-    first += u
-    # (w, u) is line * code + down[u]: in dtype, down and line * code wrap
-    # modulo its range, and their sum, below n * line, comes out exact
-    down = first.astype(dtype)
-    del first
-    count = np.diff(starts)
-    # a stretch begins at each row whose first code enters another block of per pairs
-    per = max(_PACK_BLOCK, rows.nbytes // 64)
-    cuts = [*np.flatnonzero(np.diff(starts[:-1] // per, prepend=-1)).tolist(), n]
-    for a, b in zip(cuts, cuts[1:]):
-        block = codes[starts[a]:starts[b]]
-        pos = np.repeat(across[a:b], count[a:b])
-        pos += block
-        _flip_bits(flat, pos, flip)
-        pos = block.astype(dtype)
-        pos *= line
-        pos += np.repeat(down[a:b], count[a:b])
+        _flip_bits(flat, np.arange(n, dtype=code_dtype(n * line)) * (line + 1), flip)
+    for pos in _pair_positions(codes, n, line, max(_PACK_BLOCK, rows.nbytes // 64)):
         _flip_bits(flat, pos, flip)
     return rows
 
@@ -606,10 +633,12 @@ def required_edges(
     every window of k+1 consecutive vertices.  With ``cyclic`` the distances
     and windows wrap around; on a cycle d <= min(k, n // 2), as offset n - d
     repeats the pairs of d (offset n / 2 gives each of its pairs twice).
-    Cyclic tight mode needs at least k+1 vertices; the vertices are distinct.
+    Cyclic tight mode needs at least k+1 vertices; the vertices are distinct
+    integers, and a float is refused, never truncated.
     """
     w = uniformity(k, mode)
-    s = np.asarray(seq, dtype=np.int64)
+    s = np.asarray(seq)  # a cast would truncate a float: such a sequence is read by _vertex
+    s = np.asarray(s if s.dtype.kind in "iu" else [_vertex(v) for v in seq], dtype=np.int64)
     n = s.size
     if mode == "tight":
         ext = np.concatenate((s, s[:w - 1])) if cyclic else s

@@ -5,10 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable
 
-import numpy as np
-
-from hampow.core import Hypergraph
-from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _bit_vertices, _CopySearcher, _vertex_bits
+from hampow.core import Hypergraph, _bit_vertices, _vertex_bits, _vertex_set
+from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
 
 __all__ = ["almost_factor", "factor_in_window"]
 
@@ -86,8 +84,9 @@ def factor_in_window(
     """``quota`` disjoint copies with all vertices in W.
 
     Copies are found by repeated empty-root search inside the unused portion
-    of the window.  Raises :class:`PhaseFailure` when the quota cannot be met
-    or the searcher runs out of budget.
+    of the window, read by :func:`core._vertex_set`.  Raises
+    :class:`PhaseFailure` when the quota cannot be met or the searcher runs
+    out of budget.
     """
     if quota < 1:
         raise ValueError(f"quota must be >= 1, got {quota}")
@@ -96,5 +95,5 @@ def factor_in_window(
         message = "search budget exhausted" if view is None else f"found {found} of {quota} required copies"
         return PhaseFailure("factor", message, copies_found=found, quota=quota, window_left=left)
 
-    free = _vertex_bits(np.array(sorted(set(window)), dtype=np.int64), host.n)
+    free = _vertex_bits(_vertex_set(window, host.n), host.n)
     return _greedy(host, template, free, None, lambda found, left: found >= quota, fail)

@@ -21,7 +21,9 @@ import hampow.core as core
 from hampow.core import (
     Hypergraph,
     VertexTuple,
-    _bits,
+    _bit_vertices,
+    _vertex_bits,
+    _vertex_set,
     check_uniformity,
     connecting_path_template,
     tight_path_template,
@@ -227,21 +229,6 @@ class _CopySearcher:
             raise SearchBudgetExceeded()
 
 
-def _vertex_bits(pool: np.ndarray, n: int, keep: np.ndarray | bool = True) -> int:
-    """A bitset of an ascending int array's vertices where ``keep`` is true; one outside ``range(n)`` is refused."""
-    if pool.size and not 0 <= pool[0] <= pool[-1] < n:  # a bitset holds no other vertex
-        raise ValueError(f"allowed vertices must lie in range({n})")
-    mask = np.zeros(n, dtype=bool)
-    mask[pool] = keep
-    return _bits(mask)
-
-
-def _bit_vertices(bits: int, n: int) -> np.ndarray:
-    """The vertices of a bitset of ``range(n)``, ascending, as an int array: :func:`_vertex_bits` undone."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
-
-
 def round_sizes(total: int, rounds: int) -> list[int]:
     """Slice sizes for splitting a reservoir of ``total`` vertices into rounds.
 
@@ -258,12 +245,11 @@ def round_sizes(total: int, rounds: int) -> list[int]:
     return sizes + [total - sum(sizes)]
 
 
-def partition_reservoir(reservoir: Iterable[int], rounds: int) -> list[np.ndarray]:
-    """The reservoir's vertices, ascending, split into int64 slices of :func:`round_sizes`."""
-    w = np.array(sorted(set(reservoir)), dtype=np.int64)  # np.unique imports numpy.ma (~0.7 MB)
-    if not w.size:
+def partition_reservoir(reservoir: Sequence[int], rounds: int) -> list[np.ndarray]:
+    """Ascending distinct vertices, as :func:`core._vertex_set` reads them, split into slices of :func:`round_sizes`."""
+    if not len(reservoir):
         raise ValueError("reservoir must be nonempty")
-    return np.split(w, np.cumsum(round_sizes(w.size, rounds))[:-1])
+    return np.split(reservoir, np.cumsum(round_sizes(len(reservoir), rounds))[:-1])
 
 
 def connect_family(
@@ -278,8 +264,8 @@ def connect_family(
     """Greedy round-based construction of disjoint rooted copies.
 
     Copy i maps ``root`` onto ``tuples[i]`` and its internal vertices into
-    the reservoir; the tuples must be pairwise disjoint and avoid the
-    reservoir.  Keeps a set R of unmatched tuple indices; round j sweeps R
+    the reservoir, read by :func:`core._vertex_set`; the tuples must be
+    pairwise disjoint and avoid it.  Keeps a set R of unmatched tuple indices; round j sweeps R
     in ascending order, searching each tuple inside the round's reservoir
     slice minus the vertices already consumed this round.  Matched indices
     leave R; copies from different rounds are disjoint because the slices
@@ -290,7 +276,8 @@ def connect_family(
     """
     root = VertexTuple(root)
     tuples = [VertexTuple(t) for t in tuples]
-    w = set(reservoir)
+    pool = _vertex_set(reservoir, host.n)
+    w = set(pool.tolist())
     seen: set[int] = set()
     for y in tuples:
         if len(y) != len(root):
@@ -309,7 +296,7 @@ def connect_family(
     need = t * (template.n - len(root))
     if need > len(w):
         raise ValueError(f"request needs {need} internal vertices but the reservoir has {len(w)}")
-    parts = partition_reservoir(w, rounds)
+    parts = partition_reservoir(pool, rounds)
     details = {
         "round_sizes": [len(p) for p in parts],
         "strict_precondition": need <= len(w) // 4,

@@ -16,6 +16,7 @@ calibrated for hosts in the n = 500..3000 range, or solved from n by
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -35,12 +36,15 @@ from hampow.core import (
     MAX_VERTICES,
     CycleCertificate,
     Hypergraph,
+    _bit_rows,
+    _bit_vertices,
+    _vertex_set,
     check_uniformity,
     required_edges,
     uniformity,
     verify_certificate,
 )
-from hampow.matcher import PhaseFailure, _bit_vertices, connect_paths, round_sizes
+from hampow.matcher import PhaseFailure, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
     _check_edge_probability,
@@ -51,7 +55,6 @@ from hampow.randmodels import (
 
 __all__ = [
     "Attempt",
-    "CoverFamily",
     "FailureReport",
     "ModelSpec",
     "Parameters",
@@ -106,6 +109,10 @@ class ModelSpec:
     p: float
 
     def __post_init__(self) -> None:
+        try:  # 300.7 is refused, never truncated
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"vertex count n must be an integer, got {self.n!r}") from None
         if self.n < 0:
             raise ValueError(f"vertex count n must be >= 0, got {self.n}")
 
@@ -232,32 +239,7 @@ def _greedy_pass(rows: Iterable[int], s: int) -> list[int | None]:
     return out
 
 
-def _bit_rows(mask: np.ndarray) -> list[int]:
-    """The rows of a 2-D bool array as bitsets, bit u for column u."""
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    width = packed.shape[1]
-    if width <= 8:  # a row is one little-endian 64-bit word
-        words = np.zeros((len(packed), 8), dtype=np.uint8)
-        words[:, :width] = packed
-        return words.view("<u8").ravel().tolist()
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[lo:lo + width], "little") for lo in range(0, len(raw), width)]
-
-
 # -- covering with transversal paths -----------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverFamily:
-    """s vertex-disjoint paths, each with exactly one vertex in every part."""
-
-    paths: tuple[tuple[int, ...], ...]
-
-    def a(self, i: int, k: int) -> tuple[int, ...]:
-        return self.paths[i][:k]
-
-    def b(self, i: int, k: int) -> tuple[int, ...]:
-        return self.paths[i][-k:]
 
 
 def cover_with_paths(
@@ -267,11 +249,11 @@ def cover_with_paths(
     t: int,
     k: int,
     mode: str,
-) -> CoverFamily:
-    """Cover the pooled vertices with transversal paths via perfect matchings.
+) -> tuple[tuple[int, ...], ...]:
+    """s vertex-disjoint paths covering the pooled vertices, each with one vertex in every part.
 
-    The pool (uncovered plus borrowed vertices) is split into t equal parts;
-    paths start as the singletons of part one and are extended one part per
+    The pool (uncovered plus borrowed vertices, read by :func:`core._vertex_set`)
+    is split into t equal parts; paths start as the singletons of part one and are extended one part per
     step by a perfect matching in the auxiliary bipartite graph whose edges
     mark extensions that keep every new adjacency window satisfied.  Only
     adjacencies between the new part and the last k parts are ever consulted;
@@ -281,15 +263,14 @@ def cover_with_paths(
     Raises :class:`PhaseFailure` naming the first step without a perfect matching.
     """
     check_uniformity(host, k, mode)
-    pool = sorted(set(uncovered) | set(borrowed))
+    flat = _vertex_set([*uncovered, *borrowed], host.n)  # part j is flat[j * s:(j + 1) * s]
     if t < 1:
         raise ValueError(f"part count must be >= 1, got {t}")
-    if len(pool) % t != 0:
-        raise ValueError(f"pool of {len(pool)} vertices is not divisible into {t} parts")
-    s = len(pool) // t
+    if flat.size % t != 0:
+        raise ValueError(f"pool of {flat.size} vertices is not divisible into {t} parts")
+    s = flat.size // t
     if s == 0:
         raise ValueError("empty parts")
-    flat = np.array(pool, dtype=np.int64)  # part j is flat[j * s:(j + 1) * s]
     at = [list(range(s))]  # path i runs through vertex flat[at[j][i]] of part j
     # the path columns each new edge runs through, relative to the new column:
     # the edges a path on k + 1 vertices needs at its last vertex, less that vertex
@@ -326,7 +307,7 @@ def cover_with_paths(
         at.append([j * s + u for u in taken])
     order = np.array(at)
     assert (np.sort(order, axis=1) == np.arange(t * s).reshape(t, s)).all()  # each part's vertices once
-    return CoverFamily(paths=tuple(map(tuple, flat[order.T].tolist())))
+    return tuple(map(tuple, flat[order.T].tolist()))
 
 
 def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> list[list[int]]:
@@ -484,18 +465,14 @@ def _attempt(
     # its codes go too, unless a union not yet drawn holds them
     del g1
     absorbable = sorted(chain.absorbable)
-    left = np.ones(n, dtype=bool)
-    left[list(chain.vertices())] = False  # the links' walks through x, walked by the build
-    uncovered = np.flatnonzero(left).tolist()
+    uncovered = set(range(n)).difference(chain.vertices())  # the cover reads its pool ascending
     borrowed = absorbable[: plan.borrow]
     cover = cover_with_paths(g2, uncovered, borrowed, plan.cover_parts, k, mode)
     del g2
-    s = plan.s_paths
     merge_reservoir = absorbable[plan.borrow:]
-    pairs = [(tuple(chain.b), cover.a(0, k))]
-    for i in range(s - 1):
-        pairs.append((cover.b(i, k), cover.a(i + 1, k)))
-    pairs.append((cover.b(s - 1, k), tuple(chain.a)))
+    # the absorber's end b, each cover path from its first k vertices to its last k, then a
+    ends = [tuple(chain.b), *(v for p in cover for v in (p[:k], p[-k:])), tuple(chain.a)]
+    pairs = list(zip(ends[::2], ends[1::2]))
     merge = connect_paths(
         g3, pairs, merge_reservoir, k, plan.connector_len, mode, rounds=MERGE_ROUNDS, phase="merge"
     )
@@ -503,7 +480,7 @@ def _attempt(
     exclude = set(borrowed) | used_from_x
     absorb_path = absorb(chain, exclude)
     # a .. b, Z1, Q1, Z2, ..., Qs, Z_{s+1}: the last merge connector closes at a
-    cycle = splice([absorb_path, *cover.paths, ()], merge.sequences, k)
+    cycle = splice([absorb_path, *cover, ()], merge.sequences, k)
     distinct = len(set(cycle))
     if not len(cycle) == distinct == n or not 0 <= min(cycle) <= max(cycle) < n:
         raise PhaseFailure(

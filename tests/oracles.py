@@ -31,7 +31,6 @@ import pytest
 from hampow.absorber import Backbone
 from hampow.core import Hypergraph, VertexTuple, _encode_rows, required_edges
 from hampow.matcher import PhaseFailure, SearchBudgetExceeded
-from hampow.pipeline import CoverFamily
 from hampow.randmodels import BipartiteGraph, derive, mix, three_round_rate
 
 
@@ -430,7 +429,7 @@ def mask_graph(mask: np.ndarray) -> BipartiteGraph:
 
 def per_step_cover(
     host: Hypergraph, uncovered: Iterable[int], borrowed: Iterable[int], t: int, k: int, mode: str
-) -> CoverFamily:
+) -> tuple[tuple[int, ...], ...]:
     """The cover by perfect matchings, asking the host about each step's windows at that step."""
     pool = sorted(set(uncovered) | set(borrowed))
     s = len(pool) // t
@@ -454,7 +453,7 @@ def per_step_cover(
                 step=j + 1, parts=t, paths=s,
             )
         paths[:, j] = part[[matching[i] for i in range(s)]]
-    return CoverFamily(paths=tuple(map(tuple, paths.tolist())))
+    return tuple(map(tuple, paths.tolist()))
 
 
 # -- degeneracy machinery -----------------------------------------------------

@@ -568,8 +568,10 @@ class TestAdjacency:
 
     def test_rows_built_over_several_scaled_stretches_match_a_dense_adjacency(self):
         # from n = 1500 up a stretch holds one pair per 64 bytes of rows, more than
-        # _PACK_BLOCK; both storage forms of the host are past the packed threshold
-        n = 1500
+        # _PACK_BLOCK; both storage forms of the host are past the packed threshold.
+        # The CSR's stretches hold one pair per 64 bytes of its keys, 8 bytes a
+        # pair: about eight of them, whichever side the host stores
+        n = 1500  # n % 8 != 0: the packed rows end in padding bits
         dense_host = sample_uniform_hypergraph(2, n, 0.92, 7)
         edges = core._decode_codes(dense_host.edge_codes(), n, 2)
         dense = np.zeros((n, n), dtype=bool)
@@ -578,8 +580,15 @@ class TestAdjacency:
         assert per > core._PACK_BLOCK and dense_host._complement
         for host in (dense_host, edge_twin(dense_host)):  # non-edges stored, then edges
             assert host._codes.size >= 3 * per  # several stretches
+            assert host._codes.size // 8 > core._PACK_BLOCK  # several CSR stretches
             rows = core._packed_rows(host._codes, n, host._complement)
             assert np.array_equal(np.unpackbits(rows, axis=1, count=n, bitorder="little"), dense)
+            # the CSR holds the stored pairs, each row ascending: row-major positions v * n + w
+            stored = dense != host._complement
+            np.fill_diagonal(stored, False)
+            starts, ids = core._csr(host._codes, n)
+            positions = np.repeat(np.arange(n), np.diff(starts)) * n + ids
+            assert np.array_equal(positions, np.flatnonzero(stored))
             for v in (0, 1, 749, n - 2, n - 1):
                 assert np.array_equal(host.neighbors(v), np.flatnonzero(dense[v]))
             assert isinstance(host._adj, np.ndarray)
@@ -785,6 +794,12 @@ class TestPathValidators:
         assert is_path(host, (0, 1, 2, 3, 4, 5), 2, "tight")
         assert not is_path(host, (5, 4, 0, 1, 2, 3), 2, "tight")
         assert is_path(host, (0, 1), 2, "tight")  # shorter than a window
+
+    def test_a_float_vertex_is_refused_not_truncated(self):
+        # 1.5 read as 1 made the path 0, 1, 2
+        host = Hypergraph(2, 4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"vertex 1\.5 is not an integer"):
+            is_path(host, [0, 1.5, 2], 1, "power")
 
 
 def random_host(data, n, w, required):

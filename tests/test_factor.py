@@ -105,6 +105,11 @@ class TestFactorInWindow:
         with pytest.raises(ValueError, match="no vertices"):
             factor_in_window(complete_graph(8), Hypergraph(2, 0, ()), range(8), quota=1)
 
+    def test_a_float_window_vertex_is_refused_not_truncated(self):
+        # 0.2 and 1.9 read as 0 and 1 put a copy of an edge on {0, 1}
+        with pytest.raises(ValueError, match=r"vertex 0\.2 is not an integer"):
+            factor_in_window(complete_graph(6), Hypergraph(2, 2, [(0, 1)]), [0.2, 1.9, 3.5], quota=1)
+
     def test_quota_override(self):
         host = complete_graph(40)
         copies = factor_in_window(host, triangle(), range(40), quota=5)

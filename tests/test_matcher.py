@@ -258,9 +258,9 @@ class TestFindRootedCopy:
         half = len(outcomes) // 2
         assert outcomes[:half] == outcomes[half:]
         assert {type(emb) for emb, _ in outcomes} == {dict, type(None), str}
-        # the callers build the bitset, and refuse a vertex outside the host
-        with pytest.raises(ValueError, match=r"allowed vertices must lie in range\(30\)"):
-            _vertex_bits(np.array(allowed + [30], dtype=np.int64), 30)
+        # the callers read the pool, refusing a vertex outside the host, and build the bitset
+        with pytest.raises(ValueError, match=r"vertex 30 outside range\(30\)"):
+            core._vertex_set(allowed + [30], 30)
         with pytest.raises(ValueError, match=r"range\(30\)"):
             connect_family(host, template, root, [y], [-1] + allowed, rounds=1)  # -1 is in the first slice
         with pytest.raises(ValueError, match=r"range\(30\)"):
@@ -274,7 +274,7 @@ class TestFindRootedCopy:
         root = tuple(range(w - 1)) + (w,)
         tuples = [tuple(range(w - 1)) + (w,)]
         for reservoir in ([-1], [w - 1, 8]):
-            with pytest.raises(ValueError, match=r"allowed vertices must lie in range\(8\)"):
+            with pytest.raises(ValueError, match=r"vertex (-1|8) outside range\(8\)"):
                 connect_family(host, template, root, tuples, reservoir)
         with pytest.raises(ValueError, match=r"range\(8\)"):
             factor_in_window(host, template, [3, 9], quota=1)
@@ -506,6 +506,12 @@ class TestConnectionRequest:
             connect_family(host, t, (0, 0), [(1, 2)], (5, 6))
         with pytest.raises(ValueError):
             connect_family(host, t, (0, 1), [(1, 1)], (5, 6))
+
+    def test_a_float_reservoir_vertex_is_refused_not_truncated(self):
+        # 5.5 passed the disjointness check and was read as 5, a vertex of the
+        # request: the path came out as (0, 1, 5, 6, 4, 5)
+        with pytest.raises(ValueError, match=r"vertex 5\.5 is not an integer"):
+            connect_paths(Hypergraph.complete(2, 12), [((0, 1), (4, 5))], [5.5, 6], 2, 6, "power")
 
 
 class TestConnectFamily:

@@ -103,24 +103,24 @@ class TestPerfectMatching:
 class TestCoverWithPaths:
     def test_single_part_trivial_paths(self):
         host = complete_graph(6)
-        fam = cover_with_paths(host, range(6), (), t=1, k=2, mode="power")
-        assert fam.paths == ((0,), (1,), (2,), (3,), (4,), (5,))
+        paths = cover_with_paths(host, range(6), (), t=1, k=2, mode="power")
+        assert paths == ((0,), (1,), (2,), (3,), (4,), (5,))
 
     def test_complete_host_power(self):
         host = complete_graph(24)
-        fam = cover_with_paths(host, range(24), (), t=6, k=2, mode="power")
-        assert len(fam.paths) == 4
-        for p in fam.paths:
+        paths = cover_with_paths(host, range(24), (), t=6, k=2, mode="power")
+        assert len(paths) == 4
+        for p in paths:
             assert len(p) == 6
         for j in range(6):  # part j is the pool's j-th run of four vertices
-            assert {p[j] for p in fam.paths} == set(range(4 * j, 4 * j + 4))
+            assert {p[j] for p in paths} == set(range(4 * j, 4 * j + 4))
 
     def test_complete_host_tight(self):
         host = Hypergraph.complete(3, 20)
-        fam = cover_with_paths(host, range(20), (), t=5, k=2, mode="tight")
+        paths = cover_with_paths(host, range(20), (), t=5, k=2, mode="tight")
         from hampow.core import is_path
 
-        for p in fam.paths:
+        for p in paths:
             assert is_path(host, p, 2, "tight")
 
     def test_divisibility_enforced(self):
@@ -131,6 +131,13 @@ class TestCoverWithPaths:
         # a complete 3-uniform host has no pairs to match in power mode
         with pytest.raises(ValueError, match="power mode with k=1 needs a 2-uniform host, got 3"):
             cover_with_paths(Hypergraph.complete(3, 8), range(8), (), t=4, k=1, mode="power")
+
+    def test_a_pool_vertex_outside_the_host_is_refused(self):
+        # vertex 50 of a 12-vertex host came out as the path (50,)
+        with pytest.raises(ValueError, match=r"vertex 50 outside range\(12\)"):
+            cover_with_paths(Hypergraph.complete(2, 12), [50], [], 1, 1, "power")
+        with pytest.raises(ValueError, match=r"vertex 2\.5 is not an integer"):
+            cover_with_paths(Hypergraph.complete(2, 12), [0, 1], [2.5, 3], 2, 1, "power")
 
     def test_failure_names_the_step(self):
         host = Hypergraph(2, 8, [(0, 4)])  # almost no edges
@@ -145,10 +152,10 @@ class TestCoverWithPaths:
 
         host = sample_uniform_hypergraph(2, 40, 0.9, seed=31)
         try:
-            fam = cover_with_paths(host, range(40), (), t=10, k=2, mode="power")
+            paths = cover_with_paths(host, range(40), (), t=10, k=2, mode="power")
         except PhaseFailure:
             pytest.skip("unlucky sample for this smoke test")
-        for p in fam.paths:
+        for p in paths:
             assert is_path(host, p, 2, "power")
 
     @pytest.mark.parametrize("mode,k,n,t", [("power", 2, 40, 8), ("tight", 2, 24, 6)])
@@ -162,8 +169,8 @@ class TestCoverWithPaths:
             return has_edge(self, vertices)
 
         monkeypatch.setattr(Hypergraph, "has_edge", counting)
-        fam = cover_with_paths(host, range(n), (), t=t, k=k, mode=mode)
-        assert len(fam.paths) == n // t
+        paths = cover_with_paths(host, range(n), (), t=t, k=k, mode=mode)
+        assert len(paths) == n // t
         # at most one batch per step, of every window that lies inside the parts so far;
         # a 2-uniform host is asked each window's s * s rows once, before the steps
         s = n // t
@@ -208,14 +215,14 @@ class TestCoverWithPaths:
                 assert pair[0] == pair[1]
                 outcomes.append(pair[0])
                 runs.append(len(matchings))
-        failed = sum(isinstance(out, tuple) for out in outcomes)
+        failed = sum(out[0] == "cover" for out in outcomes)  # a failure's phase, or a cover's first path
         assert failed == len(outcomes) if p == 0.4 else failed < len(outcomes)
         if p == 0.8:
             assert failed == 0
         if p == 0.8 and mode == "power":
             assert all(0 < r < t - 1 for r in runs)
         if uniformity(k, mode) == 3:
-            assert any(r and not isinstance(out, tuple) for out, r in zip(outcomes, runs))
+            assert any(r and out[0] != "cover" for out, r in zip(outcomes, runs))
 
 
 class TestAttemptMemory:
@@ -292,7 +299,7 @@ class TestCoverDigest:
                     uncovered, borrowed = pool[:len(pool) * 2 // 3], pool[len(pool) * 2 // 3:]
                     for form, host in (("edges", edge_twin(g)), ("complement", complement_twin(g))):
                         try:
-                            out = cover_with_paths(host, uncovered, borrowed, t, k, mode).paths
+                            out = cover_with_paths(host, uncovered, borrowed, t, k, mode)
                         except PhaseFailure as e:
                             out = (e.phase, e.message, sorted(e.details.items()))
                         lines.append(f"{mode} {k} {p} {seed} {form} {out}")
@@ -406,6 +413,12 @@ class TestFindHamilton:
         # it used to read as a host too small for any plan
         with pytest.raises(ValueError, match="vertex count n must be >= 0, got -3"):
             ModelSpec(n=-3, p=0.5)
+
+    def test_a_fractional_vertex_count_is_refused_by_name(self):
+        # it used to raise a TypeError from deep inside resolve_plan
+        with pytest.raises(ValueError, match=r"vertex count n must be an integer, got 300\.7"):
+            ModelSpec(300.7, 1.0)
+        assert ModelSpec(np.int64(300), 1.0).n == 300
 
     def test_failure_report_lists_attempts(self):
         # sparse host: every attempt fails in the factor phase
