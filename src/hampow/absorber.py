@@ -138,11 +138,13 @@ class Backbone:
 
 
 def default_connector_len(k: int, mode: str) -> int:
-    """Shortest connector usable in random hosts.
+    """Connector length: 2k+1 in tight mode and for k=1, else 2k+2.
 
-    At length 2k+1 a power-mode connecting path demands direct edges between
-    its two end tuples, which a random host rarely supplies; length 2k+2
-    avoids that.  Tight mode (and k=1) has no such end-to-end demand.
+    A power-mode connecting path demands an edge between its two end tuples
+    for each pair of them at distance <= k: k(k-1)/2 edges at length 2k+1
+    and (k-1)(k-2)/2 at length 2k+2, so none only for k <= 2 (one at k=3,
+    three at k=4, six at k=5).  The copy search checks these edges before
+    it searches.  Tight mode and k=1 have no end-to-end demand.
     """
     if mode == "tight" or k == 1:
         return 2 * k + 1

@@ -49,7 +49,7 @@ def _vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
     """The distinct vertices ascending, as int64; one that is no integer or lies outside ``range(n)`` is refused."""
     vs = sorted(set(map(_vertex, vertices)))  # np.unique imports numpy.ma (~0.7 MB)
     if vs and not 0 <= vs[0] <= vs[-1] < n:
-        raise ValueError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} outside range({n})")
+        raise ValueError(f"vertex {vs[0] if vs[0] < 0 else next(v for v in vs if v >= n)} outside range({n})")
     return np.array(vs, dtype=np.int64)
 
 
@@ -153,32 +153,19 @@ class Hypergraph:
             return math.comb(self.n, self.k) - int(self._codes.size)
         return int(self._codes.size)
 
-    def has_edge(self, vertices: np.ndarray | Iterable[int]) -> np.ndarray | bool:
-        """Edge membership of vertex sets, in any vertex order.
+    def has_edge(self, rows: np.ndarray) -> np.ndarray:
+        """Edge membership of each row of an (m, w) int array, in any vertex order, as an m-long bool array.
 
-        An (m, w) int array asks about each of its rows and gives an m-long
-        bool array; any other vertex sequence is one set and gives a bool.
-        A set of the wrong size, with a repeated vertex or with a vertex
-        outside ``range(n)`` or not an integer (any row of a float array)
-        is no edge.  An empty batch is a ``(0, w)`` array: a 1-D empty
-        array reads as one (empty) vertex set.
+        A row of the wrong width, with a repeated vertex or a vertex outside ``range(n)`` is no edge, and
+        neither is a row of a float array (a cast would truncate).  Anything but a 2-D array is refused.
         """
-        batch = isinstance(vertices, np.ndarray) and vertices.ndim == 2
-        if batch:
-            rows = vertices
-            if rows.dtype.kind not in "biu":  # a cast would truncate
-                return np.zeros(rows.shape[0], dtype=bool)
-        else:
-            try:
-                rows = np.array([[_vertex(v) for v in vertices]], dtype=np.int64)
-            except (ValueError, OverflowError):
-                return False  # a vertex that is no integer, or that no int64 holds
-        if rows.shape[1] != self.k:
-            return np.zeros(rows.shape[0], dtype=bool) if batch else False
+        if not isinstance(rows, np.ndarray) or rows.ndim != 2:
+            raise ValueError("has_edge asks about the rows of a 2-D array")
+        if rows.dtype.kind not in "biu" or rows.shape[1] != self.k:
+            return np.zeros(rows.shape[0], dtype=bool)
         cols, distinct, inside = _edge_columns(rows, self.n)
-        ok = distinct & inside  # a row that is no edge may get a meaningless (wrapped) code
-        hit = ok & (_in_sorted(_encode_rows(cols, self.n), self._codes) != self._complement)
-        return hit if batch else bool(hit[0])
+        distinct &= inside  # a row that is no edge may get a meaningless (wrapped) code
+        return distinct & (_in_sorted(_encode_rows(cols, self.n), self._codes) != self._complement)
 
     def edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in canonical (lexicographic) order."""
@@ -207,11 +194,11 @@ class Hypergraph:
                 self.neighbors(v)
             if len(self._rows) * ((self.n + 7) // 8) >= _MEMO_BYTES:
                 self._rows.clear()
-            bits = self._rows[v] = int.from_bytes(self._row(v), "little")
+            bits = self._rows[v] = self._row(v)
         return bits
 
-    def _row(self, v: int) -> np.ndarray:
-        """v's row of the adjacency as ceil(n / 8) bytes, bit w % 8 of byte w // 8 set for each neighbour w.
+    def _row(self, v: int) -> int:
+        """v's row of the adjacency as a bitset: a Python int whose bit w is set for each neighbour w.
 
         The first call builds the adjacency in the smaller of two layouts:
         packed rows, n * ceil(n / 8) bytes, or a CSR of two int32 ids a stored pair.
@@ -227,14 +214,13 @@ class Hypergraph:
             else:
                 self._adj = _csr(self._codes, self.n)
         if isinstance(self._adj, np.ndarray):
-            return self._adj[v]
+            return int.from_bytes(self._adj[v], "little")
         starts, dst = self._adj
-        row = np.empty(self.n, dtype=bool)
-        row.fill(self._complement)
         # numpy's own cast of an int32 index costs ~2 us of a ~6 us call
-        row[dst[starts[v]:starts[v + 1]].astype(np.intp)] = not self._complement
-        row[v] = False
-        return np.packbits(row, bitorder="little")
+        bits = _vertex_bits(dst[starts[v]:starts[v + 1]].astype(np.intp), self.n)
+        if self._complement:  # the stored ids are v's non-edges: flip them in the full row
+            bits ^= ((1 << self.n) - 1) ^ (1 << v)
+        return bits
 
     # -- equality / text ----------------------------------------------------
 
@@ -337,11 +323,10 @@ def _vertex_bits(pool: np.ndarray, n: int, keep: np.ndarray | bool = True) -> in
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _bit_vertices(bits: int | np.ndarray, n: int) -> np.ndarray:
-    """The vertices of a bitset of ``range(n)``, a Python int or packed bytes, ascending: :func:`_vertex_bits` undone."""
-    if isinstance(bits, int):
-        bits = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(bits, count=n, bitorder="little"))
+def _bit_vertices(bits: int, n: int) -> np.ndarray:
+    """The vertices of a bitset of ``range(n)``, ascending: :func:`_vertex_bits` undone."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
 
 
 def _comb(x: np.ndarray, s: int) -> np.ndarray:

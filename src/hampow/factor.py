@@ -24,7 +24,8 @@ def _greedy(
     ``free`` holds the unused vertices as a bitset; ``window`` None views all of them.
     A search comes whenever ``done(copies, unused left)`` is false.  One that
     finds no copy raises ``fail(the view's bitset, copies, unused left)``, and
-    one that runs out of budget raises ``fail(None, copies, unused left)``.
+    one that runs out of budget raises ``fail(None, copies, unused left)``;
+    either failure's details say ``budget_exhausted``, True for the latter.
     """
     # a vertex-less copy takes nothing, so the loop would never end;
     # the copy searcher refuses a template whose uniformity is not the host's
@@ -67,10 +68,11 @@ def almost_factor(host: Hypergraph, template: Hypergraph, epsilon: float) -> lis
 
     def fail(view: int | None, found: int, left: int) -> PhaseFailure:
         if view is None:
-            return PhaseFailure("factor", "search budget exhausted", copies_found=found, uncovered=left)
+            return PhaseFailure("factor", "search budget exhausted", copies_found=found, uncovered=left,
+                                budget_exhausted=True)
         message = f"no template copy inside the current {window}-vertex window"
         return PhaseFailure("factor", message, window=tuple(_bit_vertices(view, n).tolist()),
-                            copies_found=found, uncovered=left)
+                            copies_found=found, uncovered=left, budget_exhausted=False)
 
     return _greedy(host, template, (1 << n) - 1, window, lambda found, left: left < epsilon * n, fail)
 
@@ -93,7 +95,8 @@ def factor_in_window(
 
     def fail(view: int | None, found: int, left: int) -> PhaseFailure:
         message = "search budget exhausted" if view is None else f"found {found} of {quota} required copies"
-        return PhaseFailure("factor", message, copies_found=found, quota=quota, window_left=left)
+        return PhaseFailure("factor", message, copies_found=found, quota=quota, window_left=left,
+                            budget_exhausted=view is None)
 
     free = _vertex_bits(_vertex_set(window, host.n), host.n)
     return _greedy(host, template, free, None, lambda found, left: found >= quota, fail)

@@ -263,43 +263,43 @@ def connect_family(
 ) -> tuple[list[dict[int, int]], list[int]]:
     """Greedy round-based construction of disjoint rooted copies.
 
-    Copy i maps ``root`` onto ``tuples[i]`` and its internal vertices into
-    the reservoir, read by :func:`core._vertex_set`; the tuples must be
-    pairwise disjoint and avoid it.  Keeps a set R of unmatched tuple indices; round j sweeps R
-    in ascending order, searching each tuple inside the round's reservoir
-    slice minus the vertices already consumed this round.  Matched indices
-    leave R; copies from different rounds are disjoint because the slices
-    are.  Returns the copies in tuple order and the size of R after each
-    round.  Raises :class:`ConnectFailure`, under ``phase``, naming the
-    surviving indices if R is nonempty after the last round, or at once,
-    with ``budget_exhausted``, when the family's searcher runs out of budget.
+    Copy i maps ``root``, vertices of the template, onto ``tuples[i]``,
+    vertices of the host, and its internal vertices into the reservoir; all
+    three are read by :func:`core._vertex_set` before any search, and the
+    tuples must be pairwise disjoint and avoid the reservoir.  Keeps a set R
+    of unmatched tuple indices; round j sweeps R in ascending order,
+    searching each tuple inside the round's reservoir slice minus the
+    vertices already consumed this round.  Matched indices leave R; copies
+    from different rounds are disjoint because the slices are.  Returns the
+    copies in tuple order and the size of R after each round.  Raises
+    :class:`ConnectFailure`, under ``phase``, naming the surviving indices
+    if R is nonempty after the last round, or at once, with
+    ``budget_exhausted``, when the family's searcher runs out of budget.
     """
     root = VertexTuple(root)
+    _vertex_set(root, template.n)
     tuples = [VertexTuple(t) for t in tuples]
+    bad = next((y for y in tuples if len(y) != len(root)), None)
+    if bad is not None:
+        raise ValueError(f"tuple {bad} does not match the root arity {len(root)}")
+    requested = _vertex_set([v for y in tuples for v in y], host.n)
+    if requested.size < len(tuples) * len(root):
+        raise ValueError("request tuples must be pairwise disjoint")
     pool = _vertex_set(reservoir, host.n)
-    w = set(pool.tolist())
-    seen: set[int] = set()
-    for y in tuples:
-        if len(y) != len(root):
-            raise ValueError(f"tuple {y} does not match the root arity {len(root)}")
-        ys = set(y)
-        if ys & seen:
-            raise ValueError("request tuples must be pairwise disjoint")
-        if ys & w:
-            raise ValueError("request tuples must avoid the reservoir")
-        seen |= ys
+    if np.intersect1d(requested, pool, assume_unique=True).size:
+        raise ValueError("request tuples must avoid the reservoir")
     if rounds is None:
         rounds = max(1, math.ceil(math.log2(max(host.n, 2))))
     t = len(tuples)
     if t == 0:
         return [], []
     need = t * (template.n - len(root))
-    if need > len(w):
-        raise ValueError(f"request needs {need} internal vertices but the reservoir has {len(w)}")
+    if need > pool.size:
+        raise ValueError(f"request needs {need} internal vertices but the reservoir has {pool.size}")
     parts = partition_reservoir(pool, rounds)
     details = {
         "round_sizes": [len(p) for p in parts],
-        "strict_precondition": need <= len(w) // 4,
+        "strict_precondition": need <= pool.size // 4,
     }
     searcher = _CopySearcher(host, template, root)
     embeddings: list[dict[int, int] | None] = [None] * t

@@ -10,6 +10,7 @@ neighbour-intersection generator they replaced, and the k >= 3 candidate
 stream's charges against a scan that charges one vertex at a time.
 ``hopcroft_karp`` is the matching without its greedy first pass, and
 ``per_step_cover`` the cover that asks the host once per step.
+``is_edge`` asks the host about one vertex set as a one-row batch,
 ``is_embedding`` checks a copy edge by edge, and
 ``middle_connecting_path_template`` is the connecting path without the
 edges between its end blocks, for rooted densities.  The degeneracy helpers (peeling, ordering check and the
@@ -124,6 +125,11 @@ def naive_m_rooted(template: Hypergraph, root: tuple[int, ...]) -> Fraction:
     return best
 
 
+def is_edge(host: Hypergraph, vertices: Iterable[int]) -> bool:
+    """Membership of one vertex set of integers, asked as a one-row ``has_edge`` batch."""
+    return bool(host.has_edge(np.array([list(vertices)], dtype=np.int64))[0])
+
+
 def is_embedding(template: Hypergraph, host: Hypergraph, f: Mapping[int, int]) -> bool:
     """True iff ``f`` is injective on V(template) and maps edges to edges."""
     if template.k != host.k:
@@ -137,7 +143,7 @@ def is_embedding(template: Hypergraph, host: Hypergraph, f: Mapping[int, int]) -
         return False
     if any(v < 0 or v >= host.n for v in images):
         return False
-    return all(host.has_edge([f[v] for v in e]) for e in template.edges())
+    return all(is_edge(host, [f[v] for v in e]) for e in template.edges())
 
 
 def middle_connecting_path_template(k: int, ell: int) -> Hypergraph:
@@ -171,7 +177,7 @@ def brute_rooted_copy_exists(
     for images in permutations(pool, len(internals)):
         f = dict(zip(root, y))
         f.update(zip(internals, images))
-        if all(host.has_edge([f[v] for v in e]) for e in edges):
+        if all(is_edge(host, [f[v] for v in e]) for e in edges):
             return True
     return False
 
@@ -201,7 +207,7 @@ def brute_first_rooted_copy(
                 continue
             f[order[i]] = w
             ok = all(
-                host.has_edge([f[v] for v in e])
+                is_edge(host, [f[v] for v in e])
                 for e in edges
                 if all(v in f for v in e)
             )
@@ -250,8 +256,8 @@ def edge_twin(g: Hypergraph) -> Hypergraph:
 
 def complement_twin(g: Hypergraph) -> Hypergraph:
     """The same edge set as ``g``, stored as its non-edges."""
-    rows = [e for e in combinations(range(g.n), g.k) if not g.has_edge(e)]
-    codes = _encode_rows(np.array(rows, dtype=np.int64).reshape(-1, g.k).T, g.n)
+    rows = np.array(list(combinations(range(g.n), g.k)), dtype=np.int64).reshape(-1, g.k)
+    codes = _encode_rows(rows[~g.has_edge(rows)].T, g.n)
     return Hypergraph.from_codes(g.k, g.n, codes, complement=True)
 
 
@@ -332,7 +338,7 @@ def charged_scan(searcher, depth, images, used, allowed):
     """The copy-search candidate stream, charged vertex by vertex.
 
     Scans the allowed vertices in order, asking the host about each anchor
-    with one scalar ``has_edge`` call.  Every scanned vertex costs one unit
+    with one one-row ``has_edge`` batch.  Every scanned vertex costs one unit
     of ``searcher.remaining`` before its fit and used checks, and the stream
     raises ``SearchBudgetExceeded`` at the vertex that takes the count
     below 0.
@@ -343,7 +349,7 @@ def charged_scan(searcher, depth, images, used, allowed):
         if searcher.remaining < 0:
             raise SearchBudgetExceeded()
         fits = all(
-            searcher.host.has_edge([images[u] for u in e if u != v_t] + [w])
+            is_edge(searcher.host, [images[u] for u in e if u != v_t] + [w])
             for e in searcher.anchors[depth]
         )
         if fits and w not in used:

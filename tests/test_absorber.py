@@ -14,7 +14,7 @@ from hampow.absorber import (
     default_connector_len,
     demo_absorber,
 )
-from hampow.core import Hypergraph, is_path, uniformity
+from hampow.core import Hypergraph, connecting_path_template, is_path, uniformity
 from hampow.matcher import PhaseFailure
 from hampow.randmodels import derive, sample_uniform_hypergraph
 
@@ -102,6 +102,21 @@ class TestAbsorbSingle:
             SingleVertexAbsorber(
                 backbone=ab.backbone, embedding=ab.embedding, connectors=tuple(bad)
             )
+
+
+class TestConnectorLength:
+    def test_edges_between_the_end_tuples_of_a_power_connector(self):
+        # length 2k + 2 leaves no edge between the two end tuples only for k <= 2;
+        # the copy search checks the edges it keeps before it searches
+        between = {
+            1: [], 2: [], 3: [(2, 5)], 4: [(2, 6), (3, 6), (3, 7)],
+            5: [(2, 7), (3, 7), (3, 8), (4, 7), (4, 8), (4, 9)],
+        }
+        for k, expected in between.items():
+            ell = 2 * k + 2
+            edges = connecting_path_template(k, ell).edges()
+            assert [e for e in edges if e[0] < k and e[1] >= ell - k] == expected
+            assert default_connector_len(k, "power") == (3 if k == 1 else ell)
 
 
 class TestChainAbsorber:

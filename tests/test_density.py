@@ -18,6 +18,7 @@ from oracles import (
     backbone_degeneracy_ordering,
     degeneracy,
     is_degenerate_ordering,
+    is_edge,
     middle_connecting_path_template,
     mincut_m1,
     naive_m1,
@@ -74,7 +75,7 @@ class TestM1:
             (i, j)
             for i in range(g.n)
             for j in range(i + 1, g.n)
-            if not g.has_edge((i, j))
+            if not is_edge(g, (i, j))
         ]
         if not non_edges:
             return

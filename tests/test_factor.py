@@ -3,7 +3,9 @@ import pytest
 from hampow.core import Hypergraph
 from hampow.absorber import Backbone
 from hampow.factor import almost_factor, factor_in_window
+import hampow.matcher as matcher
 from hampow.matcher import PhaseFailure
+from hampow.pipeline import FailureReport, ModelSpec, Parameters, find_hamilton
 from hampow.randmodels import sample_uniform_hypergraph
 
 from oracles import is_embedding
@@ -120,6 +122,25 @@ class TestFactorInWindow:
         with pytest.raises(PhaseFailure) as info:
             factor_in_window(host, triangle(), range(30), quota=2)
         assert info.value.details["copies_found"] == 1
+
+    def test_every_failure_says_whether_the_budget_ran_out(self, monkeypatch):
+        host = Hypergraph(2, 30, [(0, 1), (1, 2), (0, 2)])  # one triangle only
+        calls = (lambda: factor_in_window(host, triangle(), range(30), quota=2),
+                 lambda: almost_factor(host, triangle(), 0.5))
+        for exhausted in (False, True):
+            if exhausted:
+                monkeypatch.setattr(matcher, "SEARCH_BUDGET", 10)
+            for call in calls:
+                with pytest.raises(PhaseFailure) as info:
+                    call()
+                assert info.value.details["budget_exhausted"] is exhausted
+
+    def test_a_sparse_tight_host_reports_the_exhausted_budget(self):
+        report = find_hamilton(ModelSpec(1000, 0.05), Parameters(k=2, mode="tight", retries=0, seed=3))
+        assert isinstance(report, FailureReport)
+        (attempt,) = report.attempts
+        assert (attempt.phase, attempt.message) == ("factor", "search budget exhausted")
+        assert attempt.details == {"copies_found": 2, "quota": 14, "window_left": 292, "budget_exhausted": True}
 
     def test_monte_carlo_backbone_quota(self):
         # the corollary-scale experiment: disjoint backbone copies inside a

@@ -514,6 +514,92 @@ class TestConnectionRequest:
             connect_paths(Hypergraph.complete(2, 12), [((0, 1), (4, 5))], [5.5, 6], 2, 6, "power")
 
 
+    def test_a_request_vertex_outside_the_host_is_refused_before_any_search(self):
+        # it ended as a ConnectFailure after 5 rounds, which a pipeline retries as bad luck
+        with pytest.raises(ValueError, match=r"vertex 40 outside range\(12\)"):
+            connect_paths(Hypergraph.complete(3, 12), [((0, 1), (40, 41))], range(2, 10), 2, 6, "tight")
+        with pytest.raises(ValueError, match=r"vertex 12 outside range\(12\)"):
+            connect_paths(Hypergraph.complete(2, 12), [((0, 1), (11, 12))], range(2, 10), 2, 6, "power")
+
+    def test_a_root_vertex_outside_the_template_is_refused(self):
+        # it raised KeyError: 99 from the copy searcher
+        with pytest.raises(ValueError, match=r"vertex 99 outside range\(4\)"):
+            connect_family(Hypergraph.complete(2, 30), connecting_path_template(1, 4), (0, 99), [(20, 21)], range(10))
+        with pytest.raises(ValueError, match=r"vertex -1 outside range\(4\)"):
+            connect_family(Hypergraph.complete(2, 30), connecting_path_template(1, 4), (-1, 3), [(20, 21)], range(10))
+
+
+#: Vertices a request may hold by mistake: out of range(16), negative, a float or past int64.
+_ODD_VERTEX = st.one_of(st.integers(-3, 19), st.sampled_from([-2 ** 63 - 1, 2 ** 63, 2 ** 70, 1.0, 2.5]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+def draw_vertices(data, lo, hi, size, odd):
+    """``size`` distinct vertices of [lo, hi]; with ``odd`` one of them replaced by an odd vertex or a repeat."""
+    xs = data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size, unique=True))
+    if odd and xs:
+        xs[data.draw(st.integers(0, size - 1))] = data.draw(_ODD_VERTEX | st.sampled_from(xs))
+    return xs
+
+
+def split(xs, sizes):
+    """``xs`` cut into consecutive lists of these sizes."""
+    ends = np.cumsum([0, *sizes]).tolist()
+    return [xs[a:b] for a, b in zip(ends, ends[1:])]
+
+
+class TestConnectionBoundary:
+    """Whatever vertices a request holds, the Connecting Lemma returns, refuses it or fails as a search.
+
+    Requests are drawn from vertices 0..9 and reservoirs from 10..15 of a
+    16-vertex host; one of the inputs, or none, holds an odd vertex.
+    """
+
+    @staticmethod
+    def host(data, w):
+        if data.draw(st.booleans()):
+            return Hypergraph.complete(w, 16)
+        return sample_uniform_hypergraph(w, 16, 0.7, data.draw(st.integers(0, 3)))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_connect_paths(self, data):
+        k = data.draw(st.integers(1, 2))
+        mode = data.draw(st.sampled_from(["power", "tight"]))
+        ell = data.draw(st.integers(2 * k + 1, 2 * k + 2))
+        odd = data.draw(st.sampled_from([None, "pairs", "reservoir"]))
+        sizes = data.draw(st.lists(st.sampled_from([k, k, k, k - 1, k + 1]), max_size=4).filter(
+            lambda sizes: len(sizes) % 2 == 0 and sum(sizes) <= 10))
+        ends = split(draw_vertices(data, 0, 9, sum(sizes), odd == "pairs"), sizes)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        reservoir = draw_vertices(data, 10, 15, data.draw(st.sampled_from([6, 6, 4, 0])), odd == "reservoir")
+        host = self.host(data, 2 if mode == "power" else k + 1)
+        try:
+            family = connect_paths(host, pairs, reservoir, k, ell, mode)
+        except (ValueError, ConnectFailure):
+            return
+        assert [s[:k] + s[-k:] for s in family.sequences] == [tuple(a + b) for a, b in pairs]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_connect_family(self, data):
+        k = data.draw(st.integers(1, 2))
+        template = data.draw(st.sampled_from([connecting_path_template(k, 2 * k + 2), tight_path_template(k, k + 3)]))
+        odd = data.draw(st.sampled_from([None, "root", "tuples", "reservoir"]))
+        root = draw_vertices(data, 0, template.n - 1, data.draw(st.integers(2, template.n)), odd == "root")
+        arity = len(root)
+        sizes = data.draw(st.lists(st.sampled_from([arity, arity, arity, arity - 1, arity + 1]), max_size=2).filter(
+            lambda sizes: sum(sizes) <= 10))
+        tuples = split(draw_vertices(data, 0, 9, sum(sizes), odd == "tuples"), sizes)
+        reservoir = draw_vertices(data, 10, 15, data.draw(st.sampled_from([6, 6, 4, 0])), odd == "reservoir")
+        host = self.host(data, template.k)
+        try:
+            copies, _ = connect_family(host, template, root, tuples, reservoir)
+        except (ValueError, ConnectFailure):
+            return
+        assert [[emb[v] for v in root] for emb in copies] == tuples
+
+
 class TestConnectFamily:
     def test_budget_exhaustion_on_a_host_without_a_copy(self, monkeypatch):
         args = (

@@ -27,7 +27,7 @@ from hampow.randmodels import (
     uniform_stream,
 )
 
-from oracles import common_codes, mask_graph, three_rounds_by_enumeration
+from oracles import common_codes, is_edge, mask_graph, three_rounds_by_enumeration
 
 
 class TestMixing:
@@ -252,7 +252,7 @@ class TestThreeRound:
         rounds[0].edge_count
         assert calls == {"_bernoulli_ranks": 1}
         union.edge_count
-        union.has_edge([0, 1])
+        is_edge(union, [0, 1])
         assert calls == {"_bernoulli_ranks": 3, "_merged": 1}
         # q > 1/2: the rounds are drawn and their common codes merged before the sampler returns
         calls.clear()
