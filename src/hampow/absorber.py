@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hampow.core import Hypergraph, VertexTuple, check_uniformity, required_edges, uniformity
+from hampow.core import Hypergraph, VertexTuple, _count, check_uniformity, required_edges, uniformity
 from hampow.factor import factor_in_window
 from hampow.matcher import connect_paths
 
@@ -72,7 +72,7 @@ class Backbone:
 
     def __post_init__(self) -> None:
         w = uniformity(self.k, self.mode)
-        if self.ell < 3 or self.ell % 2 == 0:
+        if _count(self.ell, "backbone length ell", 3) % 2 == 0:
             raise ValueError(f"backbone needs odd ell >= 3, got {self.ell}")
         blocks = [self.block(i) for i in range(1, self.ell + 1)]
         ends = tuple(tuple(VertexTuple(b[j:j + self.k]) for b in blocks) for j in (0, self.k))
@@ -299,9 +299,7 @@ def build_chain_absorber(
     """
     n = host.n
     check_uniformity(host, k, mode)
-    if absorb_size < 1:
-        raise ValueError(f"absorb_size must be >= 1, got {absorb_size}")
-    t = absorb_size
+    t = _count(absorb_size, "absorb_size", 1)
     backbone = Backbone(k, ell, mode)
     capacity = chain_capacity(n, k, mode, ell)
     if t > capacity:

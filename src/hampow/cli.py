@@ -22,7 +22,6 @@ from hampow.core import (
     CycleCertificate,
     Hypergraph,
     VertexTuple,
-    check_encodable,
     is_path,
     missing_edge,
     power_path_template,
@@ -43,9 +42,7 @@ from hampow.pipeline import (
     implied_threshold,
     resolve_plan,
 )
-from hampow.randmodels import (
-    derive, expected_stored_codes, sample_bipartite, sample_uniform_hypergraph,
-)
+from hampow.randmodels import check_stored_codes, derive, sample_bipartite, sample_uniform_hypergraph
 
 MATERIALIZE_LIMIT = 20_000_000
 
@@ -53,10 +50,6 @@ MATERIALIZE_LIMIT = 20_000_000
 #: build peaks at 32-48 traced bytes an edge (power path, power backbone,
 #: tight path), and ``janson`` counts a template's edges as arrays too.
 TEMPLATE_EDGE_LIMIT = 4_000_000
-
-#: Most bytes the expected stored codes (8 bytes each) of a sampled host's
-#: three rounds and union may take; a larger --model host is refused.
-MODEL_BYTES_LIMIT = 1 << 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,18 +188,6 @@ def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec | str:
     return ModelSpec(n=args.n, p=args.p)
 
 
-def _model_too_large(k: int, n: int, p: float) -> bool:
-    """Say so on stderr when sampling this host would store too much."""
-    check_encodable(k, n)  # raises first, so the estimate cannot overflow
-    need = 8 * expected_stored_codes(k, n, p)  # int64 codes: a bound for int32 ones too
-    if need <= MODEL_BYTES_LIMIT:
-        return False
-    print(f"refusing to sample the {k}-uniform host with n={n}, p={p}: its three "
-          f"rounds and union would store about {need / 8:.4g} codes ({need:.4g} bytes), "
-          f"over the limit of {MODEL_BYTES_LIMIT} bytes", file=sys.stderr)
-    return True
-
-
 def _usage(msg: str) -> int:
     print(f"hampow: error: {msg}", file=sys.stderr)
     return 1
@@ -217,8 +198,8 @@ def _cmd_find(args) -> int:
     source = _host_source(args, cfg.k, cfg.mode)
     if isinstance(source, str):
         raise SystemExit(_usage(source))
-    if isinstance(source, ModelSpec) and _model_too_large(cfg.uniformity, source.n, source.p):
-        return 2
+    if isinstance(source, ModelSpec):  # before the plan is printed
+        check_stored_codes(cfg.uniformity, source.n, source.p)
     try:
         # first, so a host too small for any plan (n = 0 too) never reaches the threshold
         plan = resolve_plan(source.n, cfg)
@@ -252,8 +233,6 @@ def _cmd_verify(args) -> int:
         return _usage(host)
     if isinstance(host, ModelSpec):
         cfg = Parameters(k=cert.k, mode=cert.mode, seed=args.seed)
-        if _model_too_large(cfg.uniformity, host.n, host.p):
-            return 2
         host = attempt_rounds(host, cfg, args.attempt)[3]
     try:
         ok = verify_certificate(host, cert)
@@ -381,8 +360,8 @@ def _cmd_experiment(args) -> int:
     cfg_fields = dict(k=args.k, mode=args.mode, retries=args.retries)
     k = uniformity(args.k, args.mode)
     models = [ModelSpec(n=n, p=p) for n in n_list for p in p_grid]
-    if any(_model_too_large(k, m.n, m.p) for m in models):
-        return 2
+    for m in models:  # before any trial runs
+        check_stored_codes(k, m.n, m.p)
     runs = [(m, trial) for m in models for trial in range(args.trials)]
     tasks = [(m.n, m.p, trial, derive(args.seed, row), cfg_fields, args.zero_timings)
              for row, (m, trial) in enumerate(runs)]

@@ -45,6 +45,17 @@ def _vertex(v: int) -> int:
         raise ValueError(f"vertex {v!r} is not an integer") from None
 
 
+def _count(value: int, name: str, least: float) -> int:
+    """A size or count as a Python int, read by ``operator.index``; a float or a value below ``least`` is refused by name."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
     """The distinct vertices ascending, as int64; one that is no integer or lies outside ``range(n)`` is refused."""
     vs = sorted(set(map(_vertex, vertices)))  # np.unique imports numpy.ma (~0.7 MB)
@@ -87,12 +98,8 @@ class Hypergraph:
         width, with a repeated vertex, or with a vertex outside ``range(n)`` or
         not an integer is refused by name, and so is a repeated edge.
         """
-        self.k = int(k)
-        self.n = int(n)
-        if self.k < 2:
-            raise ValueError(f"uniformity must be >= 2, got {k}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
+        self.k = _count(k, "uniformity", 2)
+        self.n = _count(n, "vertex count n", 0)
         check_encodable(self.k, self.n)
         array = isinstance(edges, np.ndarray) and edges.dtype.kind in "biu"
         if not array or edges.shape[1:] != (self.k,):
@@ -268,8 +275,7 @@ class Hypergraph:
         k, n, m = (int(x) for x in head)
         if n > MAX_VERTICES:
             raise ValueError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
-        if m < 0:
-            raise ValueError(f"edge count must be >= 0, got {m}")
+        _count(m, "edge count", 0)
         if len(lines) < 1 + m:
             raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
         extra = next((line for line in lines[1 + m:] if line.strip()), None)
@@ -592,8 +598,7 @@ def check_encodable(k: int, n: int) -> None:
 
 def uniformity(k: int, mode: str) -> int:
     """Host uniformity of a mode for k >= 1: 2 for k-th powers, k+1 for tight cycles."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _count(k, "k", 1)
     if mode == "power":
         return 2
     if mode == "tight":
@@ -619,11 +624,14 @@ def required_edges(
     and windows wrap around; on a cycle d <= min(k, n // 2), as offset n - d
     repeats the pairs of d (offset n / 2 gives each of its pairs twice).
     Cyclic tight mode needs at least k+1 vertices; the vertices are distinct
-    integers, and a float is refused, never truncated.
+    integers, and a float is refused, never truncated, as is one past int64.
     """
     w = uniformity(k, mode)
-    s = np.asarray(seq)  # a cast would truncate a float: such a sequence is read by _vertex
-    s = np.asarray(s if s.dtype.kind in "iu" else [_vertex(v) for v in seq], dtype=np.int64)
+    s = np.asarray(seq)
+    try:  # a cast would truncate a float: such a sequence is read by _vertex
+        s = np.asarray(s if s.dtype.kind in "iu" else [_vertex(v) for v in seq], dtype=np.int64)
+    except OverflowError:  # a vertex past int64 lies in no host
+        raise ValueError(f"vertex {max(seq, key=abs)} outside int64") from None
     n = s.size
     if mode == "tight":
         ext = np.concatenate((s, s[:w - 1])) if cyclic else s
@@ -643,8 +651,7 @@ def required_edges(
 
 def power_path_template(k: int, ell: int) -> Hypergraph:
     """k-th power of a path on ``ell`` vertices: edges {i, j} with 0 < j-i <= k."""
-    if ell < 2:
-        raise ValueError(f"path length must be >= 2, got {ell}")
+    _count(ell, "path length", 2)
     return Hypergraph(2, ell, np.concatenate([*required_edges(np.arange(ell), k, "power")]))
 
 
@@ -659,16 +666,14 @@ def connecting_path_template(k: int, ell: int) -> Hypergraph:
     blocks (they are required when such a path is spliced between two
     structures).
     """
-    if ell <= 2 * k:
-        raise ValueError(f"connecting path needs ell >= {2 * k + 1}, got {ell}")
+    _count(ell, "connecting path length", 2 * k + 1)
     rows = np.concatenate([*required_edges(np.arange(ell), k, "power")])
     return Hypergraph(2, ell, rows[(rows[:, 1] >= k) & (rows[:, 0] < ell - k)])
 
 
 def tight_path_template(k: int, ell: int) -> Hypergraph:
     """(k+1)-uniform path: consecutive windows {i, .., i+k}, ell-k edges."""
-    if ell <= k:
-        raise ValueError(f"tight path needs ell >= {k + 1}, got {ell}")
+    _count(ell, "tight path length", k + 1)
     return Hypergraph(k + 1, ell, np.concatenate([*required_edges(np.arange(ell), k, "tight")]))
 
 
@@ -711,7 +716,7 @@ class CycleCertificate:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        uniformity(self.k, self.mode)  # rejects k < 1 and an unknown mode
+        uniformity(self.k, self.mode)  # rejects a k that is no integer or below 1, and an unknown mode
 
     def to_text(self) -> str:
         head = f"{self.mode} {self.k} {len(self.order)}"

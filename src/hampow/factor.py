@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable
 
-from hampow.core import Hypergraph, _bit_vertices, _vertex_bits, _vertex_set
+from hampow.core import Hypergraph, _bit_vertices, _count, _vertex_bits, _vertex_set
 from hampow.matcher import PhaseFailure, SearchBudgetExceeded, _CopySearcher
 
 __all__ = ["almost_factor", "factor_in_window"]
@@ -90,8 +90,7 @@ def factor_in_window(
     :class:`PhaseFailure` when the quota cannot be met or the searcher runs
     out of budget.
     """
-    if quota < 1:
-        raise ValueError(f"quota must be >= 1, got {quota}")
+    quota = _count(quota, "quota", 1)
 
     def fail(view: int | None, found: int, left: int) -> PhaseFailure:
         message = "search budget exhausted" if view is None else f"found {found} of {quota} required copies"

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hampow.core import Hypergraph, _decode_codes, _encode_rows, check_encodable
+from hampow.core import Hypergraph, _count, _decode_codes, _encode_rows, check_encodable
 from hampow.density import MAX_EXACT_VERTICES, m1_density
 from hampow.randmodels import _check_edge_probability
 
@@ -80,7 +80,7 @@ def _logsumexp(values: list[float]) -> float:
 def log_expected_lex_copies(n: int, template: Hypergraph, p: float) -> float:
     """log mu, where mu = C(n, v(H)) * p^e(H); -inf when mu = 0."""
     _check_edge_probability(p)
-    v = template.n
+    v, n = template.n, _count(n, "vertex count n", 0)
     if v > n:
         raise ValueError(f"template has {v} vertices but the host only {n}")
     e = template.edge_count
@@ -102,7 +102,7 @@ def log_delta_upper_bound(n: int, template: Hypergraph, p: float) -> float:
     _check_edge_probability(p)
     if template.edge_count == 0:
         raise ValueError("delta bound is undefined for an edgeless template")
-    v, e = template.n, template.edge_count
+    v, e, n = template.n, template.edge_count, _count(n, "vertex count n", 0)
     if p == 0.0:
         return -math.inf
     if v <= MAX_EXACT_VERTICES:
@@ -124,7 +124,7 @@ def exact_mu_delta(n: int, template: Hypergraph, p: float) -> tuple[float, float
     least one edge.  Refuses hosts with more than :data:`EXACT_COPY_BUDGET` copies.
     """
     _check_edge_probability(p)
-    v = template.n
+    v, n = template.n, _count(n, "vertex count n", 0)
     if v > n:
         raise ValueError(f"template has {v} vertices but the host only {n}")
     n_copies = math.comb(n, v)

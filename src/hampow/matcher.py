@@ -22,6 +22,7 @@ from hampow.core import (
     Hypergraph,
     VertexTuple,
     _bit_vertices,
+    _count,
     _vertex_bits,
     _vertex_set,
     check_uniformity,
@@ -237,8 +238,7 @@ def round_sizes(total: int, rounds: int) -> list[int]:
     below.  These sizes always leave vertices over; they form one final
     slice, so the whole reservoir is usable.  An empty reservoir has no slices.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    rounds = _count(rounds, "rounds", 1)
     if total == 0:
         return []
     sizes = [max(total // 2 ** (i + 1), total // (2 * rounds)) for i in range(1, rounds + 1)]
@@ -368,8 +368,7 @@ def connect_paths(
     failure is a :class:`ConnectFailure` under ``phase``.
     """
     check_uniformity(host, k, mode)
-    if ell <= 2 * k:
-        raise ValueError(f"connector length must exceed 2k = {2 * k}, got {ell}")
+    _count(ell, "connector length", 2 * k + 1)
     if mode == "power":
         template = connecting_path_template(k, ell)
     else:

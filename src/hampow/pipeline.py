@@ -16,7 +16,6 @@ calibrated for hosts in the n = 500..3000 range, or solved from n by
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -38,6 +37,7 @@ from hampow.core import (
     Hypergraph,
     _bit_rows,
     _bit_vertices,
+    _count,
     _vertex_set,
     check_uniformity,
     required_edges,
@@ -47,7 +47,7 @@ from hampow.core import (
 from hampow.matcher import PhaseFailure, connect_paths, round_sizes
 from hampow.randmodels import (
     BipartiteGraph,
-    _check_edge_probability,
+    check_stored_codes,
     derive,
     sample_three_rounds,
     split_edges_three,
@@ -92,9 +92,9 @@ class Parameters:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        uniformity(self.k, self.mode)  # rejects k < 1 and an unknown mode
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        for name, least in (("k", 1), ("retries", 0), ("seed", -math.inf)):  # kept as Python ints
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        uniformity(self.k, self.mode)  # rejects an unknown mode
 
     @property
     def uniformity(self) -> int:
@@ -109,12 +109,7 @@ class ModelSpec:
     p: float
 
     def __post_init__(self) -> None:
-        try:  # 300.7 is refused, never truncated
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"vertex count n must be an integer, got {self.n!r}") from None
-        if self.n < 0:
-            raise ValueError(f"vertex count n must be >= 0, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "vertex count n", 0))  # 300.7 is refused, never truncated
 
 
 @dataclass(frozen=True)
@@ -264,8 +259,7 @@ def cover_with_paths(
     """
     check_uniformity(host, k, mode)
     flat = _vertex_set([*uncovered, *borrowed], host.n)  # part j is flat[j * s:(j + 1) * s]
-    if t < 1:
-        raise ValueError(f"part count must be >= 1, got {t}")
+    t = _count(t, "part count t", 1)
     if flat.size % t != 0:
         raise ValueError(f"pool of {flat.size} vertices is not divisible into {t} parts")
     s = flat.size // t
@@ -359,7 +353,7 @@ def resolve_plan(n: int, cfg: Parameters) -> ResolvedPlan:
     chain and merge) has length :func:`default_connector_len`.  Raises
     ValueError past MAX_VERTICES or when no feasible plan exists (host too small for k and mode).
     """
-    if n > MAX_VERTICES:
+    if _count(n, "vertex count n", 0) > MAX_VERTICES:
         raise ValueError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
     k, mode = cfg.k, cfg.mode
     ell, conn = ELL, default_connector_len(k, mode)
@@ -443,11 +437,13 @@ def attempt_rounds(
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """Attempt r's three exposure rounds and their union, the host it verifies against.
 
-    A model's rounds are sampled with ``derive(attempt seed, 1)``; a fixed
-    host is the union, its edges split with ``derive(attempt seed, 4)``.
+    A model's rounds are sampled with ``derive(attempt seed, 1)``, once
+    :func:`randmodels.check_stored_codes` has passed them; a fixed host is
+    the union, its edges split with ``derive(attempt seed, 4)``.
     """
-    attempt_seed = _attempt_seed(cfg, r)
+    attempt_seed = _attempt_seed(cfg, _count(r, "attempt index r", 0))
     if isinstance(source, ModelSpec):
+        check_stored_codes(cfg.uniformity, source.n, source.p)
         return sample_three_rounds(
             cfg.uniformity, source.n, source.p, derive(attempt_seed, 1)
         )
@@ -498,8 +494,8 @@ def find_hamilton_detailed(
     source: Hypergraph | ModelSpec, cfg: Parameters
 ) -> tuple[CycleCertificate | FailureReport, int]:
     """Like :func:`find_hamilton`, also reporting the succeeding attempt index."""
-    if isinstance(source, ModelSpec):
-        _check_edge_probability(source.p)
+    if isinstance(source, ModelSpec):  # an edge rate out of range or a host over budget is refused first
+        check_stored_codes(cfg.uniformity, source.n, source.p)
     else:
         check_uniformity(source, cfg.k, cfg.mode)
     plan = resolve_plan(source.n, cfg)

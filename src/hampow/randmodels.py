@@ -20,10 +20,11 @@ from typing import Iterator
 
 import numpy as np
 
-from hampow.core import _BLOCK, Hypergraph, _row_lines, _true_positions, code_dtype
+from hampow.core import _BLOCK, Hypergraph, _count, _row_lines, _true_positions, check_encodable, code_dtype
 
 __all__ = [
     "BipartiteGraph",
+    "check_stored_codes",
     "derive",
     "expected_stored_codes",
     "mix",
@@ -56,7 +57,7 @@ def mix(seed: int, index: int) -> int:
 
 def derive(seed: int, *indices: int) -> int:
     """Fold indices into a seed; the documented trial/phase derivation rule."""
-    out = seed & _MASK
+    out = _count(seed, "seed", -math.inf) & _MASK
     for i in indices:
         out = mix(out, i)
     return out
@@ -91,6 +92,21 @@ def expected_stored_codes(k: int, n: int, p: float) -> float:
     """Expected codes sample_three_rounds stores, each result its smaller side."""
     q = three_round_rate(p)
     return (3 * min(q, 1.0 - q) + min(p, 1.0 - p)) * math.comb(n, k)
+
+
+#: Most bytes the expected stored codes (8 bytes each) of a sampled host's
+#: three rounds and union may take; a larger model host is refused.
+MODEL_BYTES_LIMIT = 1 << 30
+
+
+def check_stored_codes(k: int, n: int, p: float) -> None:
+    """Refuse the k-uniform G(n, p) whose three rounds and union would store more than MODEL_BYTES_LIMIT."""
+    check_encodable(k, n)  # raises first, so the estimate cannot overflow
+    need = 8 * expected_stored_codes(k, n, p)  # int64 codes: a bound for int32 ones too
+    if need > MODEL_BYTES_LIMIT:
+        raise ValueError(f"refusing to sample the {k}-uniform host with n={n}, p={p}: its three rounds and union "
+                         f"would store about {need / 8:.4g} codes ({need:.4g} bytes), "
+                         f"over the limit of {MODEL_BYTES_LIMIT} bytes")
 
 
 #: Most variates a round draws at once, and about the codes the union merges at once.
@@ -149,9 +165,10 @@ def sample_uniform_hypergraph(k: int, n: int, p: float, seed: int) -> Hypergraph
     draw that keeps what it drew (:func:`sample_three_rounds` reads it).
     """
     _check_edge_probability(p)
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    k = _count(k, "uniformity", 2)
+    check_encodable(k, n := _count(n, "vertex count n", k))  # before C(n, k), whose work grows with k
     # a candidate's lexicographic rank is its code, so the drawn ranks are stored as they are
+    seed = _count(seed, "seed", -math.inf)  # read now: the draw is deferred
     draw = functools.cache(functools.partial(_bernoulli_ranks, seed, math.comb(n, k), min(p, 1.0 - p)))
     return Hypergraph.from_codes(k, n, draw, complement=p > 0.5)
 
@@ -300,7 +317,6 @@ class BipartiteGraph:
 def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
     """Binomial bipartite graph with both sides of size s and edge rate p."""
     _check_edge_probability(p)
-    if s < 0:
-        raise ValueError(f"side size must be >= 0, got {s}")
+    check_encodable(2, s := _count(s, "side size s", 0))  # the cells l * s + r are int64
     # the ranks of the s x s cells ascend, as the stored cells do
-    return BipartiteGraph(s, s, _bernoulli_ranks(seed, s * s, p))
+    return BipartiteGraph(s, s, _bernoulli_ranks(_count(seed, "seed", -math.inf), s * s, p))

@@ -500,16 +500,16 @@ class TestModelSizeGuard:
         code, out, err = run(["find", "--model", "hgnp", "--mode", "tight", "--k", "2",
                               "--n", "1000", "--p", "0.9"], capsys)
         assert code == 2 and out == "" and sampled == []
-        assert "about 2.48e+08 codes" in err and f"limit of {cli.MODEL_BYTES_LIMIT} bytes" in err
+        assert "about 2.48e+08 codes" in err and f"limit of {randmodels.MODEL_BYTES_LIMIT} bytes" in err
 
     def test_the_sparse_tight_benchmark_host_fits(self):
         # tight k=2 at n=1000, p=0.05: ~16.8M stored codes, ~134 MB
-        assert 8 * expected_stored_codes(3, 1000, 0.05) < cli.MODEL_BYTES_LIMIT / 4
+        assert 8 * expected_stored_codes(3, 1000, 0.05) < randmodels.MODEL_BYTES_LIMIT / 4
 
     def test_find_verify_and_experiment_refuse_before_sampling(
         self, tmp_path, capsys, monkeypatch, sampled
     ):
-        monkeypatch.setattr(cli, "MODEL_BYTES_LIMIT", 100)
+        monkeypatch.setattr(randmodels, "MODEL_BYTES_LIMIT", 100)
         cert = tmp_path / "c.cert"
         cert.write_text("power 1 30\n" + " ".join(map(str, range(30))) + "\n")
         csv = tmp_path / "grid.csv"
@@ -525,7 +525,7 @@ class TestModelSizeGuard:
             assert "over the limit of 100 bytes" in err
         assert sampled == [] and not csv.exists()
         # a complete host stores no codes, so it passes any limit
-        monkeypatch.setattr(cli, "MODEL_BYTES_LIMIT", 0)
+        monkeypatch.setattr(randmodels, "MODEL_BYTES_LIMIT", 0)
         code, out, _ = run(["verify", "--model", "gnp", "--n", "30", "--p", "1.0",
                             "--cert", str(cert)], capsys)
         assert code == 0 and "certificate OK" in out and sampled == [(2, 30, 1.0)]
@@ -536,7 +536,7 @@ class TestModelSizeGuard:
     ):
         # the size estimate's math.comb used to refuse it, naming neither n nor its value
         estimated = []
-        monkeypatch.setattr(cli, "_model_too_large", lambda *args: estimated.append(args))
+        monkeypatch.setattr(randmodels, "expected_stored_codes", lambda *args: estimated.append(args))
         cert = tmp_path / "c.cert"
         cert.write_text("power 1 3\n0 1 2\n")
         csv = tmp_path / "grid.csv"
