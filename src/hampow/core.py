@@ -182,9 +182,7 @@ class Hypergraph:
         """Sorted codes of the edges, in the stored codes' dtype (built on each call in complement form)."""
         if not self._complement:
             return self._codes
-        keep = np.ones(math.comb(self.n, self.k), dtype=bool)
-        keep[self._codes] = False
-        return _true_positions(keep, self._codes.dtype)
+        return _absent_codes([self._codes], math.comb(self.n, self.k))
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of the neighbours of v (2-uniform only): the set bits of v's row."""
@@ -207,8 +205,9 @@ class Hypergraph:
     def _row(self, v: int) -> int:
         """v's row of the adjacency as a bitset: a Python int whose bit w is set for each neighbour w.
 
-        The first call builds the adjacency in the smaller of two layouts:
+        The first call builds the adjacency of the stored pairs in the smaller of two layouts:
         packed rows, n * ceil(n / 8) bytes, or a CSR of two int32 ids a stored pair.
+        In complement form the row read from either is v's non-edges, flipped here and only here.
         """
         if self.k != 2:
             raise ValueError("the adjacency requires a 2-uniform hypergraph")
@@ -217,15 +216,16 @@ class Hypergraph:
             raise ValueError(f"vertex {v} outside range({self.n})")
         if self._adj is None:
             if self.n * ((self.n + 7) // 8) <= 8 * self._codes.size:
-                self._adj = _packed_rows(self._codes, self.n, self._complement)
+                self._adj = _packed_rows(self._codes, self.n)
             else:
                 self._adj = _csr(self._codes, self.n)
         if isinstance(self._adj, np.ndarray):
-            return int.from_bytes(self._adj[v], "little")
-        starts, dst = self._adj
-        # numpy's own cast of an int32 index costs ~2 us of a ~6 us call
-        bits = _vertex_bits(dst[starts[v]:starts[v + 1]].astype(np.intp), self.n)
-        if self._complement:  # the stored ids are v's non-edges: flip them in the full row
+            bits = int.from_bytes(self._adj[v], "little")
+        else:
+            starts, dst = self._adj
+            # numpy's own cast of an int32 index costs ~2 us of a ~6 us call
+            bits = _vertex_bits(dst[starts[v]:starts[v + 1]].astype(np.intp), self.n)
+        if self._complement:  # every other vertex but v itself
             bits ^= ((1 << self.n) - 1) ^ (1 << v)
         return bits
 
@@ -302,7 +302,7 @@ class Hypergraph:
 #: Edges formatted, or checked and encoded, per block: the temporaries stay small.
 _BLOCK = 1 << 14
 
-#: Fewest pairs the packed row build flips at once (else one per 64 bytes of rows):
+#: Fewest pairs the packed row build sets at once (else one per 64 bytes of rows):
 #: its ~10 bytes a pair of temporaries stay under half the rows' bytes from n = 1500 up.
 _PACK_BLOCK = _BLOCK // 4
 
@@ -378,13 +378,19 @@ def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table.take(at, mode="clip") == values
 
 
-def _true_positions(mask: np.ndarray, dtype: type[np.signedinteger]) -> np.ndarray:
-    """``np.flatnonzero(mask)`` in dtype, found a block at a time: no full-length int64 copy."""
-    out = np.empty(np.count_nonzero(mask), dtype=dtype)
+def _absent_codes(stored: Sequence[np.ndarray], total: int) -> np.ndarray:
+    """The codes below total in none of these sorted arrays, ascending, in their dtype.
+
+    They are read off one bool mask a block at a time: no full-length int64 copy.
+    """
+    keep = np.ones(total, dtype=bool)
+    for codes in stored:
+        keep[codes] = False
+    out = np.empty(np.count_nonzero(keep), dtype=stored[0].dtype)
     size = 0
     step = _BLOCK << 6
-    for lo in range(0, mask.size, step):
-        found = np.flatnonzero(mask[lo:lo + step])
+    for lo in range(0, total, step):
+        found = np.flatnonzero(keep[lo:lo + step])
         found += lo
         out[size:size + found.size] = found
         size += found.size
@@ -474,40 +480,25 @@ def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, keys.astype(np.int32, copy=False)
 
 
-def _packed_rows(codes: np.ndarray, n: int, complement: bool) -> np.ndarray:
-    """The (n, ceil(n / 8)) uint8 rows whose bit w % 8 of byte (v, w // 8) says {v, w} is an edge.
+def _packed_rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """The (n, ceil(n / 8)) uint8 rows whose bit w % 8 of byte (v, w // 8) says {v, w} is a stored pair.
 
-    The edges are the pairs with these sorted codes, or in complement form
-    all other pairs.  Bit (v, w) is bit v * 8 * width + w of the rows; the
-    pairs flip their two bits, their :func:`_pair_positions`, a stretch of
-    about max(_PACK_BLOCK, rows' bytes / 64) pairs at a time.
+    They hold the pairs with these sorted codes, whichever side of the edge
+    set those are: :meth:`Hypergraph._row` flips a complement host's row.
+    Bit (v, w) is bit v * 8 * width + w of the rows; the pairs set their two
+    bits, their :func:`_pair_positions`, a stretch of about
+    max(_PACK_BLOCK, rows' bytes / 64) pairs at a time.
     """
     width = (n + 7) // 8
-    line = 8 * width  # bits a row
-    rows = np.full((n, width), 0xFF if complement else 0, dtype=np.uint8)
+    rows = np.zeros((n, width), dtype=np.uint8)
     flat = rows.reshape(-1)
-    flip = np.subtract if complement else np.add
-    if complement:  # no padding bit and no self-pair is an edge
-        if n % 8:
-            rows[:, -1] = (1 << n % 8) - 1
-        _flip_bits(flat, np.arange(n, dtype=code_dtype(n * line)) * (line + 1), flip)
-    for pos in _pair_positions(codes, n, line, max(_PACK_BLOCK, rows.nbytes // 64)):
-        _flip_bits(flat, pos, flip)
+    for pos in _pair_positions(codes, n, 8 * width, max(_PACK_BLOCK, rows.nbytes // 64)):
+        bit = pos.astype(np.uint8)  # the low byte
+        bit &= 7
+        np.left_shift(1, bit, out=bit)
+        pos >>= 3
+        np.add.at(flat, pos, bit)  # no two pairs share a bit, so a byte's sum is their OR
     return rows
-
-
-def _flip_bits(flat: np.ndarray, pos: np.ndarray, flip: np.ufunc) -> None:
-    """Flip the bits at these distinct positions of a uint8 array, bit i % 8 of byte i // 8.
-
-    ``flip`` is ``np.add`` to set bits that are clear, ``np.subtract`` to clear
-    bits that are set: no two positions share a bit, so its sum over a byte is
-    their OR.  ``pos`` is overwritten.
-    """
-    bit = pos.astype(np.uint8)  # the low byte
-    bit &= 7
-    np.left_shift(1, bit, out=bit)
-    pos >>= 3
-    flip.at(flat, pos, bit)
 
 
 def _edge_columns(rows: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:

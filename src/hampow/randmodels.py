@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from hampow.core import _BLOCK, Hypergraph, _count, _row_lines, _true_positions, check_encodable, code_dtype
+from hampow.core import _BLOCK, Hypergraph, _absent_codes, _count, _row_lines, check_encodable, code_dtype
 
 __all__ = [
     "BipartiteGraph",
@@ -119,9 +119,10 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
     Geometric skipping (Batagelj & Brandes, Phys. Rev. E 71, 2005): the j-th
     gap between kept ranks is Geometric(rate), by inversion of variate j of
     ``seed``'s stream, so one variate is drawn per kept rank, one batch at a
-    time.  Each batch is computed in int64 and fills one array of
-    ``code_dtype(total)``, sized for a rare excess over the expected count,
-    then shrunk in place.
+    time.  Each batch is computed in int64, each gap capped at 2 ** 62, and
+    cut at its first rank >= total (total < 2 ** 62 by check_encodable).  It
+    fills one array of ``code_dtype(total)``, sized for a rare excess over
+    the expected count, then shrunk in place.
     """
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-rate)
@@ -136,14 +137,16 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
         gaps = uniform_stream(seed, kept, kept + size)
         np.log1p(np.negative(gaps, out=gaps), out=gaps)
         # rate = 0, or one so small that the quotient overflows, gives inf or
-        # nan here, which fmin caps at total: no rank is kept
+        # nan here, which fmin caps at 2 ** 62, exact and past every total
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             gaps /= log_miss
-        ranks = np.fmin(gaps, total, out=gaps).astype(np.int64)  # gaps >= 0: the cast floors
+        ranks = np.fmin(gaps, 2.0 ** 62, out=gaps).astype(np.int64)  # gaps >= 0: the cast floors
         ranks += 1
+        ranks[0] += last
         np.cumsum(ranks, out=ranks)
-        ranks += last
-        ranks = ranks[: np.searchsorted(ranks, total)]
+        # the first rank past the candidates is below 2 ** 63, but the sums after it may wrap
+        cut = int((ranks >= total).argmax())  # 0 also when no rank is past
+        ranks = ranks[: cut if ranks[cut] >= total else size]
         if kept + ranks.size > out.size:
             out.resize(2 * (kept + ranks.size), refcheck=False)
         out[kept : kept + ranks.size] = ranks
@@ -151,6 +154,7 @@ def _bernoulli_ranks(seed: int, total: int, rate: float) -> np.ndarray:
         if ranks.size < size:
             break
         last = int(ranks[-1])
+        del ranks  # so the next batch's temporaries can reuse its memory
     out.resize(kept, refcheck=False)
     return out
 
@@ -213,7 +217,7 @@ def sample_three_rounds(
     non-edges at rate 1 - q < 1/2.  The union is
     - for p <= 1/2, the rounds' edges merged;
     - for q > 1/2, the codes in all three rounds' non-edges, merged;
-    - in between, the candidates no round has, found in one C(n, k) mask.
+    - in between, the candidates no round has.
     When q <= 1/2 nothing is drawn before a result is first read: round i
     on its own first read, and the union from the rounds on its first read,
     so an attempt that fails in its first phase draws one round.  When
@@ -232,12 +236,7 @@ def sample_three_rounds(
         rounds = [draw() for draw in draws]
         if dense:
             return _merged(rounds, total, times=3)
-        if p > 0.5:
-            absent = np.ones(total, dtype=bool)
-            for codes in rounds:
-                absent[codes] = False
-            return _true_positions(absent, rounds[0].dtype)
-        return _merged(rounds, total)
+        return _absent_codes(rounds, total) if p > 0.5 else _merged(rounds, total)
 
     # The dense union stays eager, and so draws the rounds, for the traced
     # benchmark: perfbench/spans.py reads the union's edge_count right after

@@ -580,11 +580,11 @@ class TestAdjacency:
         for host in (dense_host, edge_twin(dense_host)):  # non-edges stored, then edges
             assert host._codes.size >= 3 * per  # several stretches
             assert host._codes.size // 8 > core._PACK_BLOCK  # several CSR stretches
-            rows = core._packed_rows(host._codes, n, host._complement)
-            assert np.array_equal(np.unpackbits(rows, axis=1, count=n, bitorder="little"), dense)
-            # the CSR holds the stored pairs, each row ascending: row-major positions v * n + w
+            # both layouts hold the stored pairs; the CSR's rows ascend: row-major positions v * n + w
             stored = dense != host._complement
             np.fill_diagonal(stored, False)
+            rows = core._packed_rows(host._codes, n)
+            assert np.array_equal(np.unpackbits(rows, axis=1, count=n, bitorder="little"), stored)
             starts, ids = core._csr(host._codes, n)
             positions = np.repeat(np.arange(n), np.diff(starts)) * n + ids
             assert np.array_equal(positions, np.flatnonzero(stored))
@@ -593,12 +593,12 @@ class TestAdjacency:
             assert isinstance(host._adj, np.ndarray)
 
     def test_the_packed_row_build_peaks_within_half_again_its_output(self):
-        # the pairs flip their bits a stretch of rows at a time, with a few
+        # the pairs set their bits a stretch of rows at a time, with a few
         # bytes a pair of temporaries, on the codes the CSR case above sorts
         codes = sample_uniform_hypergraph(2, 1500, 0.92, 7)._codes
         tracemalloc.start()
         try:
-            rows = core._packed_rows(codes, 1500, True)
+            rows = core._packed_rows(codes, 1500)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

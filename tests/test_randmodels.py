@@ -74,6 +74,23 @@ class TestSampler:
         g3 = sample_uniform_hypergraph(3, 6, 1.0, seed=1)
         assert g3.edge_count == 20
 
+    @pytest.mark.parametrize("draw", [
+        # C(n, 2) past 2 ** 53: float(total) rounds below it, so a gap capped there kept the last candidate
+        lambda: sample_uniform_hypergraph(2, 134217730, 0.0, 1),
+        lambda: sample_bipartite(100000001, 0.0, 1),
+        # totals past ~2 ** 59: the int64 sums of capped gaps wrapped, and the draw never returned
+        lambda: sample_uniform_hypergraph(2, 2**31 - 1, 0.0, 1),
+        lambda: sample_bipartite(2**31 - 1, 0.0, 1),
+    ], ids=["host-past-2**53", "bipartite-past-2**53", "host-past-2**59", "bipartite-past-2**59"])
+    def test_rate_zero_keeps_no_candidate_of_a_huge_host(self, draw):
+        assert draw().edge_count == 0
+
+    def test_huge_gaps_give_ascending_distinct_ranks_below_the_total(self):
+        # gaps of ~1e18 wrap an int64 sum within a batch; compared, not subtracted, as a difference may wrap too
+        ranks = randmodels._bernoulli_ranks(1, 2**61, 1e-18)
+        assert ranks.dtype == np.int64 and np.all(ranks[:-1] < ranks[1:])
+        assert ranks.size == 0 or 0 <= ranks[0] <= ranks[-1] < 2**61
+
     def test_determinism(self):
         a = sample_uniform_hypergraph(3, 40, 0.2, seed=77)
         b = sample_uniform_hypergraph(3, 40, 0.2, seed=77)
