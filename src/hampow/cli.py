@@ -52,6 +52,10 @@ MATERIALIZE_LIMIT = 20_000_000
 TEMPLATE_EDGE_LIMIT = 4_000_000
 
 
+class _UsageError(Exception):
+    """A misused command line, which ``main`` reports with exit code 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -102,10 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check a certificate")
     _add_host(v)
-    v.add_argument("--attempt", type=int, default=0,
-                   help="attempt index whose host to regenerate (--model only)")
+    v.add_argument("--attempt", type=int, default=None,
+                   help="attempt index whose host to regenerate (--model only, default 0)")
     v.add_argument("--cert", required=True)
     _add_seed(v)
+    v.set_defaults(seed=None)  # unset, so --graph can refuse it
 
     d = sub.add_parser("density", help="exact (rooted) 1-density")
     d.add_argument("--input", required=True, help="hypergraph file")
@@ -149,21 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     k = 2 if args.k is None else args.k
     if not {"gnp": k == 2, "hgnp": k >= 2, "bip": args.k is None}[args.model]:
-        return _usage(f"--k {args.k} does not fit --model {args.model}: hgnp takes a "
-                      "uniformity >= 2, gnp only 2 and bip none")
+        raise _UsageError(f"--k {args.k} does not fit --model {args.model}: hgnp takes a "
+                          "uniformity >= 2, gnp only 2 and bip none")
     candidates = args.n * args.n if args.model == "bip" else math.comb(args.n, k)
     # compared as MATERIALIZE_LIMIT / p, so a huge candidate count cannot overflow
     if args.p > 0 and candidates > MATERIALIZE_LIMIT / args.p:
-        print(f"refusing to sample an expected {args.p:g} * {candidates} edges "
-              f"(> {MATERIALIZE_LIMIT})", file=sys.stderr)
-        return 2
+        raise ValueError(f"refusing to sample an expected {args.p:g} * {candidates} edges "
+                         f"(> {MATERIALIZE_LIMIT})")
     if args.model == "bip":
         g = sample_bipartite(args.n, args.p, args.seed)
     else:
         g = sample_uniform_hypergraph(k, args.n, args.p, args.seed)
     if g.edge_count > MATERIALIZE_LIMIT:
-        print(f"refusing to write {g.edge_count} edges (> {MATERIALIZE_LIMIT})", file=sys.stderr)
-        return 2
+        raise ValueError(f"refusing to write {g.edge_count} edges (> {MATERIALIZE_LIMIT})")
     with open(args.out, "wb") as out:
         out.writelines(g.text_blocks())
     what = f"bipartite {g.left}x{g.right} with {g.edge_count} edges" if args.model == "bip" else repr(g)
@@ -171,41 +174,33 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec | str:
-    """The host --graph or --model names for mode and k, or why it cannot be used."""
+def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec:
+    """The host --graph or --model names for mode and k; a misuse raises _UsageError."""
     if (args.graph is None) == (args.model is None):
-        return "exactly one of --graph or --model is required"
+        raise _UsageError("exactly one of --graph or --model is required")
     if args.graph is not None:
         if args.n is not None or args.p is not None:
-            return "--n and --p describe a --model host; --graph reads its host from the file"
+            raise _UsageError("--n and --p describe a --model host; --graph reads its host from the file")
         return _load_graph(args.graph)
     if args.n is None or args.p is None:
-        return "--model requires --n and --p"
+        raise _UsageError("--model requires --n and --p")
     w = uniformity(k, mode)
     if args.model == "gnp" and w != 2:
-        return (f"--model gnp samples graphs, but {mode} mode with k={k} runs on "
-                f"{w}-uniform hosts; use --model hgnp")
+        raise _UsageError(f"--model gnp samples graphs, but {mode} mode with k={k} runs on "
+                          f"{w}-uniform hosts; use --model hgnp")
     return ModelSpec(n=args.n, p=args.p)
-
-
-def _usage(msg: str) -> int:
-    print(f"hampow: error: {msg}", file=sys.stderr)
-    return 1
 
 
 def _cmd_find(args) -> int:
     cfg = Parameters(k=args.k, mode=args.mode, retries=args.retries, seed=args.seed)
     source = _host_source(args, cfg.k, cfg.mode)
-    if isinstance(source, str):
-        raise SystemExit(_usage(source))
     if isinstance(source, ModelSpec):  # before the plan is printed
         check_stored_codes(cfg.uniformity, source.n, source.p)
     try:
         # first, so a host too small for any plan (n = 0 too) never reaches the threshold
         plan = resolve_plan(source.n, cfg)
     except ValueError as err:
-        print(f"infeasible configuration: {err}", file=sys.stderr)
-        return 2
+        raise ValueError(f"infeasible configuration: {err}") from err
     formula, value = implied_threshold(source.n, cfg)
     chosen = args.p if args.p is not None else "n/a (fixed graph)"
     print(f"seed {args.seed}; implied threshold {formula} = {value:.6g}; chosen p = {chosen}")
@@ -225,20 +220,21 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.attempt < 0:
-        return _usage(f"--attempt must be >= 0, got {args.attempt}")
+    for flag, value in (("--attempt", args.attempt), ("--seed", args.seed)):
+        if args.graph is not None and value is not None:
+            raise _UsageError(f"{flag} regenerates a --model host; --graph reads its host from the file")
+    attempt = args.attempt or 0
+    if attempt < 0:
+        raise _UsageError(f"--attempt must be >= 0, got {attempt}")
     cert = CycleCertificate.from_text(Path(args.cert).read_text())
     host = _host_source(args, cert.k, cert.mode)
-    if isinstance(host, str):
-        return _usage(host)
     if isinstance(host, ModelSpec):
-        cfg = Parameters(k=cert.k, mode=cert.mode, seed=args.seed)
-        host = attempt_rounds(host, cfg, args.attempt)[3]
+        cfg = Parameters(k=cert.k, mode=cert.mode, seed=DEFAULT_SEED if args.seed is None else args.seed)
+        host = attempt_rounds(host, cfg, attempt)[3]
     try:
         ok = verify_certificate(host, cert)
     except ValueError as err:
-        print(f"malformed certificate: {err}", file=sys.stderr)
-        return 2
+        raise ValueError(f"malformed certificate: {err}") from err
     print("certificate OK" if ok else "certificate REJECTED")
     if ok:
         return 0
@@ -259,29 +255,29 @@ def _cmd_density(args) -> int:
 
 
 def _check_template_edges(what: str, edges: int) -> None:
-    """Exit 2, before building it, on a template with more than TEMPLATE_EDGE_LIMIT edges."""
+    """Refuse, before building it, a template with more than TEMPLATE_EDGE_LIMIT edges."""
     if edges > TEMPLATE_EDGE_LIMIT:
-        print(f"refusing to build {what}: {edges} edges exceed the limit of "
-              f"{TEMPLATE_EDGE_LIMIT}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"refusing to build {what}: {edges} edges exceed the limit of "
+                         f"{TEMPLATE_EDGE_LIMIT}")
 
 
 def _janson_template(spec: str, n: int) -> Hypergraph:
     if spec == "builtin:triangle":
         return Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
-    if spec.startswith("builtin:path-"):
-        try:
-            _, k, ell = spec.rsplit("-", 2)
-            k, ell = int(k), int(ell)
-            if ell > n:
-                print(f"refusing {spec}: its {ell} vertices exceed --n {n}", file=sys.stderr)
-                raise SystemExit(2)
-            r = max(min(k, ell - 1), 0)  # the longest offset that joins two path vertices
-            _check_template_edges(spec, r * ell - r * (r + 1) // 2)
-            return power_path_template(k, ell)
-        except ValueError as err:
-            raise SystemExit(_usage(f"bad builtin template {spec!r}: {err}"))
-    return _load_graph(spec)
+    if not spec.startswith("builtin:path-"):
+        return _load_graph(spec)
+    try:  # exactly two integers, so neither can be negative
+        k, ell = map(int, spec.removeprefix("builtin:path-").split("-"))
+    except ValueError as err:
+        raise _UsageError(f"bad builtin template {spec!r}: {err}") from err
+    if ell > n:
+        raise ValueError(f"refusing {spec}: its {ell} vertices exceed --n {n}")
+    r = max(min(k, ell - 1), 0)  # the longest offset that joins two path vertices
+    _check_template_edges(spec, r * ell - r * (r + 1) // 2)
+    try:
+        return power_path_template(k, ell)
+    except ValueError as err:  # k < 1, or fewer than two vertices
+        raise _UsageError(f"bad builtin template {spec!r}: {err}") from err
 
 
 def _magnitude(log_value: float) -> str:
@@ -314,8 +310,7 @@ def _cmd_factor(args) -> int:
     try:
         copies = almost_factor(g, template, args.epsilon)
     except PhaseFailure as err:
-        print(f"factor failed: {err}", file=sys.stderr)
-        return 2
+        raise ValueError(f"factor failed: {err}") from err
     covered = {v for emb in copies for v in emb.values()}
     print(f"copies found: {len(copies)}")
     print(f"leftover vertices: {g.n - len(covered)}")
@@ -352,16 +347,18 @@ def _experiment_row(task) -> tuple:
 
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:
-        return _usage(f"--jobs must be >= 1, got {args.jobs}")
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.trials < 0:
-        return _usage(f"--trials must be >= 0, got {args.trials}")
+        raise _UsageError(f"--trials must be >= 0, got {args.trials}")
     n_list = [int(x) for x in args.n_list.split(",") if x]
     p_grid = [float(x) for x in args.p_grid.split(",") if x]
     cfg_fields = dict(k=args.k, mode=args.mode, retries=args.retries)
-    k = uniformity(args.k, args.mode)
+    cfg = Parameters(**cfg_fields)
     models = [ModelSpec(n=n, p=p) for n in n_list for p in p_grid]
     for m in models:  # before any trial runs
-        check_stored_codes(k, m.n, m.p)
+        check_stored_codes(cfg.uniformity, m.n, m.p)
+    for n in n_list:  # an n with no plan is refused before any trial, not after those before it
+        resolve_plan(n, cfg)
     runs = [(m, trial) for m in models for trial in range(args.trials)]
     tasks = [(m.n, m.p, trial, derive(args.seed, row), cfg_fields, args.zero_timings)
              for row, (m, trial) in enumerate(runs)]
@@ -374,7 +371,8 @@ def _cmd_experiment(args) -> int:
         rows = [_experiment_row(t) for t in tasks]
     lines = ["n,p,trial,seed,success,phase_failed,runtime_ms"]
     for n, p, trial, seed, success, phase, ms in rows:
-        lines.append(f"{n},{p:g},{trial},{seed},{success},{phase},{ms}")
+        short = f"{p:g}"  # six significant digits, unless that changes p (0.9999999 is not 1)
+        lines.append(f"{n},{short if float(short) == p else repr(p)},{trial},{seed},{success},{phase},{ms}")
     Path(args.csv).write_text("\n".join(lines) + "\n")
     done = sum(r[4] for r in rows)
     print(f"{done}/{len(rows)} trials succeeded; results in {args.csv} (seed {args.seed})")
@@ -403,12 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         if out and Path(out).is_dir():
             raise IsADirectoryError(f"cannot write {out}: it is a directory")
         return handlers[args.command](args)
-    except ValueError as err:
+    except (_UsageError, OSError, ValueError) as err:
         print(f"hampow: error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"hampow: error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -66,16 +66,12 @@ class TestUsage:
         assert info.value.code == 1
 
     def test_find_requires_one_source(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["find", "--k", "1"])
-        assert info.value.code == 1
+        assert main(["find", "--k", "1"]) == 1
 
     def test_find_gnp_model_needs_a_2_uniform_host(self, capsys):
         # tight mode with k=2 needs a 3-uniform host, which gnp cannot sample
-        with pytest.raises(SystemExit) as info:
-            main(["find", "--model", "gnp", "--mode", "tight", "--k", "2",
-                  "--n", "400", "--p", "1.0", "--seed", "7"])
-        assert info.value.code == 1
+        assert main(["find", "--model", "gnp", "--mode", "tight", "--k", "2",
+                     "--n", "400", "--p", "1.0", "--seed", "7"]) == 1
         assert "--model gnp" in capsys.readouterr().err
 
     def test_verify_gnp_model_needs_a_2_uniform_host(self, tmp_path, capsys):
@@ -129,6 +125,17 @@ class TestUsage:
             code = exit_.code
         assert code == 1
         assert "--graph reads its host from the file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--attempt", "1"], ["--seed", "3"]])
+    def test_a_graph_file_takes_no_attempt_or_seed(self, tmp_path, capsys, flag):
+        # both only regenerate a --model host, so --graph would ignore them
+        gf = tmp_path / "k6.hg"
+        gf.write_text(Hypergraph.complete(2, 6).to_text())
+        cf = tmp_path / "c.cert"
+        cf.write_text("power 1 6\n0 1 2 3 4 5\n")
+        code, out, err = run(["verify", "--graph", str(gf), "--cert", str(cf), *flag], capsys)
+        assert code == 1 and out == ""
+        assert f"{flag[0]} regenerates a --model host" in err
 
 
 class TestGen:
@@ -266,6 +273,13 @@ class TestJanson:
         assert code == 0
         assert "tail bound" in out
 
+    @pytest.mark.parametrize("spec", ["builtin:path--1-5", "builtin:path-x-1-5", "builtin:path-1-2-5"])
+    def test_a_builtin_path_takes_exactly_two_integers(self, capsys, spec):
+        # each used to run as the path its last two fields name
+        code, out, err = run(["janson", "--n", "10", "--p", "0.5", "--template", spec], capsys)
+        assert code == 1 and out == ""
+        assert f"bad builtin template {spec!r}" in err
+
     @pytest.mark.parametrize("p", ["1.5", "-0.5"])
     def test_edge_probability_out_of_range_exits_2(self, capsys, p):
         code, out, err = run(["janson", "--n", "12", "--p", p,
@@ -297,9 +311,7 @@ class TestJanson:
                             "--template", "builtin:path-2-4"], capsys)
         assert code == 0 and "tail bound" in out
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", 4)
-        with pytest.raises(SystemExit) as info:
-            main(["janson", "--n", "10", "--p", "0.5", "--template", "builtin:path-2-4"])
-        assert info.value.code == 2
+        assert main(["janson", "--n", "10", "--p", "0.5", "--template", "builtin:path-2-4"]) == 2
 
 
 class TestFactorCli:
@@ -356,9 +368,7 @@ class TestAbsorberCli:
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges)
         assert run(argv, capsys)[0] == 0
         monkeypatch.setattr(cli, "TEMPLATE_EDGE_LIMIT", edges - 1)
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
+        assert main(argv) == 2
 
     def test_negative_validate_is_a_usage_error(self, capsys):
         # the traversals are checked once: there is no --validate loop to run
@@ -609,6 +619,24 @@ class TestExperiment:
             fields = line.split(",")
             assert fields[0] == "300" and fields[6] == "0"
 
+    def test_p_keeps_every_digit_six_significant_ones_lose(self, tmp_path, capsys):
+        # {p:g} wrote both rates as 1
+        csv = tmp_path / "g.csv"
+        assert run(["experiment", "--k", "1", "--n-list", "300", "--p-grid", "0.9999999,1.0",
+                    "--trials", "1", "--zero-timings", "--csv", str(csv)], capsys)[0] == 0
+        fields = [line.split(",")[1] for line in csv.read_text().splitlines()[1:]]
+        assert fields[0] != fields[1]
+        assert [float(f) for f in fields] == [0.9999999, 1.0]
+
+    def test_an_n_without_a_plan_is_refused_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "find_hamilton", lambda *args: calls.append(args))
+        csv = tmp_path / "g.csv"
+        code, out, err = run(["experiment", "--k", "1", "--n-list", "300,60", "--p-grid", "1.0",
+                              "--trials", "2", "--csv", str(csv)], capsys)
+        assert code == 2 and out == "" and "n=60" in err
+        assert calls == [] and not csv.exists()
+
     def test_parallel_jobs_keep_row_order(self, tmp_path, capsys):
         csv1 = tmp_path / "s.csv"
         csv2 = tmp_path / "p.csv"
@@ -657,7 +685,7 @@ class TestExperiment:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(cli, "_experiment_row", lambda t: (*t[:4], 1, "", 0))
         csv = tmp_path / "g.csv"
-        code, _, _ = run(["experiment", "--n-list", "300", "--p-grid", "1.0",
+        code, _, _ = run(["experiment", "--k", "1", "--n-list", "300", "--p-grid", "1.0",
                           "--trials", str(trials), "--csv", str(csv), "--jobs", str(jobs)],
                          capsys)
         assert code == 0 and len(csv.read_text().splitlines()) == trials + 1
@@ -815,7 +843,7 @@ class TestFlagFuzz:
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exit:  # argparse and the usage errors exit this way
+            except SystemExit as exit:  # argparse exits this way
                 code = exit.code
         assert code in (0, 1, 2)
         assert (out.getvalue() if code == 0 else err.getvalue()).strip()
