@@ -86,10 +86,12 @@ class Hypergraph:
     the edges themselves, or (complement form) the non-edges.  The complete
     hypergraph is the complement form with nothing stored, so dense hosts of
     any uniformity stay usable.  Every query, equality and the text format
-    depend on the edge set only, never on the stored side.
+    depend on the edge set only, never on the stored side.  A hashed model
+    host (``_coins``) answers ``has_edge`` from its codes' coins, never its
+    stored side, which it walks from all C(n, k) codes when that is read.
     """
 
-    __slots__ = ("k", "n", "_codes", "_complement", "_adj", "_rows", "_draw")
+    __slots__ = ("k", "n", "_codes", "_complement", "_adj", "_rows", "_draw", "_coins")
 
     def __init__(self, k: int, n: int, edges: np.ndarray | Iterable[Iterable[int]]):
         """The graph whose edges are the rows of an (m, k) int array, or these vertex sequences.
@@ -108,6 +110,7 @@ class Hypergraph:
         self._complement = False
         self._adj = None
         self._rows: dict[int, int] = {}
+        self._coins: Callable[[np.ndarray], np.ndarray] | None = None  # a hashed host's membership of codes
 
     # -- constructors ------------------------------------------------------
 
@@ -172,7 +175,10 @@ class Hypergraph:
             return np.zeros(rows.shape[0], dtype=bool)
         cols, distinct, inside = _edge_columns(rows, self.n)
         distinct &= inside  # a row that is no edge may get a meaningless (wrapped) code
-        return distinct & (_in_sorted(_encode_rows(cols, self.n), self._codes) != self._complement)
+        codes = _encode_rows(cols, self.n)
+        if self._coins is not None:  # a hashed host asks its coins, never its codes
+            return distinct & self._coins(codes)
+        return distinct & (_in_sorted(codes, self._codes) != self._complement)
 
     def edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in canonical (lexicographic) order."""

@@ -3,11 +3,13 @@
 All randomness is counter-based: position i of a seed's stream is the
 uniform variate ``finalize(seed + (i+1) * GOLDEN)`` (its top 53 bits), where
 ``finalize`` is the splitmix64 output function.  One stream rule serves
-every sample: the j-th candidate (in rank order) a sample stores lies a
+every stored sample: the j-th candidate (in rank order) it stores lies a
 Geometric gap past the one before, by inversion of position j of its seed's
-stream.  Hosts, bipartite graphs and each exposure round (on its own derived
-seed) all draw this way.  Identical (seed, parameters) therefore produce
-identical samples, and streams can be generated in vectorized chunks.
+stream.  Hosts, bipartite graphs and each 2-uniform exposure round (on its
+own derived seed) draw this way.  A k >= 3 round draws and stores nothing:
+candidate code c is its edge when position c of its seed's stream is below
+q, a coin ``has_edge`` hashes, and its union admits c when some round does.
+Identical (seed, parameters) therefore produce identical samples.
 Derived seeds (per trial, per retry, per phase) come from the same mixing
 function via :func:`derive`.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -63,18 +65,23 @@ def derive(seed: int, *indices: int) -> int:
     return out
 
 
-def uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
-    """Uniform [0,1) variates for stream positions [start, stop)."""
-    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+def _stream_bits(seed: int, positions: np.ndarray) -> np.ndarray:
+    """The top 53 bits of the splitmix64 output at these positions of seed's stream, in place of their uint64 array."""
+    z = positions
     z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK)
+    z += np.uint64((seed + _GOLDEN) & _MASK)  # position i is seed + (i + 1) * golden
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
-    u = z.astype(np.float64)
+    return z
+
+
+def uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
+    """Uniform [0,1) variates for stream positions [start, stop)."""
+    u = _stream_bits(seed, np.arange(start, stop, dtype=np.uint64)).astype(np.float64)
     u *= 2.0 ** -53
     return u
 
@@ -89,13 +96,13 @@ def three_round_rate(p: float) -> float:
 
 
 def expected_stored_codes(k: int, n: int, p: float) -> float:
-    """Expected codes sample_three_rounds stores, each result its smaller side."""
+    """Expected codes sample_three_rounds stores, each result its smaller side: none for k >= 3, which hashes."""
     q = three_round_rate(p)
-    return (3 * min(q, 1.0 - q) + min(p, 1.0 - p)) * math.comb(n, k)
+    return 0.0 if k > 2 else (3 * min(q, 1.0 - q) + min(p, 1.0 - p)) * math.comb(n, k)
 
 
-#: Most bytes the expected stored codes (8 bytes each) of a sampled host's
-#: three rounds and union may take; a larger model host is refused.
+#: Most bytes the expected stored codes (8 bytes each) of a sampled 2-uniform
+#: host's three rounds and union may take; a larger model host is refused.
 MODEL_BYTES_LIMIT = 1 << 30
 
 
@@ -206,15 +213,54 @@ def _merged(rounds: list[np.ndarray], total: int, times: int = 1) -> np.ndarray:
     return out
 
 
+def _coin_hits(seeds: tuple[int, ...], threshold: int, codes: np.ndarray) -> np.ndarray:
+    """Which int codes c some seed sends below the threshold: the top 53 bits of position c of its stream."""
+    hit = np.zeros(codes.shape, dtype=bool)
+    for seed in seeds:
+        hit |= _stream_bits(seed, codes.astype(np.uint64)) < np.uint64(threshold)
+    return hit
+
+
+def _coin_codes(coins: Callable[[np.ndarray], np.ndarray], total: int, complement: bool) -> np.ndarray:
+    """The ranks below total that ``coins`` admits, or with ``complement`` those it does not, ascending.
+
+    The ranks are hashed :data:`_BATCH` at a time, the kept ones in ``code_dtype(total)``.
+    """
+    dtype = code_dtype(total)
+    parts = [np.empty(0, dtype=dtype)]
+    for lo in range(0, total, _BATCH):
+        ranks = np.arange(lo, min(lo + _BATCH, total), dtype=dtype)
+        parts.append(ranks[coins(ranks) != complement])
+    return np.concatenate(parts)
+
+
+def _hashed(k: int, n: int, seeds: tuple[int, ...], threshold: int, complement: bool) -> Hypergraph:
+    """The host whose edges hit on some seed: ``has_edge`` hashes, and the stored side is walked on its first read."""
+    coins = functools.partial(_coin_hits, seeds, threshold)
+    g = Hypergraph.from_codes(k, n, functools.partial(_coin_codes, coins, math.comb(n, k), complement), complement)
+    g._coins = coins
+    return g
+
+
 def sample_three_rounds(
     k: int, n: int, p: float, seed: int
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """Three independent G(n, q) exposures with union rate p, plus the union.
 
-    With q = three_round_rate(p), round i (i = 0, 1, 2) is
-    ``sample_uniform_hypergraph(k, n, q, derive(seed, i))``.  Each result
-    stores its smaller side: a round its edges at rate q <= 1/2, or its
-    non-edges at rate 1 - q < 1/2.  The union is
+    With q = three_round_rate(p), round i (i = 0, 1, 2) has the stream
+    ``derive(seed, i)``.  Each result stores its smaller side: a round its
+    edges at rate q <= 1/2, or its non-edges at rate 1 - q < 1/2, and the
+    union its non-edges when p > 1/2.
+
+    For k >= 3 and p < 1 nothing is drawn or stored: candidate code c is an
+    edge of round i exactly when ``uniform_stream(derive(seed, i), c, c + 1)[0] < q``,
+    and of the union when it is one of some round.  ``has_edge`` hashes the
+    codes it is asked about, and the stored side of each result is walked
+    from all C(n, k) ranks only when it is first read.
+
+    Otherwise (2-uniform rounds, whose copy search reads packed rows of
+    stored pairs, or p = 1, where all four are complete) round i is
+    ``sample_uniform_hypergraph(k, n, q, derive(seed, i))``, and the union is
     - for p <= 1/2, the rounds' edges merged;
     - for q > 1/2, the codes in all three rounds' non-edges, merged;
     - in between, the candidates no round has.
@@ -225,7 +271,13 @@ def sample_three_rounds(
     Returns (G1, G2, G3, union).
     """
     q = three_round_rate(p)
-    g1, g2, g3 = (sample_uniform_hypergraph(k, n, q, derive(seed, i)) for i in range(3))
+    seeds = [derive(seed, i) for i in range(3)]
+    if _count(k, "uniformity", 2) > 2 and p < 1.0:
+        check_encodable(k, n := _count(n, "vertex count n", k))
+        threshold = math.ceil(q * 2.0 ** 53)  # the top 53 bits of c's variate are below it exactly when u < q
+        g1, g2, g3 = (_hashed(k, n, (s,), threshold, q > 0.5) for s in seeds)
+        return g1, g2, g3, _hashed(k, n, tuple(seeds), threshold, p > 0.5)
+    g1, g2, g3 = (sample_uniform_hypergraph(k, n, q, s) for s in seeds)
     # the union reads the rounds' codes through their draws, so it holds
     # their codes but not the rounds, whose adjacencies go with them
     draws = [g._draw for g in (g1, g2, g3)]

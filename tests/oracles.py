@@ -5,8 +5,9 @@ edges per vertex subset (or, above the enumeration limit, solve max-closure
 min-cuts with networkx), copy search tries raw injections, and cycle checks
 enumerate required pairs and windows directly.  The three-round sampler is
 checked against a candidate-by-candidate edge-form replay of its three
-gap streams, the reservoir-walking copy-search candidates against the
-neighbour-intersection generator they replaced, and the k >= 3 candidate
+gap streams (its three hashed coins for k >= 3), the reservoir-walking
+copy-search candidates against the neighbour-intersection generator they
+replaced, and the k >= 3 candidate
 stream's charges against a scan that charges one vertex at a time.
 ``hopcroft_karp`` is the matching without its greedy first pass, and
 ``per_step_cover`` the cover that asks the host once per step.
@@ -276,8 +277,11 @@ def three_rounds_by_enumeration(
 ) -> tuple[Hypergraph, Hypergraph, Hypergraph, Hypergraph]:
     """sample_three_rounds replayed one candidate at a time, all in edge form.
 
-    Round i (i = 0, 1, 2) stores its non-edges when q > 1/2 and its edges
-    otherwise, each candidate at rate r = min(q, 1 - q).  Walking the
+    For k >= 3 and p < 1 the candidate at place c (its lexicographic rank)
+    is an edge of round i when variate c of ``derive(seed, i)``'s stream is
+    below q.  Otherwise round i (i = 0, 1, 2) stores its non-edges when
+    q > 1/2 and its edges otherwise, each candidate at rate
+    r = min(q, 1 - q).  Walking the
     k-subsets in lexicographic order, its j-th stored candidate comes
     1 + floor(log(1 - u) / log(1 - r)) places after the one before (the
     first one at place 0 + that floor), where u is variate j of
@@ -300,10 +304,14 @@ def three_rounds_by_enumeration(
 
     streams = [stored_places(i) for i in range(3)]
     upcoming = [next(s, math.inf) for s in streams]
+    hashed = [derive(seed, i) for i in range(3)] if k > 2 and p < 1.0 else None
     members: list[list[tuple[int, ...]]] = [[], [], [], []]
     for place, e in enumerate(combinations(range(n), k)):
         in_round = []
         for i in range(3):
+            if hashed:
+                in_round.append((mix(hashed[i], place) >> 11) * 2.0 ** -53 < q)
+                continue
             stored = upcoming[i] == place
             if stored:
                 upcoming[i] = next(streams[i])

@@ -119,11 +119,7 @@ class TestUsage:
         cf.write_text("power 1 6\n0 1 2 3 4 5\n")
         argv = [command, "--graph", str(gf), *flag]
         argv += ["--cert", str(cf)] if command == "verify" else ["--k", "1"]
-        try:
-            code = main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
-        assert code == 1
+        assert main(argv) == 1
         assert "--graph reads its host from the file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--attempt", "1"], ["--seed", "3"]])
@@ -505,15 +501,21 @@ class TestModelSizeGuard:
         monkeypatch.setattr(pipeline, "sample_three_rounds", recorded)
         return calls
 
-    def test_dense_tight_host_is_refused_up_front(self, capsys, sampled):
-        # ~248M stored codes at the real limit; nothing is sampled
+    def test_only_a_host_that_stores_codes_is_refused_up_front(self, capsys, sampled):
+        # a dense 3-uniform host hashes its rounds and stores no codes, so its find is sampled and run
         code, out, err = run(["find", "--model", "hgnp", "--mode", "tight", "--k", "2",
                               "--n", "1000", "--p", "0.9"], capsys)
+        assert code in (0, 2) and "plan:" in out and "refusing" not in err
+        assert sampled and set(sampled) == {(3, 1000, 0.9)}
+        # a graph stores its rounds: ~1.19e9 codes at the real limit; nothing is sampled
+        sampled.clear()
+        code, out, err = run(["find", "--model", "gnp", "--k", "2", "--n", "100000", "--p", "0.9995"], capsys)
         assert code == 2 and out == "" and sampled == []
-        assert "about 2.48e+08 codes" in err and f"limit of {randmodels.MODEL_BYTES_LIMIT} bytes" in err
+        assert "about 1.193e+09 codes (9.544e+09 bytes)" in err
+        assert f"limit of {randmodels.MODEL_BYTES_LIMIT} bytes" in err
 
     def test_the_sparse_tight_benchmark_host_fits(self):
-        # tight k=2 at n=1000, p=0.05: ~16.8M stored codes, ~134 MB
+        # tight k=2 at n=1000, p=0.05: its rounds hash, so it stores no codes
         assert 8 * expected_stored_codes(3, 1000, 0.05) < randmodels.MODEL_BYTES_LIMIT / 4
 
     def test_find_verify_and_experiment_refuse_before_sampling(

@@ -143,7 +143,7 @@ def test_sampled_rounds_text_digest():
     texts = []
     for k, n, p, seed in SAMPLE_CASES:
         texts += [g.to_text() for g in sample_three_rounds(k, n, p, seed)]
-    assert sha256("".join(texts)) == "5c5f7df7d740290355a1ee777795014521ad25475d92e5db32c4a6075d88ce1c"
+    assert sha256("".join(texts)) == "1d9ddc04dc293fb9aa8782bb50edb2140d82f8563525a8f578b542a8340b564b"
 
 
 def test_sampled_host_text_digest():

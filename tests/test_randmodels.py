@@ -178,9 +178,13 @@ class TestThreeRound:
         q = three_round_rate(p)
         assert [g._complement for g in sampled] == [q > 0.5] * 3 + [p > 0.5]
         replayed = three_rounds_by_enumeration(k, n, p, seed)
+        rows = np.array(list(combinations(range(n), k)), dtype=np.int64)
         for got, want in zip(sampled, replayed):
+            assert np.array_equal(got.has_edge(rows), want.has_edge(rows))  # asked before any draw
             assert got == want
             assert list(got.edges()) == list(want.edges())
+        if k > 2 and p < 1.0:  # hashed rounds: no stored draw to compare with
+            return
         # round i is the host sampled at rate q from the round's seed
         for i, want in enumerate(replayed[:3]):
             host = sample_uniform_hypergraph(k, n, q, derive(seed, i))
@@ -225,8 +229,9 @@ class TestThreeRound:
             assert chi2 < self.CHI2_CRITICAL[len(cells) - 1]
 
     def test_work_scales_with_the_kept_candidates(self, monkeypatch):
-        # C(3000, 3) is about 4.5e9 candidates; each round and the host keep
-        # about 1,500, and the bipartite graph about 10 of its 1e10
+        # C(3000, 3) is about 4.5e9 candidates; the host keeps about 1,500,
+        # and the bipartite graph about 10 of its 1e10; 3-uniform rounds
+        # hash their coins, so sampling and asking them draw no variate
         drawn = []
         stream = randmodels.uniform_stream
 
@@ -235,13 +240,13 @@ class TestThreeRound:
             return stream(seed, start, stop)
 
         monkeypatch.setattr(randmodels, "uniform_stream", counted)
-        *rounds, union = sample_three_rounds(3, 3000, 1e-6, seed=5)
-        # below p = 1/2 the union stores its edges: the rounds' kept candidates
-        assert 3000 < union.edge_count < 6000
+        for g in sample_three_rounds(3, 3000, 1e-6, seed=5):
+            g.has_edge(np.array([[0, 1, 2], [2997, 2998, 2999]]))
+        assert drawn == []
         host = sample_uniform_hypergraph(3, 3000, 1e-6, seed=5)
         bipartite = sample_bipartite(10 ** 5, 1e-9, seed=5)
         # one variate per kept code of a sample, and a batch's slack past the last
-        sizes = [g.edge_count for g in (*rounds, host, bipartite)]
+        sizes = [g.edge_count for g in (host, bipartite)]
         assert sum(drawn) <= sum(m + 4 * math.sqrt(m) + 16 for m in sizes)
 
     def test_a_round_past_its_expected_count_grows_its_array(self, monkeypatch):
@@ -251,18 +256,18 @@ class TestThreeRound:
 
     def test_sparse_rounds_are_drawn_on_first_read(self, monkeypatch):
         calls = Counter()
-        for name in ("_bernoulli_ranks", "_merged"):
+        for name in ("_bernoulli_ranks", "_merged", "_coin_codes"):
             def counted(*args, name=name, orig=getattr(randmodels, name), **kwargs):
                 calls[name] += 1
                 return orig(*args, **kwargs)
             monkeypatch.setattr(randmodels, name, counted)
-        # this find fails in factor, which reads round 1 alone: one draw, no merge
+        # this find fails in factor, which asks round 1 alone, by hashing: nothing is drawn or walked
         report = find_hamilton(ModelSpec(1000, 0.05), Parameters(k=2, mode="tight", retries=0, seed=3))
         assert str(report) == (
             "no verified cycle after 1 attempt(s):\n"
             "  seed=9757208891808321065: factor: search budget exhausted"
         )
-        assert calls == {"_bernoulli_ranks": 1}
+        assert calls == {}
         # reading the union draws the rounds not yet drawn and merges them, once
         calls.clear()
         *rounds, union = sample_three_rounds(2, 300, 0.05, seed=1)
@@ -303,25 +308,35 @@ class TestThreeRound:
         stored = {id(g._codes): g._codes.nbytes for g in sampled}
         assert peak <= 2 * sum(stored.values())
 
-    def test_a_sparse_round_is_drawn_as_int32_and_never_copied(self):
-        # C(1000, 3) < 2**31: round 1 of the tight-k2-sparse host holds ~2.8M int32
-        # codes; the draw peaks within 4 MB of them, and a 334-row has_edge batch
-        # (an int32 copy of the table would be ~11 MB) allocates under 1 MB
+    def test_a_hashed_round_answers_a_batch_without_storing_codes(self):
+        # round 1 of the tight-k2-sparse host (C(1000, 3) candidates at q ~ 0.017):
+        # a 334-row has_edge batch hashes its codes, allocates under 1 MB and stores none
         g = sample_three_rounds(3, 1000, 0.05, seed=1)[0]
         rows = np.sort(np.random.default_rng(1).integers(0, 1000, (334, 3)), axis=1)
         tracemalloc.start()
         try:
-            codes = g._codes
-            _, drawn = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            g.has_edge(rows)
+            hits = g.has_edge(rows)
             _, asked = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert codes.dtype == np.int32 and codes.size > 2_700_000
-        assert drawn <= codes.nbytes + (4 << 20)
-        assert asked - before < 1 << 20
+        assert asked < 1 << 20
+        assert g._draw is not None  # the codes are still to be walked
+        q, stream = three_round_rate(0.05), derive(1, 0)
+        codes = _encode_rows(list(rows.T), 1000).tolist()
+        want = [len(set(row)) == 3 and uniform_stream(stream, c, c + 1)[0] < q for row, c in zip(rows.tolist(), codes)]
+        assert hits.tolist() == want and 0 < sum(want)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.95, 1.0])
+    @pytest.mark.parametrize("k,n", [(3, 24), (4, 16)])
+    def test_has_edge_agrees_with_the_drawn_codes_on_every_candidate(self, k, n, p):
+        # asked before their codes are drawn (each row reversed), then against them
+        rows = np.array(list(combinations(range(n), k)), dtype=np.int64)
+        sampled = sample_three_rounds(k, n, p, seed=7)
+        asked = [g.has_edge(rows[:, ::-1]) for g in sampled]
+        assert np.array_equal(asked[3], asked[0] | asked[1] | asked[2])
+        for g, hits, want in zip(sampled, asked, three_rounds_by_enumeration(k, n, p, 7)):
+            assert np.array_equal(hits, np.isin(_encode_rows(list(rows.T), n), g.edge_codes()))
+            assert g == want
 
     @pytest.mark.parametrize("p", [0.271, 0.6, 0.9995])
     def test_round_marginal_rates_and_pairwise_independence(self, p):
@@ -340,11 +355,12 @@ class TestThreeRound:
 
     @pytest.mark.parametrize("k,n,p", [(2, 50, 0.3), (3, 20, 0.9), (2, 30, 0.9995), (3, 12, 1.0)])
     def test_expected_stored_codes(self, k, n, p):
-        # average over seeds of the codes the four results store
-        sizes = [
-            sum(g._codes.size for g in sample_three_rounds(k, n, p, seed=s))
-            for s in range(300)
-        ]
+        # average over seeds of the codes the four results store; a hashed
+        # one (k >= 3, p < 1) stores none until its codes are read
+        sampled = [sample_three_rounds(k, n, p, seed=s) for s in range(300)]
+        hashed = [g for four in sampled for g in four if g._coins is not None]
+        assert all(g._draw is not None for g in hashed) and bool(hashed) == (k > 2 and p < 1.0)
+        sizes = [sum(g._codes.size for g in four if g._coins is None) for four in sampled]
         want = expected_stored_codes(k, n, p)
         # each result's size is binomial, so their sum's variance is <= 4 * want
         sd = 2 * math.sqrt(want)
