@@ -10,6 +10,7 @@ read store identical arrays and sharing stays safe.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -256,6 +257,8 @@ class Hypergraph:
         return hash((self.k, self.n, self.edge_count))
 
     def __repr__(self) -> str:
+        if self._coins is not None:  # a hashed host's codes are a walk of all C(n, k) candidates
+            return f"Hypergraph(hashed k={self.k}, n={self.n})"
         tag = "complete " if self.is_complete else ""
         return f"Hypergraph({tag}k={self.k}, n={self.n}, m={self.edge_count})"
 
@@ -349,12 +352,38 @@ def _comb(x: np.ndarray, s: int) -> np.ndarray:
     return f // math.factorial(s) if s > 1 else f
 
 
+@functools.lru_cache(maxsize=8)
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """The read-only (k - 1, n) int64 table of a rank's terms, 1 <= n, for :func:`_encode_rows`.
+
+    Entry (j, c) is C(n - 1 - c, k - j), save that row 0 holds C(n, k) - n less it.
+    """
+    x = np.arange(n - 1, -1, -1, dtype=np.int64)
+    table = np.stack([_comb(x, k - j) for j in range(k - 1)])
+    np.subtract(math.comb(n, k) - n, table[0], out=table[0])
+    table.flags.writeable = False
+    return table
+
+
 def _encode_rows(cols: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Lexicographic ranks of sorted edges given as their k int64 vertex columns.
 
-    Mirrored by a -> n - 1 - a, lex order turns into reversed colex order.
+    Mirrored by a -> n - 1 - a, lex order turns into reversed colex order:
+    the rank is C(n, k) - 1 less C(n - 1 - c, k - j) for the vertex c of
+    each column j, the last term being n - 1 - c.  On a host the pipeline
+    may run, n <= MAX_VERTICES, the other terms are read from
+    :func:`_rank_table` (at most 1.6 MB: (k - 1) * n <= 2 * 10 ** 5 there
+    for every encodable k), else computed as falling factorials.  A vertex
+    outside ``range(n)`` gets a meaningless code.
     """
     k = len(cols)
+    if 0 < n <= MAX_VERTICES:
+        table = _rank_table(n, k)
+        codes = table[0].take(cols[0], mode="clip")
+        for j in range(1, k - 1):
+            codes -= table[j].take(cols[j], mode="clip")
+        codes += cols[-1]
+        return codes
     codes = np.full(cols[0].shape[0], math.comb(n, k) - 1, dtype=np.int64)
     for j, col in enumerate(cols):
         codes -= _comb(n - 1 - col, k - j)

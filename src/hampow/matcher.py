@@ -12,6 +12,7 @@ assignment along that order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -136,6 +137,8 @@ class _CopySearcher:
                 continue
             last = max(internal, key=pos.__getitem__)
             self.anchors[pos[last]].append(tuple(u for u in e if u != last))
+        # read by k >= 3 links: an anchor's k - 1 >= 2 others give their images as one tuple
+        self._picks = [[operator.itemgetter(*others) for others in a] for a in self.anchors]
 
     def find(self, y: Sequence[int], bits: int) -> dict[int, int] | None:
         """First embedding with root -> y and internals among the allowed vertices, or None.
@@ -188,9 +191,12 @@ class _CopySearcher:
             row = self.host.neighbor_bits
             for (u,) in self.anchors[depth]:
                 fits &= row(images[u])
-        else:
-            for others in self.anchors[depth]:
-                fits &= self._link(others, images, pool)
+        else:  # the memo is read here, as a hit costs less than a call
+            links = self._links
+            for pick in self._picks[depth]:
+                key = tuple(sorted(pick(images)))
+                link = links.get(key)
+                fits &= self._link(key, pool) if link is None else link
         # the pool vertices up to each fitting one are charged in the next()
         # call that yields it, the rest when the stream ends
         scanned = 0
@@ -205,21 +211,19 @@ class _CopySearcher:
             yield low.bit_length() - 1
         self._charge(bits.bit_count() - scanned)
 
-    def _link(self, others: tuple[int, ...], images: dict[int, int], pool: np.ndarray) -> int:
-        """The bitset of the pool's w forming an edge with the images of an anchor's template vertices ``others``.
+    def _link(self, key: tuple[int, ...], pool: np.ndarray) -> int:
+        """The bitset of the pool's w forming an edge with the ascending images ``key`` of an anchor's other vertices.
 
         k >= 3 only (a 2-uniform link is a host row); memoised for the find.
         """
         host = self.host
-        key = tuple(sorted([images[u] for u in others]))
-        bits = self._links.get(key)
-        if bits is None:
-            if len(self._links) * ((host.n + 7) // 8) >= core._MEMO_BYTES:
-                self._links.clear()
-            rows = np.empty((pool.size, host.k), dtype=np.int64)
-            rows[:, :-1] = key
-            rows[:, -1] = pool
-            bits = self._links[key] = _vertex_bits(pool, host.n, host.has_edge(rows))
+        if len(self._links) * ((host.n + 7) // 8) >= core._MEMO_BYTES:
+            self._links.clear()
+        # built as columns, so has_edge reads the rows of the transpose without a copy
+        cols = np.empty((host.k, pool.size), dtype=np.int64)
+        cols[:-1].T[:] = key
+        cols[-1] = pool
+        bits = self._links[key] = _vertex_bits(pool, host.n, host.has_edge(cols.T))
         return bits
 
     def _charge(self, units: int) -> None:

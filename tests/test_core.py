@@ -228,6 +228,32 @@ class TestEdgeCodes:
         assert np.all(rows[:, 1:] > rows[:, :-1]) and rows.min() >= 0 and rows.max() < n
         assert np.array_equal(_encode_rows(rows.T, n), codes)
 
+    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_the_rank_table_and_the_falling_factorial_agree(self, data, k, n):
+        # rows with repeated, unsorted, negative and >= n vertices, and the host on no vertices
+        vertex = st.integers(-3, n + 2) | st.sampled_from([-2 ** 63, 2 ** 63 - 1])
+        rows = np.array(data.draw(st.lists(st.lists(vertex, min_size=k, max_size=k), max_size=30)),
+                        dtype=np.int64).reshape(-1, k)
+        every = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+        edges = every[np.random.default_rng(data.draw(st.integers(0, 99))).random(len(every)) < 0.5]
+        asked = np.concatenate([rows, every[:, ::-1]])
+        inside = np.all((asked >= 0) & (asked < n), axis=1)  # an outside vertex has a meaningless code
+        answers = []
+        for limit in (core.MAX_VERTICES, 0):  # the table, then the falling factorials
+            with mock.patch.object(core, "MAX_VERTICES", limit):
+                answers.append((_encode_rows(asked[inside].T, n).tolist(),
+                                Hypergraph(k, n, edges).has_edge(asked).tolist()))
+        assert answers[0] == answers[1]
+        assert _encode_rows(every.T, n).tolist() == list(range(len(every)))
+
+    def test_the_rank_table_is_cached_and_read_only(self):
+        table = core._rank_table(10, 3)
+        assert core._rank_table(10, 3) is table and table.shape == (2, 10)
+        assert table[:, 0].tolist() == [math.comb(10, 3) - 10 - math.comb(9, 3), math.comb(9, 2)]
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 0] = 7
+
     def test_codes_outside_the_rank_range_are_refused(self):
         with pytest.raises(ValueError, match="outside"):
             _decode_codes(np.array([0, math.comb(6, 3)]), 6, 3)

@@ -326,6 +326,30 @@ class TestThreeRound:
         want = [len(set(row)) == 3 and uniform_stream(stream, c, c + 1)[0] < q for row, c in zip(rows.tolist(), codes)]
         assert hits.tolist() == want and 0 < sum(want)
 
+    @pytest.mark.parametrize("threshold", [0, 1, 2 ** 52, math.ceil(three_round_rate(0.05) * 2 ** 53), 2 ** 53 - 1])
+    def test_coins_follow_the_scalar_rule(self, threshold):
+        # code c hits on a seed when the top 53 bits of position c of its stream are below the threshold
+        total = math.comb(1000, 3)
+        ends = [0, 1, total - 2, total - 1]
+        codes = np.array(ends + np.random.default_rng(3).integers(0, total, 500).tolist(), dtype=np.int64)
+        seeds = tuple(derive(8, i) for i in range(3))
+        for used in (seeds[:1], seeds):
+            want = [any(mix(s, c) >> 11 < threshold for s in used) for c in codes.tolist()]
+            for asked in (codes, codes.astype(np.int32)):
+                kept = asked.copy()
+                assert randmodels._coin_hits(used, threshold, asked).tolist() == want
+                assert np.array_equal(asked, kept)  # the codes are read, not hashed in place
+            empty = randmodels._coin_hits(used, threshold, np.empty(0, dtype=np.int64))
+            assert empty.dtype == bool and empty.shape == (0,)
+
+    def test_repr_of_a_hashed_round_reads_no_code(self):
+        # the tight k=2 round at n = 10^4 has 1.7e11 candidates: a walk would take minutes, so it fails here
+        with mock.patch.object(randmodels, "_coin_codes", side_effect=AssertionError("walked the candidates")):
+            g = sample_three_rounds(3, 10_000, 0.9995, seed=7)[0]
+            assert repr(g) == "Hypergraph(hashed k=3, n=10000)"
+        assert g._draw is not None
+        assert repr(sample_three_rounds(3, 8, 1.0, seed=7)[0]) == "Hypergraph(complete k=3, n=8, m=56)"
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.95, 1.0])
     @pytest.mark.parametrize("k,n", [(3, 24), (4, 16)])
     def test_has_edge_agrees_with_the_drawn_codes_on_every_candidate(self, k, n, p):
