@@ -22,6 +22,7 @@ from hampow.core import (
     CycleCertificate,
     Hypergraph,
     VertexTuple,
+    check_uniformity,
     is_path,
     missing_edge,
     power_path_template,
@@ -156,15 +157,15 @@ def _cmd_gen(args) -> int:
     if not {"gnp": k == 2, "hgnp": k >= 2, "bip": args.k is None}[args.model]:
         raise _UsageError(f"--k {args.k} does not fit --model {args.model}: hgnp takes a "
                           "uniformity >= 2, gnp only 2 and bip none")
-    candidates = args.n * args.n if args.model == "bip" else math.comb(args.n, k)
+    # the samplers refuse a bad n, k or p at once, but draw nothing before their edges are first read
+    if args.model == "bip":
+        g, candidates = sample_bipartite(args.n, args.p, args.seed), args.n * args.n
+    else:
+        g, candidates = sample_uniform_hypergraph(k, args.n, args.p, args.seed), math.comb(args.n, k)
     # compared as MATERIALIZE_LIMIT / p, so a huge candidate count cannot overflow
     if args.p > 0 and candidates > MATERIALIZE_LIMIT / args.p:
         raise ValueError(f"refusing to sample an expected {args.p:g} * {candidates} edges "
                          f"(> {MATERIALIZE_LIMIT})")
-    if args.model == "bip":
-        g = sample_bipartite(args.n, args.p, args.seed)
-    else:
-        g = sample_uniform_hypergraph(k, args.n, args.p, args.seed)
     if g.edge_count > MATERIALIZE_LIMIT:
         raise ValueError(f"refusing to write {g.edge_count} edges (> {MATERIALIZE_LIMIT})")
     with open(args.out, "wb") as out:
@@ -181,7 +182,9 @@ def _host_source(args, k: int, mode: str) -> Hypergraph | ModelSpec:
     if args.graph is not None:
         if args.n is not None or args.p is not None:
             raise _UsageError("--n and --p describe a --model host; --graph reads its host from the file")
-        return _load_graph(args.graph)
+        host = _load_graph(args.graph)
+        check_uniformity(host, k, mode)
+        return host
     if args.n is None or args.p is None:
         raise _UsageError("--model requires --n and --p")
     w = uniformity(k, mode)

@@ -253,8 +253,8 @@ class Hypergraph:
         )
 
     def __hash__(self) -> int:
-        # the edge count is the cheap invariant both forms share
-        return hash((self.k, self.n, self.edge_count))
+        # equal hosts share k and n in every form; the edge count of a hashed host walks all C(n, k) codes
+        return hash((self.k, self.n))
 
     def __repr__(self) -> str:
         if self._coins is not None:  # a hashed host's codes are a walk of all C(n, k) candidates

@@ -2,9 +2,10 @@
 
 The 1-density of a hypergraph F is the maximum of e(H)/(v(H)-1) over
 subgraphs H with at least one edge; the rooted variant discounts the root
-vertices.  Both are computed exactly (as `fractions.Fraction`) by enumerating
-vertex subsets, which is feasible on the structured templates this library
-cares about; anything above `MAX_EXACT_VERTICES` vertices is refused, since
+vertices, and the 1-density is the rooted density of an empty root.  One
+routine, `_density`, computes both exactly (as `fractions.Fraction`) by
+enumerating vertex subsets, which is feasible on the structured templates this
+library cares about; anything above `MAX_EXACT_VERTICES` vertices is refused, since
 the enumeration is exponential.
 
 Subgraphs are taken on their spanned vertex sets: isolated vertices only
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hampow.core import Hypergraph, VertexTuple
+from hampow.core import Hypergraph, VertexTuple, _vertex_set
 
 __all__ = [
     "DensityBudgetError",
@@ -48,8 +49,7 @@ class RootedTemplate:
     def __post_init__(self) -> None:
         root = VertexTuple(self.root)
         object.__setattr__(self, "root", root)
-        if any(v < 0 or v >= self.template.n for v in root):
-            raise ValueError("root vertices must lie in the template vertex set")
+        _vertex_set(root, self.template.n)  # a vertex outside the template is refused by name
         if len(root) >= self.template.n:
             raise ValueError("root must be a proper subset of the template vertices")
         rs = set(root)
@@ -109,47 +109,36 @@ def _max_subset_ratio(
     return best
 
 
-def m1_density(template: Hypergraph) -> Fraction:
-    """Exact 1-density: max of e(H)/(v(H)-1) over subgraphs with e(H) >= 1."""
+def _density(template: Hypergraph, root: frozenset[int], what: str) -> Fraction:
+    """Exact density of (F, root), named ``what`` in its two refusals, which come before any edge is decoded.
+
+    The maximum over subgraphs with an edge that avoid the root, and for a non-empty root over those
+    that hold all of it too, whose denominator discounts the root: an empty root gives the 1-density.
+    """
     if template.edge_count == 0:
-        raise ValueError("1-density is undefined for an edgeless hypergraph")
+        raise ValueError(f"{what} is undefined for an edgeless hypergraph")
     if template.n > MAX_EXACT_VERTICES:
-        raise DensityBudgetError(
-            f"exact 1-density refused for {template.n} > {MAX_EXACT_VERTICES} vertices"
-        )
+        raise DensityBudgetError(f"exact {what} refused for {template.n} > {MAX_EXACT_VERTICES} vertices")
+    pool = [v for v in range(template.n) if v not in root]
     edge_sets = [frozenset(e) for e in template.edges()]
-    best = _max_subset_ratio(edge_sets, list(range(template.n)), rooted=False)
-    assert best is not None
-    return Fraction(*best)
+    got = [_max_subset_ratio([e for e in edge_sets if not e & root], pool, rooted=False)]
+    if root:
+        got.append(_max_subset_ratio(edge_sets, pool, rooted=True))
+    # the template has an edge and no edge lies inside the root, so some walk finds one
+    return max(Fraction(*best) for best in got if best is not None)
+
+
+def m1_density(template: Hypergraph) -> Fraction:
+    """Exact 1-density: max of e(H)/(v(H)-1) over subgraphs with e(H) >= 1; :func:`_density` of an empty root."""
+    return _density(template, frozenset(), "1-density")
 
 
 def m_density(rt: RootedTemplate) -> Fraction:
-    """Exact rooted density of (F, X).
+    """Exact rooted density of (F, X), by :func:`_density`.
 
     Maximizes e(F')/(v(F') - max(1, |V(F') cap X|)) over subgraphs F' with
     e(F') > 0 that either contain all of X or avoid X entirely; subgraphs
     partially meeting X are excluded, following the definition literally.
     With an empty root this coincides with ``m1_density``.
     """
-    template, root = rt.template, set(rt.root)
-    if template.edge_count == 0:
-        raise ValueError("rooted density is undefined for an edgeless hypergraph")
-    if template.n > MAX_EXACT_VERTICES:
-        raise DensityBudgetError(
-            f"exact rooted density refused for {template.n} > {MAX_EXACT_VERTICES} vertices"
-        )
-    if not root:
-        return m1_density(template)
-    pool = [v for v in range(template.n) if v not in root]
-    avoiding = [frozenset(e) for e in template.edges() if not (set(e) & root)]
-    all_edges = [frozenset(e) for e in template.edges()]
-    best: Fraction | None = None
-    got = _max_subset_ratio(avoiding, pool, rooted=False)
-    if got is not None:
-        best = Fraction(*got)
-    got = _max_subset_ratio(all_edges, pool, rooted=True)
-    if got is not None:
-        cand = Fraction(*got)
-        best = cand if best is None or cand > best else best
-    assert best is not None  # template has an edge, and no edge sits inside X
-    return best
+    return _density(rt.template, frozenset(rt.root), "rooted density")

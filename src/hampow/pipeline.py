@@ -265,7 +265,8 @@ def cover_with_paths(
     s = flat.size // t
     if s == 0:
         raise ValueError("empty parts")
-    at = [list(range(s))]  # path i runs through vertex flat[at[j][i]] of part j
+    at = np.empty((t, s), dtype=np.int64)  # path i runs through vertex flat[at[j, i]] of part j
+    at[0] = np.arange(s)
     # the path columns each new edge runs through, relative to the new column:
     # the edges a path on k + 1 vertices needs at its last vertex, less that vertex
     needed = np.concatenate([*required_edges(np.arange(k + 1), k, mode)])
@@ -276,13 +277,13 @@ def cover_with_paths(
         if ahead is not None:  # window d is the column j - d, whose vertices are part j - d reordered
             fits = None
             for d in range(1, min(k, j) + 1):
-                ends = map(ahead[d - 1].__getitem__, at[j - d])
+                ends = map(ahead[d - 1].__getitem__, at[j - d].tolist())
                 fits = list(ends) if fits is None else list(map(int.__and__, fits, ends))
         else:  # rows[c, i, u]: window c of path i, then part vertex u
             cols = windows + j
             cols = cols[cols[:, 0] >= 0]  # a window that reaches before the first part is skipped
             rows = np.empty((len(cols), s, s, host.k), dtype=np.int64)
-            rows[..., :-1] = flat[np.array(at).T[:, cols]].transpose(1, 0, 2)[:, :, None]
+            rows[..., :-1] = flat[at[cols].transpose(0, 2, 1)][:, :, None]
             rows[..., -1] = flat[j * s:(j + 1) * s]
             fits = _bit_rows(host.has_edge(rows.reshape(-1, host.k)).reshape(-1, s, s).all(axis=0))
         taken = _greedy_pass(fits, s)
@@ -298,10 +299,9 @@ def cover_with_paths(
                     paths=s,
                 )
             taken = [matching[i] for i in range(s)]
-        at.append([j * s + u for u in taken])
-    order = np.array(at)
-    assert (np.sort(order, axis=1) == np.arange(t * s).reshape(t, s)).all()  # each part's vertices once
-    return tuple(map(tuple, flat[order.T].tolist()))
+        at[j] = [j * s + u for u in taken]
+    assert (np.sort(at, axis=1) == np.arange(t * s).reshape(t, s)).all()  # each part's vertices once
+    return tuple(map(tuple, flat[at.T].tolist()))
 
 
 def _fits_ahead(host: Hypergraph, pool: np.ndarray, s: int, k: int) -> list[list[int]]:

@@ -357,11 +357,18 @@ class BipartiteGraph:
     so a graph costs what it keeps, not one object per left vertex.
     """
 
-    def __init__(self, left: int, right: int, cells: np.ndarray):
-        """The graph whose edges are these cells, ascending, unique and below left * right."""
+    def __init__(self, left: int, right: int, cells: np.ndarray | Callable[[], np.ndarray]):
+        """The graph whose edges are these cells, ascending, unique and below left * right.
+
+        ``cells`` may also be a function of no arguments that returns them, called on their first read.
+        """
         self.left = left
         self.right = right
-        self.cells = np.asarray(cells, dtype=np.int64)
+        self._cells = cells
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        return np.asarray(self._cells() if callable(self._cells) else self._cells, dtype=np.int64)
 
     @property
     def edge_count(self) -> int:
@@ -382,8 +389,8 @@ class BipartiteGraph:
 
 
 def sample_bipartite(s: int, p: float, seed: int) -> BipartiteGraph:
-    """Binomial bipartite graph with both sides of size s and edge rate p."""
+    """Binomial bipartite graph with both sides of size s and edge rate p, drawn on the first read of its cells."""
     _check_edge_probability(p)
     check_encodable(2, s := _count(s, "side size s", 0))  # the cells l * s + r are int64
     # the ranks of the s x s cells ascend, as the stored cells do
-    return BipartiteGraph(s, s, _bernoulli_ranks(_count(seed, "seed", -math.inf), s * s, p))
+    return BipartiteGraph(s, s, functools.partial(_bernoulli_ranks, _count(seed, "seed", -math.inf), s * s, p))

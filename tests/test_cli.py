@@ -204,12 +204,31 @@ class TestGen:
         def never(*args):
             raise AssertionError("sampled a host over the limit")
         monkeypatch.setattr(cli, "MATERIALIZE_LIMIT", 10)
-        monkeypatch.setattr(cli, "sample_uniform_hypergraph", never)
-        monkeypatch.setattr(cli, "sample_bipartite", never)
+        monkeypatch.setattr(randmodels, "_bernoulli_ranks", never)  # the samplers' one draw
         out = tmp_path / "g.hg"
         code, _, err = run(["gen", *argv, "--out", str(out)], capsys)
         assert code == 2 and "refusing to sample an expected" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "gnp", "--n", "-3", "--p", "0.5"], "vertex count n must be >= 2, got -3"),
+        (["--model", "gnp", "--n", "10000", "--p", "1.5"], "edge probability must be in [0, 1], got 1.5"),
+        (["--model", "bip", "--n", "10000", "--p", "1.5"], "edge probability must be in [0, 1], got 1.5"),
+    ], ids=["negative-n", "gnp-rate", "bip-rate"])
+    def test_the_samplers_read_n_and_p_before_the_estimate(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.hg"
+        code, stdout, err = run(["gen", *argv, "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", f"hampow: error: {message}\n")
+        assert not out.exists()
+
+    def test_a_host_past_the_encoding_range_is_refused_before_its_candidates_are_counted(self, tmp_path):
+        # C(10^11, 10^6) has millions of digits, so the refusal must come before any candidate count
+        out = tmp_path / "x.hg"
+        proc = run_module(["gen", "--model", "hgnp", "--k", "1000000", "--n", "100000000000",
+                           "--p", "0.5", "--out", str(out)])
+        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+        assert proc.stderr == ("hampow: error: n=100000000000, k=1000000 exceeds the edge-encoding range "
+                               "of int64 rank codes\n")
 
     @pytest.mark.parametrize("model,limit", [("gnp", 25), ("bip", 54)])
     def test_sampled_count_is_checked_too(self, tmp_path, capsys, monkeypatch, model, limit):
@@ -435,6 +454,17 @@ class TestRoundTrip:
         code, out, err = run(["verify", "--model", "gnp", "--n", "3", "--p", "1.0",
                               "--attempt", "-1", "--cert", str(cf)], capsys)
         assert code == 1 and "--attempt" in err and "certificate" not in out
+
+    @pytest.mark.parametrize("command", ["find", "verify"])
+    def test_a_graph_host_of_the_wrong_uniformity_is_refused_first(self, tmp_path, capsys, command):
+        gf = tmp_path / "h3.hg"
+        gf.write_text("3 300 1\n0 1 2\n")
+        cf = tmp_path / "c.cert"
+        cf.write_text("power 1 300\n" + " ".join(map(str, range(300))) + "\n")
+        tail = ["--k", "1"] if command == "find" else ["--cert", str(cf)]
+        code, out, err = run([command, "--graph", str(gf), *tail], capsys)
+        assert (code, out) == (2, "")
+        assert err == "hampow: error: power mode with k=1 needs a 2-uniform host, got 3-uniform\n"
 
     def test_verify_rejects_wrong_certificate(self, tmp_path, capsys):
         g = Hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

@@ -350,6 +350,13 @@ class TestThreeRound:
         assert g._draw is not None
         assert repr(sample_three_rounds(3, 8, 1.0, seed=7)[0]) == "Hypergraph(complete k=3, n=8, m=56)"
 
+    def test_hash_of_a_hashed_round_reads_no_code(self):
+        # equal hosts share k and n in every form, so the hash reads nothing more: a walk fails here
+        with mock.patch.object(randmodels, "_coin_codes", side_effect=AssertionError("walked the candidates")):
+            rounds = sample_three_rounds(3, 10_000, 0.05, seed=7)
+            assert len({hash(g) for g in rounds}) == 1
+        assert all(g._draw is not None for g in rounds)
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.95, 1.0])
     @pytest.mark.parametrize("k,n", [(3, 24), (4, 16)])
     def test_has_edge_agrees_with_the_drawn_codes_on_every_candidate(self, k, n, p):
