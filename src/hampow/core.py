@@ -89,7 +89,8 @@ class Hypergraph:
     any uniformity stay usable.  Every query, equality and the text format
     depend on the edge set only, never on the stored side.  A hashed model
     host (``_coins``) answers ``has_edge`` from its codes' coins, never its
-    stored side, which it walks from all C(n, k) codes when that is read.
+    stored side, which it walks from all C(n, k) codes when that is read; two
+    hashed hosts with equal rules are equal without that walk.
     """
 
     __slots__ = ("k", "n", "_codes", "_complement", "_adj", "_rows", "_draw", "_coins")
@@ -243,6 +244,8 @@ class Hypergraph:
             return NotImplemented
         if (self.k, self.n) != (other.k, other.n):
             return False
+        if self._coins is not None and self._coins == other._coins:
+            return True  # one hash rule admits one edge set, read without a walk of the codes
         if self._complement == other._complement:
             return bool(np.array_equal(self._codes, other._codes))
         # the stored sides of equal edge sets in opposite forms partition

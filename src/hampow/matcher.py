@@ -22,6 +22,7 @@ import hampow.core as core
 from hampow.core import (
     Hypergraph,
     VertexTuple,
+    _bit_rows,
     _bit_vertices,
     _count,
     _vertex_bits,
@@ -84,11 +85,16 @@ class _CopySearcher:
     """Reusable backtracking search for rooted copies of one template.
 
     Vertex sets are Python ints, bit w for vertex w.  A candidate fits when it
-    forms an edge with every anchor: a stream's set is the pool less ``used``,
-    ANDed with the anchors' links (:meth:`_link`).  A miss empties the memo of
-    k >= 3 links, n / 8 bytes each, when it holds ``core._MEMO_BYTES``, as the
-    host's memo of rows does: the budget alone bounds it only by anchors times
-    budget, large for many anchors.
+    forms an edge with every anchor: a stream's fit set is the pool less
+    ``used``, ANDed with the anchors' links (:meth:`_fits`).  :meth:`find`
+    walks the depths with one fit set and one scanned count each.  A k >= 3
+    link miss whose anchor holds the previous depth's image asks, in the
+    same ``has_edge`` call, for that anchor's keys under the parent stream's
+    next fits (:meth:`_link`), so a parent that moves on through many
+    candidates finds their links memoised.  A miss empties the memo of
+    k >= 3 links, n / 8 bytes each, when it holds ``core._MEMO_BYTES``, as
+    the host's memo of rows does: the budget alone bounds it only by anchors
+    times budget, large for many anchors.
 
     A searcher starts with :data:`SEARCH_BUDGET` candidate checks in
     ``remaining`` and spends them over all its searches, so a phase that
@@ -98,8 +104,9 @@ class _CopySearcher:
     stream is open, ``used`` holds exactly the images of the shallower
     depths (deeper depths give theirs back before it resumes), so the
     stream leaves them out when it opens and the vertices before the next
-    fitting one are charged in one sum.  Exhaustion leaves ``remaining`` at
-    -1 and raises :class:`SearchBudgetExceeded`.
+    fitting one are charged in one sum (:meth:`_take`); a stream with no fit
+    is charged the whole pool when it opens.  Exhaustion leaves
+    ``remaining`` at -1 and raises :class:`SearchBudgetExceeded`.
     """
 
     def __init__(self, host: Hypergraph, template: Hypergraph, root: Sequence[int]):
@@ -137,8 +144,18 @@ class _CopySearcher:
                 continue
             last = max(internal, key=pos.__getitem__)
             self.anchors[pos[last]].append(tuple(u for u in e if u != last))
-        # read by k >= 3 links: an anchor's k - 1 >= 2 others give their images as one tuple
-        self._picks = [[operator.itemgetter(*others) for others in a] for a in self.anchors]
+        # read by k >= 3 links: an anchor's k - 1 >= 2 others give their images as one tuple,
+        # the previous depth's at the position kept beside it (None when it holds none)
+        self._picks = [
+            [(operator.itemgetter(*others), others.index(u) if u in others else None) for others in a]
+            for u, a in zip([None] + order, self.anchors)
+        ]
+        # per depth of a find: its fits not yet taken, the allowed vertices it has
+        # scanned, and the run of keys a miss below it asks for
+        self._left = [0] * len(order)
+        self._scanned = [0] * len(order)
+        self._runs = [1] * len(order)
+        self._run_cap = 1
 
     def find(self, y: Sequence[int], bits: int) -> dict[int, int] | None:
         """First embedding with root -> y and internals among the allowed vertices, or None.
@@ -155,76 +172,130 @@ class _CopySearcher:
             return None
         if not self.order:
             return images
-        # a k >= 3 link asks the host about the allowed vertices, ascending
+        # a k >= 3 link asks the host about the allowed vertices, ascending, in
+        # calls of about core._PACK_BLOCK rows and at least one key
         pool = None if self.host.k == 2 else _bit_vertices(bits, self.host.n)
-        used = 0
-        # one candidate stream per placed depth; a depth that takes its next
-        # candidate first gives back the vertex it held
-        iters: list[Iterable[int]] = [self._candidates(0, images, used, pool, bits)]
+        size = bits.bit_count()
+        self._run_cap = max(1, core._PACK_BLOCK // max(1, size))
+        order, left, scanned, runs = self.order, self._left, self._scanned, self._runs
+        last = len(order) - 1
+        # one open stream per placed depth; a depth that takes its next fit
+        # first gives back the vertex it held
+        depth = used = 0
         try:
-            while iters:
-                depth = len(iters) - 1
-                v_t = self.order[depth]
+            left[0], scanned[0], runs[0] = self._fits(0, images, used, pool, bits), 0, 1
+            while depth >= 0:
+                v_t = order[depth]
                 if v_t in images:
                     used ^= 1 << images.pop(v_t)
-                nxt = next(iters[depth], None)
-                if nxt is None:
-                    iters.pop()
+                w = self._take(depth, bits, size)
+                if w is None:
+                    depth -= 1
                     continue
-                images[v_t] = nxt
-                used |= 1 << nxt
-                if depth + 1 == len(self.order):
+                images[v_t] = w
+                used |= 1 << w
+                if depth == last:
                     return dict(images)
-                iters.append(self._candidates(depth + 1, images, used, pool, bits))
+                fits = self._fits(depth + 1, images, used, pool, bits)
+                if not fits:  # a stream with no fit scans the whole pool, and this depth takes its next
+                    self.remaining -= size
+                    if self.remaining < 0:
+                        self._charge(0)  # leaves -1 and raises
+                    continue
+                depth += 1
+                left[depth], scanned[depth], runs[depth] = fits, 0, 1
             return None
         finally:
             self._links = {}
 
-    def _candidates(self, depth, images, used, pool, bits):
-        """Pool vertices outside the bitset ``used`` that extend the partial embedding, ascending.
+    def _fits(self, depth, images, used, pool, bits) -> int:
+        """The pool vertices outside the bitset ``used`` that extend the partial embedding, as a bitset.
 
         ``bits`` holds the allowed vertices as a bitset and ``pool`` (read by k >= 3 links)
-        as an ascending int array; a candidate must lie in the link of every anchor.
+        as an ascending int array; a fit must lie in the link of every anchor.
         """
         fits = bits & ~used
         if self.host.k == 2:  # the link of an anchor is the host's row of its one image
             row = self.host.neighbor_bits
             for (u,) in self.anchors[depth]:
                 fits &= row(images[u])
-        else:  # the memo is read here, as a hit costs less than a call
-            links = self._links
-            for pick in self._picks[depth]:
-                key = tuple(sorted(pick(images)))
-                link = links.get(key)
-                fits &= self._link(key, pool) if link is None else link
-        # the pool vertices up to each fitting one are charged in the next()
-        # call that yields it, the rest when the stream ends
-        scanned = 0
-        while fits:
-            low = fits & -fits
-            fits ^= low
-            at = (bits & (low - 1)).bit_count() + 1
-            self.remaining -= at - scanned
-            if self.remaining < 0:
-                self._charge(0)  # leaves -1 and raises
-            scanned = at
-            yield low.bit_length() - 1
-        self._charge(bits.bit_count() - scanned)
+            return fits
+        # the memo is read here, as a hit costs less than a call
+        links = self._links
+        run = 0
+        for pick, prev in self._picks[depth]:
+            if not fits:
+                break
+            images_of = pick(images)
+            key = tuple(sorted(images_of))
+            link = links.get(key)
+            if link is None:
+                keys = [key]
+                if prev is not None:
+                    # the same call asks for this anchor's keys under the parent stream's
+                    # next fits: a run of them that doubles on each later opening of
+                    # this depth under that stream that misses
+                    if not run:
+                        run = self._runs[depth - 1]
+                        self._runs[depth - 1] = min(2 * run, self._run_cap)
+                    if run > 1:
+                        rest, others = self._left[depth - 1], list(images_of)
+                        for _ in range(1, run):
+                            if not rest:
+                                break
+                            low = rest & -rest
+                            rest ^= low
+                            others[prev] = low.bit_length() - 1
+                            sibling = tuple(sorted(others))
+                            if sibling not in links:
+                                keys.append(sibling)
+                link = self._link(keys, pool)
+            fits &= link
+        return fits
 
-    def _link(self, key: tuple[int, ...], pool: np.ndarray) -> int:
-        """The bitset of the pool's w forming an edge with the ascending images ``key`` of an anchor's other vertices.
+    def _take(self, depth: int, bits: int, size: int) -> int | None:
+        """The depth's lowest fit not yet taken, or None once none is left.
 
-        k >= 3 only (a 2-uniform link is a host row); memoised for the find.
+        The pool vertices up to each fit are charged when it is taken, the
+        rest of the ``size`` allowed ones when the stream ends.
+        """
+        fits = self._left[depth]
+        if not fits:
+            self._charge(size - self._scanned[depth])
+            return None
+        low = fits & -fits
+        self._left[depth] = fits ^ low
+        at = (bits & (low - 1)).bit_count() + 1
+        self.remaining -= at - self._scanned[depth]
+        if self.remaining < 0:
+            self._charge(0)  # leaves -1 and raises
+        self._scanned[depth] = at
+        return low.bit_length() - 1
+
+    def _link(self, keys: list[tuple[int, ...]], pool: np.ndarray) -> int:
+        """Memoise the links of the ascending images ``keys`` of anchors' other vertices; the first key's link.
+
+        A link is the bitset of the pool's w forming an edge with the key, all
+        of them from one ``has_edge`` call.  k >= 3 only (a 2-uniform link is
+        a host row); memoised for the find.
         """
         host = self.host
         if len(self._links) * ((host.n + 7) // 8) >= core._MEMO_BYTES:
             self._links.clear()
-        # built as columns, so has_edge reads the rows of the transpose without a copy
-        cols = np.empty((host.k, pool.size), dtype=np.int64)
-        cols[:-1].T[:] = key
+        # built as columns, a pool-long block a key, so has_edge reads the rows of the transpose without a copy
+        r = len(keys)
+        cols = np.empty((host.k, r, pool.size), dtype=np.int64)
+        cols[:-1].T[:] = keys[0] if r == 1 else keys
         cols[-1] = pool
-        bits = self._links[key] = _vertex_bits(pool, host.n, host.has_edge(cols.T))
-        return bits
+        hits = host.has_edge(cols.reshape(host.k, r * pool.size).T)
+        if r == 1:  # a search that takes its first fits asks one key a call: one scatter, no 2-D pack
+            link = self._links[keys[0]] = _vertex_bits(pool, host.n, hits)
+            return link
+        mask = np.zeros((r, host.n), dtype=bool)
+        mask.T[pool] = hits.reshape(r, pool.size).T
+        links = _bit_rows(mask)
+        self._links.update(zip(keys, links))
+        return links[0]
 
     def _charge(self, units: int) -> None:
         """Spend ``units`` candidate checks; past the budget, leave -1 and raise."""

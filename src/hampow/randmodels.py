@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -237,6 +238,20 @@ def _coin_hits(seeds: tuple[int, ...], threshold: int, codes: np.ndarray) -> np.
     return hit
 
 
+@dataclass(frozen=True)
+class _Coins:
+    """A hashed host's membership of int codes: :func:`_coin_hits` under its seeds and threshold.
+
+    Equal rules admit equal codes, so two hosts of one k and n that hash by equal rules are equal.
+    """
+
+    seeds: tuple[int, ...]
+    threshold: int
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        return _coin_hits(self.seeds, self.threshold, codes)
+
+
 def _coin_codes(coins: Callable[[np.ndarray], np.ndarray], total: int, complement: bool) -> np.ndarray:
     """The ranks below total that ``coins`` admits, or with ``complement`` those it does not, ascending.
 
@@ -252,7 +267,7 @@ def _coin_codes(coins: Callable[[np.ndarray], np.ndarray], total: int, complemen
 
 def _hashed(k: int, n: int, seeds: tuple[int, ...], threshold: int, complement: bool) -> Hypergraph:
     """The host whose edges hit on some seed: ``has_edge`` hashes, and the stored side is walked on its first read."""
-    coins = functools.partial(_coin_hits, seeds, threshold)
+    coins = _Coins(seeds, threshold)
     g = Hypergraph.from_codes(k, n, functools.partial(_coin_codes, coins, math.comb(n, k), complement), complement)
     g._coins = coins
     return g

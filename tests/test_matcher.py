@@ -184,7 +184,8 @@ class TestFindRootedCopy:
         images = dict(zip(root, y)) | dict(zip(searcher.order, placed))
         used = set(placed)
         pool = np.asarray(allowed, dtype=np.int64)
-        got = list(searcher._candidates(depth, images, bitset(used), pool, bitset(allowed)))
+        fits = searcher._fits(depth, images, bitset(used), pool, bitset(allowed))
+        got = [w for w in range(n) if fits >> w & 1]
         assert got == list(intersection_candidates(searcher, depth, images, used, set(allowed)))
 
     @given(data=st.data())
@@ -214,22 +215,27 @@ class TestFindRootedCopy:
         used = set(placed)
         budget = data.draw(st.integers(1, 200))  # what earlier searches left
 
-        def steps(stream, owner):
-            # each next(): the vertex or the stream's end or exhaustion, then remaining
+        def steps(take, owner):
+            # each take: the vertex or the stream's end or exhaustion, then remaining
             out = []
             owner.remaining = budget
             while True:
                 try:
-                    out.append((next(stream), owner.remaining))
-                except StopIteration:
-                    return out + [("end", owner.remaining)]
+                    w = take()
                 except SearchBudgetExceeded:
                     return out + [("exceeded", owner.remaining)]
+                if w is None:
+                    return out + [("end", owner.remaining)]
+                out.append((w, owner.remaining))
 
+        # the depth opens as find opens it, then takes its fits one at a time
         pool = np.asarray(allowed, dtype=np.int64)
-        got = steps(searcher._candidates(depth, images, bitset(used), pool, bitset(allowed)), searcher)
+        searcher._left[depth] = searcher._fits(depth, images, bitset(used), pool, bitset(allowed))
+        searcher._scanned[depth] = 0
+        got = steps(lambda: searcher._take(depth, bitset(allowed), len(allowed)), searcher)
         oracle = _CopySearcher(host, template, root)
-        assert got == steps(charged_scan(oracle, depth, images, used, allowed), oracle)
+        scan = charged_scan(oracle, depth, images, used, allowed)
+        assert got == steps(lambda: next(scan, None), oracle)
 
     @pytest.mark.parametrize("w,p,budget,template,root", [
         (2, 0.5, 150, connecting_path_template(2, 8), (0, 1, 6, 7)),
@@ -336,30 +342,31 @@ class TestLinkMemo:
         template, root = tight_path_template(2, 9), (0, 1, 7, 8)
         searcher = _CopySearcher(host, template, root)
         asked: list[tuple[int, ...]] = []
+        calls = []
         has_edge = Hypergraph.has_edge
 
         def recording(self, rows):
-            asked.append(tuple(rows[0, :-1].tolist()))
+            # every distinct key of the call: a batch asks for a run of sibling keys
+            asked.extend(set(map(tuple, rows[:, :-1].tolist())))
+            calls.append(rows)
             return has_edge(self, rows)
 
         opened: list[int] = []
-        candidates = searcher._candidates
+        fits = searcher._fits
 
         def counting(depth, *rest):
             opened.append(len(searcher.anchors[depth]))
-            return candidates(depth, *rest)
+            return fits(depth, *rest)
 
         monkeypatch.setattr(Hypergraph, "has_edge", recording)
-        monkeypatch.setattr(searcher, "_candidates", counting)
-        per_find = []
+        monkeypatch.setattr(searcher, "_fits", counting)
         for call in range(6):
             order = sorted(range(30), key=lambda v: derive(6, call, v))
             asked.clear()
             searcher.find(order[:4], bitset(order[4:]))
             assert asked and len(asked) == len(set(asked))
-            per_find.append(len(asked))
-        # without the memo, every stream would ask once per anchor
-        assert sum(per_find) < sum(opened)
+        # without the memo, every stream would make one call per anchor
+        assert len(calls) < sum(opened)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -407,6 +414,128 @@ class TestLinkMemo:
         assert searcher.remaining == 0
         assert len(anchors) == p  # kept, these rows would hold p * p / 8 bytes
         assert limit <= max(held) < limit + row
+
+
+class TestSiblingBatches:
+    """A k >= 3 link miss asks for a run of sibling keys in the same call; that changes only the calls."""
+
+    @staticmethod
+    def searches(host, template, root, budget, requests, block):
+        """Each request's (copy or exhaustion, remaining), and the keys of each find's calls, at this block."""
+        keys: list[list[tuple[int, ...]]] = []
+        has_edge = Hypergraph.has_edge
+
+        def recording(self, rows):
+            keys[-1].append(set(map(tuple, rows[:, :-1].tolist())))
+            return has_edge(self, rows)
+
+        searcher = _CopySearcher(host, template, root)
+        searcher.remaining = budget
+        out = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_PACK_BLOCK", block)
+            mp.setattr(Hypergraph, "has_edge", recording)
+            for y, bits in requests:
+                keys.append([])
+                try:
+                    out.append((searcher.find(y, bits), searcher.remaining))
+                except SearchBudgetExceeded:
+                    out.append(("exceeded", searcher.remaining))
+                    break
+        return out, keys
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batched_links_find_and_spend_as_one_key_calls(self, data):
+        w = data.draw(st.sampled_from([3, 4]))
+        n = data.draw(st.integers(w + 8, 22))
+        host = sample_uniform_hypergraph(
+            w, n, data.draw(st.sampled_from([0.15, 0.3, 0.5])), seed=data.draw(st.integers(0, 999))
+        )
+        template, root = data.draw(st.sampled_from([
+            (tight_path_template(w - 1, w + 5), tuple(range(w - 1)) + tuple(range(6, w + 5))),
+            (tight_path_template(w - 1, w + 3), ()),
+        ]))
+        budget = data.draw(st.integers(1, 600))
+        requests = []
+        for _ in range(data.draw(st.integers(2, 5))):
+            vertices = data.draw(st.permutations(range(n)))
+            allowed = sorted(data.draw(st.sets(st.sampled_from(vertices[len(root):]), min_size=1)))
+            requests.append((vertices[:len(root)], bitset(allowed)))
+        # a zero block caps every run at one key a call
+        batched, batched_keys = self.searches(host, template, root, budget, requests, core._PACK_BLOCK)
+        single, single_keys = self.searches(host, template, root, budget, requests, 0)
+        assert batched == single
+        assert all(len(call) == 1 for find in single_keys for call in find)
+        for find, one_key in zip(batched_keys, single_keys):
+            asked = [key for call in find for key in call]
+            assert len(asked) == len(set(asked)) and len(find) <= len(one_key)
+
+    def test_batches_cut_the_calls_of_a_backtracking_search(self):
+        host = sample_uniform_hypergraph(3, 30, 0.35, seed=6)
+        template, root = tight_path_template(2, 9), (0, 1, 7, 8)
+        requests = []
+        for call in range(6):
+            order = sorted(range(30), key=lambda v: derive(6, call, v))
+            requests.append((order[:4], bitset(order[4:])))
+        batched, batched_keys = self.searches(host, template, root, 10_000, requests, core._PACK_BLOCK)
+        single, single_keys = self.searches(host, template, root, 10_000, requests, 0)
+        assert batched == single
+        calls = [call for find in batched_keys for call in find]
+        assert len(calls) < sum(len(find) for find in single_keys)
+        assert max(map(len, calls)) > 1
+
+    @pytest.mark.parametrize("w", [3, 4])
+    def test_a_miss_asks_for_its_anchor_under_the_parent_streams_next_fits(self, monkeypatch, w):
+        host = Hypergraph.complete(w, 40)
+        template, root = tight_path_template(w - 1, w + 6), tuple(range(w - 1)) + tuple(range(7, w + 6))
+        searcher = _CopySearcher(host, template, root)
+        depth = next(d for d in range(1, len(searcher.order)) if searcher.anchors[d])
+        prev = searcher.order[depth - 1]
+        assert all(prev in others for others in searcher.anchors[depth])
+        # root images, then the placed internals, with the parent stream's untaken fits left
+        images = dict(zip(root, range(30, 40))) | dict(zip(searcher.order[:depth], range(depth)))
+        bits = bitset(range(30))
+        searcher._left[depth - 1], searcher._runs[depth - 1], searcher._run_cap = bitset([12, 15, 20, 26, 29]), 4, 6
+        asked = []
+        has_edge = Hypergraph.has_edge
+
+        def recording(self, rows):
+            asked.append(sorted(set(map(tuple, rows[:, :-1].tolist()))))
+            return has_edge(self, rows)
+
+        monkeypatch.setattr(Hypergraph, "has_edge", recording)
+        pool = np.arange(30, dtype=np.int64)
+        searcher._fits(depth, images, bitset(range(depth)), pool, bits)
+        # one call a missing anchor, each with the anchor's key and its keys under the next three fits
+        want = [
+            sorted(tuple(sorted(c if u == prev else images[u] for u in others)) for c in (images[prev], 12, 15, 20))
+            for others in searcher.anchors[depth]
+        ]
+        assert asked == want
+        assert searcher._runs[depth - 1] == 6  # doubled once for the opening, then capped
+        # the parent's next fit opens this depth again and finds every link memoised
+        asked.clear()
+        assert searcher._fits(depth, images | {prev: 12}, bitset(range(depth - 1)) | bitset([12]), pool, bits)
+        assert asked == []
+
+    @pytest.mark.parametrize("w", [3, 4])
+    def test_a_search_that_never_backtracks_asks_one_key_a_call(self, monkeypatch, w):
+        # every candidate fits on the complete host, so each depth takes its first
+        # and no stream under a parent opens twice
+        host = Hypergraph.complete(w, 60)
+        widest = []
+        has_edge = Hypergraph.has_edge
+
+        def recording(self, rows):
+            widest.append(len(set(map(tuple, rows[:, :-1].tolist()))))
+            return has_edge(self, rows)
+
+        monkeypatch.setattr(Hypergraph, "has_edge", recording)
+        pairs = [(tuple(range(i, i + w - 1)), tuple(range(i + 10, i + w + 9))) for i in (0, 20)]
+        family = connect_paths(host, pairs, range(40, 60), w - 1, 9, "tight", rounds=1)
+        assert len(family.sequences) == 2
+        assert widest and set(widest) == {1}
 
 
 class TestCopySearchDigest:

@@ -27,7 +27,7 @@ from hampow.randmodels import (
     uniform_stream,
 )
 
-from oracles import common_codes, is_edge, mask_graph, three_rounds_by_enumeration
+from oracles import common_codes, edge_twin, is_edge, mask_graph, three_rounds_by_enumeration
 
 
 class TestMixing:
@@ -356,6 +356,22 @@ class TestThreeRound:
             rounds = sample_three_rounds(3, 10_000, 0.05, seed=7)
             assert len({hash(g) for g in rounds}) == 1
         assert all(g._draw is not None for g in rounds)
+
+    def test_hashed_rounds_of_one_rule_are_equal_without_reading_codes(self):
+        # the tight k=2 rounds at n = 10^4 have 1.7e11 candidates: a walk would take hours, so it fails here
+        with mock.patch.object(randmodels, "_coin_codes", side_effect=AssertionError("walked the candidates")):
+            first, again = sample_three_rounds(3, 10_000, 0.05, seed=2), sample_three_rounds(3, 10_000, 0.05, seed=2)
+            assert first == again
+            # another rule (a round's seed, the union's three, or another rate) is still compared code by code
+            for a, b in [(first[0], first[1]), (first[0], first[3]),
+                         (first[1], sample_three_rounds(3, 10_000, 0.06, seed=2)[1])]:
+                with pytest.raises(AssertionError, match="walked"):
+                    a == b
+        assert all(g._draw is not None for g in first + again)
+        # the exact walk: rounds of two seeds with no edge at all are equal, and differing ones are not
+        assert sample_three_rounds(3, 8, 1e-9, seed=1)[0] == sample_three_rounds(3, 8, 1e-9, seed=2)[0]
+        small = sample_three_rounds(3, 12, 0.5, seed=2)
+        assert small[0] != small[1] and small[0] == edge_twin(small[0])
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.95, 1.0])
     @pytest.mark.parametrize("k,n", [(3, 24), (4, 16)])
